@@ -11,6 +11,7 @@
 #include "support/FaultInjection.h"
 #include "support/FileLock.h"
 #include "support/Hashing.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -65,6 +66,40 @@ void writeHeader(BinaryWriter &W, uint32_t FileMagic, uint32_t Version,
 
 constexpr size_t HeaderBytes = 4 + 4 + 7 * 8;
 
+/// Checks \p Bytes' header against \p Expect (magic, version, and every
+/// key component) and its payload against the recorded length and
+/// checksum. Returns nullptr for a sound entry, else the first failed
+/// check, which becomes the quarantine suffix — so a post-mortem can
+/// tell bit rot from a version skew from a hash collision at a glance.
+const char *checkHeader(const std::string &Bytes, uint32_t FileMagic,
+                        uint32_t Version, const Header &Expect) {
+  BinaryReader R(Bytes);
+  if (R.u32() != FileMagic)
+    return "magic";
+  if (R.u32() != Version)
+    return "version";
+  Header H;
+  H.Key = R.u64();
+  H.ProgramSetHash = R.u64();
+  H.MachineHash = R.u64();
+  H.PrepHash = R.u64();
+  H.TypingSeed = R.u64();
+  H.PayloadSize = R.u64();
+  H.Checksum = R.u64();
+  if (R.failed())
+    return "truncated";
+  // The header must describe exactly the requested preparation.
+  if (H.Key != Expect.Key || H.ProgramSetHash != Expect.ProgramSetHash ||
+      H.MachineHash != Expect.MachineHash || H.PrepHash != Expect.PrepHash ||
+      H.TypingSeed != Expect.TypingSeed)
+    return "key";
+  if (H.PayloadSize != Bytes.size() - HeaderBytes)
+    return "truncated"; // Truncated or padded file.
+  if (H.Checksum != fnv1a(Bytes.data() + HeaderBytes, H.PayloadSize))
+    return "checksum"; // Bit rot within the payload.
+  return nullptr;
+}
+
 //===----------------------------------------------------------------------===//
 // Program + marks serialization
 //===----------------------------------------------------------------------===//
@@ -94,45 +129,6 @@ void writeProgram(BinaryWriter &W, const Program &Prog) {
       W.u32(BB.StreamWorkingSet);
     }
   }
-}
-
-Program readProgram(BinaryReader &R) {
-  Program Prog;
-  Prog.Name = R.str();
-  Prog.Procs.resize(R.count(1u << 20, /*ElemBytes=*/12));
-  for (Procedure &P : Prog.Procs) {
-    P.Id = R.u32();
-    P.Name = R.str();
-    P.Blocks.resize(R.count(1u << 22, /*ElemBytes=*/29));
-    for (BasicBlock &BB : P.Blocks) {
-      BB.Id = R.u32();
-      BB.Insts.resize(R.count(1u << 24, /*ElemBytes=*/10));
-      for (Instruction &I : BB.Insts) {
-        uint8_t Kind = R.u8();
-        if (Kind > static_cast<uint8_t>(InstKind::Syscall))
-          R.markFailed();
-        I.Kind = static_cast<InstKind>(Kind);
-        I.SizeBytes = R.u8();
-        I.MemRef = R.i32();
-        I.Callee = R.i32();
-      }
-      uint8_t Term = R.u8();
-      if (Term > static_cast<uint8_t>(TermKind::Ret))
-        R.markFailed();
-      BB.Term = static_cast<TermKind>(Term);
-      BB.Succs.resize(R.count(8, /*ElemBytes=*/4));
-      for (uint32_t &Succ : BB.Succs)
-        Succ = R.u32();
-      BB.TripCount = R.u32();
-      BB.TakenProb = R.f64();
-      BB.StreamWorkingSet = R.u32();
-      if (R.failed())
-        return Prog; // Stop amplifying garbage lengths.
-    }
-    if (R.failed())
-      return Prog;
-  }
-  return Prog;
 }
 
 void writeMarks(BinaryWriter &W, const std::vector<PhaseMark> &Marks) {
@@ -181,11 +177,11 @@ std::vector<PhaseMark> readMarks(BinaryReader &R, const Program &Prog) {
 // Per-program payload and suite manifest
 //===----------------------------------------------------------------------===//
 
-/// One prepared program: the `pbt-prog-v1` payload (IR, marks, mark
-/// cost, cost tables, flat image).
+/// One prepared program: the `pbt-prog-v2` payload (marks, type count,
+/// mark cost, cost tables). The IR and the flat image are not stored:
+/// the loader attaches the caller's program and rebuilds the image.
 void writePrepared(BinaryWriter &W, const InstrumentedProgram &Image,
-                   const CostModel &Tables, const FlatImage &Flat) {
-  writeProgram(W, Image.program());
+                   const CostModel &Tables) {
   writeMarks(W, Image.marks());
   W.u32(Image.numTypes());
   const MarkCostModel &Cost = Image.cost();
@@ -195,19 +191,15 @@ void writePrepared(BinaryWriter &W, const InstrumentedProgram &Image,
   W.u32(Cost.MonitorSetupCycles);
   W.u32(Cost.SwitchCycles);
   Tables.serializeTables(W);
-  Flat.serialize(W);
 }
 
-/// Decodes and validates one prepared program. Returns a
-/// PreparedProgram with null pointers (and \p R marked failed where
-/// applicable) on any rejection.
-PreparedProgram readPrepared(BinaryReader &R, const MachineConfig &Machine,
+/// Decodes one prepared program from a whole `pbt-prog-v2` payload,
+/// validated against \p Prog, and rebuilds its flat image. Returns a
+/// PreparedProgram with null pointers on any rejection.
+PreparedProgram readPrepared(BinaryReader &R, const Program &Prog,
+                             const MachineConfig &Machine,
                              const TechniqueSpec &Tech) {
   PreparedProgram Out;
-  Program Prog = readProgram(R);
-  if (R.failed() || !verify(Prog))
-    return Out;
-
   MarkingResult Marking;
   Marking.Marks = readMarks(R, Prog);
   Marking.NumTypes = R.u32();
@@ -232,21 +224,13 @@ PreparedProgram readPrepared(BinaryReader &R, const MachineConfig &Machine,
     return Out;
 
   CostModel Tables = CostModel::deserializeTables(R, Machine, Prog);
-  if (R.failed())
+  if (R.failed() || R.remaining() != 0)
     return Out;
 
-  size_t BlockCount = Prog.blockCount();
-  auto Image = std::make_shared<const InstrumentedProgram>(
-      std::move(Prog), std::move(Marking), Cost);
-  auto Costs = std::make_shared<const CostModel>(std::move(Tables));
-  auto Flat = std::make_shared<const FlatImage>(
-      FlatImage::deserialize(R, Image, Costs));
-  if (R.failed() || Flat->numBlocks() != BlockCount)
-    return Out;
-
-  Out.Image = std::move(Image);
-  Out.Cost = std::move(Costs);
-  Out.Flat = std::move(Flat);
+  Out.Image = std::make_shared<const InstrumentedProgram>(
+      Prog, std::move(Marking), Cost);
+  Out.Cost = std::make_shared<const CostModel>(std::move(Tables));
+  Out.Flat = std::make_shared<const FlatImage>(Out.Image, Out.Cost);
   return Out;
 }
 
@@ -296,11 +280,6 @@ bool isProgEntryName(const char *Name) {
   size_t Len = std::strlen(Name);
   return Len == 25 && std::strncmp(Name, "prog-", 5) == 0 &&
          std::strcmp(Name + Len - 4, ".pbt") == 0;
-}
-
-/// True for any entry this store writes (manifest or prog).
-bool isEntryName(const char *Name) {
-  return isSuiteEntryName(Name) || isProgEntryName(Name);
 }
 
 /// True for the store's advisory lock files: "suite-<16 hex>.lck" or
@@ -440,6 +419,15 @@ uint64_t CacheStore::hashProgram(const Program &Prog) {
   BinaryWriter W;
   writeProgram(W, Prog);
   return fnv1a(W.buffer().data(), W.buffer().size());
+}
+
+std::vector<uint64_t>
+CacheStore::hashPrograms(const std::vector<Program> &Programs) {
+  std::vector<uint64_t> Hashes;
+  Hashes.reserve(Programs.size());
+  for (const Program &Prog : Programs)
+    Hashes.push_back(hashProgram(Prog));
+  return Hashes;
 }
 
 uint64_t CacheStore::suiteKey(uint64_t ProgramSetHash,
@@ -668,6 +656,7 @@ CacheStore::GcStats CacheStore::gc(uint64_t MaxBytes, double MaxAgeSeconds) {
 
 std::shared_ptr<const PreparedSuite>
 CacheStore::load(uint64_t Key, uint64_t ProgramSetHash,
+                 const std::vector<Program> &Programs,
                  const MachineConfig &Machine, const TechniqueSpec &Tech,
                  uint64_t TypingSeed) {
   std::lock_guard<std::mutex> Lock(Mutex);
@@ -694,79 +683,50 @@ CacheStore::load(uint64_t Key, uint64_t ProgramSetHash,
     return nullptr;
   }
 
-  // Parse and validate the manifest; Why names the first failed check
-  // and becomes the quarantine suffix, so a post-mortem can tell bit
-  // rot from a version skew from a hash collision at a glance.
-  const char *Why = nullptr;
+  Header Expect;
+  Expect.Key = Key;
+  Expect.ProgramSetHash = ProgramSetHash;
+  Expect.MachineHash = hashValue(Machine);
+  Expect.PrepHash = Tech.preparationHash();
+  Expect.TypingSeed = TypingSeed;
+  const char *Why = checkHeader(Bytes, Magic, FormatVersion, Expect);
   std::vector<uint64_t> Hashes;
-  bool HaveManifest = false;
-  BinaryReader R(Bytes);
-  if (R.u32() != Magic) {
-    Why = "magic";
-  } else if (R.u32() != FormatVersion) {
-    Why = "version";
-  } else {
-    Header H;
-    H.Key = R.u64();
-    H.ProgramSetHash = R.u64();
-    H.MachineHash = R.u64();
-    H.PrepHash = R.u64();
-    H.TypingSeed = R.u64();
-    H.PayloadSize = R.u64();
-    H.Checksum = R.u64();
-    // The header must describe exactly the requested preparation: key,
-    // program set, machine, preparation identity, and typing seed.
-    if (R.failed())
-      Why = "truncated";
-    else if (H.Key != Key || H.ProgramSetHash != ProgramSetHash ||
-             H.MachineHash != hashValue(Machine) ||
-             H.PrepHash != Tech.preparationHash() ||
-             H.TypingSeed != TypingSeed)
-      Why = "key";
-    else if (H.PayloadSize != Bytes.size() - HeaderBytes)
-      Why = "truncated"; // Truncated or padded file.
-    else if (H.Checksum != fnv1a(Bytes.data() + HeaderBytes, H.PayloadSize))
-      Why = "checksum"; // Bit rot within the payload.
-    else {
-      BinaryReader Payload(Bytes.data() + HeaderBytes, H.PayloadSize);
-      Hashes = readManifest(Payload);
-      if (Payload.failed())
-        Why = "payload"; // Checksummed bytes decode to nonsense.
-      else
-        HaveManifest = true;
-    }
+  if (!Why) {
+    BinaryReader Payload(Bytes.data() + HeaderBytes,
+                         Bytes.size() - HeaderBytes);
+    Hashes = readManifest(Payload);
+    if (Payload.failed())
+      Why = "payload"; // Checksummed bytes decode to nonsense.
+    else if (Hashes.size() != Programs.size())
+      Why = "count"; // The i-th hash must name Programs[i].
   }
 
-  if (HaveManifest) {
+  if (!Why) {
     // Resolve every referenced prog entry. Any one missing or rejected
     // degrades the whole request to a plain miss — the caller
-    // re-prepares (incrementally, through loadProgram probes of its
+    // re-prepares (incrementally, through per-program probes of its
     // own) and save() heals the gap.
+    std::vector<PreparedProgram> Parts =
+        loadEntries(Hashes.data(), Programs.data(), Programs.size(), Machine,
+                    Tech, TypingSeed, /*AllOrNothing=*/true);
+    if (!Parts.empty() && !Parts.front().Image) {
+      ++Misses;
+      return nullptr;
+    }
     auto Suite = std::make_shared<PreparedSuite>();
-    bool Complete = true;
-    for (uint64_t ProgHash : Hashes) {
-      PreparedProgram Prepared =
-          loadProgramImpl(ProgHash, Machine, Tech, TypingSeed);
-      if (!Prepared.Image) {
-        Complete = false;
-        break;
-      }
-      Suite->Names.push_back(Prepared.Image->program().Name);
-      Suite->Images.push_back(std::move(Prepared.Image));
-      Suite->Costs.push_back(std::move(Prepared.Cost));
-      Suite->Flats.push_back(std::move(Prepared.Flat));
+    for (size_t I = 0; I < Parts.size(); ++I) {
+      Suite->Names.push_back(Programs[I].Name);
+      Suite->Images.push_back(std::move(Parts[I].Image));
+      Suite->Costs.push_back(std::move(Parts[I].Cost));
+      Suite->Flats.push_back(std::move(Parts[I].Flat));
     }
-    if (Complete) {
-      ++Hits;
-      // Refresh the manifest's mtime: it is the LRU clock gc() evicts
-      // by, so a hit must mark the entry recently used (best-effort — a
-      // failed touch only ages the entry; the prog entries were touched
-      // by their own loads).
-      ::utime(pathFor(Key).c_str(), nullptr);
-      return Suite;
-    }
-    ++Misses;
-    return nullptr;
+    ++Hits;
+    // Refresh the manifest's mtime: it is the LRU clock gc() evicts by,
+    // so a hit must mark the entry recently used (best-effort — a
+    // failed touch only ages the entry; the prog entries were touched
+    // by loadEntries).
+    ::utime(pathFor(Key).c_str(), nullptr);
+    return Suite;
   }
 
   // Manifest rejected. Count a miss (the caller re-prepares) and
@@ -790,123 +750,147 @@ CacheStore::load(uint64_t Key, uint64_t ProgramSetHash,
 }
 
 PreparedProgram CacheStore::loadProgram(uint64_t ProgramHash,
+                                        const Program &Prog,
                                         const MachineConfig &Machine,
                                         const TechniqueSpec &Tech,
                                         uint64_t TypingSeed) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  return loadProgramImpl(ProgramHash, Machine, Tech, TypingSeed);
+  return loadEntries(&ProgramHash, &Prog, 1, Machine, Tech, TypingSeed,
+                     /*AllOrNothing=*/false)
+      .front();
 }
 
-PreparedProgram CacheStore::loadProgramImpl(uint64_t ProgramHash,
-                                            const MachineConfig &Machine,
-                                            const TechniqueSpec &Tech,
-                                            uint64_t TypingSeed) {
-  PreparedProgram Out;
-  uint64_t Key = progKey(ProgramHash, Machine, Tech, TypingSeed);
+std::vector<PreparedProgram>
+CacheStore::loadPrograms(const std::vector<uint64_t> &Hashes,
+                         const std::vector<Program> &Programs,
+                         const MachineConfig &Machine,
+                         const TechniqueSpec &Tech, uint64_t TypingSeed) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  if (Hashes.size() != Programs.size())
+    return std::vector<PreparedProgram>(Programs.size());
+  return loadEntries(Hashes.data(), Programs.data(), Programs.size(), Machine,
+                     Tech, TypingSeed, /*AllOrNothing=*/false);
+}
 
-  // Same locking contract as the suite path: bounded shared lock,
-  // lockless fallback for read-only stores, timeout degrades to a miss.
-  FileLock ReadLock;
-  if (!ReadLock.acquire(progLockPathFor(Key), FileLock::Mode::Shared,
-                        LockMaxAttempts, LockRng, LockBaseDelayMicros) &&
-      !ReadLock.openFailed()) {
-    ++ProgMisses;
-    ++LockTimeouts;
-    return Out;
-  }
+std::vector<PreparedProgram>
+CacheStore::loadEntries(const uint64_t *Hashes, const Program *Progs,
+                        size_t N, const MachineConfig &Machine,
+                        const TechniqueSpec &Tech, uint64_t TypingSeed,
+                        bool AllOrNothing) {
+  std::vector<PreparedProgram> Out(N);
+  std::vector<uint64_t> Keys(N);
+  std::vector<std::string> Bytes(N);
+  std::vector<uint8_t> Read(N, 0);
 
-  std::string Bytes;
-  if (!readFile(progPathFor(Key), Bytes)) {
-    ++ProgMisses; // Plain absence.
-    return Out;
-  }
-
-  const char *Why = nullptr;
-  BinaryReader R(Bytes);
-  if (R.u32() != ProgMagic) {
-    Why = "magic";
-  } else if (R.u32() != ProgFormatVersion) {
-    Why = "version";
-  } else {
-    Header H;
-    H.Key = R.u64();
-    H.ProgramSetHash = R.u64(); // The program's own content hash here.
-    H.MachineHash = R.u64();
-    H.PrepHash = R.u64();
-    H.TypingSeed = R.u64();
-    H.PayloadSize = R.u64();
-    H.Checksum = R.u64();
-    if (R.failed())
-      Why = "truncated";
-    else if (H.Key != Key || H.ProgramSetHash != ProgramHash ||
-             H.MachineHash != hashValue(Machine) ||
-             H.PrepHash != Tech.preparationHash() ||
-             H.TypingSeed != TypingSeed)
-      Why = "key";
-    else if (H.PayloadSize != Bytes.size() - HeaderBytes)
-      Why = "truncated";
-    else if (H.Checksum != fnv1a(Bytes.data() + HeaderBytes, H.PayloadSize))
-      Why = "checksum";
-    else {
-      BinaryReader Payload(Bytes.data() + HeaderBytes, H.PayloadSize);
-      Out = readPrepared(Payload, Machine, Tech);
-      if (Out.Image && Payload.remaining() != 0) {
-        Out = PreparedProgram();
-        Why = "payload";
-      } else if (!Out.Image) {
-        Why = "payload";
-      }
+  // Phase 1, serial and in order: locks and file reads. The fault seam
+  // is consulted here only, so a PBT_FAULTS schedule sees the same query
+  // sequence however the decode below is scheduled. Same locking
+  // contract as the manifest: bounded shared lock, lockless fallback
+  // for read-only stores, timeout degrades to a miss. The lock is only
+  // held across the read; decoding works on the bytes in memory.
+  for (size_t I = 0; I < N; ++I) {
+    Keys[I] = progKey(Hashes[I], Machine, Tech, TypingSeed);
+    FileLock ReadLock;
+    if (!ReadLock.acquire(progLockPathFor(Keys[I]), FileLock::Mode::Shared,
+                          LockMaxAttempts, LockRng, LockBaseDelayMicros) &&
+        !ReadLock.openFailed()) {
+      ++ProgMisses;
+      ++LockTimeouts;
+    } else if (readFile(progPathFor(Keys[I]), Bytes[I])) {
+      Read[I] = 1;
+      continue;
+    } else {
+      ++ProgMisses; // Plain absence.
     }
+    if (AllOrNothing)
+      return std::vector<PreparedProgram>(N);
   }
 
-  if (Out.Image) {
-    ++ProgHits;
-    ::utime(progPathFor(Key).c_str(), nullptr); // LRU touch.
-    return Out;
-  }
+  // Phase 2, parallel: header, checksum and payload decode are pure
+  // functions of the bytes and the request, so they fan out over the
+  // pool with by-index writes.
+  Header Expect;
+  Expect.MachineHash = hashValue(Machine);
+  Expect.PrepHash = Tech.preparationHash();
+  Expect.TypingSeed = TypingSeed;
+  std::vector<const char *> Why(N, nullptr);
+  ThreadPool::global().parallelFor(N, [&](size_t I) {
+    if (!Read[I])
+      return;
+    Header E = Expect;
+    E.Key = Keys[I];
+    E.ProgramSetHash = Hashes[I]; // The program's own content hash here.
+    Why[I] = checkHeader(Bytes[I], ProgMagic, ProgFormatVersion, E);
+    if (Why[I])
+      return;
+    BinaryReader Payload(Bytes[I].data() + HeaderBytes,
+                         Bytes[I].size() - HeaderBytes);
+    Out[I] = readPrepared(Payload, Progs[I], Machine, Tech);
+    if (!Out[I].Image)
+      Why[I] = "payload";
+  });
 
-  ++ProgMisses;
-  ++Rejects;
-  ReadLock.release();
-  FileLock WriteLock;
-  if (WriteLock.tryAcquire(progLockPathFor(Key),
-                           FileLock::Mode::Exclusive)) {
+  // Phase 3, serial and in order: counters, LRU touches, quarantines.
+  auto Quarantine = [&](size_t I) {
+    ++ProgMisses;
+    ++Rejects;
+    // Only under an uncontended writer lock, and only if the bytes did
+    // not change underneath us (a concurrent save may already have
+    // replaced the entry with a healthy one).
+    FileLock WriteLock;
     std::string Again;
-    if (readFile(progPathFor(Key), Again) && Again == Bytes &&
-        std::rename(progPathFor(Key).c_str(),
-                    progQuarantinePathFor(Key, Why).c_str()) == 0)
+    if (WriteLock.tryAcquire(progLockPathFor(Keys[I]),
+                             FileLock::Mode::Exclusive) &&
+        readFile(progPathFor(Keys[I]), Again) && Again == Bytes[I] &&
+        std::rename(progPathFor(Keys[I]).c_str(),
+                    progQuarantinePathFor(Keys[I], Why[I]).c_str()) == 0)
       ++Quarantines;
+  };
+  if (AllOrNothing) {
+    for (size_t I = 0; I < N; ++I)
+      if (Why[I]) {
+        Quarantine(I);
+        return std::vector<PreparedProgram>(N);
+      }
+  }
+  for (size_t I = 0; I < N; ++I) {
+    if (!Read[I])
+      continue;
+    if (Why[I]) {
+      Quarantine(I);
+      continue;
+    }
+    ++ProgHits;
+    ::utime(progPathFor(Keys[I]).c_str(), nullptr); // LRU touch.
   }
   return Out;
 }
 
 bool CacheStore::save(uint64_t Key, uint64_t ProgramSetHash,
+                      const std::vector<uint64_t> &ProgramHashes,
                       const MachineConfig &Machine, const TechniqueSpec &Tech,
                       uint64_t TypingSeed, const PreparedSuite &Suite) {
   std::lock_guard<std::mutex> Lock(Mutex);
+  if (ProgramHashes.size() != Suite.Images.size())
+    return false;
 
   // First the per-program entries the manifest will reference. Entries
   // already on disk are skipped: content addressing makes a same-key
   // file identical by construction, and the skip is what dedupes
   // programs shared across suites (and keeps an incremental save to
   // "exactly the new benchmark" writes).
-  std::vector<uint64_t> Hashes;
-  Hashes.reserve(Suite.Images.size());
   for (size_t I = 0; I < Suite.Images.size(); ++I) {
-    uint64_t ProgHash = hashProgram(Suite.Images[I]->program());
-    Hashes.push_back(ProgHash);
-    uint64_t PKey = progKey(ProgHash, Machine, Tech, TypingSeed);
+    uint64_t PKey = progKey(ProgramHashes[I], Machine, Tech, TypingSeed);
 
     struct stat St;
     if (::stat(progPathFor(PKey).c_str(), &St) == 0)
       continue; // Entry exists; identical by construction.
 
     BinaryWriter Payload;
-    writePrepared(Payload, *Suite.Images[I], *Suite.Costs[I],
-                  *Suite.Flats[I]);
+    writePrepared(Payload, *Suite.Images[I], *Suite.Costs[I]);
     Header H;
     H.Key = PKey;
-    H.ProgramSetHash = ProgHash; // The program's own content hash.
+    H.ProgramSetHash = ProgramHashes[I]; // The program's own content hash.
     H.MachineHash = hashValue(Machine);
     H.PrepHash = Tech.preparationHash();
     H.TypingSeed = TypingSeed;
@@ -934,7 +918,7 @@ bool CacheStore::save(uint64_t Key, uint64_t ProgramSetHash,
 
   // Then the manifest, the commit point of the whole save.
   BinaryWriter Payload;
-  writeManifest(Payload, Hashes);
+  writeManifest(Payload, ProgramHashes);
   Header H;
   H.Key = Key;
   H.ProgramSetHash = ProgramSetHash;

@@ -14,7 +14,7 @@
 ///
 /// **Addressing.** Entries are keyed by 64-bit content hashes of
 /// everything preparation depends on. The store is *module-granular*:
-/// the unit of storage is one prepared program (`pbt-prog-v1`,
+/// the unit of storage is one prepared program (`pbt-prog-v2`,
 /// `prog-<16 hex>.pbt`), keyed by that program's own content hash
 /// (every instruction of every block), the machine (structural fields,
 /// name excluded), the technique's preparation identity
@@ -31,15 +31,28 @@
 /// directory can thus be shared by labs with different program sets and
 /// machines.
 ///
-/// **Format** (`pbt-suite-v4` manifests and `pbt-prog-v1` program
+/// **Format** (`pbt-suite-v4` manifests and `pbt-prog-v2` program
 /// entries, documented field by field in docs/BENCH_SCHEMA.md): a fixed
 /// header — magic (`PBTS` for manifests, `PBTP` for prog entries),
 /// format version, key, the key components, payload length, FNV-1a
 /// payload checksum — followed by the payload: the per-program hash
-/// list for manifests, the serialized prepared program (IR, marks,
-/// cost tables, flat image) for prog entries. Doubles are stored by bit
-/// pattern, so a loaded suite is bit-identical to the freshly prepared
-/// one (proven in tests/exp_test.cpp and tests/incremental_test.cpp).
+/// list for manifests; for prog entries only what preparation
+/// *computed* — phase marks, type count, mark cost words, and cost
+/// tables. Doubles are stored by bit pattern. The program IR is not
+/// stored: the caller already holds it (its content hash is the entry's
+/// key), so the loader attaches the caller's own Program, validates the
+/// marks and tables against it, and rebuilds the flat execution image
+/// with its constructor, exactly as the flatten pass does. A loaded
+/// suite is therefore bit-identical to the freshly prepared one (proven
+/// in tests/exp_test.cpp, tests/incremental_test.cpp and
+/// tests/store_mutation_test.cpp).
+///
+/// **Parallel decode.** A whole-suite load() runs in three phases: a
+/// serial phase takes each prog entry's lock and reads its file in
+/// manifest order (so a `PBT_FAULTS` schedule sees the same query
+/// sequence every run); header, checksum and payload decode then fan
+/// out over the global thread pool; a final serial phase settles
+/// counters, LRU touches and quarantines in manifest order.
 ///
 /// **Crash safety and concurrency.** The store is built to survive
 /// `kill -9`, concurrent writers, and injected filesystem faults
@@ -61,8 +74,9 @@
 ///    (rename atomicity keeps them safe) and writers skip the
 ///    write-back without counting a timeout.
 ///  - Any mismatch on load — wrong magic, wrong version, wrong key,
-///    truncation, checksum failure, or out-of-range indices in the
-///    decoded structures — **quarantines** the file (renamed to
+///    truncation, checksum failure, a manifest listing a different
+///    number of programs than the caller holds, or out-of-range indices
+///    in the decoded structures — **quarantines** the file (renamed to
 ///    `<entry>.quarantined-<reason>` under the writer lock) and counts
 ///    as a plain miss, so the next preparation rebuilds the entry
 ///    transparently instead of tripping over it again.
@@ -102,12 +116,14 @@ public:
   /// accumulation (the fast-replay drift bound), so v2 images would
   /// replay with stale fused sums; v4 turned the suite entry into a
   /// thin manifest of per-program content hashes resolved against
-  /// `pbt-prog-v1` entries.
+  /// per-program entries.
   static constexpr uint32_t FormatVersion = 4;
 
-  /// On-disk per-program entry format version (`pbt-prog-v1`),
-  /// versioned independently of the manifest format.
-  static constexpr uint32_t ProgFormatVersion = 1;
+  /// On-disk per-program entry format version (`pbt-prog-v2`),
+  /// versioned independently of the manifest format. v2 dropped the
+  /// program IR (the caller supplies it) and the serialized flat image
+  /// (rebuilt on load).
+  static constexpr uint32_t ProgFormatVersion = 2;
 
   /// Version of the static preparation pipeline whose output prog
   /// entries hold (analysis/PassManager.h); part of every prog key, so
@@ -134,6 +150,10 @@ public:
   /// independent addressing schemes.
   static uint64_t hashProgram(const Program &Prog);
 
+  /// hashProgram of every program in \p Programs, in order.
+  static std::vector<uint64_t>
+  hashPrograms(const std::vector<Program> &Programs);
+
   /// The store key for (\p ProgramSetHash, \p Machine, \p Tech,
   /// \p TypingSeed). Uses Tech's preparation identity only (tuner
   /// excluded), mirroring SuiteCache's in-memory key relation.
@@ -148,37 +168,54 @@ public:
   static uint64_t progKey(uint64_t ProgramHash, const MachineConfig &Machine,
                           const TechniqueSpec &Tech, uint64_t TypingSeed);
 
-  /// Loads the suite stored under \p Key: reads the manifest, verifies
-  /// its header against the request's key components and its payload
-  /// against its checksum, then reassembles the suite from the
-  /// `pbt-prog-v1` entries the manifest lists (each validated the same
-  /// way). Returns nullptr on miss or on any rejection (corrupt,
-  /// truncated, version or key mismatch, or any referenced prog entry
-  /// missing/rejected). The returned suite carries a
-  /// default-constructed TunerConfig; callers stamp the requested tuner
-  /// (as SuiteCache does for in-memory hits).
+  /// Loads the suite stored under \p Key for the caller's program set
+  /// \p Programs (whose set hash is \p ProgramSetHash): reads the
+  /// manifest, verifies its header against the request's key
+  /// components, its payload against its checksum, and its hash count
+  /// against Programs.size(), then reassembles the suite from the
+  /// `pbt-prog-v2` entries the manifest lists — the i-th listed hash
+  /// belongs to Programs[i], whose IR the loaded image carries. Each
+  /// entry is validated the same way, decoded in parallel, and checked
+  /// against its program. Returns nullptr on miss or on any rejection
+  /// (corrupt, truncated, version, key or count mismatch, or any
+  /// referenced prog entry missing/rejected). The returned suite
+  /// carries a default-constructed TunerConfig; callers stamp the
+  /// requested tuner (as SuiteCache does for in-memory hits).
   std::shared_ptr<const PreparedSuite>
-  load(uint64_t Key, uint64_t ProgramSetHash, const MachineConfig &Machine,
+  load(uint64_t Key, uint64_t ProgramSetHash,
+       const std::vector<Program> &Programs, const MachineConfig &Machine,
        const TechniqueSpec &Tech, uint64_t TypingSeed);
 
   /// Loads the single prepared program stored under
-  /// progKey(\p ProgramHash, ...). Returns a PreparedProgram with null
-  /// pointers on miss or rejection. The incremental half of the store:
-  /// SuiteCache probes per program on a manifest miss and re-prepares
-  /// only the programs this cannot serve.
-  PreparedProgram loadProgram(uint64_t ProgramHash,
+  /// progKey(\p ProgramHash, ...), attached to \p Prog (the program
+  /// whose content hash is \p ProgramHash). Returns a PreparedProgram
+  /// with null pointers on miss or rejection.
+  PreparedProgram loadProgram(uint64_t ProgramHash, const Program &Prog,
                               const MachineConfig &Machine,
                               const TechniqueSpec &Tech,
                               uint64_t TypingSeed);
 
-  /// Serializes \p Suite under \p Key: writes one `pbt-prog-v1` entry
-  /// per program (skipping entries already on disk — content
-  /// addressing makes them identical by construction, which is what
-  /// dedupes shared programs), then the manifest (atomic write).
-  /// Returns false when any write the manifest would depend on failed.
-  /// An existing manifest is replaced — by construction with identical
-  /// content, so this also self-heals corrupted files.
+  /// loadProgram for every program of \p Programs at once (\p Hashes[i]
+  /// is Programs[i]'s content hash), decoded in parallel; each entry
+  /// hits or misses independently. The incremental half of the store:
+  /// SuiteCache probes per program on a manifest miss and re-prepares
+  /// only the programs this cannot serve.
+  std::vector<PreparedProgram>
+  loadPrograms(const std::vector<uint64_t> &Hashes,
+               const std::vector<Program> &Programs,
+               const MachineConfig &Machine, const TechniqueSpec &Tech,
+               uint64_t TypingSeed);
+
+  /// Serializes \p Suite under \p Key: writes one `pbt-prog-v2` entry
+  /// per program under its content hash \p ProgramHashes[i] (skipping
+  /// entries already on disk — content addressing makes them identical
+  /// by construction, which is what dedupes shared programs), then the
+  /// manifest (atomic write). Returns false when \p ProgramHashes does
+  /// not match the suite's size or any write the manifest would depend
+  /// on failed. An existing manifest is replaced — by construction with
+  /// identical content, so this also self-heals corrupted files.
   bool save(uint64_t Key, uint64_t ProgramSetHash,
+            const std::vector<uint64_t> &ProgramHashes,
             const MachineConfig &Machine, const TechniqueSpec &Tech,
             uint64_t TypingSeed, const PreparedSuite &Suite);
 
@@ -196,7 +233,7 @@ public:
 
   /// The quarantine destination for \p Key's manifest when rejected for
   /// \p Reason ("magic", "version", "key", "truncated", "checksum",
-  /// "payload").
+  /// "count", "payload"; "count" applies to manifests only).
   std::string quarantinePathFor(uint64_t Key, const char *Reason) const;
 
   /// The quarantine destination for \p Key's prog entry.
@@ -266,9 +303,11 @@ public:
   uint64_t rejects() const { return Rejects; }
   /// Suite manifests written by save().
   uint64_t writes() const { return Writes; }
-  /// Prog entries served from disk (inside load() or via loadProgram).
+  /// Prog entries served from disk (by a load() hit, or by
+  /// loadProgram/loadPrograms).
   uint64_t progHits() const { return ProgHits; }
-  /// loadProgram probes with no usable entry.
+  /// Prog entries that could not be served: absent, lock-contended or
+  /// rejected.
   uint64_t progMisses() const { return ProgMisses; }
   /// Prog entries written by save() (existing entries are skipped, so
   /// this counts genuinely new preparations reaching disk).
@@ -297,11 +336,16 @@ private:
   uint64_t Quarantines = 0;
   uint64_t LockTimeouts = 0;
 
-  /// Unlocked bodies (callers hold Mutex).
-  PreparedProgram loadProgramImpl(uint64_t ProgramHash,
-                                  const MachineConfig &Machine,
-                                  const TechniqueSpec &Tech,
-                                  uint64_t TypingSeed);
+  /// The three-phase batch load behind load() and loadPrograms
+  /// (callers hold Mutex): \p N prog entries, \p Hashes[i] naming
+  /// \p Progs[i]. With \p AllOrNothing (load()), the first entry that
+  /// cannot be served fails the whole batch: it is counted (and
+  /// quarantined if rejected), every other entry is left unsettled, and
+  /// all returned pointers are null.
+  std::vector<PreparedProgram>
+  loadEntries(const uint64_t *Hashes, const Program *Progs, size_t N,
+              const MachineConfig &Machine, const TechniqueSpec &Tech,
+              uint64_t TypingSeed, bool AllOrNothing);
 };
 
 } // namespace exp

@@ -31,9 +31,7 @@ uint64_t SuiteCache::programSetHash(const std::vector<Program> &Programs) {
 const std::vector<uint64_t> &
 SuiteCache::programHashes(const std::vector<Program> &Programs) {
   if (!ProgramHashesComputed) {
-    ProgramHashes.reserve(Programs.size());
-    for (const Program &Prog : Programs)
-      ProgramHashes.push_back(CacheStore::hashProgram(Prog));
+    ProgramHashes = CacheStore::hashPrograms(Programs);
     ProgramHashesComputed = true;
   }
   return ProgramHashes;
@@ -70,8 +68,8 @@ PreparedSuite SuiteCache::get(const std::vector<Program> &Programs,
   if (Store) {
     StoreKey = CacheStore::suiteKey(programSetHash(Programs), Machine, Tech,
                                     TypingSeed);
-    E.Suite = Store->load(StoreKey, programSetHash(Programs), Machine, Tech,
-                          TypingSeed);
+    E.Suite = Store->load(StoreKey, programSetHash(Programs), Programs,
+                          Machine, Tech, TypingSeed);
     if (E.Suite)
       ++StoreHits;
   }
@@ -83,13 +81,12 @@ PreparedSuite SuiteCache::get(const std::vector<Program> &Programs,
     // prepares exactly that benchmark, and programs shared with other
     // suites are reused regardless of which suite wrote them.
     const std::vector<uint64_t> &Hashes = programHashes(Programs);
-    std::vector<PreparedProgram> Parts(Programs.size());
+    std::vector<PreparedProgram> Parts =
+        Store->loadPrograms(Hashes, Programs, Machine, Tech, TypingSeed);
     std::vector<size_t> MissingIdx;
-    for (size_t I = 0; I < Programs.size(); ++I) {
-      Parts[I] = Store->loadProgram(Hashes[I], Machine, Tech, TypingSeed);
+    for (size_t I = 0; I < Programs.size(); ++I)
       if (!Parts[I].Image)
         MissingIdx.push_back(I);
-    }
     ProgramStoreHits += Programs.size() - MissingIdx.size();
 
     if (!MissingIdx.empty()) {
@@ -120,7 +117,7 @@ PreparedSuite SuiteCache::get(const std::vector<Program> &Programs,
     E.Suite = Assembled;
     // Writes the prog entries the store was missing plus the manifest
     // that makes the next load a whole-suite hit.
-    Store->save(StoreKey, programSetHash(Programs), Machine, Tech,
+    Store->save(StoreKey, programSetHash(Programs), Hashes, Machine, Tech,
                 TypingSeed, *E.Suite);
   }
 

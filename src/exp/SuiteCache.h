@@ -24,7 +24,7 @@
 ///
 /// The disk tier is *module-granular*: when the whole-suite manifest
 /// misses, the cache probes the store per program
-/// (CacheStore::loadProgram) and runs the static pipeline only over the
+/// (CacheStore::loadPrograms) and runs the static pipeline only over the
 /// programs the store cannot serve — so adding one benchmark to an
 /// otherwise-cached suite prepares exactly that benchmark, and programs
 /// shared between suites (or labs) are prepared once ever
@@ -111,7 +111,9 @@ private:
   /// cache serves one fixed program set for its whole life).
   uint64_t programSetHash(const std::vector<Program> &Programs);
 
-  /// Per-program content hashes, memoized alongside programSetHash.
+  /// Per-program content hashes, memoized alongside programSetHash: the
+  /// keys of the store's per-program entries, handed to
+  /// CacheStore::loadPrograms and CacheStore::save.
   const std::vector<uint64_t> &
   programHashes(const std::vector<Program> &Programs);
 

@@ -217,101 +217,3 @@ void FlatImage::serialize(BinaryWriter &W) const {
   for (double Value : ChainCycles)
     W.f64(Value);
 }
-
-FlatImage
-FlatImage::deserialize(BinaryReader &R,
-                       std::shared_ptr<const InstrumentedProgram> IProgIn,
-                       std::shared_ptr<const CostModel> CostIn) {
-  FlatImage Img;
-  Img.IProg = std::move(IProgIn);
-  Img.Cost = std::move(CostIn);
-  Img.Marks = Img.IProg->marks().data();
-  Img.NumCoreTypes = R.u32();
-  Img.MaxSharers = R.u32();
-  Img.Stride = R.u32();
-  Img.NumChainRecords = R.u32();
-  Img.Offsets.resize(R.count(1u << 24, /*ElemBytes=*/4));
-  for (uint32_t &Offset : Img.Offsets)
-    Offset = R.u32();
-  Img.Blocks.resize(R.count(1u << 24, /*ElemBytes=*/61));
-  for (FlatBlock &F : Img.Blocks) {
-    uint8_t Op = R.u8();
-    if (Op > static_cast<uint8_t>(FlatOp::Ret)) {
-      R.markFailed();
-      break;
-    }
-    F.Op = static_cast<FlatOp>(Op);
-    F.Insts = R.u32();
-    F.Succ[0] = R.u32();
-    F.Succ[1] = R.u32();
-    F.CycleRow = R.u32();
-    F.EdgeMark[0] = R.i32();
-    F.EdgeMark[1] = R.i32();
-    F.CallMark = R.i32();
-    F.Callee = R.u32();
-    F.TripCount = R.u32();
-    F.TakenProb = R.f64();
-    F.ChainBlocks = R.u32();
-    F.ChainInsts = R.u32();
-    F.ChainExit = R.u32();
-    F.ChainRow = R.u32();
-    if (R.failed())
-      break; // Truncated record: stop spinning through dead reads.
-  }
-  Img.Cycles.resize(R.count(1u << 28, /*ElemBytes=*/8));
-  for (double &Value : Img.Cycles)
-    Value = R.f64();
-  Img.ChainCycles.resize(R.count(1u << 28, /*ElemBytes=*/8));
-  for (double &Value : Img.ChainCycles)
-    Value = R.f64();
-
-  // Cross-field sanity: the machine shape, the offset layout, the table
-  // sizes, and every inter-record reference must be in range, so a file
-  // that passes cannot steer the engine's indexed loads out of bounds.
-  // (Additions are widened to size_t first: uint32 sums must not wrap
-  // past the comparison.)
-  const Program &Prog = Img.IProg->program();
-  if (Img.NumCoreTypes != Img.Cost->machine().numCoreTypes() ||
-      Img.MaxSharers != Img.Cost->maxSharers() ||
-      Img.Stride != Img.NumCoreTypes * Img.MaxSharers || Img.Stride == 0)
-    R.markFailed();
-  if (Img.Offsets.size() != Prog.Procs.size()) {
-    R.markFailed();
-  } else {
-    uint32_t Expected = 0;
-    for (const Procedure &P : Prog.Procs) {
-      if (Img.Offsets[P.Id] != Expected) {
-        R.markFailed();
-        break;
-      }
-      Expected += static_cast<uint32_t>(P.Blocks.size());
-    }
-  }
-  uint32_t NumBlocks = static_cast<uint32_t>(Img.Blocks.size());
-  if (NumBlocks != Prog.blockCount() ||
-      Img.Cycles.size() != static_cast<size_t>(NumBlocks) * Img.Stride ||
-      Img.ChainCycles.size() !=
-          static_cast<size_t>(Img.NumChainRecords) * Img.Stride)
-    R.markFailed();
-  int32_t NumMarks = static_cast<int32_t>(Img.IProg->marks().size());
-  for (const FlatBlock &F : Img.Blocks) {
-    bool Ok = static_cast<size_t>(F.CycleRow) + Img.Stride <=
-                  Img.Cycles.size() &&
-              F.EdgeMark[0] >= -1 && F.EdgeMark[0] < NumMarks &&
-              F.EdgeMark[1] >= -1 && F.EdgeMark[1] < NumMarks &&
-              F.CallMark >= -1 && F.CallMark < NumMarks;
-    if (F.Op != FlatOp::Ret)
-      Ok = Ok && F.Succ[0] < NumBlocks && F.Succ[1] < NumBlocks;
-    if (F.Op == FlatOp::Call)
-      Ok = Ok && F.Callee < NumBlocks;
-    if (F.Op == FlatOp::Chain && F.ChainBlocks > 0)
-      Ok = Ok && F.ChainExit < NumBlocks &&
-           static_cast<size_t>(F.ChainRow) + Img.Stride <=
-               Img.ChainCycles.size();
-    if (!Ok) {
-      R.markFailed();
-      break;
-    }
-  }
-  return Img;
-}

@@ -162,22 +162,13 @@ public:
   const CostModel &cost() const { return *Cost; }
 
   /// Serializes the image's numeric payload — offsets, block records,
-  /// cycle tables (by bit pattern), chain summaries — to \p W. The
-  /// backing program and cost model are serialized separately by the
-  /// caller (exp/CacheStore) and re-attached at deserialization.
+  /// cycle tables (by bit pattern), chain summaries — to \p W: a
+  /// field-exact digest that tests and the benchmark compare images by.
+  /// The persistent store does not keep it; the constructor rebuilds
+  /// the same image from the program, marks and cost tables.
   void serialize(BinaryWriter &W) const;
 
-  /// Rebuilds an image from serialize() output, re-attached to \p IProg
-  /// and \p Cost. Bit-identical to the image originally serialized. On
-  /// malformed input, marks \p R failed and returns an image that must
-  /// be discarded.
-  static FlatImage deserialize(BinaryReader &R,
-                               std::shared_ptr<const InstrumentedProgram> IProg,
-                               std::shared_ptr<const CostModel> Cost);
-
 private:
-  FlatImage() = default; ///< Shell for deserialize().
-
   void buildChains();
 
   std::shared_ptr<const InstrumentedProgram> IProg;

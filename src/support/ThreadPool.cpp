@@ -9,6 +9,7 @@
 #include "support/Env.h"
 
 #include <algorithm>
+#include <unistd.h>
 
 using namespace pbt;
 
@@ -18,7 +19,7 @@ namespace {
 thread_local bool InsideBatch = false;
 } // namespace
 
-ThreadPool::ThreadPool(unsigned ThreadCount) {
+ThreadPool::ThreadPool(unsigned ThreadCount) : OwnerPid(::getpid()) {
   if (ThreadCount == 0) {
     int64_t FromEnv = envInt("PBT_THREADS", 0);
     if (FromEnv > 0)
@@ -94,7 +95,7 @@ void ThreadPool::parallelFor(size_t N,
                              const std::function<void(size_t)> &Body) {
   if (N == 0)
     return;
-  if (Workers.empty() || InsideBatch || N == 1) {
+  if (Workers.empty() || InsideBatch || N == 1 || ::getpid() != OwnerPid) {
     // Same exception contract as the pooled path: drain the whole
     // batch, then rethrow the first error.
     std::exception_ptr FirstError;

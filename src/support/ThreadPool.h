@@ -50,9 +50,10 @@ public:
 
   /// Runs Body(I) for every I in [0, N), distributing indices over the
   /// pool; returns when all N calls finished. The calling thread
-  /// participates. Reentrant calls (from inside a Body) and single-
-  /// threaded pools run inline. The first exception thrown by a Body is
-  /// rethrown here after the batch drains.
+  /// participates. Reentrant calls (from inside a Body), single-
+  /// threaded pools, and calls in a process forked after the pool was
+  /// created (which inherits no worker threads) run inline. The first
+  /// exception thrown by a Body is rethrown here after the batch drains.
   void parallelFor(size_t N, const std::function<void(size_t)> &Body);
 
   /// The process-wide pool, created on first use.
@@ -75,6 +76,9 @@ private:
   void runBatch(Batch &B);
 
   std::vector<std::thread> Workers;
+  /// The process that started the workers; a fork() child sees a
+  /// different pid and must not touch the inherited mutex.
+  long OwnerPid = 0;
   std::mutex Mutex;
   std::condition_variable WorkCv;
   std::condition_variable DoneCv;

@@ -110,7 +110,7 @@ struct PreparedSuite {
 
 /// Prepared artifacts of one program: the per-program slice of a
 /// PreparedSuite. The unit of incremental preparation — exp/SuiteCache
-/// stores and reloads these individually (`pbt-prog-v1` entries) and
+/// stores and reloads these individually (`pbt-prog-v2` entries) and
 /// assembles suites from them.
 struct PreparedProgram {
   std::shared_ptr<const InstrumentedProgram> Image;

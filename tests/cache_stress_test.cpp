@@ -96,6 +96,7 @@ struct CrashRig {
       : DirName(DirName), Programs(tinySuite()),
         MC(MachineConfig::quadAsymmetric()), Tech(loopTechnique(60)),
         ProgramsHash(CacheStore::hashProgramSet(Programs)),
+        ProgramHashes(CacheStore::hashPrograms(Programs)),
         Key(CacheStore::suiteKey(ProgramsHash, MC, Tech, 42)),
         Suite(prepareSuite(Programs, MC, Tech, 42)) {
     wipeDir(DirName);
@@ -114,7 +115,7 @@ struct CrashRig {
       C.CrashPoint = CrashPoint;
       FaultInjection::instance().configure(C);
       CacheStore Child(DirName);
-      Child.save(Key, ProgramsHash, MC, Tech, 42, Suite);
+      Child.save(Key, ProgramsHash, ProgramHashes, MC, Tech, 42, Suite);
       ::_exit(0); // The crash point never fired: wrong, and visible.
     }
     int Status = 0;
@@ -129,7 +130,8 @@ struct CrashRig {
   /// first call).
   std::string referenceBytes() {
     CacheStore Ref(DirName + ".ref");
-    EXPECT_TRUE(Ref.save(Key, ProgramsHash, MC, Tech, 42, Suite));
+    EXPECT_TRUE(
+        Ref.save(Key, ProgramsHash, ProgramHashes, MC, Tech, 42, Suite));
     std::string Bytes;
     EXPECT_TRUE(readFile(Ref.pathFor(Key), Bytes));
     return Bytes;
@@ -153,6 +155,7 @@ struct CrashRig {
   MachineConfig MC;
   TechniqueSpec Tech;
   uint64_t ProgramsHash;
+  std::vector<uint64_t> ProgramHashes;
   uint64_t Key;
   PreparedSuite Suite;
 };
@@ -199,14 +202,14 @@ TEST(CacheStressTest, CrashMidWriteLeavesRecoverableStore) {
   CacheStore After(Rig.DirName); // Construction sweeps the dead temp.
   EXPECT_EQ(countMatching(After.dir(), ".tmp."), 0u)
       << "dead writer's temp must be swept";
-  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech,
-                         42) == nullptr)
+  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.Programs, Rig.MC,
+                         Rig.Tech, 42) == nullptr)
       << "a crashed write must never produce a visible entry";
   EXPECT_EQ(After.rejects(), 0u) << "nothing to reject: a clean miss";
 
   // Rebuild and compare to the quiet single writer, byte for byte.
-  ASSERT_TRUE(After.save(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech, 42,
-                         Rig.Suite));
+  ASSERT_TRUE(After.save(Rig.Key, Rig.ProgramsHash, Rig.ProgramHashes,
+                         Rig.MC, Rig.Tech, 42, Rig.Suite));
   std::string Bytes;
   ASSERT_TRUE(readFile(After.pathFor(Rig.Key), Bytes));
   EXPECT_EQ(Bytes, Reference);
@@ -220,8 +223,8 @@ TEST(CacheStressTest, CrashBeforeRenameLeavesNoEntry) {
 
   CacheStore After(Rig.DirName);
   EXPECT_EQ(countMatching(After.dir(), ".tmp."), 0u);
-  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech,
-                         42) == nullptr);
+  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.Programs, Rig.MC,
+                         Rig.Tech, 42) == nullptr);
   EXPECT_EQ(After.rejects(), 0u);
 }
 
@@ -244,22 +247,22 @@ TEST(CacheStressTest, CrashAfterRenameLeavesCompleteEntry) {
       << "renamed prog entry survives the crash";
   EXPECT_EQ(ProgBytes, Rig.referenceProgBytes(0))
       << "completed prog entry is byte-identical to a quiet writer's";
-  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech,
-                         42) == nullptr)
+  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.Programs, Rig.MC,
+                         Rig.Tech, 42) == nullptr)
       << "no manifest yet: the suite is a clean miss";
   EXPECT_EQ(After.rejects(), 0u);
 
   // Rebuild: the durable prog entry is reused (exists-skip), the rest
   // is written, and the manifest matches the quiet single writer's.
-  ASSERT_TRUE(After.save(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech, 42,
-                         Rig.Suite));
+  ASSERT_TRUE(After.save(Rig.Key, Rig.ProgramsHash, Rig.ProgramHashes,
+                         Rig.MC, Rig.Tech, 42, Rig.Suite));
   EXPECT_EQ(After.progWrites(), Rig.Programs.size() - 1)
       << "the crash's surviving entry must not be rewritten";
   std::string Bytes;
   ASSERT_TRUE(readFile(After.pathFor(Rig.Key), Bytes));
   EXPECT_EQ(Bytes, Reference);
-  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech,
-                         42) != nullptr);
+  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.Programs, Rig.MC,
+                         Rig.Tech, 42) != nullptr);
 }
 
 // A child dies while HOLDING the exclusive writer flock: the kernel
@@ -271,11 +274,11 @@ TEST(CacheStressTest, CrashWhileHoldingLockStrandsNothing) {
 
   CacheStore After(Rig.DirName);
   After.setLockPolicy(/*MaxAttempts=*/2, /*BaseDelayMicros=*/10);
-  ASSERT_TRUE(After.save(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech, 42,
-                         Rig.Suite))
+  ASSERT_TRUE(After.save(Rig.Key, Rig.ProgramsHash, Rig.ProgramHashes,
+                         Rig.MC, Rig.Tech, 42, Rig.Suite))
       << "dead child's flock must have died with it";
-  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech,
-                         42) != nullptr);
+  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.Programs, Rig.MC,
+                         Rig.Tech, 42) != nullptr);
   EXPECT_EQ(After.lockTimeouts(), 0u);
 }
 
@@ -290,8 +293,8 @@ TEST(CacheStressTest, CrashAfterSaveIsInvisible) {
   std::string Bytes;
   ASSERT_TRUE(readFile(After.pathFor(Rig.Key), Bytes));
   EXPECT_EQ(Bytes, Reference);
-  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech,
-                         42) != nullptr);
+  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.Programs, Rig.MC,
+                         Rig.Tech, 42) != nullptr);
 }
 
 //===----------------------------------------------------------------------===//
@@ -336,8 +339,9 @@ TEST(CacheStressTest, MultiProcessHammerConvergesToReferenceBytes) {
         uint64_t K = First ? Rig.Key : SecondKey;
         const TechniqueSpec &T = First ? Rig.Tech : SecondTech;
         const PreparedSuite &S = First ? Rig.Suite : SecondSuite;
-        if (!Store.load(K, Rig.ProgramsHash, Rig.MC, T, 42))
-          Store.save(K, Rig.ProgramsHash, Rig.MC, T, 42, S);
+        if (!Store.load(K, Rig.ProgramsHash, Rig.Programs, Rig.MC, T, 42))
+          Store.save(K, Rig.ProgramsHash, Rig.ProgramHashes, Rig.MC, T, 42,
+                     S);
       }
       ::_exit(0);
     }
@@ -353,12 +357,14 @@ TEST(CacheStressTest, MultiProcessHammerConvergesToReferenceBytes) {
   // Recovery pass: one quiet load-through each. A key the chaos left
   // torn gets quarantined and rebuilt here; a healthy key just hits.
   CacheStore Final(DirName);
-  if (!Final.load(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech, 42))
-    ASSERT_TRUE(Final.save(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech,
-                           42, Rig.Suite));
-  if (!Final.load(SecondKey, Rig.ProgramsHash, Rig.MC, SecondTech, 42))
-    ASSERT_TRUE(Final.save(SecondKey, Rig.ProgramsHash, Rig.MC,
-                           SecondTech, 42, SecondSuite));
+  if (!Final.load(Rig.Key, Rig.ProgramsHash, Rig.Programs, Rig.MC, Rig.Tech,
+                  42))
+    ASSERT_TRUE(Final.save(Rig.Key, Rig.ProgramsHash, Rig.ProgramHashes,
+                           Rig.MC, Rig.Tech, 42, Rig.Suite));
+  if (!Final.load(SecondKey, Rig.ProgramsHash, Rig.Programs, Rig.MC,
+                  SecondTech, 42))
+    ASSERT_TRUE(Final.save(SecondKey, Rig.ProgramsHash, Rig.ProgramHashes,
+                           Rig.MC, SecondTech, 42, SecondSuite));
 
   // Byte-identity with the quiet single-writer reference: concurrency
   // and faults may cost misses, never artifact drift.

@@ -542,10 +542,12 @@ TEST(CacheStoreTest, RoundTripBitIdentical) {
        {TechniqueSpec::baseline(), loopTechnique(), Static}) {
     PreparedSuite Fresh = prepareSuite(Programs, MC, Tech, 42);
     uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
-    ASSERT_TRUE(Store.save(Key, ProgramsHash, MC, Tech, 42, Fresh));
+    ASSERT_TRUE(Store.save(Key, ProgramsHash,
+                           CacheStore::hashPrograms(Programs), MC, Tech, 42,
+                           Fresh));
 
     std::shared_ptr<const PreparedSuite> Loaded =
-        Store.load(Key, ProgramsHash, MC, Tech, 42);
+        Store.load(Key, ProgramsHash, Programs, MC, Tech, 42);
     ASSERT_TRUE(Loaded != nullptr);
     PreparedSuite Reloaded = *Loaded;
     Reloaded.Tuner = Tech.Tuner; // Callers stamp the tuner, as SuiteCache does.
@@ -569,7 +571,8 @@ TEST(CacheStoreTest, VersionMismatchRejected) {
   TechniqueSpec Tech = loopTechnique();
   uint64_t ProgramsHash = CacheStore::hashProgramSet(Programs);
   uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, ProgramsHash, MC, Tech, 42,
+  ASSERT_TRUE(Store.save(Key, ProgramsHash,
+                         CacheStore::hashPrograms(Programs), MC, Tech, 42,
                          prepareSuite(Programs, MC, Tech, 42)));
 
   // Bump the format-version field (bytes 4..7, after the magic).
@@ -578,7 +581,8 @@ TEST(CacheStoreTest, VersionMismatchRejected) {
   Bytes[4] = static_cast<char>(CacheStore::FormatVersion + 1);
   ASSERT_TRUE(writeFileAtomic(Store.pathFor(Key), Bytes));
 
-  EXPECT_TRUE(Store.load(Key, ProgramsHash, MC, Tech, 42) == nullptr);
+  EXPECT_TRUE(Store.load(Key, ProgramsHash, Programs, MC, Tech, 42) ==
+              nullptr);
   EXPECT_EQ(Store.rejects(), 1u);
 }
 
@@ -589,7 +593,8 @@ TEST(CacheStoreTest, TruncatedAndCorruptFilesRejected) {
   TechniqueSpec Tech = loopTechnique();
   uint64_t ProgramsHash = CacheStore::hashProgramSet(Programs);
   uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, ProgramsHash, MC, Tech, 42,
+  ASSERT_TRUE(Store.save(Key, ProgramsHash,
+                         CacheStore::hashPrograms(Programs), MC, Tech, 42,
                          prepareSuite(Programs, MC, Tech, 42)));
   std::string Good;
   ASSERT_TRUE(readFile(Store.pathFor(Key), Good));
@@ -598,7 +603,8 @@ TEST(CacheStoreTest, TruncatedAndCorruptFilesRejected) {
   // boundary (the header is 64 bytes), and mid-payload.
   for (size_t Keep : {size_t(10), size_t(64), Good.size() / 2}) {
     ASSERT_TRUE(writeFileAtomic(Store.pathFor(Key), Good.substr(0, Keep)));
-    EXPECT_TRUE(Store.load(Key, ProgramsHash, MC, Tech, 42) == nullptr)
+    EXPECT_TRUE(Store.load(Key, ProgramsHash, Programs, MC, Tech, 42) ==
+                nullptr)
         << "truncated to " << Keep << " bytes";
   }
 
@@ -606,12 +612,14 @@ TEST(CacheStoreTest, TruncatedAndCorruptFilesRejected) {
   std::string Flipped = Good;
   Flipped[Good.size() - 7] ^= 0x20;
   ASSERT_TRUE(writeFileAtomic(Store.pathFor(Key), Flipped));
-  EXPECT_TRUE(Store.load(Key, ProgramsHash, MC, Tech, 42) == nullptr);
+  EXPECT_TRUE(Store.load(Key, ProgramsHash, Programs, MC, Tech, 42) ==
+              nullptr);
   EXPECT_EQ(Store.rejects(), 4u);
 
   // The pristine bytes still load.
   ASSERT_TRUE(writeFileAtomic(Store.pathFor(Key), Good));
-  EXPECT_TRUE(Store.load(Key, ProgramsHash, MC, Tech, 42) != nullptr);
+  EXPECT_TRUE(Store.load(Key, ProgramsHash, Programs, MC, Tech, 42) !=
+              nullptr);
 }
 
 // --clean-cache's helper: only entries carrying a foreign format
@@ -623,7 +631,8 @@ TEST(CacheStoreTest, CleanMismatchedVersionsRemovesOnlyStaleEntries) {
   TechniqueSpec Tech = loopTechnique();
   uint64_t ProgramsHash = CacheStore::hashProgramSet(Programs);
   uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, ProgramsHash, MC, Tech, 42,
+  ASSERT_TRUE(Store.save(Key, ProgramsHash,
+                         CacheStore::hashPrograms(Programs), MC, Tech, 42,
                          prepareSuite(Programs, MC, Tech, 42)));
 
   // A stale entry from a previous format version ("PBTS" + version 1),
@@ -639,7 +648,8 @@ TEST(CacheStoreTest, CleanMismatchedVersionsRemovesOnlyStaleEntries) {
   std::string Bytes;
   EXPECT_FALSE(readFile(StalePath, Bytes)) << "stale entry must be gone";
   EXPECT_TRUE(readFile(ForeignPath, Bytes)) << "foreign file untouched";
-  EXPECT_TRUE(Store.load(Key, ProgramsHash, MC, Tech, 42) != nullptr)
+  EXPECT_TRUE(Store.load(Key, ProgramsHash, Programs, MC, Tech, 42) !=
+              nullptr)
       << "current-version entry untouched";
   std::remove(ForeignPath.c_str());
 }
@@ -697,7 +707,8 @@ std::vector<std::vector<std::string>> populateGcStore(CacheStore &Store) {
     TechniqueSpec Tech = loopTechnique();
     Tech.Transition.MinSize = 40 + I; // Distinct preparations.
     uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
-    EXPECT_TRUE(Store.save(Key, ProgramsHash, MC, Tech, 42,
+    EXPECT_TRUE(Store.save(Key, ProgramsHash,
+                           CacheStore::hashPrograms(Programs), MC, Tech, 42,
                            prepareSuite(Programs, MC, Tech, 42)));
     std::vector<std::string> After = listEntryFiles(Store.dir());
     std::vector<std::string> Fresh;
@@ -785,7 +796,8 @@ TEST(CacheStoreTest, LoadRefreshesLruRecency) {
   TechniqueSpec Oldest = loopTechnique();
   Oldest.Transition.MinSize = 40;
   uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Oldest, 42);
-  ASSERT_TRUE(Store.load(Key, ProgramsHash, MC, Oldest, 42) != nullptr);
+  ASSERT_TRUE(Store.load(Key, ProgramsHash, Programs, MC, Oldest, 42) !=
+              nullptr);
 
   // A budget fitting two suites must now evict Groups[1] (MinSize 41,
   // the new LRU), not the freshly used Groups[0].

@@ -91,6 +91,7 @@ struct StoreRig {
       : Store(DirName), Programs(tinySuite()),
         MC(MachineConfig::quadAsymmetric()), Tech(loopTechnique(MinSize)),
         ProgramsHash(CacheStore::hashProgramSet(Programs)),
+        ProgramHashes(CacheStore::hashPrograms(Programs)),
         Key(CacheStore::suiteKey(ProgramsHash, MC, Tech, 42)) {
     wipeDir(Store.dir());
     Suite = prepareSuite(Programs, MC, Tech, 42);
@@ -98,10 +99,10 @@ struct StoreRig {
   }
 
   bool save() {
-    return Store.save(Key, ProgramsHash, MC, Tech, 42, Suite);
+    return Store.save(Key, ProgramsHash, ProgramHashes, MC, Tech, 42, Suite);
   }
   std::shared_ptr<const PreparedSuite> load() {
-    return Store.load(Key, ProgramsHash, MC, Tech, 42);
+    return Store.load(Key, ProgramsHash, Programs, MC, Tech, 42);
   }
 
   CacheStore Store;
@@ -109,6 +110,7 @@ struct StoreRig {
   MachineConfig MC;
   TechniqueSpec Tech;
   uint64_t ProgramsHash;
+  std::vector<uint64_t> ProgramHashes;
   uint64_t Key;
   PreparedSuite Suite;
 };
@@ -273,8 +275,8 @@ TEST(FaultInjectionTest, EveryRejectReasonQuarantinesAndRecovers) {
   TechniqueSpec NeighborTech = loopTechnique(49);
   uint64_t NeighborKey =
       CacheStore::suiteKey(Rig.ProgramsHash, Rig.MC, NeighborTech, 42);
-  ASSERT_TRUE(Rig.Store.save(NeighborKey, Rig.ProgramsHash, Rig.MC,
-                             NeighborTech, 42,
+  ASSERT_TRUE(Rig.Store.save(NeighborKey, Rig.ProgramsHash,
+                             Rig.ProgramHashes, Rig.MC, NeighborTech, 42,
                              prepareSuite(Rig.Programs, Rig.MC,
                                           NeighborTech, 42)));
 
@@ -345,8 +347,8 @@ TEST(FaultInjectionTest, EveryRejectReasonQuarantinesAndRecovers) {
 
   // The neighbor key served hits throughout, untouched by the chaos.
   uint64_t HitsBefore = Rig.Store.hits();
-  EXPECT_TRUE(Rig.Store.load(NeighborKey, Rig.ProgramsHash, Rig.MC,
-                             NeighborTech, 42) != nullptr);
+  EXPECT_TRUE(Rig.Store.load(NeighborKey, Rig.ProgramsHash, Rig.Programs,
+                             Rig.MC, NeighborTech, 42) != nullptr);
   EXPECT_EQ(Rig.Store.hits(), HitsBefore + 1);
 }
 
@@ -382,8 +384,8 @@ TEST(FaultInjectionTest, GcSkipsEntriesHeldByLiveProcesses) {
   TechniqueSpec OtherTech = loopTechnique(52);
   uint64_t OtherKey =
       CacheStore::suiteKey(Rig.ProgramsHash, Rig.MC, OtherTech, 42);
-  ASSERT_TRUE(Rig.Store.save(OtherKey, Rig.ProgramsHash, Rig.MC, OtherTech,
-                             42,
+  ASSERT_TRUE(Rig.Store.save(OtherKey, Rig.ProgramsHash, Rig.ProgramHashes,
+                             Rig.MC, OtherTech, 42,
                              prepareSuite(Rig.Programs, Rig.MC, OtherTech,
                                           42)));
   setFileAge(Rig.Store.pathFor(Rig.Key), 2 * 3600L);

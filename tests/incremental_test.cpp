@@ -1,6 +1,6 @@
 //===- tests/incremental_test.cpp - per-program incremental store ---------===//
 //
-// The incremental half of the persistent cache: `pbt-prog-v1` entries
+// The incremental half of the persistent cache: `pbt-prog-v2` entries
 // round-trip bit-identically, adding one benchmark to a cached suite
 // re-prepares exactly that benchmark, programs dedupe across suites,
 // corrupt prog entries quarantine and heal, and gc/version cleanup
@@ -163,12 +163,13 @@ TEST(IncrementalStore, ProgEntryRoundTripBitIdentical) {
   }
   uint64_t SetHash = CacheStore::hashProgramSet(Programs);
   uint64_t Key = CacheStore::suiteKey(SetHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, SetHash, MC, Tech, 42, Suite));
+  ASSERT_TRUE(Store.save(Key, SetHash, CacheStore::hashPrograms(Programs), MC,
+                         Tech, 42, Suite));
   EXPECT_EQ(Store.progWrites(), Programs.size());
 
   for (size_t I = 0; I < Programs.size(); ++I) {
-    PreparedProgram Loaded =
-        Store.loadProgram(CacheStore::hashProgram(Programs[I]), MC, Tech, 42);
+    PreparedProgram Loaded = Store.loadProgram(
+        CacheStore::hashProgram(Programs[I]), Programs[I], MC, Tech, 42);
     expectProgramsBitIdentical(Fresh[I], Loaded);
   }
   EXPECT_EQ(Store.progHits(), Programs.size());
@@ -187,13 +188,14 @@ TEST(IncrementalStore, ProgProbeMissesAreKeyed) {
   PreparedSuite Suite = prepareSuite({Programs[0]}, MC, Tech, 42);
   uint64_t SetHash = CacheStore::hashProgramSet({Programs[0]});
   ASSERT_TRUE(Store.save(CacheStore::suiteKey(SetHash, MC, Tech, 42), SetHash,
-                         MC, Tech, 42, Suite));
+                         {CacheStore::hashProgram(Programs[0])}, MC, Tech, 42,
+                         Suite));
 
-  PreparedProgram Absent =
-      Store.loadProgram(CacheStore::hashProgram(Programs[1]), MC, Tech, 42);
+  PreparedProgram Absent = Store.loadProgram(
+      CacheStore::hashProgram(Programs[1]), Programs[1], MC, Tech, 42);
   EXPECT_TRUE(Absent.Image == nullptr);
-  PreparedProgram WrongSeed =
-      Store.loadProgram(CacheStore::hashProgram(Programs[0]), MC, Tech, 43);
+  PreparedProgram WrongSeed = Store.loadProgram(
+      CacheStore::hashProgram(Programs[0]), Programs[0], MC, Tech, 43);
   EXPECT_TRUE(WrongSeed.Image == nullptr);
   EXPECT_EQ(Store.progMisses(), 2u);
   EXPECT_EQ(Store.rejects(), 0u); // Plain absence, nothing rejected.
@@ -376,7 +378,8 @@ TEST(IncrementalStore, GcScansAndEvictsProgEntries) {
   PreparedSuite Suite = prepareSuite(Programs, MC, Tech, 42);
   uint64_t SetHash = CacheStore::hashProgramSet(Programs);
   uint64_t Key = CacheStore::suiteKey(SetHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, SetHash, MC, Tech, 42, Suite));
+  ASSERT_TRUE(Store.save(Key, SetHash, CacheStore::hashPrograms(Programs), MC,
+                         Tech, 42, Suite));
 
   CacheStore::GcStats Stats = Store.gc(/*MaxBytes=*/1);
   EXPECT_EQ(Stats.Scanned, 1u + Programs.size());
@@ -396,7 +399,8 @@ TEST(IncrementalStore, CleanMismatchedVersionsCoversProgEntries) {
   PreparedSuite Suite = prepareSuite(Programs, MC, Tech, 42);
   uint64_t SetHash = CacheStore::hashProgramSet(Programs);
   uint64_t Key = CacheStore::suiteKey(SetHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, SetHash, MC, Tech, 42, Suite));
+  ASSERT_TRUE(Store.save(Key, SetHash, CacheStore::hashPrograms(Programs), MC,
+                         Tech, 42, Suite));
   size_t LiveFiles = filesContaining(Dir, ".pbt").size();
 
   // Plant a stale-version prog entry and suite manifest: the real magic
@@ -425,8 +429,8 @@ TEST(IncrementalStore, CleanMismatchedVersionsCoversProgEntries) {
   EXPECT_EQ(filesContaining(Dir, ".pbt").size(), LiveFiles + 1);
 
   // Current entries still load after the clean.
-  PreparedProgram Loaded =
-      Store.loadProgram(CacheStore::hashProgram(Programs[0]), MC, Tech, 42);
+  PreparedProgram Loaded = Store.loadProgram(
+      CacheStore::hashProgram(Programs[0]), Programs[0], MC, Tech, 42);
   EXPECT_TRUE(Loaded.Image != nullptr);
 
   std::remove((Dir + "/prog-00000000cafecafe.pbt").c_str());

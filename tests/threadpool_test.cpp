@@ -6,9 +6,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <numeric>
 #include <stdexcept>
+#include <sys/wait.h>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 using namespace pbt;
@@ -143,4 +146,41 @@ TEST(ThreadPool, ZeroItemsIsANoOp) {
   bool Called = false;
   Pool.parallelFor(0, [&](size_t) { Called = true; });
   EXPECT_FALSE(Called);
+}
+
+// A process forked after the pool started its workers inherits none of
+// them, and the pool's mutex and condition variables may carry the
+// parent's waiters. parallelFor in the child must run inline on the
+// calling thread without touching that state, or it can hang.
+TEST(ThreadPool, ForkedChildRunsInline) {
+  ThreadPool Pool(4);
+  Pool.parallelFor(64, [](size_t) {}); // Workers are live and parked.
+  pid_t Pid = ::fork();
+  ASSERT_GE(Pid, 0);
+  if (Pid == 0) {
+    std::thread::id Caller = std::this_thread::get_id();
+    bool Inline = true;
+    size_t Ran = 0;
+    Pool.parallelFor(16, [&](size_t) {
+      Inline = Inline && std::this_thread::get_id() == Caller;
+      ++Ran;
+    });
+    ::_exit(Inline && Ran == 16 ? 0 : 1);
+  }
+  // Bounded wait: a child wedged in the inherited pool state fails the
+  // test instead of hanging the suite.
+  int Status = 0;
+  pid_t Done = 0;
+  for (int Tick = 0; Tick < 1000 && Done == 0; ++Tick) {
+    Done = ::waitpid(Pid, &Status, WNOHANG);
+    if (Done == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (Done == 0) {
+    ::kill(Pid, SIGKILL);
+    ::waitpid(Pid, &Status, 0);
+    FAIL() << "forked child wedged in parallelFor";
+  }
+  ASSERT_TRUE(WIFEXITED(Status));
+  EXPECT_EQ(WEXITSTATUS(Status), 0) << "child must run every index inline";
 }
