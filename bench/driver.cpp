@@ -13,7 +13,13 @@
 //  - with PBT_CACHE_DIR set, prepared suites persist on disk, so a
 //    second driver run replays the whole matrix with zero preparations;
 //  - every BENCH_<name>.json is emitted in one run, byte-identical to
-//    the standalone binaries' output (locked in by tests and CI).
+//    the standalone binaries' output (locked in by tests and CI);
+//  - the whole run is planned before it runs (exp/ReplayMemo.h): a
+//    plan pass records every selected body's sweeps, one prefetch
+//    batch replays them longest first with repeated jobs and horizon
+//    prefixes merged, and the experiments are then served from that
+//    in-memory memo. --shard, --merge, --trace and a --timeout-seconds
+//    budget bypass it and replay sweep by sweep.
 //
 // Usage:
 //   driver [--list] [--only=name1,name2] [--verify-ir] [--clean-cache]
@@ -97,8 +103,10 @@
 #include "exp/CacheStore.h"
 #include "exp/Guard.h"
 #include "exp/Harness.h"
+#include "exp/ReplayMemo.h"
 #include "exp/Shard.h"
 #include "obs/Counters.h"
+#include "obs/Span.h"
 #include "obs/Trace.h"
 #include "support/Env.h"
 #include "support/FaultInjection.h"
@@ -108,8 +116,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fcntl.h>
 #include <map>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 using namespace pbt;
@@ -133,6 +143,37 @@ std::vector<std::string> splitList(const char *Csv) {
     }
   }
   return Out;
+}
+
+/// The plan pass: runs each selected body once while \p Memo records.
+/// Bodies see placeholder sweeps and stop at their first real lab work,
+/// so the pass prepares and simulates nothing; stdout is discarded for
+/// its duration (bodies may print directly), and any exception is
+/// swallowed — the guarded serve pass runs every body again and reports
+/// real failures.
+void planReplays(const std::vector<const Experiment *> &Selected,
+                 exp::ReplayMemo &Memo) {
+  obs::Span Plan("driver.plan");
+  std::fflush(stdout);
+  int Saved = ::dup(STDOUT_FILENO);
+  int Null = ::open("/dev/null", O_WRONLY);
+  bool Redirected = Saved >= 0 && Null >= 0 &&
+                    ::dup2(Null, STDOUT_FILENO) >= 0;
+  Memo.setPlanning(true);
+  for (const Experiment *E : Selected) {
+    try {
+      E->Fn();
+    } catch (...) {
+    }
+  }
+  Memo.setPlanning(false);
+  std::fflush(stdout);
+  if (Redirected)
+    ::dup2(Saved, STDOUT_FILENO);
+  if (Saved >= 0)
+    ::close(Saved);
+  if (Null >= 0)
+    ::close(Null);
 }
 
 } // namespace
@@ -384,6 +425,13 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
+  // The run set, in registry order.
+  std::vector<const Experiment *> Selected;
+  for (const Experiment &E : Sorted)
+    if (Only.empty() ||
+        std::find(Only.begin(), Only.end(), E.Name) != Only.end())
+      Selected.push_back(&E);
+
   // One pool of per-machine labs for the whole run: every harness
   // constructed by the experiment bodies resolves lab() through it, so
   // isolated runtimes are measured once per machine and the suite
@@ -400,13 +448,10 @@ int main(int Argc, char **Argv) {
   if (ShardMode) {
     std::vector<exp::RunSetEntry> RunSet;
     std::vector<std::string> WholeNames;
-    for (const Experiment &E : Sorted) {
-      if (!Only.empty() &&
-          std::find(Only.begin(), Only.end(), E.Name) == Only.end())
-        continue;
-      RunSet.emplace_back(E.Name, E.Granularity);
-      if (E.Granularity == exp::ShardGranularity::Whole)
-        WholeNames.push_back(E.Name);
+    for (const Experiment *E : Selected) {
+      RunSet.emplace_back(E->Name, E->Granularity);
+      if (E->Granularity == exp::ShardGranularity::Whole)
+        WholeNames.push_back(E->Name);
     }
     RT.setRunSetHash(exp::hashRunSet(RunSet));
     WholeOwner = exp::assignWholeShards(WholeNames, Shard.Count);
@@ -414,7 +459,7 @@ int main(int Argc, char **Argv) {
   }
 
   std::printf("== experiment driver: %zu experiments, one process%s%s ==\n",
-              Only.empty() ? Sorted.size() : Only.size(),
+              Selected.size(),
               ShardMode ? ", shard " : "",
               ShardMode ? Shard.label().c_str() : "");
   if (Store)
@@ -422,6 +467,21 @@ int main(int Argc, char **Argv) {
   if (verifyIREnabled())
     std::printf("self-verifying IR: on (VerifyPass after every pipeline "
                 "pass + store-served suite audits)\n");
+
+  // Plan the whole run, then replay it as one batch (exp/ReplayMemo.h):
+  // the plan pass records every selected body's sweeps, the prefetch
+  // replays them longest-first with duplicates and horizon prefixes
+  // merged, and the guarded pass below is served from the memo. Modes
+  // that must see every replay happen inside its sweep skip it and run
+  // exactly as without a memo.
+  exp::ReplayMemo Memo;
+  if (exp::replayPrefetchAllowed(ShardMode, obs::traceEnabled(),
+                                 TimeoutSeconds)) {
+    exp::ReplayMemo::install(&Memo);
+    planReplays(Selected, Memo);
+    obs::Span Prefetch("driver.prefetch");
+    exp::prefetchSweeps(Memo);
+  }
 
   exp::GuardOptions Guard;
   Guard.TimeoutSeconds = TimeoutSeconds;
@@ -441,10 +501,8 @@ int main(int Argc, char **Argv) {
   std::vector<ReportRow> Rows;
   size_t Failed = 0;
   bool AbandonedRunner = false;
-  for (const Experiment &E : Sorted) {
-    if (!Only.empty() &&
-        std::find(Only.begin(), Only.end(), E.Name) == Only.end())
-      continue;
+  for (const Experiment *EP : Selected) {
+    const Experiment &E = *EP;
     Json Run = Json::object();
     Run["name"] = E.Name;
     if (AbandonedRunner) {
@@ -493,7 +551,6 @@ int main(int Argc, char **Argv) {
     std::function<int()> Body = E.Fn;
     if (ShardMode) {
       exp::ShardRuntime *RTp = &RT;
-      const Experiment *EP = &E;
       Body = [RTp, EP] {
         RTp->beginExperiment(EP->Name, EP->Granularity);
         return EP->Fn();
@@ -533,6 +590,7 @@ int main(int Argc, char **Argv) {
   // way) stays installed until the _Exit below.
   if (!AbandonedRunner) {
     exp::ExperimentHarness::setSharedLabPool(nullptr);
+    exp::ReplayMemo::install(nullptr);
     if (ShardMode)
       exp::ShardRuntime::install(nullptr);
   }

@@ -6,6 +6,8 @@
 
 #include "exp/Harness.h"
 
+#include "exp/ReplayMemo.h"
+
 #include "obs/Span.h"
 #include "obs/Trace.h"
 #include "support/Env.h"
@@ -22,8 +24,16 @@ Lab &LabPool::lab(const MachineConfig &MachineCfg) {
   for (auto &Entry : Labs)
     if (Entry.first == MachineCfg && Entry.first.Name == MachineCfg.Name)
       return *Entry.second;
-  Labs.emplace_back(MachineCfg, std::make_unique<Lab>(MachineCfg));
+  Labs.emplace_back(MachineCfg, std::make_shared<Lab>(MachineCfg));
   return *Labs.back().second;
+}
+
+std::shared_ptr<Lab> LabPool::share(const Lab &L) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  for (auto &Entry : Labs)
+    if (Entry.second.get() == &L)
+      return Entry.second;
+  return nullptr;
 }
 
 std::vector<Lab *> LabPool::labs() {
@@ -46,9 +56,10 @@ void ExperimentHarness::setSharedLabPool(LabPool *Pool) { SharedLabs = Pool; }
 ExperimentHarness::ExperimentHarness(std::string NameIn, std::string Title,
                                      std::string PaperRef)
     : Name(std::move(NameIn)), Scale(envScale()) {
-  std::printf("== %s ==\n(reproduces %s; PBT_BENCH_SCALE=%.2f scales the "
-              "simulated horizon)\n\n",
-              Title.c_str(), PaperRef.c_str(), Scale);
+  if (!replayPlanning())
+    std::printf("== %s ==\n(reproduces %s; PBT_BENCH_SCALE=%.2f scales "
+                "the simulated horizon)\n\n",
+                Title.c_str(), PaperRef.c_str(), Scale);
   // Plane-1 tracing names files after the experiment; constructing the
   // harness scopes subsequent sweeps (and resets the per-experiment
   // trace-group counter).
@@ -80,9 +91,21 @@ Lab &ExperimentHarness::lab(const MachineConfig &MachineCfg) {
 
 Lab &ExperimentHarness::customLab(std::vector<Program> Programs,
                                   MachineConfig MachineCfg, SimConfig Sim) {
-  CustomLabs.push_back(std::make_unique<Lab>(std::move(Programs),
+  CustomLabs.push_back(std::make_shared<Lab>(std::move(Programs),
                                              std::move(MachineCfg), Sim));
   return *CustomLabs.back();
+}
+
+std::shared_ptr<Lab> ExperimentHarness::owner(const Lab &L) {
+  for (const std::shared_ptr<Lab> &Custom : CustomLabs)
+    if (Custom.get() == &L)
+      return Custom;
+  return (SharedLabs ? *SharedLabs : OwnLabs).share(L);
+}
+
+bool ExperimentHarness::placeholderOutput() const {
+  ShardRuntime *RT = ShardRuntime::current();
+  return replayPlanning() || (RT && RT->shardingCells());
 }
 
 namespace {
@@ -152,6 +175,14 @@ Json workloadJson(const WorkloadSpec &Spec) {
 } // namespace
 
 SweepResult ExperimentHarness::sweep(Lab &L, const SweepGrid &Grid) {
+  if (replayPlanning()) {
+    // Plan pass: record the grid for the driver's prefetch (a lab the
+    // harness cannot keep alive is left out — its jobs simply miss).
+    if (std::shared_ptr<Lab> Owner = owner(L))
+      ReplayMemo::current()->record(std::move(Owner), Grid);
+    return placeholderSweep(Grid, L.machine());
+  }
+
   ShardRuntime *RT = ShardRuntime::current();
 
   if (RT && RT->shardingCells()) {
@@ -281,9 +312,9 @@ std::vector<SweepResult> ExperimentHarness::sweep(const SweepGrid &Grid) {
 void ExperimentHarness::table(const Table &T) {
   // A sharding body's tables are computed from placeholder sweep data
   // (the real cells live in other shards' payloads); the merge replay
-  // rebuilds them from the recombined units.
-  ShardRuntime *RT = ShardRuntime::current();
-  if (RT && RT->shardingCells())
+  // rebuilds them from the recombined units. A planning body's tables
+  // are placeholders too; the serve pass renders the real ones.
+  if (placeholderOutput())
     return;
   std::fputs(T.render().c_str(), stdout);
   Json Columns = Json::array();
@@ -303,16 +334,19 @@ void ExperimentHarness::table(const Table &T) {
 }
 
 void ExperimentHarness::note(const std::string &Text) {
-  // Suppressed while sharding, like table(): notes often interpolate
-  // computed numbers, which are placeholders on a shard.
-  ShardRuntime *RT = ShardRuntime::current();
-  if (RT && RT->shardingCells())
+  // Suppressed while sharding or planning, like table(): notes often
+  // interpolate computed numbers, which are placeholders there.
+  if (placeholderOutput())
     return;
   std::printf("\n%s\n", Text.c_str());
   Root["notes"].push(Text);
 }
 
 int ExperimentHarness::finish() {
+  // A planning body's artifact would hold placeholders; the serve pass
+  // writes the real one.
+  if (replayPlanning())
+    return 0;
   std::string Path = "BENCH_" + Name + ".json";
   if (ShardRuntime *RT = ShardRuntime::current()) {
     if (RT->mode() == ShardRuntime::Mode::Shard) {

@@ -66,9 +66,13 @@ public:
   /// Every lab created so far (driver diagnostics).
   std::vector<Lab *> labs();
 
+  /// The owning handle of \p L when this pool created it, else null
+  /// (the replay plan holds recorded labs alive through it).
+  std::shared_ptr<Lab> share(const Lab &L);
+
 private:
   std::mutex Mutex;
-  std::vector<std::pair<MachineConfig, std::unique_ptr<Lab>>> Labs;
+  std::vector<std::pair<MachineConfig, std::shared_ptr<Lab>>> Labs;
 };
 
 /// Shared driver for all experiment binaries: labs, sweeps, artifact.
@@ -106,7 +110,9 @@ public:
 
   /// Runs \p Grid on \p L and records every cell (with technique /
   /// machine / workload / seed labels and canonical metrics) into the
-  /// artifact's "sweeps" array.
+  /// artifact's "sweeps" array. While the driver plans its replays
+  /// (exp/ReplayMemo.h) it records the grid instead and returns a
+  /// placeholder result, as a sharding body's sweep does.
   SweepResult sweep(Lab &L, const SweepGrid &Grid);
 
   /// Runs \p Grid once per machine of its machine axis (default:
@@ -128,12 +134,19 @@ public:
   int finish();
 
 private:
+  /// True when tables and notes are computed from placeholder sweeps —
+  /// while sharding cells or planning replays — and must not be shown.
+  bool placeholderOutput() const;
+
+  /// The owning handle of \p L (custom or pool lab), else null.
+  std::shared_ptr<Lab> owner(const Lab &L);
+
   std::string Name;
   double Scale;
   Json Root;
   /// The harness's own labs, used when no shared pool is installed.
   LabPool OwnLabs;
-  std::vector<std::unique_ptr<Lab>> CustomLabs;
+  std::vector<std::shared_ptr<Lab>> CustomLabs;
 };
 
 } // namespace exp

@@ -7,20 +7,34 @@
 #include "exp/Lab.h"
 
 #include "exp/CacheStore.h"
+#include "exp/ReplayMemo.h"
+#include "support/Hashing.h"
 #include "support/ThreadPool.h"
 
 using namespace pbt;
 using namespace pbt::exp;
 
+namespace {
+/// The paper suite behind every default lab. Programs are immutable and
+/// do not depend on the machine, so all default labs in a process share
+/// one copy instead of each building (and holding) its own.
+std::shared_ptr<const std::vector<Program>> paperSuite() {
+  static const std::shared_ptr<const std::vector<Program>> Suite =
+      std::make_shared<const std::vector<Program>>(buildSuite());
+  return Suite;
+}
+} // namespace
+
 Lab::Lab(MachineConfig MachineCfgIn)
-    : MachineCfg(std::move(MachineCfgIn)), Programs(buildSuite()) {
+    : MachineCfg(std::move(MachineCfgIn)), Programs(paperSuite()) {
   Cache.setStore(CacheStore::fromEnv());
 }
 
 Lab::Lab(std::vector<Program> ProgramsIn, MachineConfig MachineCfgIn,
          SimConfig SimIn)
     : MachineCfg(std::move(MachineCfgIn)), Sim(SimIn),
-      Programs(std::move(ProgramsIn)) {
+      Programs(
+          std::make_shared<const std::vector<Program>>(std::move(ProgramsIn))) {
   Cache.setStore(CacheStore::fromEnv());
 }
 
@@ -36,7 +50,26 @@ const std::vector<double> &Lab::isolated() {
 }
 
 PreparedSuite Lab::suite(const TechniqueSpec &Tech, uint64_t TypingSeed) {
-  return Cache.get(Programs, MachineCfg, Tech, TypingSeed);
+  if (replayPlanning())
+    throw ReplayPlanStop();
+  return Cache.get(*Programs, MachineCfg, Tech, TypingSeed);
+}
+
+uint64_t Lab::replayHash() {
+  if (!ReplayHashed) {
+    uint64_t H = hashCombine(Cache.programSetHash(*Programs),
+                             hashValue(MachineCfg));
+    H = hashCombine(H, hashDouble(Sim.Timeslice));
+    H = hashCombine(H, hashDouble(Sim.BalancePeriod));
+    H = hashCombine(H, Sim.CounterSlots);
+    H = hashCombine(H, Sim.AffinityApiCycles);
+    H = hashCombine(H, Sim.CounterWaitCycles);
+    H = hashCombine(H, Sim.Seed);
+    H = hashCombine(H, static_cast<uint64_t>(Sim.Engine));
+    ReplayHash = hashCombine(H, Sim.FusedChains ? 1 : 0);
+    ReplayHashed = true;
+  }
+  return ReplayHash;
 }
 
 RunResult Lab::run(const TechniqueSpec &Tech, uint32_t Slots, double Horizon,
@@ -74,7 +107,7 @@ CompletedJob Lab::isolatedJob(const TechniqueSpec &Tech, uint32_t Bench,
 
 std::vector<CompletedJob> Lab::isolatedJobs(const TechniqueSpec &Tech,
                                             uint64_t Seed) {
-  std::vector<uint32_t> Benches(Programs.size());
+  std::vector<uint32_t> Benches(Programs->size());
   for (uint32_t I = 0; I < Benches.size(); ++I)
     Benches[I] = I;
   return isolatedJobs(Tech, Benches, Seed);
@@ -93,5 +126,5 @@ Lab::isolatedJobs(const TechniqueSpec &Tech,
 
 Workload Lab::workload(uint32_t Slots, uint64_t Seed) const {
   return Workload::random(Slots, /*JobsPerSlot=*/512,
-                          static_cast<uint32_t>(Programs.size()), Seed);
+                          static_cast<uint32_t>(Programs->size()), Seed);
 }

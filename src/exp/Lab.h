@@ -24,6 +24,7 @@
 #include "workload/Benchmarks.h"
 #include "workload/Runner.h"
 
+#include <memory>
 #include <vector>
 
 namespace pbt {
@@ -70,7 +71,7 @@ public:
       SimConfig Sim = SimConfig());
 
   /// The lab's (fixed) benchmark programs.
-  const std::vector<Program> &programs() const { return Programs; }
+  const std::vector<Program> &programs() const { return *Programs; }
   /// The lab's machine description.
   const MachineConfig &machine() const { return MachineCfg; }
   /// The lab's simulator configuration.
@@ -81,7 +82,10 @@ public:
   const std::vector<double> &isolated();
 
   /// The prepared suite for \p Tech, served from the cache when an
-  /// equivalent preparation exists (see SuiteCache).
+  /// equivalent preparation exists (see SuiteCache). While the driver
+  /// records its replay plan it throws ReplayPlanStop instead: every
+  /// piece of real lab work passes through here, so a planning body
+  /// never prepares or simulates (exp/ReplayMemo.h).
   PreparedSuite suite(const TechniqueSpec &Tech,
                       uint64_t TypingSeed = DefaultTypingSeed);
 
@@ -118,13 +122,23 @@ public:
   /// with `PBT_CACHE_DIR` set it load-throughs the persistent store).
   SuiteCache &cache() { return Cache; }
 
+  /// Content hash of everything a replay on this lab depends on besides
+  /// the job itself: program set, machine shape, and SimConfig (the
+  /// isolated runtimes are a function of the three). Two labs with
+  /// equal hashes produce bit-identical replays; exp/ReplayMemo keys on
+  /// it. Computed once.
+  uint64_t replayHash();
+
 private:
   MachineConfig MachineCfg;
   SimConfig Sim;
-  std::vector<Program> Programs;
+  /// Immutable, so default labs share one copy (see Lab.cpp).
+  std::shared_ptr<const std::vector<Program>> Programs;
   SuiteCache Cache;
   std::vector<double> Isolated;
   bool IsolatedMeasured = false;
+  uint64_t ReplayHash = 0;
+  bool ReplayHashed = false;
 };
 
 } // namespace exp

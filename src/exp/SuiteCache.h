@@ -97,6 +97,10 @@ public:
   /// Distinct prepared suites currently held in memory.
   size_t size() const;
 
+  /// The program-set content hash for the disk tier, computed once (the
+  /// cache serves one fixed program set for its whole life).
+  uint64_t programSetHash(const std::vector<Program> &Programs);
+
   void clear();
 
 private:
@@ -106,10 +110,6 @@ private:
     uint64_t TypingSeed = DefaultTypingSeed;
     std::shared_ptr<const PreparedSuite> Suite;
   };
-
-  /// The program-set content hash for the disk tier, computed once (the
-  /// cache serves one fixed program set for its whole life).
-  uint64_t programSetHash(const std::vector<Program> &Programs);
 
   /// Per-program content hashes, memoized alongside programSetHash: the
   /// keys of the store's per-program entries, handed to

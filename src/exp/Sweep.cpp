@@ -6,11 +6,16 @@
 
 #include "exp/Sweep.h"
 
+#include "exp/ReplayMemo.h"
+
 #include "obs/Counters.h"
 #include "obs/Span.h"
 #include "obs/Trace.h"
+#include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <stdexcept>
 
 using namespace pbt;
@@ -159,6 +164,123 @@ Workload materializeWorkload(const WorkloadSpec &Spec, size_t ProgramCount) {
                           static_cast<uint32_t>(ProgramCount), Spec.Seed);
 }
 
+/// Runnable replay jobs for a subset of one grid's plan, plus the suites
+/// and workloads they point into. Suites are prepared (and isolated
+/// runtimes measured) only for what the subset touches, so a subset
+/// served entirely elsewhere — another shard, the replay memo — does no
+/// preparation at all. Jobs point into the maps, so the set never moves
+/// once built.
+struct SweepJobSet {
+  std::map<size_t, PreparedSuite> Suites; ///< Keyed T * seeds + S.
+  std::map<size_t, Workload> Workloads;   ///< Keyed by workload index.
+  PreparedSuite BaselineSuite;
+  std::vector<WorkloadJob> Jobs; ///< One per subset entry, in order.
+
+  SweepJobSet() = default;
+  SweepJobSet(const SweepJobSet &) = delete;
+  SweepJobSet &operator=(const SweepJobSet &) = delete;
+};
+
+void buildSweepJobs(Lab &L, const SweepGrid &Grid, const SweepJobPlan &Plan,
+                    const std::vector<size_t> &Subset, SweepJobSet &Out) {
+  if (Subset.empty())
+    return;
+  const std::vector<SchedulerSpec> &Schedulers = Grid.effectiveSchedulers();
+  const std::vector<ScenarioSpec> &Scenarios = Grid.effectiveScenarios();
+  const std::vector<double> &Iso = L.isolated();
+  bool NeedBaseline = false;
+  for (size_t Job : Subset) {
+    const SweepJobPlan::Coord &Co = Plan.Jobs[Job];
+    if (!Out.Workloads.count(Co.W))
+      Out.Workloads.emplace(
+          Co.W, materializeWorkload(Grid.Workloads[Co.W],
+                                    L.programs().size()));
+    if (Co.IsBaseline) {
+      NeedBaseline = true;
+      continue;
+    }
+    size_t Key = Co.T * Grid.TypingSeeds.size() + Co.S;
+    if (!Out.Suites.count(Key))
+      Out.Suites.emplace(
+          Key, L.suite(Grid.Techniques[Co.T], Grid.TypingSeeds[Co.S]));
+  }
+  if (NeedBaseline)
+    Out.BaselineSuite = L.suite(TechniqueSpec::baseline());
+
+  // Baselines always replay under the oblivious scheduler and the batch
+  // scenario — the paper's fixed reference point. The grid's engine
+  // applies to baselines and cells alike, so vs-baseline deltas always
+  // compare like with like.
+  SimConfig CellSim = L.sim();
+  CellSim.Engine = Grid.Engine;
+  Out.Jobs.reserve(Subset.size());
+  for (size_t Job : Subset) {
+    const SweepJobPlan::Coord &Co = Plan.Jobs[Job];
+    WorkloadJob J;
+    J.W = &Out.Workloads.at(Co.W);
+    J.Machine = &L.machine();
+    J.Sim = CellSim;
+    J.Horizon = Grid.Workloads[Co.W].Horizon;
+    J.Isolated = &Iso;
+    if (Co.IsBaseline) {
+      J.Suite = &Out.BaselineSuite;
+    } else {
+      J.Suite = &Out.Suites.at(Co.T * Grid.TypingSeeds.size() + Co.S);
+      J.Sched = Schedulers[Co.C];
+      J.Scenario = Scenarios[Co.N];
+    }
+    Out.Jobs.push_back(std::move(J));
+  }
+}
+
+/// Replays the plan jobs listed in \p Subset as one parallel batch and
+/// returns their results in subset order. Every job is an independent
+/// simulation, so each result is bit-identical to the same job inside
+/// any other batch. Trace identity comes from the whole-grid plan: unit
+/// ids are a pure function of the grid, so trace files come out
+/// identical whatever thread (or shard) runs which job.
+std::vector<RunResult> replaySubset(Lab &L, const SweepGrid &Grid,
+                                    const SweepJobPlan &Plan,
+                                    const std::vector<size_t> &Subset,
+                                    uint64_t TraceGroup) {
+  SweepJobSet Set;
+  buildSweepJobs(L, Grid, Plan, Subset, Set);
+  for (size_t I = 0; I < Set.Jobs.size(); ++I) {
+    Set.Jobs[I].TraceUnit = Plan.Ids[Subset[I]];
+    Set.Jobs[I].TraceGroup = TraceGroup;
+  }
+  obs::Span Replay("sweep.replay");
+  return runWorkloads(Set.Jobs);
+}
+
+/// The replay-memo key of plan job \p Co (see ReplayKey).
+ReplayKey replayKey(Lab &L, const SweepGrid &Grid,
+                    const SweepJobPlan::Coord &Co) {
+  const WorkloadSpec &Spec = Grid.Workloads[Co.W];
+  TechniqueSpec Tech = TechniqueSpec::baseline();
+  uint64_t TypingSeed = DefaultTypingSeed;
+  SchedulerSpec Sched;
+  ScenarioSpec Scenario;
+  if (!Co.IsBaseline) {
+    Tech = Grid.Techniques[Co.T];
+    TypingSeed = Grid.TypingSeeds[Co.S];
+    Sched = Grid.effectiveSchedulers()[Co.C];
+    Scenario = Grid.effectiveScenarios()[Co.N];
+  }
+  ReplayKey Key;
+  Key.Lab = L.replayHash();
+  Key.Technique = hashValue(Tech);
+  Key.TypingSeed = TypingSeed;
+  Key.Slots = Spec.Slots;
+  Key.JobsPerSlot = Spec.JobsPerSlot;
+  Key.WorkloadSeed = Spec.Seed;
+  Key.Scheduler = hashValue(Sched);
+  Key.Scenario = hashValue(Scenario);
+  Key.Engine = static_cast<uint32_t>(Grid.Engine);
+  Key.Horizon = sharesHorizonPrefix(Scenario) ? 0 : Spec.Horizon;
+  return Key;
+}
+
 } // namespace
 
 SweepUnitList pbt::exp::enumerateSweepUnits(const SweepGrid &Grid) {
@@ -171,64 +293,27 @@ SweepUnitList pbt::exp::enumerateSweepUnits(const SweepGrid &Grid) {
 
 SweepResult pbt::exp::runSweep(Lab &L, const SweepGrid &Grid) {
   SweepJobPlan Plan = planSweepJobs(Grid);
-  const std::vector<double> &Iso = L.isolated();
-  const std::vector<SchedulerSpec> &Schedulers = Grid.effectiveSchedulers();
-  const std::vector<ScenarioSpec> &Scenarios = Grid.effectiveScenarios();
-
-  // Prepare every distinct (technique, typing seed) once, through the
-  // suite cache: variants sharing a preparation (e.g. tuner-only sweeps)
-  // come back as cheap copies of the same images.
-  std::vector<PreparedSuite> Suites;
-  Suites.reserve(Grid.Techniques.size() * Grid.TypingSeeds.size() + 1);
-  for (const TechniqueSpec &Tech : Grid.Techniques)
-    for (uint64_t TypingSeed : Grid.TypingSeeds)
-      Suites.push_back(L.suite(Tech, TypingSeed));
-  PreparedSuite BaselineSuite;
-  if (Grid.WithBaseline)
-    BaselineSuite = L.suite(TechniqueSpec::baseline());
-
-  std::vector<Workload> Workloads;
-  Workloads.reserve(Grid.Workloads.size());
-  for (const WorkloadSpec &Spec : Grid.Workloads)
-    Workloads.push_back(materializeWorkload(Spec, L.programs().size()));
-
-  // One flat batch: baseline replays first, then all cells. Every job is
-  // an independent simulation, so batch execution is bit-identical to
-  // running them back to back. Baselines always replay under the
-  // oblivious scheduler and the batch scenario — the paper's fixed
-  // reference point. The grid's engine applies to baselines and cells
-  // alike, so vs-baseline deltas always compare like with like.
-  SimConfig CellSim = L.sim();
-  CellSim.Engine = Grid.Engine;
-  std::vector<WorkloadJob> Jobs;
-  Jobs.reserve(Plan.Jobs.size());
-  for (const SweepJobPlan::Coord &Co : Plan.Jobs) {
-    if (Co.IsBaseline) {
-      Jobs.push_back({&BaselineSuite, &Workloads[Co.W], &L.machine(), CellSim,
-                      Grid.Workloads[Co.W].Horizon, &Iso, SchedulerSpec(),
-                      ScenarioSpec()});
-      continue;
-    }
-    const PreparedSuite &Suite =
-        Suites[Co.T * Grid.TypingSeeds.size() + Co.S];
-    Jobs.push_back({&Suite, &Workloads[Co.W], &L.machine(), CellSim,
-                    Grid.Workloads[Co.W].Horizon, &Iso, Schedulers[Co.C],
-                    Scenarios[Co.N]});
-  }
-  // Plane-1 trace identity: jobs are in plan order, so unit ids (and
-  // the sweep's group ordinal) are a pure function of the grid — trace
-  // files come out identical whatever thread runs which job. The group
-  // counter advances even when tracing is off, keeping file names
-  // stable across --trace on/off reruns of the same build.
+  // The group counter advances even when tracing is off, keeping trace
+  // file names stable across --trace on/off reruns of the same build.
   uint64_t TraceGroup = obs::beginTraceGroup();
-  for (size_t I = 0; I < Jobs.size(); ++I) {
-    Jobs[I].TraceUnit = Plan.Ids[I];
-    Jobs[I].TraceGroup = TraceGroup;
-  }
+
+  // Jobs the driver's replay memo already holds are taken from it; only
+  // the misses simulate, as one flat batch. Without a memo every job
+  // misses — the classic path.
+  std::vector<RunResult> Runs(Plan.Jobs.size());
+  std::vector<size_t> Misses;
+  ReplayMemo *Memo = ReplayMemo::current();
+  for (size_t Job = 0; Job < Plan.Jobs.size(); ++Job)
+    if (!Memo || !Memo->take(replayKey(L, Grid, Plan.Jobs[Job]),
+                             Grid.Workloads[Plan.Jobs[Job].W].Horizon,
+                             Runs[Job]))
+      Misses.push_back(Job);
   obs::CounterRegistry::global().add("sweep.units_total", Plan.Jobs.size());
-  obs::CounterRegistry::global().add("sweep.units_owned", Jobs.size());
-  obs::Span Replay("sweep.replay");
-  std::vector<RunResult> Runs = runWorkloads(Jobs);
+  obs::CounterRegistry::global().add("sweep.units_owned", Plan.Jobs.size());
+  std::vector<RunResult> Simulated =
+      replaySubset(L, Grid, Plan, Misses, TraceGroup);
+  for (size_t I = 0; I < Misses.size(); ++I)
+    Runs[Misses[I]] = std::move(Simulated[I]);
   return assembleSweep(Grid, Plan, L.machine(), std::move(Runs));
 }
 
@@ -236,9 +321,6 @@ SweepShardStats pbt::exp::runSweepSharded(Lab &L, const SweepGrid &Grid,
                                           const ShardSpec &Spec,
                                           const SweepUnitRecorder &Record) {
   SweepJobPlan Plan = planSweepJobs(Grid);
-  const std::vector<SchedulerSpec> &Schedulers = Grid.effectiveSchedulers();
-  const std::vector<ScenarioSpec> &Scenarios = Grid.effectiveScenarios();
-
   // Allocated before the owns-nothing early return so the group
   // ordinal stays in lockstep with a single-process run's (every sweep
   // call bumps it exactly once on every shard).
@@ -254,67 +336,119 @@ SweepShardStats pbt::exp::runSweepSharded(Lab &L, const SweepGrid &Grid,
   if (Owned.empty())
     return Stats;
 
-  // Prepare only what the owned units touch: a shard that owns no cell
-  // of a given (technique, typing seed) never runs its pipeline, and a
-  // shard owning no baseline skips the baseline suite.
-  const std::vector<double> &Iso = L.isolated();
-  std::map<size_t, PreparedSuite> Suites; // Keyed T * seeds + S.
-  PreparedSuite BaselineSuite;
-  bool NeedBaseline = false;
-  std::map<size_t, Workload> Workloads;
-  for (size_t Job : Owned) {
-    const SweepJobPlan::Coord &Co = Plan.Jobs[Job];
-    if (!Workloads.count(Co.W))
-      Workloads.emplace(
-          Co.W, materializeWorkload(Grid.Workloads[Co.W],
-                                    L.programs().size()));
-    if (Co.IsBaseline) {
-      NeedBaseline = true;
-      continue;
-    }
-    size_t Key = Co.T * Grid.TypingSeeds.size() + Co.S;
-    if (!Suites.count(Key))
-      Suites.emplace(Key,
-                     L.suite(Grid.Techniques[Co.T], Grid.TypingSeeds[Co.S]));
-  }
-  if (NeedBaseline)
-    BaselineSuite = L.suite(TechniqueSpec::baseline());
-
-  // One parallel batch of just the owned jobs. Each job is a fully
-  // independent simulation, so its result is bit-identical to the same
-  // job inside a full runSweep batch.
-  SimConfig CellSim = L.sim();
-  CellSim.Engine = Grid.Engine;
-  std::vector<WorkloadJob> Jobs;
-  Jobs.reserve(Owned.size());
-  for (size_t Job : Owned) {
-    const SweepJobPlan::Coord &Co = Plan.Jobs[Job];
-    if (Co.IsBaseline) {
-      Jobs.push_back({&BaselineSuite, &Workloads.at(Co.W), &L.machine(),
-                      CellSim, Grid.Workloads[Co.W].Horizon, &Iso,
-                      SchedulerSpec(), ScenarioSpec()});
-      continue;
-    }
-    const PreparedSuite &Suite =
-        Suites.at(Co.T * Grid.TypingSeeds.size() + Co.S);
-    Jobs.push_back({&Suite, &Workloads.at(Co.W), &L.machine(), CellSim,
-                    Grid.Workloads[Co.W].Horizon, &Iso, Schedulers[Co.C],
-                    Scenarios[Co.N]});
-  }
-  // Same trace identity as the full runSweep: unit ids come from the
-  // whole-grid plan, so a shard's TRACE_* files are byte-identical to
-  // the matching files of a single-process traced run.
-  for (size_t I = 0; I < Jobs.size(); ++I) {
-    Jobs[I].TraceUnit = Plan.Ids[Owned[I]];
-    Jobs[I].TraceGroup = TraceGroup;
-  }
+  // Only the owned units are prepared and replayed: a shard that owns
+  // no cell of a given (technique, typing seed) never runs its
+  // pipeline, and a shard owning no baseline skips the baseline suite.
   obs::CounterRegistry::global().add("sweep.units_total", Plan.Jobs.size());
   obs::CounterRegistry::global().add("sweep.units_owned", Owned.size());
-  obs::Span Replay("sweep.replay");
-  std::vector<RunResult> Runs = runWorkloads(Jobs);
+  std::vector<RunResult> Runs =
+      replaySubset(L, Grid, Plan, Owned, TraceGroup);
   for (size_t I = 0; I < Owned.size(); ++I)
     Record(Plan.Ids[Owned[I]], Runs[I]);
   return Stats;
+}
+
+void pbt::exp::prefetchSweeps(ReplayMemo &Memo) {
+  std::vector<ReplayMemo::PlannedSweep> Sweeps = Memo.takePlan();
+
+  // One simulation per distinct key, at every horizon any planned job
+  // asks of it; the first job with the key (in plan order) stands for
+  // the group. Every planned job also registers as a consumer, so each
+  // memo entry lives exactly until its last consumer takes it.
+  struct Group {
+    ReplayKey Key;
+    size_t Sweep = 0, Job = 0;          ///< The representative job.
+    std::vector<double> Horizons;       ///< Distinct, ascending.
+    const WorkloadJob *Run = nullptr;   ///< Built representative.
+  };
+  std::vector<Group> Groups; // In plan order of first sight.
+  std::map<ReplayKey, size_t> GroupOf;
+  std::vector<SweepJobPlan> Plans;
+  Plans.reserve(Sweeps.size());
+  uint64_t PlannedUnits = 0;
+  for (size_t S = 0; S < Sweeps.size(); ++S) {
+    Plans.push_back(planSweepJobs(Sweeps[S].Grid));
+    const SweepJobPlan &Plan = Plans.back();
+    for (size_t Job = 0; Job < Plan.Jobs.size(); ++Job) {
+      ReplayKey Key = replayKey(*Sweeps[S].L, Sweeps[S].Grid, Plan.Jobs[Job]);
+      double Horizon = Sweeps[S].Grid.Workloads[Plan.Jobs[Job].W].Horizon;
+      Memo.expect(Key, Horizon);
+      ++PlannedUnits;
+      auto Ins = GroupOf.emplace(Key, Groups.size());
+      if (Ins.second)
+        Groups.push_back(Group{Key, S, Job, {}, nullptr});
+      std::vector<double> &Hs = Groups[Ins.first->second].Horizons;
+      auto At = std::lower_bound(Hs.begin(), Hs.end(), Horizon);
+      if (At == Hs.end() || *At != Horizon)
+        Hs.insert(At, Horizon);
+    }
+  }
+
+  // Build each sweep's representative jobs. A sweep whose preparation
+  // fails is left out: its jobs miss in the serve pass, which reports
+  // the failure under the guard.
+  std::vector<std::vector<size_t>> GroupsOfSweep(Sweeps.size());
+  for (size_t G = 0; G < Groups.size(); ++G)
+    GroupsOfSweep[Groups[G].Sweep].push_back(G);
+  std::vector<std::unique_ptr<SweepJobSet>> Sets;
+  for (size_t S = 0; S < Sweeps.size(); ++S) {
+    std::vector<size_t> Subset;
+    for (size_t G : GroupsOfSweep[S])
+      Subset.push_back(Groups[G].Job);
+    Sets.push_back(std::make_unique<SweepJobSet>());
+    try {
+      buildSweepJobs(*Sweeps[S].L, Sweeps[S].Grid, Plans[S], Subset,
+                     *Sets.back());
+    } catch (...) {
+      continue;
+    }
+    for (size_t I = 0; I < Subset.size(); ++I)
+      Groups[GroupsOfSweep[S][I]].Run = &Sets.back()->Jobs[I];
+  }
+
+  // One batch, longest first (estimated cost: slots x longest horizon;
+  // ties keep plan order), so the pool's dynamic index claiming is a
+  // longest-processing-time list schedule and no long replay starts
+  // last.
+  std::vector<size_t> Order;
+  for (size_t G = 0; G < Groups.size(); ++G)
+    if (Groups[G].Run)
+      Order.push_back(G);
+  auto Cost = [&](size_t G) {
+    return static_cast<double>(Groups[G].Run->W->numSlots()) *
+           Groups[G].Horizons.back();
+  };
+  std::stable_sort(Order.begin(), Order.end(),
+                   [&](size_t A, size_t B) { return Cost(A) > Cost(B); });
+  std::vector<std::vector<RunResult>> Results(Order.size());
+  ThreadPool::global().parallelFor(Order.size(), [&](size_t I) {
+    const Group &G = Groups[Order[I]];
+    const WorkloadJob &J = *G.Run;
+    try {
+      Results[I] = runWorkloadHorizons(*J.Suite, *J.W, *J.Machine, J.Sim,
+                                       G.Horizons, *J.Isolated, J.Sched,
+                                       J.Scenario);
+    } catch (...) {
+      // Left unmemoized: the serve pass simulates it under the guard.
+      Results[I].clear();
+    }
+  });
+
+  uint64_t PrefixShared = 0;
+  for (size_t I = 0; I < Order.size(); ++I) {
+    const Group &G = Groups[Order[I]];
+    for (size_t H = 0; H < Results[I].size(); ++H)
+      Memo.put(G.Key, G.Horizons[H], std::move(Results[I][H]));
+    PrefixShared += G.Horizons.size() - 1;
+  }
+  obs::CounterRegistry &Reg = obs::CounterRegistry::global();
+  Reg.add("replay_memo.planned_units", PlannedUnits);
+  Reg.add("replay_memo.simulated", Order.size());
+  Reg.add("replay_memo.prefix_shared", PrefixShared);
+  // Registered now so the profile lists the serve pass's counters even
+  // when one of them stays zero.
+  Reg.add("replay_memo.hits", 0);
+  Reg.add("replay_memo.misses", 0);
 }
 
 SweepResult pbt::exp::placeholderSweep(const SweepGrid &Grid,

@@ -33,6 +33,8 @@
 namespace pbt {
 namespace exp {
 
+class ReplayMemo;
+
 /// One workload shape: how many slots, how long, which queues.
 struct WorkloadSpec {
   /// Concurrent job slots (the paper's "workload size").
@@ -145,9 +147,20 @@ struct SweepResult {
 };
 
 /// Executes \p Grid on \p L (the grid's machine axis is ignored here;
-/// the Lab fixes the machine). Preparation happens through the Lab's
-/// suite cache; all workload replays run as one parallel batch.
+/// the Lab fixes the machine). Jobs held by the installed ReplayMemo
+/// (exp/ReplayMemo.h) are served from it; the rest are prepared through
+/// the Lab's suite cache and replayed as one parallel batch. Either way
+/// every run is bit-identical to a fresh simulation.
 SweepResult runSweep(Lab &L, const SweepGrid &Grid);
+
+/// The driver's prefetch pass: takes the sweeps \p Memo recorded while
+/// planning, keys every job by content (ReplayKey), merges jobs sharing
+/// a key into one simulation that snapshots each requested horizon
+/// (runWorkloadHorizons), and replays all of them as one longest-first
+/// batch on the global pool into \p Memo. Failures are contained: a job
+/// that cannot be prepared or simulated is simply not memoized, and the
+/// serve pass simulates it (and reports any error) under the guard.
+void prefetchSweeps(ReplayMemo &Memo);
 
 //===----------------------------------------------------------------------===//
 // Sharded execution (see exp/Shard.h)

@@ -188,99 +188,87 @@ CompletedJob pbt::runIsolated(const PreparedSuite &Suite, uint32_t Bench,
   return Job;
 }
 
-RunResult pbt::runWorkload(const PreparedSuite &Suite, const Workload &W,
-                           const MachineConfig &MachineCfg,
-                           const SimConfig &Sim, double Horizon,
-                           const std::vector<double> &Isolated,
-                           const SchedulerSpec &Sched,
-                           const ScenarioSpec &Scenario,
-                           const CompletionSink &OnCompleted,
-                           obs::TraceSink *Trace) {
-  RunResult Result;
-  Result.Horizon = Horizon;
+namespace {
 
-  Machine M(MachineCfg, Sim, Sched.makeScheduler());
-  if (Trace)
-    M.setTraceSink(Trace);
+/// One workload replay in flight: the machine, its spawn/exit wiring,
+/// and the bookkeeping a RunResult is read from. advance() may be
+/// called with growing horizons; for the classic batch run each
+/// snapshot() taken after advance(H) is bit-identical to a standalone
+/// replay to H, because Machine::run consults its Until argument only
+/// in the loop test. The exit handlers capture `this`, so a replay
+/// never moves.
+class WorkloadReplay {
+public:
+  WorkloadReplay(const PreparedSuite &Suite, const Workload &W,
+                 const MachineConfig &MachineCfg, const SimConfig &Sim,
+                 double Horizon, const std::vector<double> &Isolated,
+                 const SchedulerSpec &Sched, const ScenarioSpec &Scenario,
+                 const CompletionSink &OnCompleted, obs::TraceSink *Trace);
+  WorkloadReplay(const WorkloadReplay &) = delete;
+  WorkloadReplay &operator=(const WorkloadReplay &) = delete;
 
+  /// Advances the simulation to \p Horizon (or to the stop rule).
+  void advance(double Horizon);
+
+  /// The run's result at the current clock, reported for the requested
+  /// \p Horizon. \p Final moves the completion buffer out (the replay
+  /// is done) and closes the trace; otherwise the buffer is copied.
+  RunResult snapshot(double Horizon, bool Final);
+
+private:
+  uint32_t spawn(uint32_t Bench, uint64_t Seed, int32_t Slot,
+                 double Arrival);
+  void record(Process &P);
+  void spawnSlot(uint32_t Slot);
+  void admit(const ScenarioArrival &A);
+
+  const PreparedSuite &Suite;
+  const Workload &W;
+  const MachineConfig &MachineCfg;
+  const SimConfig &Sim;
+  const std::vector<double> &Isolated;
+  const ScenarioSpec &Scenario;
+  CompletionSink OnCompleted;
+  obs::TraceSink *Trace;
+  Machine M;
+
+  std::vector<CompletedJob> Completed;
   std::vector<uint32_t> BenchOfPid;
   /// Scheduled arrival instant per pid for open-scenario jobs
   /// (negative sentinel for batch jobs, whose arrival IS the spawn).
   std::vector<double> ArrivalOfPid;
   uint32_t Done = 0;
-
-  auto Spawn = [&](uint32_t Bench, uint64_t Seed, int32_t Slot,
-                   double Arrival) {
-    uint32_t Pid =
-        M.spawn(Suite.Images[Bench], Suite.Costs[Bench], Suite.Tuner, Seed,
-                Slot, /*InitialAffinity=*/0, Suite.Flats[Bench]);
-    BenchOfPid.push_back(Bench);
-    ArrivalOfPid.push_back(Arrival);
-    if (Trace)
-      Trace->processTrack(Pid, "p" + std::to_string(Pid) + " " +
-                                   Suite.Names[Bench]);
-    return Pid;
-  };
-
-  auto Record = [&](Process &P) {
-    CompletedJob Job;
-    Job.Bench = BenchOfPid[P.Pid];
-    Job.Slot = P.Slot;
-    // Open-scenario jobs count from their scheduled arrival, so
-    // turnaround includes door-queue and quantum-alignment wait; batch
-    // jobs count from the spawn, the classic closed-system convention.
-    Job.Arrival =
-        ArrivalOfPid[P.Pid] >= 0 ? ArrivalOfPid[P.Pid] : P.ArrivalTime;
-    Job.Admitted = P.ArrivalTime;
-    Job.Completion = P.CompletionTime;
-    if (Job.Bench < Isolated.size())
-      Job.Isolated = Isolated[Job.Bench];
-    Job.Stats = P.Stats;
-    // Sink-fed runs never buffer: the job goes straight to the caller
-    // (machine exit order) and memory stays O(1) in completion count.
-    if (OnCompleted)
-      OnCompleted(Job);
-    else
-      Result.Completed.push_back(Job);
-    ++Done;
-    if (Trace)
-      // Timestamped at the quantum start of the exit (see the machine's
-      // exit event); the cycle-derived CompletionTime stays out of the
-      // trace so bytes match across engines.
-      Trace->complete(Trace->cycles(M.now()), P.Pid, Job.Bench);
-  };
-
-  // Per-slot cursor into the batch job queues; on exit, start the next
-  // job of the finished process's slot (constant workload size). Only
-  // the batch scenario uses the workload's queues.
-  std::vector<uint32_t> NextJob(W.numSlots(), 0);
-  auto SpawnSlot = [&](uint32_t Slot) {
-    uint32_t Index = NextJob[Slot];
-    if (Index >= W.Slots[Slot].size())
-      return; // Queue exhausted (workloads should be sized to avoid this).
-    ++NextJob[Slot];
-    uint32_t Bench = W.Slots[Slot][Index];
-    Spawn(Bench, W.jobSeed(Slot, Index), static_cast<int32_t>(Slot),
-          /*Arrival=*/-1.0);
-  };
-
-  // Open-scenario state: the materialized arrival schedule, plus the
-  // door queue of arrivals deferred by the multiprogramming cap.
+  /// Per-slot cursor into the batch job queues; on exit, the next job
+  /// of the finished process's slot starts (constant workload size).
+  /// Only the batch scenario uses the workload's queues.
+  std::vector<uint32_t> NextJob;
+  /// Open-scenario state: the materialized arrival schedule, plus the
+  /// door queue of arrivals deferred by the multiprogramming cap.
   std::vector<ScenarioArrival> Arrivals;
   std::deque<ScenarioArrival> Deferred;
   uint32_t InFlight = 0;
-  auto Admit = [&](const ScenarioArrival &A) {
-    uint32_t Pid = Spawn(A.Bench, A.Seed, /*Slot=*/-1, A.Time);
-    ++InFlight;
-    if (Trace)
-      Trace->admit(Trace->cycles(M.now()), Pid, A.Bench);
-  };
+};
+
+WorkloadReplay::WorkloadReplay(const PreparedSuite &Suite, const Workload &W,
+                               const MachineConfig &MachineCfg,
+                               const SimConfig &Sim, double Horizon,
+                               const std::vector<double> &Isolated,
+                               const SchedulerSpec &Sched,
+                               const ScenarioSpec &Scenario,
+                               const CompletionSink &OnCompleted,
+                               obs::TraceSink *Trace)
+    : Suite(Suite), W(W), MachineCfg(MachineCfg), Sim(Sim),
+      Isolated(Isolated), Scenario(Scenario), OnCompleted(OnCompleted),
+      Trace(Trace), M(MachineCfg, Sim, Sched.makeScheduler()),
+      NextJob(W.numSlots(), 0) {
+  if (Trace)
+    M.setTraceSink(Trace);
 
   if (Scenario.isBatch()) {
-    M.setExitHandler([&](Machine &, Process &P) {
-      Record(P);
+    M.setExitHandler([this](Machine &, Process &P) {
+      record(P);
       if (P.Slot >= 0)
-        SpawnSlot(static_cast<uint32_t>(P.Slot));
+        spawnSlot(static_cast<uint32_t>(P.Slot));
     });
     // The initial jobs arrive through the machine's injection list at
     // time zero — they spawn at the first quantum start, before any
@@ -288,53 +276,119 @@ RunResult pbt::runWorkload(const PreparedSuite &Suite, const Workload &W,
     // spawn-before-run loop did (tests/scenario_test.cpp proves the
     // replays bit-identical).
     for (uint32_t Slot = 0; Slot < W.numSlots(); ++Slot)
-      M.scheduleAt(0.0, [&SpawnSlot, Slot](Machine &) { SpawnSlot(Slot); });
-  } else {
-    Arrivals = scenarioArrivals(
-        Scenario, static_cast<uint32_t>(Suite.Images.size()), Horizon);
-    M.setExitHandler([&](Machine &, Process &P) {
-      Record(P);
-      --InFlight;
-      if (!Deferred.empty() &&
-          (Scenario.MaxInFlight == 0 || InFlight < Scenario.MaxInFlight)) {
-        Admit(Deferred.front());
-        Deferred.pop_front();
-      }
-    });
-    for (const ScenarioArrival &A : Arrivals)
-      M.scheduleAt(A.Time, [&, A](Machine &) {
-        if (Trace)
-          // The stream's scheduled instant, not the quantized fire
-          // time: Admitted - Arrival is then visible in the trace as
-          // the admission delay.
-          Trace->arrival(Trace->cycles(A.Time), A.Bench);
-        if (Scenario.MaxInFlight > 0 && InFlight >= Scenario.MaxInFlight)
-          Deferred.push_back(A);
-        else
-          Admit(A);
-      });
+      M.scheduleAt(0.0, [this, Slot](Machine &) { spawnSlot(Slot); });
+    return;
   }
 
-  if (Scenario.isBatch() && Scenario.MaxJobs == 0) {
+  Arrivals = scenarioArrivals(
+      Scenario, static_cast<uint32_t>(Suite.Images.size()), Horizon);
+  M.setExitHandler([this](Machine &, Process &P) {
+    record(P);
+    --InFlight;
+    if (!Deferred.empty() &&
+        (this->Scenario.MaxInFlight == 0 ||
+         InFlight < this->Scenario.MaxInFlight)) {
+      admit(Deferred.front());
+      Deferred.pop_front();
+    }
+  });
+  for (const ScenarioArrival &A : Arrivals)
+    M.scheduleAt(A.Time, [this, A](Machine &) {
+      if (this->Trace)
+        // The stream's scheduled instant, not the quantized fire
+        // time: Admitted - Arrival is then visible in the trace as
+        // the admission delay.
+        this->Trace->arrival(this->Trace->cycles(A.Time), A.Bench);
+      if (this->Scenario.MaxInFlight > 0 &&
+          InFlight >= this->Scenario.MaxInFlight)
+        Deferred.push_back(A);
+      else
+        admit(A);
+    });
+}
+
+uint32_t WorkloadReplay::spawn(uint32_t Bench, uint64_t Seed, int32_t Slot,
+                               double Arrival) {
+  uint32_t Pid =
+      M.spawn(Suite.Images[Bench], Suite.Costs[Bench], Suite.Tuner, Seed,
+              Slot, /*InitialAffinity=*/0, Suite.Flats[Bench]);
+  BenchOfPid.push_back(Bench);
+  ArrivalOfPid.push_back(Arrival);
+  if (Trace)
+    Trace->processTrack(Pid,
+                        "p" + std::to_string(Pid) + " " + Suite.Names[Bench]);
+  return Pid;
+}
+
+void WorkloadReplay::record(Process &P) {
+  CompletedJob Job;
+  Job.Bench = BenchOfPid[P.Pid];
+  Job.Slot = P.Slot;
+  // Open-scenario jobs count from their scheduled arrival, so
+  // turnaround includes door-queue and quantum-alignment wait; batch
+  // jobs count from the spawn, the classic closed-system convention.
+  Job.Arrival =
+      ArrivalOfPid[P.Pid] >= 0 ? ArrivalOfPid[P.Pid] : P.ArrivalTime;
+  Job.Admitted = P.ArrivalTime;
+  Job.Completion = P.CompletionTime;
+  if (Job.Bench < Isolated.size())
+    Job.Isolated = Isolated[Job.Bench];
+  Job.Stats = P.Stats;
+  // Sink-fed runs never buffer: the job goes straight to the caller
+  // (machine exit order) and memory stays O(1) in completion count.
+  if (OnCompleted)
+    OnCompleted(Job);
+  else
+    Completed.push_back(Job);
+  ++Done;
+  if (Trace)
+    // Timestamped at the quantum start of the exit (see the machine's
+    // exit event); the cycle-derived CompletionTime stays out of the
+    // trace so bytes match across engines.
+    Trace->complete(Trace->cycles(M.now()), P.Pid, Job.Bench);
+}
+
+void WorkloadReplay::spawnSlot(uint32_t Slot) {
+  uint32_t Index = NextJob[Slot];
+  if (Index >= W.Slots[Slot].size())
+    return; // Queue exhausted (workloads should be sized to avoid this).
+  ++NextJob[Slot];
+  uint32_t Bench = W.Slots[Slot][Index];
+  spawn(Bench, W.jobSeed(Slot, Index), static_cast<int32_t>(Slot),
+        /*Arrival=*/-1.0);
+}
+
+void WorkloadReplay::admit(const ScenarioArrival &A) {
+  uint32_t Pid = spawn(A.Bench, A.Seed, /*Slot=*/-1, A.Time);
+  ++InFlight;
+  if (Trace)
+    Trace->admit(Trace->cycles(M.now()), Pid, A.Bench);
+}
+
+void WorkloadReplay::advance(double Horizon) {
+  if (sharesHorizonPrefix(Scenario)) {
     // The classic run: one call, unchanged floating-point clock walk.
     M.run(Horizon);
-  } else {
-    // Stop-rule runs advance quantum by quantum so the run ends at the
-    // end of the quantum that satisfied the rule. The chunked clock
-    // walk is bit-identical to one run(Horizon) call: Until is always
-    // the exact value the internal Now accumulation reaches next.
-    uint32_t Stream = static_cast<uint32_t>(Arrivals.size());
-    auto Stopped = [&] {
-      if (Scenario.MaxJobs > 0 && Done >= Scenario.MaxJobs)
-        return true;
-      // An open run whose whole stream completed has nothing left.
-      return !Scenario.isBatch() && Done >= Stream;
-    };
-    while (M.now() < Horizon && !Stopped())
-      M.run(M.now() + Sim.Timeslice);
-    Result.Horizon = M.now();
+    return;
   }
+  // Stop-rule runs advance quantum by quantum so the run ends at the
+  // end of the quantum that satisfied the rule. The chunked clock walk
+  // is bit-identical to one run(Horizon) call: Until is always the
+  // exact value the internal Now accumulation reaches next.
+  uint32_t Stream = static_cast<uint32_t>(Arrivals.size());
+  auto Stopped = [&] {
+    if (Scenario.MaxJobs > 0 && Done >= Scenario.MaxJobs)
+      return true;
+    // An open run whose whole stream completed has nothing left.
+    return !Scenario.isBatch() && Done >= Stream;
+  };
+  while (M.now() < Horizon && !Stopped())
+    M.run(M.now() + Sim.Timeslice);
+}
 
+RunResult WorkloadReplay::snapshot(double Horizon, bool Final) {
+  RunResult Result;
+  Result.Horizon = sharesHorizonPrefix(Scenario) ? Horizon : M.now();
   Result.CompletedCount = Done;
   Result.InstructionsRetired = M.totalInstructions();
   for (uint32_t Core = 0; Core < MachineCfg.numCores(); ++Core)
@@ -354,12 +408,16 @@ RunResult pbt::runWorkload(const PreparedSuite &Suite, const Workload &W,
     }
   }
 
-  if (Trace)
+  if (Final && Trace)
     Trace->runEnd(Trace->cycles(M.now()), Done, BenchOfPid.size());
 
   // Canonical row order: completion time with deterministic tie-breaks,
   // so per-benchmark tables come out identical however the simulation
   // interleaved same-quantum exits (and whichever engine produced them).
+  if (Final)
+    Result.Completed = std::move(Completed);
+  else
+    Result.Completed = Completed;
   std::stable_sort(Result.Completed.begin(), Result.Completed.end(),
                    [](const CompletedJob &A, const CompletedJob &B) {
                      if (A.Completion != B.Completion)
@@ -371,6 +429,59 @@ RunResult pbt::runWorkload(const PreparedSuite &Suite, const Workload &W,
                      return A.Bench < B.Bench;
                    });
   return Result;
+}
+
+} // namespace
+
+bool pbt::sharesHorizonPrefix(const ScenarioSpec &Scenario) {
+  return Scenario.isBatch() && Scenario.MaxJobs == 0;
+}
+
+RunResult pbt::runWorkload(const PreparedSuite &Suite, const Workload &W,
+                           const MachineConfig &MachineCfg,
+                           const SimConfig &Sim, double Horizon,
+                           const std::vector<double> &Isolated,
+                           const SchedulerSpec &Sched,
+                           const ScenarioSpec &Scenario,
+                           const CompletionSink &OnCompleted,
+                           obs::TraceSink *Trace) {
+  WorkloadReplay Replay(Suite, W, MachineCfg, Sim, Horizon, Isolated, Sched,
+                        Scenario, OnCompleted, Trace);
+  Replay.advance(Horizon);
+  return Replay.snapshot(Horizon, /*Final=*/true);
+}
+
+std::vector<RunResult> pbt::runWorkloadHorizons(
+    const PreparedSuite &Suite, const Workload &W,
+    const MachineConfig &MachineCfg, const SimConfig &Sim,
+    const std::vector<double> &Horizons, const std::vector<double> &Isolated,
+    const SchedulerSpec &Sched, const ScenarioSpec &Scenario) {
+  std::vector<RunResult> Results(Horizons.size());
+  if (Horizons.empty())
+    return Results;
+  if (!sharesHorizonPrefix(Scenario)) {
+    // Open streams and stop rules depend on the horizon itself (the
+    // arrival schedule is drawn up to it), so every horizon is its own
+    // simulation.
+    for (size_t I = 0; I < Horizons.size(); ++I)
+      Results[I] = runWorkload(Suite, W, MachineCfg, Sim, Horizons[I],
+                               Isolated, Sched, Scenario);
+    return Results;
+  }
+  std::vector<size_t> Order(Horizons.size());
+  for (size_t I = 0; I < Order.size(); ++I)
+    Order[I] = I;
+  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
+    return Horizons[A] < Horizons[B];
+  });
+  WorkloadReplay Replay(Suite, W, MachineCfg, Sim, Horizons[Order.back()],
+                        Isolated, Sched, Scenario, nullptr, nullptr);
+  for (size_t K = 0; K < Order.size(); ++K) {
+    double Horizon = Horizons[Order[K]];
+    Replay.advance(Horizon);
+    Results[Order[K]] = Replay.snapshot(Horizon, K + 1 == Order.size());
+  }
+  return Results;
 }
 
 std::vector<RunResult>

@@ -252,6 +252,27 @@ RunResult runWorkload(const PreparedSuite &Suite, const Workload &W,
                       const CompletionSink &OnCompleted = nullptr,
                       obs::TraceSink *Trace = nullptr);
 
+/// True when replays under \p Scenario share horizon prefixes: the
+/// classic batch run (batch arrivals, no job-count stop rule) walks the
+/// same simulation whatever its horizon, so a replay to H1 is a prefix
+/// of the same replay to H2 > H1. Open streams and stop rules are not:
+/// their arrival schedule or stopping point depends on the horizon.
+bool sharesHorizonPrefix(const ScenarioSpec &Scenario);
+
+/// runWorkload at several horizons from as few simulations as possible:
+/// result I is bit-identical to runWorkload at \p Horizons[I]. Under a
+/// horizon-prefix scenario (sharesHorizonPrefix) one simulation runs to
+/// the longest horizon and a RunResult is snapshotted as it passes each
+/// shorter one; any other scenario simulates each horizon separately.
+/// Horizons may repeat and come in any order.
+std::vector<RunResult> runWorkloadHorizons(
+    const PreparedSuite &Suite, const Workload &W,
+    const MachineConfig &MachineCfg, const SimConfig &Sim,
+    const std::vector<double> &Horizons,
+    const std::vector<double> &Isolated = {},
+    const SchedulerSpec &Sched = SchedulerSpec(),
+    const ScenarioSpec &Scenario = ScenarioSpec());
+
 /// One workload replay request for the parallel runner. Pointees must
 /// outlive the runWorkloads call.
 struct WorkloadJob {

@@ -6,8 +6,10 @@
 #include "exp/CacheStore.h"
 #include "exp/Harness.h"
 #include "exp/Lab.h"
+#include "exp/ReplayMemo.h"
 #include "exp/SuiteCache.h"
 #include "exp/Sweep.h"
+#include "obs/Counters.h"
 #include "support/Binary.h"
 #include "support/Json.h"
 #include "support/Rng.h"
@@ -922,4 +924,152 @@ TEST(LabPoolTest, ConcurrentResolutionIsSafeAndDeduplicated) {
     EXPECT_EQ(SeenA[I], SeenA[0]);
     EXPECT_EQ(SeenB[I], SeenB[0]);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Replay memo: plan, prefetch, serve
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A small experiment body shaped like the driver's registry: grid B
+/// replays grid A's queues again at a shorter horizon (a horizon
+/// prefix) and at the same horizon (an exact duplicate), a custom lab
+/// runs batch and open-stream cells at two horizons each, and grid D is
+/// left out of the plan. Returns the artifact JSON.
+std::string memoExperiment() {
+  ExperimentHarness H("memo_identity", "replay memo identity check", "none");
+  Lab &L = H.lab();
+  SweepGrid A;
+  A.Techniques = {loopTechnique(0.2), loopTechnique(0.05)};
+  A.Workloads = {{/*Slots=*/4, /*Horizon=*/10, /*Seed=*/5, /*JobsPerSlot=*/64}};
+  SweepResult RA = H.sweep(L, A);
+
+  SweepGrid B;
+  B.Techniques = {loopTechnique(0.2)};
+  B.Workloads = {{4, 6, 5, 64}, {4, 10, 5, 64}};
+  H.sweep(L, B);
+
+  SimConfig Sim;
+  Sim.AffinityApiCycles = 0;
+  Lab &C = H.customLab(smallSuite(), MachineConfig::quadAsymmetric(), Sim);
+  SweepGrid G;
+  G.Techniques = {loopTechnique(0.2)};
+  G.Scenarios = {ScenarioSpec(), ScenarioSpec::poisson(2)};
+  G.Workloads = {{4, 8, 9, 64}, {4, 5, 9, 64}};
+  H.sweep(C, G);
+
+  // Missing from the plan: the serve pass must simulate it.
+  if (!replayPlanning()) {
+    SweepGrid D;
+    D.Techniques = {loopTechnique(0.1)};
+    D.Workloads = {{4, 7, 3, 64}};
+    H.sweep(L, D);
+  }
+
+  Table T({"technique", "throughput %"});
+  for (const SweepCell &Cell : RA.Cells)
+    T.addRow({A.Techniques[Cell.Technique].label(),
+              Table::fmt(RA.throughputImprovement(Cell), 2)});
+  H.table(T);
+  H.note("cells: " + std::to_string(RA.Cells.size()));
+  // Real lab work: a planning body stops here.
+  H.json()["isolated_completion"] =
+      C.isolatedJob(loopTechnique(0.2), 0).Completion;
+  return H.json().dump();
+}
+
+uint64_t counter(const char *Name) {
+  return obs::CounterRegistry::global().value(Name);
+}
+
+} // namespace
+
+// The memo is a pure prefetch: an artifact served from it must be
+// byte-identical to one simulated with no memo at all — including
+// horizon-prefix and duplicate jobs merged into one simulation, a
+// custom lab that only the plan kept alive, and a grid the plan never
+// saw.
+TEST(ReplayMemoTest, MemoServedArtifactByteIdenticalToSimulated) {
+  std::string Reference = memoExperiment();
+
+  LabPool Pool;
+  ExperimentHarness::setSharedLabPool(&Pool);
+  ReplayMemo Memo;
+  ReplayMemo::install(&Memo);
+
+  uint64_t Planned0 = counter("replay_memo.planned_units");
+  uint64_t Simulated0 = counter("replay_memo.simulated");
+  uint64_t Shared0 = counter("replay_memo.prefix_shared");
+  Memo.setPlanning(true);
+  // The planning body stops at its first real lab work, keeping every
+  // sweep it recorded before; it writes no artifact either.
+  EXPECT_THROW(memoExperiment(), ReplayPlanStop);
+  {
+    ExperimentHarness H("memo_plan_only", "planning writes nothing", "none");
+    EXPECT_EQ(H.finish(), 0);
+  }
+  Memo.setPlanning(false);
+  EXPECT_EQ(std::fopen("BENCH_memo_plan_only.json", "r"), nullptr);
+
+  prefetchSweeps(Memo);
+  // A: 3 jobs, B: 4, custom lab: 6. B's 6 s jobs are prefixes of A's
+  // 10 s ones and its 10 s jobs are exact duplicates; on the custom lab
+  // the 5 s baseline and batch cell are prefixes of the 8 s ones, but
+  // the open-stream cells never share. 7 simulations serve 13 units.
+  EXPECT_EQ(counter("replay_memo.planned_units") - Planned0, 13u);
+  EXPECT_EQ(counter("replay_memo.simulated") - Simulated0, 7u);
+  EXPECT_EQ(counter("replay_memo.prefix_shared") - Shared0, 4u);
+  EXPECT_EQ(Memo.size(), 11u); // Distinct (key, horizon) results.
+
+  uint64_t Hits0 = counter("replay_memo.hits");
+  uint64_t Misses0 = counter("replay_memo.misses");
+  std::string Served = memoExperiment();
+  EXPECT_EQ(counter("replay_memo.hits") - Hits0, 13u);
+  EXPECT_EQ(counter("replay_memo.misses") - Misses0, 2u); // Grid D.
+  // Every entry was freed by its last planned consumer.
+  EXPECT_EQ(Memo.size(), 0u);
+
+  ReplayMemo::install(nullptr);
+  ExperimentHarness::setSharedLabPool(nullptr);
+  EXPECT_EQ(Served, Reference);
+}
+
+TEST(ReplayMemoTest, EntryFreedAfterLastPlannedConsumer) {
+  ReplayMemo Memo;
+  ReplayKey Key;
+  Key.Slots = 4;
+  RunResult Run;
+  Run.InstructionsRetired = 42;
+  Run.Completed.resize(3);
+  Memo.expect(Key, 10);
+  Memo.expect(Key, 10);
+  Memo.put(Key, 10, Run);
+  Memo.put(Key, 6, Run); // Nobody planned it: dropped.
+  EXPECT_EQ(Memo.size(), 1u);
+
+  RunResult Out;
+  ASSERT_TRUE(Memo.take(Key, 10, Out));
+  EXPECT_EQ(Out.InstructionsRetired, 42u);
+  EXPECT_EQ(Memo.size(), 1u); // One consumer left: still held.
+  ASSERT_TRUE(Memo.take(Key, 10, Out));
+  EXPECT_EQ(Out.Completed.size(), 3u);
+  EXPECT_EQ(Memo.size(), 0u); // Last consumer took it: freed.
+  EXPECT_FALSE(Memo.take(Key, 10, Out)); // Unplanned extra: a miss.
+  EXPECT_FALSE(Memo.take(Key, 6, Out));
+}
+
+// The driver plans and prefetches only in its plain single-process
+// mode; every mode below must run exactly as without a memo.
+TEST(ReplayMemoTest, PrefetchBypassedByShardMergeTraceAndTimeout) {
+  EXPECT_TRUE(replayPrefetchAllowed(/*ShardOrMerge=*/false,
+                                    /*Tracing=*/false,
+                                    /*TimeoutSeconds=*/0));
+  // --shard / --merge: units are owned and recombined per sweep.
+  EXPECT_FALSE(replayPrefetchAllowed(true, false, 0));
+  // --trace / PBT_TRACE: trace files are written per unit, grouped by
+  // the sweep's own ordinal.
+  EXPECT_FALSE(replayPrefetchAllowed(false, true, 0));
+  // --timeout-seconds > 0: a prefetch outside any guard could hang.
+  EXPECT_FALSE(replayPrefetchAllowed(false, false, 0.5));
 }

@@ -1,5 +1,7 @@
 //===- tests/runner_test.cpp - suite preparation + workload replay --------===//
 
+#include "exp/Shard.h"
+#include "support/Binary.h"
 #include "workload/Benchmarks.h"
 #include "workload/Runner.h"
 
@@ -29,6 +31,13 @@ TechniqueSpec loopTechnique() {
   TunerConfig TU;
   TU.IpcDelta = 0.2;
   return TechniqueSpec::tuned(TC, TU);
+}
+
+/// Every field of \p Run, doubles by bit pattern (the shard codec).
+std::string runBytes(const RunResult &Run) {
+  BinaryWriter W;
+  exp::serializeRunResult(W, Run);
+  return W.buffer();
 }
 
 } // namespace
@@ -217,4 +226,69 @@ TEST(HassStatic, PinRespectedThroughoutRun) {
                             SchedulerSpec::hassStatic());
   EXPECT_EQ(R.TotalSwitches, 0u); // Static assignment never migrates.
   EXPECT_GT(R.InstructionsRetired, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// runWorkloadHorizons: one simulation, a snapshot per horizon
+//===----------------------------------------------------------------------===//
+
+TEST(RunWorkloadHorizons, SnapshotsBitIdenticalToStandaloneRuns) {
+  auto Programs = smallSuite();
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  PreparedSuite Suite = prepareSuite(Programs, MC, loopTechnique());
+  Workload W = Workload::random(4, 64, Programs.size(), 5);
+  std::vector<double> Iso = {1.5, 2.5, 3.5};
+  SimConfig Base;
+  // Unsorted, with duplicates, off the timeslice grid, and a pair less
+  // than one timeslice apart (both land on the same quantum boundary).
+  const std::vector<double> Horizons = {
+      12, 3.0001, 12, 7.5, 7.5 + 0.25 * Base.Timeslice, 0.5, 3.0001};
+  ASSERT_TRUE(sharesHorizonPrefix(ScenarioSpec()));
+  for (ExecEngine Engine : {ExecEngine::Flat, ExecEngine::FastReplay})
+    for (const SchedulerSpec &Sched :
+         {SchedulerSpec::oblivious(), SchedulerSpec::ipcSampling()}) {
+      SCOPED_TRACE(std::string(engineName(Engine)) + " / " + Sched.label());
+      SimConfig Sim = Base;
+      Sim.Engine = Engine;
+      std::vector<RunResult> Shared =
+          runWorkloadHorizons(Suite, W, MC, Sim, Horizons, Iso, Sched);
+      ASSERT_EQ(Shared.size(), Horizons.size());
+      for (size_t I = 0; I < Horizons.size(); ++I) {
+        RunResult Alone =
+            runWorkload(Suite, W, MC, Sim, Horizons[I], Iso, Sched);
+        EXPECT_EQ(runBytes(Shared[I]), runBytes(Alone))
+            << "horizon " << Horizons[I];
+        EXPECT_EQ(Shared[I].Horizon, Horizons[I]);
+      }
+      // The longest horizon really ran further than the shortest.
+      EXPECT_GT(Shared[0].InstructionsRetired,
+                Shared[5].InstructionsRetired);
+    }
+}
+
+TEST(RunWorkloadHorizons, OpenAndStopRuleScenariosNeverShareASimulation) {
+  // An open stream is drawn over [0, horizon) and its run ends once
+  // that stream drains; a stop rule ends the run wherever it fires.
+  // Neither is a prefix of a longer replay, so each horizon must be its
+  // own simulation.
+  auto Programs = smallSuite();
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  PreparedSuite Suite = prepareSuite(Programs, MC,
+                                     TechniqueSpec::baseline());
+  Workload W = Workload::random(4, 64, Programs.size(), 5);
+  const std::vector<double> Horizons = {20, 6, 20, 11};
+  for (const ScenarioSpec &Scenario :
+       {ScenarioSpec::poisson(2), ScenarioSpec::poisson(2).withMaxInFlight(3),
+        ScenarioSpec().withMaxJobs(12)}) {
+    SCOPED_TRACE(Scenario.label());
+    EXPECT_FALSE(sharesHorizonPrefix(Scenario));
+    std::vector<RunResult> Runs = runWorkloadHorizons(
+        Suite, W, MC, SimConfig(), Horizons, {}, SchedulerSpec(), Scenario);
+    ASSERT_EQ(Runs.size(), Horizons.size());
+    for (size_t I = 0; I < Horizons.size(); ++I)
+      EXPECT_EQ(runBytes(Runs[I]),
+                runBytes(runWorkload(Suite, W, MC, SimConfig(), Horizons[I],
+                                     {}, SchedulerSpec(), Scenario)))
+          << "horizon " << Horizons[I];
+  }
 }
