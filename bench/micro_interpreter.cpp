@@ -17,7 +17,9 @@
 //
 // Emits BENCH_interpreter.json alongside the human-readable table so the
 // interpreter's performance trajectory is tracked across PRs.
-// PBT_BENCH_SCALE scales the repetition count; PBT_INTERP_REPS pins it.
+// Each engine x image cell takes PBT_INTERP_REPS samples (default 5) of
+// at least 100 ms each and reports the median and interquartile range
+// of blocks/sec; PBT_BENCH_SCALE scales the chain-heavy trip count.
 // PBT_INTERP_MIN_FAST_SPEEDUP, when set > 0, is a hard floor on the
 // fast-replay-vs-flat blocks/sec ratio on the chain-heavy image: the
 // benchmark exits nonzero below it (the CI perf-smoke gate).
@@ -38,49 +40,74 @@ using namespace pbt::bench;
 
 namespace {
 
+/// Minimum wall time of one sample: a sample replays the benchmark as
+/// many times as it takes to fill this, so even a fast engine on a short
+/// image is timed over many timer ticks.
+constexpr double MinSampleSec = 0.1;
+
 struct EngineResult {
-  double WallSec = 0;
+  /// Blocks and simulated cycles of one run (deterministic).
   uint64_t Blocks = 0;
   double Cycles = 0;
-  double blocksPerSec() const { return WallSec > 0 ? Blocks / WallSec : 0; }
-  double cyclesPerSec() const { return WallSec > 0 ? Cycles / WallSec : 0; }
+  /// Runs over all samples.
+  uint64_t Runs = 0;
+  /// Blocks/sec across the samples.
+  BoxSummary BlocksPerSec;
+  /// Wall seconds of one run at the median rate.
+  double wallSec() const {
+    return BlocksPerSec.Median > 0 ? Blocks / BlocksPerSec.Median : 0;
+  }
+  double cyclesPerSec() const {
+    return wallSec() > 0 ? Cycles / wallSec() : 0;
+  }
 };
 
 /// Runs benchmark \p Bench of \p Suite alone to completion under \p SC,
-/// \p Reps times; reports the best wall time (setup excluded).
+/// back to back until MinSampleSec has passed, and records the sample's
+/// blocks/sec (machine setup excluded); \p Samples such samples give the
+/// median and quartiles.
 EngineResult measure(const PreparedSuite &Suite, uint32_t Bench,
                      const MachineConfig &MC, const SimConfig &SC,
-                     int Reps) {
-  EngineResult Best;
-  Best.WallSec = 1e300;
-  for (int Rep = 0; Rep < Reps; ++Rep) {
-    Machine M(MC, SC, std::make_unique<ObliviousScheduler>());
-    uint32_t Pid =
-        M.spawn(Suite.Images[Bench], Suite.Costs[Bench], Suite.Tuner,
-                /*Seed=*/1, /*Slot=*/-1, /*InitialAffinity=*/0,
-                Suite.Flats[Bench]);
-    auto Start = std::chrono::steady_clock::now();
-    while (M.process(Pid).CompletionTime < 0)
-      M.run(M.now() + 64);
-    double Wall = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - Start)
-                      .count();
-    const Process &P = M.process(Pid);
-    if (Wall < Best.WallSec) {
-      Best.WallSec = Wall;
-      Best.Blocks = P.Stats.BlocksExecuted;
-      Best.Cycles = P.Stats.CyclesConsumed;
+                     int Samples) {
+  EngineResult R;
+  std::vector<double> Rates;
+  for (int Sample = 0; Sample < Samples; ++Sample) {
+    double Wall = 0;
+    uint64_t Blocks = 0;
+    while (Wall < MinSampleSec) {
+      Machine M(MC, SC, std::make_unique<ObliviousScheduler>());
+      uint32_t Pid =
+          M.spawn(Suite.Images[Bench], Suite.Costs[Bench], Suite.Tuner,
+                  /*Seed=*/1, /*Slot=*/-1, /*InitialAffinity=*/0,
+                  Suite.Flats[Bench]);
+      auto Start = std::chrono::steady_clock::now();
+      while (M.process(Pid).CompletionTime < 0)
+        M.run(M.now() + 64);
+      Wall += std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - Start)
+                  .count();
+      const Process &P = M.process(Pid);
+      Blocks += P.Stats.BlocksExecuted;
+      R.Blocks = P.Stats.BlocksExecuted;
+      R.Cycles = P.Stats.CyclesConsumed;
+      ++R.Runs;
     }
+    Rates.push_back(Blocks / Wall);
   }
-  return Best;
+  R.BlocksPerSec = summarize(std::move(Rates));
+  return R;
 }
 
 Json engineJson(const EngineResult &R) {
   Json J = Json::object();
-  J["wall_s"] = R.WallSec;
+  J["wall_s"] = R.wallSec();
   J["blocks"] = R.Blocks;
   J["cycles"] = R.Cycles;
-  J["blocks_per_sec"] = R.blocksPerSec();
+  J["runs"] = R.Runs;
+  J["blocks_per_sec"] = R.BlocksPerSec.Median;
+  J["blocks_per_sec_q1"] = R.BlocksPerSec.Q1;
+  J["blocks_per_sec_q3"] = R.BlocksPerSec.Q3;
+  J["blocks_per_sec_iqr"] = R.BlocksPerSec.Q3 - R.BlocksPerSec.Q1;
   J["cycles_per_sec"] = R.cyclesPerSec();
   return J;
 }
@@ -142,8 +169,7 @@ int main() {
   PreparedSuite Marked = L.suite(loop45());
 
   int Reps = static_cast<int>(
-      envInt("PBT_INTERP_REPS",
-             std::max<int64_t>(1, static_cast<int64_t>(3 * H.scale()))));
+      std::max<int64_t>(1, envInt("PBT_INTERP_REPS", 5)));
 
   SimConfig Reference;
   Reference.Engine = ExecEngine::Reference;
@@ -178,15 +204,17 @@ int main() {
     Entry.R = measure(*Entry.Suite, Entry.Bench, L.machine(), *Entry.Sim,
                       Reps);
 
-  Table T({"image", "engine", "wall s", "Mblocks/s", "Mcycles/s",
+  Table T({"image", "engine", "wall s", "Mblocks/s", "IQR", "Mcycles/s",
            "vs reference"});
   for (size_t I = 0; I < Rows.size(); ++I) {
     const Row &Entry = Rows[I];
-    double Ref = Rows[I - I % 3].R.blocksPerSec();
-    T.addRow({Entry.Image, Entry.Key, Table::fmt(Entry.R.WallSec, 4),
-              Table::fmt(Entry.R.blocksPerSec() / 1e6, 2),
+    const BoxSummary &Rate = Entry.R.BlocksPerSec;
+    double Ref = Rows[I - I % 3].R.BlocksPerSec.Median;
+    T.addRow({Entry.Image, Entry.Key, Table::fmt(Entry.R.wallSec(), 4),
+              Table::fmt(Rate.Median / 1e6, 2),
+              Table::fmt((Rate.Q3 - Rate.Q1) / 1e6, 2),
               Table::fmt(Entry.R.cyclesPerSec() / 1e6, 1),
-              Ref > 0 ? Table::fmt(Entry.R.blocksPerSec() / Ref, 2) + "x"
+              Ref > 0 ? Table::fmt(Rate.Median / Ref, 2) + "x"
                       : "-"});
   }
   H.table(T);
@@ -202,9 +230,9 @@ int main() {
   // reference, flat, fast_replay).
   double Speedups[3];
   for (int Img = 0; Img < 3; ++Img) {
-    double FlatBps = Rows[Img * 3 + 1].R.blocksPerSec();
+    double FlatBps = Rows[Img * 3 + 1].R.BlocksPerSec.Median;
     Speedups[Img] =
-        FlatBps > 0 ? Rows[Img * 3 + 2].R.blocksPerSec() / FlatBps : 0;
+        FlatBps > 0 ? Rows[Img * 3 + 2].R.BlocksPerSec.Median / FlatBps : 0;
   }
   std::printf("fast-replay-vs-flat speedup: %.2fx plain, %.2fx "
               "instrumented, %.2fx chain-heavy (acceptance: >= 1.5x "
@@ -234,6 +262,7 @@ int main() {
   Json &Extra = H.json();
   Extra["workload"] = WorkloadName;
   Extra["repetitions"] = Reps;
+  Extra["min_sample_s"] = MinSampleSec;
   for (const Row &Entry : Rows)
     Extra[Entry.Image][Entry.Key] = engineJson(Entry.R);
   Extra["speedup_fast_plain"] = Speedups[0];
@@ -241,12 +270,12 @@ int main() {
   Extra["speedup_fast_chain_heavy"] = Speedups[2];
   // Kept under their historical names so trajectory tooling keeps
   // working: flat-vs-reference on the bwaves image.
-  double RefPlain = Rows[0].R.blocksPerSec();
-  double RefMarked = Rows[3].R.blocksPerSec();
+  double RefPlain = Rows[0].R.BlocksPerSec.Median;
+  double RefMarked = Rows[3].R.BlocksPerSec.Median;
   Extra["speedup_flat_plain"] =
-      RefPlain > 0 ? Rows[1].R.blocksPerSec() / RefPlain : 0;
+      RefPlain > 0 ? Rows[1].R.BlocksPerSec.Median / RefPlain : 0;
   Extra["speedup_flat_instrumented"] =
-      RefMarked > 0 ? Rows[4].R.blocksPerSec() / RefMarked : 0;
+      RefMarked > 0 ? Rows[4].R.BlocksPerSec.Median / RefMarked : 0;
   Json D = Json::object();
   D["runs"] = Drift.Runs;
   D["jobs"] = Drift.Jobs;

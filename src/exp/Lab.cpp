@@ -65,8 +65,7 @@ uint64_t Lab::replayHash() {
     H = hashCombine(H, Sim.AffinityApiCycles);
     H = hashCombine(H, Sim.CounterWaitCycles);
     H = hashCombine(H, Sim.Seed);
-    H = hashCombine(H, static_cast<uint64_t>(Sim.Engine));
-    ReplayHash = hashCombine(H, Sim.FusedChains ? 1 : 0);
+    ReplayHash = hashCombine(H, static_cast<uint64_t>(Sim.Engine));
     ReplayHashed = true;
   }
   return ReplayHash;

@@ -310,14 +310,67 @@ Machine::AdvanceResult Machine::advanceProcess(Process &P, uint32_t Core,
   return R;
 }
 
+/// The exact self-loop kernel shared by the Flat and FastReplay engines.
+/// Applies when record \p Cur is a Loop latch whose back edge (Succ[0])
+/// targets the record itself and carries no mark — the shape of the
+/// suite's hot phase bodies. It runs the activation's back-edge trips
+/// as one floating-point add per trip (two while monitoring) until only
+/// the exit trip is left or the budget is spent, then charges the
+/// integer stats and the loop counter in bulk. Each trip adds the same
+/// cost to the same accumulators, in the same order and followed by the
+/// same budget test, as stepping the record through the engine's
+/// dispatch would, so the result is bit-identical to stepping. Returns
+/// false, touching nothing, when the record is not such a loop or only
+/// its exit trip remains; the caller then steps the record itself.
+static bool runSelfLoop(const FlatBlock &B, uint32_t Cur, const double *Cyc,
+                        uint32_t CfgOff, uint32_t *LoopRem, double Budget,
+                        double &Used, uint64_t &Insts, uint64_t &Blocks,
+                        bool MonActive, uint64_t &MonInsts,
+                        double &MonCycles) {
+  if (B.Op != FlatOp::Loop || B.Succ[0] != Cur || B.EdgeMark[0] >= 0)
+    return false;
+  // Trips left in this activation, counting the exit trip; 0 means the
+  // latch has not run yet in this activation.
+  uint32_t Rem = LoopRem[Cur] != 0 ? LoopRem[Cur] : B.TripCount;
+  if (Rem <= 1)
+    return false;
+  const double C = Cyc[B.CycleRow + CfgOff];
+  const uint32_t BackEdges = Rem - 1;
+  uint32_t N = 0;
+  // Locals, so the trip loop runs in registers whatever the references
+  // alias.
+  double U = Used;
+  if (MonActive) {
+    double M = MonCycles;
+    do {
+      U += C;
+      M += C;
+      ++N;
+    } while (N < BackEdges && U < Budget);
+    MonCycles = M;
+    MonInsts += static_cast<uint64_t>(N) * B.Insts;
+  } else {
+    do {
+      U += C;
+      ++N;
+    } while (N < BackEdges && U < Budget);
+  }
+  Used = U;
+  Insts += static_cast<uint64_t>(N) * B.Insts;
+  Blocks += N;
+  LoopRem[Cur] = Rem - N;
+  return true;
+}
+
 /// The flat-image interpreter. Mirrors advanceProcessReference exactly —
 /// same block sequence, same RNG draws, and the same floating-point
 /// accumulation order (one add per block, marks charged through
 /// fireMark) — so both engines produce bit-identical ProcessStats. The
 /// difference is purely mechanical: each step is one indexed load from
 /// the FlatImage instead of pointer chases through Program, CostModel,
-/// and InstrumentedProgram, and mark-free superblock chains run in a
-/// dispatch-free inner loop.
+/// and InstrumentedProgram, mark-free superblock chains run in a
+/// dispatch-free inner loop, and unmarked self-loops run in
+/// runSelfLoop's kernel.
 Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
                                                    double BudgetCycles,
                                                    uint32_t Sharers) {
@@ -335,19 +388,13 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
   while (!P.Finished && R.CyclesUsed < BudgetCycles) {
     const FlatBlock *B = &Blk[Cur];
 
+    if (runSelfLoop(*B, Cur, Cyc, CfgOff, P.LoopRemaining.data(),
+                    BudgetCycles, R.CyclesUsed, P.Stats.InstsRetired,
+                    P.Stats.BlocksExecuted, P.MonActive, P.MonInsts,
+                    P.MonCycles))
+      continue;
+
     if (B->Op == FlatOp::Chain) {
-      if (Sim.FusedChains && !P.MonActive && B->ChainBlocks > 0) {
-        double Sum = FI.chainCycleTable()[B->ChainRow + CfgOff];
-        if (R.CyclesUsed + Sum < BudgetCycles) {
-          // O(1) superblock: the whole mark-free chain fits in the
-          // remaining budget, so charge the fused summary at once.
-          R.CyclesUsed += Sum;
-          P.Stats.InstsRetired += B->ChainInsts;
-          P.Stats.BlocksExecuted += B->ChainBlocks;
-          Cur = B->ChainExit;
-          continue;
-        }
-      }
       // Exact superblock walk: no terminator dispatch, no mark lookups,
       // no RNG — just successive records until the chain exit or the
       // quantum budget. Monitoring is hoisted out of the loop (it can
@@ -459,7 +506,8 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
 
 /// The validated fast-replay engine. Same block sequence and RNG draws
 /// as the exact engines — the dynamic trace is identical — but three
-/// things make it faster, at the price of ulp-bounded cycle drift:
+/// things make it faster, at the price of ulp-bounded cycle drift (it
+/// also shares the Flat engine's exact self-loop kernel, runSelfLoop):
 ///
 ///  1. Superblock chains are ALWAYS charged through the precomputed
 ///     left-to-right sums in chainCycleTable() (no opt-in flag, no
@@ -527,6 +575,10 @@ Machine::advanceProcessFastReplay(Process &P, uint32_t Core,
 
   while (Used < BudgetCycles) {
     const FlatBlock *B = &Blk[Cur];
+
+    if (runSelfLoop(*B, Cur, Cyc, CfgOff, LoopRem, BudgetCycles, Used,
+                    Insts, Blocks, MonActive, MonInsts, MonCycles))
+      continue;
 
     if (B->Op == FlatOp::Chain) {
       if (!MonActive && B->ChainBlocks > 0) {

@@ -89,17 +89,6 @@ struct SimConfig {
   /// results; FastReplay trades ulp-bounded cycle drift for an integer
   /// multiple of blocks/sec (see ExecEngine).
   ExecEngine Engine = ExecEngine::Flat;
-  /// Opt-in O(1) superblock accounting for the Flat engine: when a
-  /// whole mark-free chain fits in the remaining quantum budget, charge
-  /// its precomputed cycle sum in one step instead of walking the
-  /// members. Changes the floating-point accumulation order (ulp-level
-  /// drift in cycle totals and completion times), so replays are no
-  /// longer bit-identical to the reference engine; integer stats
-  /// (instructions, blocks, marks) are unaffected. Superseded by
-  /// Engine = FastReplay, which fuses unconditionally and adds the
-  /// hot-path state split; the flag is kept so the Flat engine's fused
-  /// mode stays independently testable.
-  bool FusedChains = false;
 };
 
 /// The simulated machine: cores, runqueues, clock, counter slots.

@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 using namespace pbt;
 
 namespace {
@@ -137,6 +139,205 @@ void expectStatsIdentical(const ProcessStats &A, const ProcessStats &B) {
   EXPECT_EQ(A.MonitorSessions, B.MonitorSessions);
   EXPECT_EQ(A.CounterWaits, B.CounterWaits);
   EXPECT_EQ(A.OverheadCycles, B.OverheadCycles);
+}
+
+/// A hand-built program around one single-block self-loop:
+///
+///   B0 (entry) -> B1 (self-loop, \p Trips trips) -> B2 (outer latch back
+///   to B0, \p Outer trips) -> B3 (return)
+///
+/// B1 is the shape of the suite's phase bodies (buildBenchmark's loop
+/// regions) and the shape the engines' self-loop kernel runs.
+Program selfLoopProgram(uint32_t Trips, uint32_t Outer, const InstMix &Body,
+                        uint64_t Seed = 3) {
+  IRBuilder B("self_loop_" + std::to_string(Trips), Seed);
+  uint32_t Main = B.createProc("main");
+  uint32_t Entry = B.addBlock(Main);
+  uint32_t Loop = B.addBlock(Main);
+  uint32_t Latch = B.addBlock(Main);
+  uint32_t Exit = B.addBlock(Main);
+  B.appendMix(Main, Entry, InstMix::compute(/*Count=*/10));
+  B.appendMix(Main, Loop, Body);
+  B.setJump(Main, Entry, Loop);
+  B.setLoop(Main, Loop, Loop, Latch, Trips);
+  B.setLoop(Main, Latch, Entry, Exit, Outer);
+  B.setRet(Main, Exit);
+  return B.take();
+}
+
+/// Global id of selfLoopProgram's self-loop block.
+constexpr uint32_t SelfLoopBlock = 1;
+
+/// One hand-instrumented program with its cost model and flat image.
+struct HandImage {
+  std::shared_ptr<const InstrumentedProgram> IP;
+  std::shared_ptr<const CostModel> Cost;
+  std::shared_ptr<const FlatImage> Flat;
+};
+
+HandImage handImage(const Program &Prog, const MachineConfig &MC,
+                    std::vector<PhaseMark> Marks = {},
+                    uint32_t NumTypes = 1) {
+  MarkingResult Marking;
+  Marking.NumTypes = NumTypes;
+  Marking.RegionType.resize(Prog.Procs.size());
+  Marking.Marks = std::move(Marks);
+  HandImage H;
+  H.IP = std::make_shared<const InstrumentedProgram>(Prog, Marking);
+  H.Cost = std::make_shared<const CostModel>(Prog, MC);
+  H.Flat = std::make_shared<const FlatImage>(H.IP, H.Cost);
+  return H;
+}
+
+/// True when \p Global is a record the self-loop kernel runs: a Loop
+/// latch whose unmarked back edge targets itself.
+bool isKernelLoop(const FlatImage &FI, uint32_t Global) {
+  const FlatBlock &B = FI.block(Global);
+  return B.Op == FlatOp::Loop && B.Succ[0] == Global && B.EdgeMark[0] < 0;
+}
+
+/// What a lockstep replay exercised, and how it ended.
+struct Lockstep {
+  /// Each process's final stats under the Reference engine (the other
+  /// engines matched them quantum by quantum).
+  std::vector<ProcessStats> Stats;
+  /// Quantum ends at which a process sat inside a kernel self-loop with
+  /// back-edge trips still to run, so the next quantum resumed the
+  /// activation mid-way.
+  uint32_t MidLoopParks = 0;
+  /// ... of which the process was being monitored.
+  uint32_t MonitoredParks = 0;
+  /// Consecutive mid-loop parks of one process between which the active
+  /// core count of its L2 group changed.
+  uint32_t SharerChanges = 0;
+};
+
+/// Active cores in \p Core's L2 group, as Machine::run counts them at
+/// the start of a quantum.
+uint32_t groupSharers(const Machine &M, uint32_t Core) {
+  const MachineConfig &MC = M.config();
+  uint32_t Active = 0;
+  for (uint32_t C = 0; C < MC.numCores(); ++C)
+    if (MC.Cores[C].L2Group == MC.Cores[Core].L2Group && M.queueLength(C))
+      ++Active;
+  return std::max(1u, Active);
+}
+
+/// Core whose runqueue holds \p Pid, or -1.
+int32_t coreOf(const Machine &M, uint32_t Pid) {
+  for (uint32_t C = 0; C < M.config().numCores(); ++C)
+    for (uint32_t Q : M.queue(C))
+      if (Q == Pid)
+        return static_cast<int32_t>(C);
+  return -1;
+}
+
+void expectTunersIdentical(const PhaseTuner &A, const PhaseTuner &B) {
+  ASSERT_EQ(A.numPhaseTypes(), B.numPhaseTypes());
+  for (uint32_t Ph = 0; Ph < A.numPhaseTypes(); ++Ph) {
+    EXPECT_EQ(A.assignment(Ph), B.assignment(Ph));
+    for (uint32_t Ct = 0; Ct < A.numCoreTypes(); ++Ct)
+      EXPECT_EQ(A.measuredIpc(Ph, Ct), B.measuredIpc(Ph, Ct));
+  }
+}
+
+/// Spawns one process per image under the Reference, Flat and
+/// FastReplay engines and steps the three machines a quantum at a time
+/// until every process has finished. After every quantum Flat must
+/// match Reference exactly — stats, loop counters, the monitoring
+/// window and the tuner's samples — and FastReplay must match it on
+/// every integer field and on the tuner (whose samples are integers).
+Lockstep runLockstep(const MachineConfig &MC, const SimConfig &Base,
+                     const std::vector<HandImage> &Images) {
+  Lockstep Cov;
+  std::vector<std::unique_ptr<Machine>> Ms;
+  for (ExecEngine E :
+       {ExecEngine::Reference, ExecEngine::Flat, ExecEngine::FastReplay}) {
+    SimConfig SC = Base;
+    SC.Engine = E;
+    Ms.push_back(std::make_unique<Machine>(
+        MC, SC, std::make_unique<ObliviousScheduler>()));
+    for (size_t I = 0; I < Images.size(); ++I)
+      Ms.back()->spawn(Images[I].IP, Images[I].Cost, TunerConfig(), 5 + I,
+                       -1, 0, Images[I].Flat);
+  }
+  Machine &Ref = *Ms[0];
+  Machine &Flat = *Ms[1];
+  Machine &Fast = *Ms[2];
+  std::vector<int64_t> LastParkSharers(Images.size(), -1);
+  auto Pending = [&] {
+    for (const auto &P : Ref.processes())
+      if (P->CompletionTime < 0)
+        return true;
+    return false;
+  };
+  for (uint32_t Quantum = 1; Pending(); ++Quantum) {
+    for (auto &M : Ms)
+      M->run(M->now() + Base.Timeslice);
+    for (uint32_t Pid = 0; Pid < Images.size(); ++Pid) {
+      SCOPED_TRACE("quantum " + std::to_string(Quantum) + " pid " +
+                   std::to_string(Pid));
+      const Process &R = Ref.process(Pid);
+      const Process &F = Flat.process(Pid);
+      const Process &X = Fast.process(Pid);
+      expectStatsIdentical(R.Stats, F.Stats);
+      EXPECT_EQ(R.LoopRemaining, F.LoopRemaining);
+      EXPECT_EQ(R.MonActive, F.MonActive);
+      EXPECT_EQ(R.MonInsts, F.MonInsts);
+      EXPECT_EQ(R.MonCycles, F.MonCycles);
+      EXPECT_EQ(R.AffinityMask, F.AffinityMask);
+      EXPECT_EQ(R.CompletionTime, F.CompletionTime);
+      expectTunersIdentical(R.Tuner, F.Tuner);
+
+      EXPECT_EQ(R.Stats.InstsRetired, X.Stats.InstsRetired);
+      EXPECT_EQ(R.Stats.BlocksExecuted, X.Stats.BlocksExecuted);
+      EXPECT_EQ(R.Stats.MarksFired, X.Stats.MarksFired);
+      EXPECT_EQ(R.Stats.CoreSwitches, X.Stats.CoreSwitches);
+      EXPECT_EQ(R.Stats.MonitorSessions, X.Stats.MonitorSessions);
+      EXPECT_EQ(R.Stats.CounterWaits, X.Stats.CounterWaits);
+      EXPECT_EQ(R.LoopRemaining, X.LoopRemaining);
+      EXPECT_EQ(R.MonActive, X.MonActive);
+      EXPECT_EQ(R.MonInsts, X.MonInsts);
+      EXPECT_EQ(R.Finished, X.Finished);
+      expectTunersIdentical(R.Tuner, X.Tuner);
+      if (::testing::Test::HasFailure())
+        return Cov;
+
+      uint32_t Cur = F.CurGlobal;
+      int32_t Core = coreOf(Flat, Pid);
+      if (!F.Finished && Core >= 0 && isKernelLoop(*F.Flat, Cur) &&
+          F.LoopRemaining[Cur] > 1) {
+        ++Cov.MidLoopParks;
+        if (F.MonActive)
+          ++Cov.MonitoredParks;
+        int64_t Sharers = groupSharers(Flat, static_cast<uint32_t>(Core));
+        if (LastParkSharers[Pid] >= 0 && LastParkSharers[Pid] != Sharers)
+          ++Cov.SharerChanges;
+        LastParkSharers[Pid] = Sharers;
+      }
+    }
+  }
+  for (uint32_t Pid = 0; Pid < Images.size(); ++Pid) {
+    EXPECT_GE(Flat.process(Pid).CompletionTime, 0);
+    EXPECT_GE(Fast.process(Pid).CompletionTime, 0);
+    Cov.Stats.push_back(Ref.process(Pid).Stats);
+  }
+  return Cov;
+}
+
+/// Trips of \p Global's body that fit in one quantum on the fastest
+/// configuration of \p MC: a loop with more trips than this must span
+/// quanta and so must be resumed mid-activation.
+double tripsPerQuantum(const HandImage &H, const MachineConfig &MC,
+                       const SimConfig &SC, uint32_t Global) {
+  const FlatImage &FI = *H.Flat;
+  double Most = 0;
+  for (uint32_t Ct = 0; Ct < MC.numCoreTypes(); ++Ct)
+    for (uint32_t S = 1; S <= FI.maxSharers(); ++S)
+      Most = std::max(Most, SC.Timeslice * MC.CoreTypes[Ct].Frequency /
+                                FI.cycleTable()[FI.block(Global).CycleRow +
+                                                FI.configOffset(Ct, S)]);
+  return Most;
 }
 
 } // namespace
@@ -348,28 +549,137 @@ TEST(FlatEngine, SingleSuccessorCondFoldsIdentically) {
   EXPECT_EQ(Stats[0].MarksFired, 50u);
 }
 
-TEST(FlatEngine, FusedChainsPreserveIntegerStats) {
-  // The opt-in O(1) fused-chain accounting may drift in the last ulp of
-  // cycle totals but must retire exactly the same instruction and block
-  // streams and fire exactly the same marks.
-  std::vector<Program> Programs = {randomProgram(31)};
+// The self-loop kernel: unmarked single-block loops run their back-edge
+// trips in a dedicated loop inside both flat-image engines. These
+// hand-built programs pin its edge cases against the Reference
+// interpreter, a quantum at a time.
+
+TEST(SelfLoopKernel, ShortAndLongTripCounts) {
+  // 1 trip: only the exit trip, which the kernel never takes. 2 trips:
+  // one back edge through the kernel, then the exit. 5000 trips: the
+  // activation spans many quanta.
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  PreparedSuite Suite = prepareSuite(Programs, MC, loopTechnique());
-  SimConfig Exact;
-  SimConfig Fused;
-  Fused.FusedChains = true;
-  Machine MA(MC, Exact, std::make_unique<ObliviousScheduler>());
-  Machine MB(MC, Fused, std::make_unique<ObliviousScheduler>());
-  const Process &PA = runAlone(MA, Suite, 77);
-  const Process &PB = runAlone(MB, Suite, 77);
-  EXPECT_EQ(PA.Stats.InstsRetired, PB.Stats.InstsRetired);
-  EXPECT_EQ(PA.Stats.BlocksExecuted, PB.Stats.BlocksExecuted);
-  EXPECT_EQ(PA.Stats.MarksFired, PB.Stats.MarksFired);
-  EXPECT_EQ(PA.Stats.CoreSwitches, PB.Stats.CoreSwitches);
-  EXPECT_NEAR(PA.Stats.CyclesConsumed, PB.Stats.CyclesConsumed,
-              1e-6 * PA.Stats.CyclesConsumed);
-  EXPECT_NEAR(PA.CompletionTime, PB.CompletionTime,
-              1e-6 * PA.CompletionTime);
+  SimConfig SC;
+  for (uint32_t Trips : {1u, 2u, 3u, 5000u}) {
+    SCOPED_TRACE("trips " + std::to_string(Trips));
+    HandImage H = handImage(
+        selfLoopProgram(Trips, /*Outer=*/4, InstMix::compute(64)), MC);
+    ASSERT_TRUE(isKernelLoop(*H.Flat, SelfLoopBlock));
+    Lockstep Cov = runLockstep(MC, SC, {H});
+    if (Trips == 5000) {
+      ASSERT_GT(Trips, tripsPerQuantum(H, MC, SC, SelfLoopBlock));
+      EXPECT_GT(Cov.MidLoopParks, 0u);
+    }
+  }
+}
+
+TEST(SelfLoopKernel, QuantumEndingExactlyOnTheBudget) {
+  // A one-core machine whose quantum budget equals, bit for bit, the
+  // cycles of the entry block plus K trips. Trip K then ends exactly on
+  // the budget: K = 3 stops mid-activation, K = Trips - 1 stops on the
+  // budget and the last back edge at once, K = Trips is the exit trip.
+  MachineConfig MC;
+  MC.CoreTypes = {{"only", 2.0e6, 4096}};
+  MC.Cores = {{0, 0}};
+  const uint32_t Trips = 8;
+  HandImage H =
+      handImage(selfLoopProgram(Trips, /*Outer=*/3, InstMix::compute(40)),
+                MC);
+  const FlatImage &FI = *H.Flat;
+  uint32_t Off = FI.configOffset(0, 1);
+  double Entry = FI.cycleTable()[FI.block(0).CycleRow + Off];
+  double Body = FI.cycleTable()[FI.block(SelfLoopBlock).CycleRow + Off];
+  double Freq = MC.CoreTypes[0].Frequency;
+  for (uint32_t K : {3u, Trips - 1, Trips}) {
+    SCOPED_TRACE("K " + std::to_string(K));
+    double Budget = Entry;
+    for (uint32_t I = 0; I < K; ++I)
+      Budget += Body;
+    SimConfig SC;
+    SC.Timeslice = Budget / Freq;
+    for (int Step = 0; Step < 16 && SC.Timeslice * Freq != Budget; ++Step)
+      SC.Timeslice = std::nextafter(SC.Timeslice, SC.Timeslice * Freq < Budget
+                                                      ? 1.0
+                                                      : 0.0);
+    ASSERT_EQ(SC.Timeslice * Freq, Budget);
+
+    // The first quantum must stop exactly on the budget in every engine.
+    for (ExecEngine E : {ExecEngine::Reference, ExecEngine::Flat,
+                         ExecEngine::FastReplay}) {
+      SimConfig One = SC;
+      One.Engine = E;
+      Machine M(MC, One, std::make_unique<ObliviousScheduler>());
+      uint32_t Pid = M.spawn(H.IP, H.Cost, TunerConfig(), 5, -1, 0, H.Flat);
+      M.run(M.now() + One.Timeslice);
+      EXPECT_EQ(M.process(Pid).Stats.CyclesConsumed, Budget);
+      EXPECT_EQ(M.process(Pid).Stats.BlocksExecuted, 1u + K);
+      EXPECT_EQ(M.process(Pid).LoopRemaining[SelfLoopBlock],
+                K < Trips ? Trips - K : 0u);
+    }
+    runLockstep(MC, SC, {H});
+  }
+}
+
+TEST(SelfLoopKernel, MonitoredLoopMatchesSamples) {
+  // A mark on the edge into the loop starts a monitoring session that
+  // the loop's marked exit edge closes, so the kernel's monitored
+  // variant accumulates MonCycles across quanta and the tuner's samples
+  // (truncated MonCycles) decide where the phases run.
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  SimConfig SC;
+  Program Prog = selfLoopProgram(4000, /*Outer=*/8, InstMix::compute(48));
+  HandImage H = handImage(Prog, MC,
+                          {{0, 0, 0, MarkPoint::Edge, 0},
+                           {0, SelfLoopBlock, 1, MarkPoint::Edge, 1}},
+                          /*NumTypes=*/2);
+  ASSERT_TRUE(isKernelLoop(*H.Flat, SelfLoopBlock));
+  ASSERT_GE(H.Flat->block(SelfLoopBlock).EdgeMark[1], 0);
+  ASSERT_GT(4000, tripsPerQuantum(H, MC, SC, SelfLoopBlock));
+  Lockstep Cov = runLockstep(MC, SC, {H});
+  EXPECT_GT(Cov.MonitoredParks, 0u);
+  // The replay must have monitored, and moved on what it sampled.
+  ASSERT_EQ(Cov.Stats.size(), 1u);
+  EXPECT_GT(Cov.Stats[0].MonitorSessions, 0u);
+  EXPECT_GT(Cov.Stats[0].CoreSwitches, 0u);
+  EXPECT_EQ(Cov.Stats[0].MarksFired, 16u);
+}
+
+TEST(SelfLoopKernel, SharerChangeBetweenQuanta) {
+  // Memory-bound bodies whose cost depends on how many cores share the
+  // L2. Processes finish at different times, so the long loops resume
+  // mid-activation under a different sharer count.
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  SimConfig SC;
+  // Streams over 48K lines: L2-resident alone, missing when shared.
+  InstMix Mem = InstMix::memory(64, /*WorkingSetLines=*/49152, 0.3);
+  std::vector<HandImage> Images;
+  for (uint32_t Trips : {20000u, 1500u, 9000u, 400u})
+    Images.push_back(handImage(
+        selfLoopProgram(Trips, /*Outer=*/2, Mem, /*Seed=*/Trips), MC));
+  const FlatImage &FI = *Images[0].Flat;
+  const double *Cyc = FI.cycleTable() + FI.block(SelfLoopBlock).CycleRow;
+  ASSERT_NE(Cyc[FI.configOffset(0, 1)], Cyc[FI.configOffset(0, 2)])
+      << "the body's cost must depend on the sharer count";
+  Lockstep Cov = runLockstep(MC, SC, Images);
+  EXPECT_GT(Cov.SharerChanges, 0u);
+}
+
+TEST(SelfLoopKernel, MarkedBackEdgeSteps) {
+  // A mark on the back edge makes the loop a phase boundary on every
+  // trip: the kernel must leave it to the stepping path, which fires the
+  // mark once per back-edge trip.
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  SimConfig SC;
+  const uint32_t Trips = 700;
+  const uint32_t Outer = 3;
+  HandImage H =
+      handImage(selfLoopProgram(Trips, Outer, InstMix::compute(32)), MC,
+                {{0, SelfLoopBlock, 0, MarkPoint::Edge, 0}});
+  ASSERT_GE(H.Flat->block(SelfLoopBlock).EdgeMark[0], 0);
+  ASSERT_FALSE(isKernelLoop(*H.Flat, SelfLoopBlock));
+  Lockstep Cov = runLockstep(MC, SC, {H});
+  ASSERT_EQ(Cov.Stats.size(), 1u);
+  EXPECT_EQ(Cov.Stats[0].MarksFired, Outer * (Trips - 1));
 }
 
 TEST(ParallelRunner, BitIdenticalToSerialRuns) {
