@@ -21,8 +21,10 @@
 // at least 100 ms each and reports the median and interquartile range
 // of blocks/sec; PBT_BENCH_SCALE scales the chain-heavy trip count.
 // PBT_INTERP_MIN_FAST_SPEEDUP, when set > 0, is a hard floor on the
-// fast-replay-vs-flat blocks/sec ratio on the chain-heavy image: the
-// benchmark exits nonzero below it (the CI perf-smoke gate).
+// fast-replay-vs-flat blocks/sec ratio on the chain-heavy image, and
+// PBT_INTERP_MIN_FLAT_SPEEDUP one on the flat-vs-reference ratio on the
+// plain image (where the self-loop kernel does nearly all the work):
+// the benchmark exits nonzero below either (the CI perf-smoke gates).
 //
 //===----------------------------------------------------------------------===//
 
@@ -272,8 +274,9 @@ int main() {
   // working: flat-vs-reference on the bwaves image.
   double RefPlain = Rows[0].R.BlocksPerSec.Median;
   double RefMarked = Rows[3].R.BlocksPerSec.Median;
-  Extra["speedup_flat_plain"] =
+  double FlatPlain =
       RefPlain > 0 ? Rows[1].R.BlocksPerSec.Median / RefPlain : 0;
+  Extra["speedup_flat_plain"] = FlatPlain;
   Extra["speedup_flat_instrumented"] =
       RefMarked > 0 ? Rows[4].R.BlocksPerSec.Median / RefMarked : 0;
   Json D = Json::object();
@@ -305,6 +308,17 @@ int main() {
                            "promotion bound (see drift report above)\n");
       return 1;
     }
+  }
+  // Same idiom for the exact engine: losing the self-loop kernel (or its
+  // prefix tables) drops plain-image flat throughput to a few times
+  // reference's.
+  double FlatFloor = envDouble("PBT_INTERP_MIN_FLAT_SPEEDUP", 0);
+  if (FlatFloor > 0 && FlatPlain < FlatFloor) {
+    std::fprintf(stderr,
+                 "FAIL: flat plain-image speedup %.2fx below "
+                 "PBT_INTERP_MIN_FLAT_SPEEDUP=%.2fx\n",
+                 FlatPlain, FlatFloor);
+    return 1;
   }
   return Rc;
 }

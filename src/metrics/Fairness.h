@@ -39,7 +39,7 @@ struct FairnessMetrics {
 /// Computes the metrics over \p Jobs. Jobs without an isolated-time
 /// oracle (Isolated <= 0) are skipped for max-stretch only. Exact mode
 /// (the default) buffers flows for the P95 percentile; Streaming
-/// replays through a FairnessAccumulator (P²-sketched P95Flow,
+/// replays through a FairnessAccumulator (t-digest-sketched P95Flow,
 /// identical maxima and mean).
 FairnessMetrics computeFairness(const std::vector<CompletedJob> &Jobs,
                                 PercentileMode Mode = PercentileMode::Exact);

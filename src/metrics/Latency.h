@@ -57,7 +57,7 @@ struct LatencyMetrics {
 /// core frequencies define the capacity normalization). The default
 /// Exact mode buffers and sorts (bit-reproducible, O(n) memory);
 /// Streaming replays the completions through a LatencyAccumulator —
-/// identical means/max, P²-sketched percentiles — and exists so
+/// identical means/max, t-digest-sketched percentiles — and exists so
 /// buffered runs can be compared against streamed ones.
 LatencyMetrics computeLatency(const RunResult &Run,
                               const MachineConfig &Machine,

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 using namespace pbt;
@@ -53,6 +55,8 @@ Machine::Machine(MachineConfig ConfigIn, SimConfig SimIn,
   for (const CoreDesc &Core : Config.Cores)
     NumGroups = std::max(NumGroups, Core.L2Group + 1);
   GroupActive.resize(NumGroups, 0);
+  for (uint32_t Core = 0; Core < Config.numCores(); ++Core)
+    MaxBudget = std::max(MaxBudget, Sim.Timeslice * coreFrequency(Core));
 }
 
 uint32_t Machine::spawn(std::shared_ptr<const InstrumentedProgram> IProg,
@@ -310,23 +314,66 @@ Machine::AdvanceResult Machine::advanceProcess(Process &P, uint32_t Core,
   return R;
 }
 
+/// Entry cap of one self-loop prefix table (512 KiB). Only bodies
+/// cheaper than MaxBudget / 65536 cycles exceed it; they step.
+static constexpr double MaxSelfLoopTable = 1 << 16;
+
+const std::vector<double> *Machine::selfLoopTable(double C) {
+  if (!(C > 0) || !std::isfinite(C))
+    return nullptr;
+  uint64_t Bits;
+  std::memcpy(&Bits, &C, sizeof Bits);
+  auto [It, Inserted] = SelfLoopTables.try_emplace(Bits);
+  std::vector<double> &Table = It->second;
+  if (Inserted) {
+    // The first sum to reach MaxBudget lies within MaxBudget / C + 2
+    // adds; a sum still short of it there has stalled, so the cost gets
+    // no table (left empty) rather than one that misses budgets.
+    double Cap = MaxBudget / C + 2;
+    if (Cap <= MaxSelfLoopTable) {
+      const size_t Limit = static_cast<size_t>(Cap);
+      Table.reserve(Limit);
+      double U = 0;
+      do {
+        U += C;
+        Table.push_back(U);
+      } while (U < MaxBudget && Table.size() < Limit);
+      if (U < MaxBudget)
+        std::vector<double>().swap(Table);
+    }
+  }
+  return Table.empty() ? nullptr : &Table;
+}
+
 /// The exact self-loop kernel shared by the Flat and FastReplay engines.
 /// Applies when record \p Cur is a Loop latch whose back edge (Succ[0])
 /// targets the record itself and carries no mark — the shape of the
 /// suite's hot phase bodies. It runs the activation's back-edge trips
-/// as one floating-point add per trip (two while monitoring) until only
-/// the exit trip is left or the budget is spent, then charges the
-/// integer stats and the loop counter in bulk. Each trip adds the same
-/// cost to the same accumulators, in the same order and followed by the
-/// same budget test, as stepping the record through the engine's
+/// until only the exit trip is left or the budget is spent, then charges
+/// the integer stats and the loop counter in bulk. Each trip adds the
+/// same cost to the same accumulators, in the same order and followed by
+/// the same budget test, as stepping the record through the engine's
 /// dispatch would, so the result is bit-identical to stepping. Returns
 /// false, touching nothing, when the record is not such a loop or only
 /// its exit trip remains; the caller then steps the record itself.
-static bool runSelfLoop(const FlatBlock &B, uint32_t Cur, const double *Cyc,
-                        uint32_t CfgOff, uint32_t *LoopRem, double Budget,
-                        double &Used, uint64_t &Insts, uint64_t &Blocks,
-                        bool MonActive, uint64_t &MonInsts,
-                        double &MonCycles) {
+///
+/// A call made before its advance call has charged any cycles (Used ==
+/// +0.0, as when a quantum resumes the loop) with monitoring off
+/// replaces the trip loop with one lookup in the body cost's prefix
+/// table (selfLoopTable): from +0.0 the k-th running sum depends only
+/// on the cost, so the table holds exactly the values the loop would
+/// produce. The loop stops at the first trip whose sum reaches the
+/// budget — the table's lower_bound, valid because the table never
+/// decreases — or after the last back edge, whichever comes first.
+/// Every other call runs the trips one floating-point add each (two
+/// while monitoring, whose MonCycles never starts from 0).
+inline bool Machine::runSelfLoop(const FlatBlock &B, uint32_t Cur,
+                                 const double *Cyc, uint32_t CfgOff,
+                                 uint32_t Pid, uint32_t *LoopRem,
+                                 double Budget, double &Used,
+                                 uint64_t &Insts, uint64_t &Blocks,
+                                 bool MonActive, uint64_t &MonInsts,
+                                 double &MonCycles) {
   if (B.Op != FlatOp::Loop || B.Succ[0] != Cur || B.EdgeMark[0] >= 0)
     return false;
   // Trips left in this activation, counting the exit trip; 0 means the
@@ -334,7 +381,8 @@ static bool runSelfLoop(const FlatBlock &B, uint32_t Cur, const double *Cyc,
   uint32_t Rem = LoopRem[Cur] != 0 ? LoopRem[Cur] : B.TripCount;
   if (Rem <= 1)
     return false;
-  const double C = Cyc[B.CycleRow + CfgOff];
+  const uint32_t Row = B.CycleRow + CfgOff;
+  const double C = Cyc[Row];
   const uint32_t BackEdges = Rem - 1;
   uint32_t N = 0;
   // Locals, so the trip loop runs in registers whatever the references
@@ -350,10 +398,28 @@ static bool runSelfLoop(const FlatBlock &B, uint32_t Cur, const double *Cyc,
     MonCycles = M;
     MonInsts += static_cast<uint64_t>(N) * B.Insts;
   } else {
-    do {
-      U += C;
-      ++N;
-    } while (N < BackEdges && U < Budget);
+    const std::vector<double> *Table = nullptr;
+    if (U == 0) {
+      HotProc &H = Hot[Pid];
+      if (H.LoopTableRow != Row) {
+        H.LoopTable = selfLoopTable(C);
+        H.LoopTableRow = Row;
+      }
+      Table = H.LoopTable;
+    }
+    if (Table) {
+      // Budget <= MaxBudget <= Table->back(): the search always lands.
+      assert(Budget <= Table->back() && "budget beyond the prefix table");
+      auto Reach = std::lower_bound(Table->begin(), Table->end(), Budget);
+      N = std::min(BackEdges,
+                   static_cast<uint32_t>(Reach - Table->begin()) + 1);
+      U = (*Table)[N - 1];
+    } else {
+      do {
+        U += C;
+        ++N;
+      } while (N < BackEdges && U < Budget);
+    }
   }
   Used = U;
   Insts += static_cast<uint64_t>(N) * B.Insts;
@@ -388,7 +454,7 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
   while (!P.Finished && R.CyclesUsed < BudgetCycles) {
     const FlatBlock *B = &Blk[Cur];
 
-    if (runSelfLoop(*B, Cur, Cyc, CfgOff, P.LoopRemaining.data(),
+    if (runSelfLoop(*B, Cur, Cyc, CfgOff, P.Pid, P.LoopRemaining.data(),
                     BudgetCycles, R.CyclesUsed, P.Stats.InstsRetired,
                     P.Stats.BlocksExecuted, P.MonActive, P.MonInsts,
                     P.MonCycles))
@@ -576,8 +642,8 @@ Machine::advanceProcessFastReplay(Process &P, uint32_t Core,
   while (Used < BudgetCycles) {
     const FlatBlock *B = &Blk[Cur];
 
-    if (runSelfLoop(*B, Cur, Cyc, CfgOff, LoopRem, BudgetCycles, Used,
-                    Insts, Blocks, MonActive, MonInsts, MonCycles))
+    if (runSelfLoop(*B, Cur, Cyc, CfgOff, P.Pid, LoopRem, BudgetCycles,
+                    Used, Insts, Blocks, MonActive, MonInsts, MonCycles))
       continue;
 
     if (B->Op == FlatOp::Chain) {

@@ -33,6 +33,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -186,6 +187,11 @@ public:
   void setTraceSink(obs::TraceSink *Sink);
   obs::TraceSink *traceSink() const { return Trace; }
 
+  /// Self-loop prefix tables built so far: one per distinct body cost
+  /// the flat-image engines' kernel has charged from zero used cycles
+  /// (diagnostic; see selfLoopTable).
+  size_t selfLoopTableCount() const { return SelfLoopTables.size(); }
+
 private:
   struct AdvanceResult {
     double CyclesUsed = 0;
@@ -208,10 +214,19 @@ private:
   /// a pure function of (core type, sharers), so the cache can never
   /// change results — tests/fastreplay_test.cpp locks this in against
   /// the per-block recomputing reference engine.
+  ///
+  /// The lane also caches the self-loop prefix table (see
+  /// selfLoopTable) of one cycle-table row, CycleRow + CfgOff: a
+  /// process resumes the same phase loop quantum after quantum, so the
+  /// common kernel call finds its table without a map lookup.
   struct HotProc {
     uint32_t LastCore = ~0u;
     uint32_t LastSharers = 0;
     uint32_t CfgOff = 0;
+    /// Cycle-table row whose table LoopTable holds; ~0u = none yet.
+    uint32_t LoopTableRow = ~0u;
+    /// That row's prefix table; nullptr = the row's cost has none.
+    const std::vector<double> *LoopTable = nullptr;
   };
 
   /// CfgOff for \p P on (\p Core, \p Sharers), served from the hot
@@ -245,6 +260,24 @@ private:
   AdvanceResult advanceProcessFastReplay(Process &P, uint32_t Core,
                                          double BudgetCycles,
                                          uint32_t Sharers);
+
+  /// The exact self-loop kernel shared by the Flat and FastReplay
+  /// engines (see Machine.cpp). \p Pid names the process whose hot lane
+  /// caches the prefix table; the accumulators are the calling engine's.
+  bool runSelfLoop(const FlatBlock &B, uint32_t Cur, const double *Cyc,
+                   uint32_t CfgOff, uint32_t Pid, uint32_t *LoopRem,
+                   double Budget, double &Used, uint64_t &Insts,
+                   uint64_t &Blocks, bool MonActive, uint64_t &MonInsts,
+                   double &MonCycles);
+
+  /// The self-loop prefix table of a body costing \p C cycles: entry
+  /// k-1 is the k-th value of `U += C` from U = +0.0, computed by those
+  /// very adds, up to the first entry >= MaxBudget. Built on first use
+  /// and shared by every process and image with the same cost. nullptr
+  /// when \p C is not positive and finite, or when the table would
+  /// exceed MaxSelfLoopTable (Machine.cpp) entries; the kernel then
+  /// steps.
+  const std::vector<double> *selfLoopTable(double C);
 
   /// Executes one phase mark; returns true when the process must migrate
   /// off its current core. Adds overhead cycles to \p Cycles.
@@ -297,6 +330,14 @@ private:
   std::map<std::pair<const void *, const void *>,
            std::shared_ptr<const FlatImage>>
       FlatCache;
+  /// Largest per-quantum core budget, Sim.Timeslice * coreFrequency,
+  /// evaluated exactly as run() evaluates it; no advance call is ever
+  /// given more, so every prefix table reaches every budget.
+  double MaxBudget = 0;
+  /// Self-loop prefix tables keyed by the bit pattern of the body cost
+  /// (see selfLoopTable). Node-based, so the hot lanes' cached pointers
+  /// survive later insertions. An empty table marks a cost with none.
+  std::unordered_map<uint64_t, std::vector<double>> SelfLoopTables;
   Rng Gen;
   /// Plane-1 trace sink; nullptr = tracing off (the common case).
   obs::TraceSink *Trace = nullptr;

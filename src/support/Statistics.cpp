@@ -83,94 +83,6 @@ double pbt::percentileSorted(const std::vector<double> &Sorted,
   return interpolatedQuantile(Sorted, Pct / 100.0);
 }
 
-P2Quantile::P2Quantile(double Pct) : Q(Pct / 100.0) {
-  assert(Pct >= 0.0 && Pct <= 100.0 && "percentile out of range");
-  for (int I = 0; I < 5; ++I) {
-    Heights[I] = 0;
-    Positions[I] = static_cast<double>(I + 1);
-  }
-  // Marker 2 tracks the target quantile; 1 and 3 its midpoints to the
-  // extremes; 0 and 4 the sample minimum and maximum.
-  Desired[0] = 1;
-  Desired[1] = 1 + 2 * Q;
-  Desired[2] = 1 + 4 * Q;
-  Desired[3] = 3 + 2 * Q;
-  Desired[4] = 5;
-  Increment[0] = 0;
-  Increment[1] = Q / 2;
-  Increment[2] = Q;
-  Increment[3] = (1 + Q) / 2;
-  Increment[4] = 1;
-}
-
-void P2Quantile::add(double X) {
-  if (Count < 5) {
-    // Bootstrap: the markers hold the sorted sample itself.
-    Heights[Count++] = X;
-    std::sort(Heights, Heights + Count);
-    return;
-  }
-  ++Count;
-
-  // Locate the cell and update the extremes.
-  int Cell;
-  if (X < Heights[0]) {
-    Heights[0] = X;
-    Cell = 0;
-  } else if (X >= Heights[4]) {
-    Heights[4] = X;
-    Cell = 3;
-  } else {
-    Cell = 0;
-    while (Cell < 3 && X >= Heights[Cell + 1])
-      ++Cell;
-  }
-
-  for (int I = Cell + 1; I < 5; ++I)
-    Positions[I] += 1;
-  for (int I = 0; I < 5; ++I)
-    Desired[I] += Increment[I];
-
-  // Nudge interior markers toward their desired positions, adjusting
-  // heights by the piecewise-parabolic (P²) formula, falling back to
-  // linear interpolation when the parabola would de-sort the markers.
-  for (int I = 1; I <= 3; ++I) {
-    double Diff = Desired[I] - Positions[I];
-    if ((Diff >= 1 && Positions[I + 1] - Positions[I] > 1) ||
-        (Diff <= -1 && Positions[I - 1] - Positions[I] < -1)) {
-      double D = Diff < 0 ? -1.0 : 1.0;
-      double Hp = Heights[I + 1];
-      double Hm = Heights[I - 1];
-      double Np = Positions[I + 1];
-      double Nm = Positions[I - 1];
-      double N = Positions[I];
-      double Parabolic =
-          Heights[I] +
-          D / (Np - Nm) *
-              ((N - Nm + D) * (Hp - Heights[I]) / (Np - N) +
-               (Np - N - D) * (Heights[I] - Hm) / (N - Nm));
-      if (Hm < Parabolic && Parabolic < Hp)
-        Heights[I] = Parabolic;
-      else
-        Heights[I] = Heights[I] + D * (Heights[I + (int)D] - Heights[I]) /
-                                      (Positions[I + (int)D] - N);
-      Positions[I] += D;
-    }
-  }
-}
-
-double P2Quantile::value() const {
-  if (Count == 0)
-    return 0;
-  if (Count <= 5) {
-    // Exact small-sample percentile off the sorted bootstrap buffer,
-    // matching percentile() (type-7 interpolation).
-    std::vector<double> Sorted(Heights, Heights + Count);
-    return interpolatedQuantile(Sorted, Q);
-  }
-  return Heights[2];
-}
-
 TDigest::TDigest(double Compression) : Compression(Compression) {
   assert(Compression >= 8 && "t-digest compression too small");
   // Buffering 2x the compression amortizes compaction to O(log) sorts
@@ -291,10 +203,11 @@ bool TDigest::deserialize(BinaryReader &R) {
   // sizing), strictly positive finite centroids, and Total equal to
   // the centroid weight mass (serialize() flushes the buffer, so after
   // a round trip the centroids carry every observation; weights are
-  // integer counts, hence the sum is exact). NaNs fail every
-  // comparison, so non-finite headers are rejected too.
+  // integer counts, hence the sum is exact) and no larger than 2^53,
+  // the largest count a double holds exactly (count() converts it).
+  // NaNs fail every comparison, so non-finite headers are rejected too.
   return !R.failed() && Compression >= 8 && Compression <= 1e6 &&
-         Total >= 0 && WeightsOk && WeightSum == Total;
+         Total >= 0 && Total <= 0x1p53 && WeightsOk && WeightSum == Total;
 }
 
 TDigest TDigest::merged(const std::vector<const TDigest *> &Parts) {

@@ -32,9 +32,9 @@ enum class PercentileMode : uint8_t {
   /// O(n) memory, bit-reproducible, the default for every artifact
   /// that is compared byte for byte.
   Exact,
-  /// Stream observations through P2Quantile sketches — O(1) memory in
-  /// job count (long-horizon scenario runs), deterministic but
-  /// approximate (documented error bounds; see P2Quantile).
+  /// Stream observations through TDigest sketches — O(1) memory in
+  /// job count (long-horizon scenario runs), deterministic, exact below
+  /// 2 x Compression observations and approximate beyond (see TDigest).
   Streaming,
 };
 
@@ -81,50 +81,6 @@ double percentileSorted(const std::vector<double> &Sorted, double Pct);
 
 /// Geometric mean; asserts all values are positive. 0 for empty input.
 double geomean(const std::vector<double> &Values);
-
-/// Streaming quantile estimator: the P² algorithm (Jain & Chlamtac,
-/// CACM 1985). Five markers track the target quantile plus the sample
-/// extremes and the quantile's neighbourhood, adjusted by piecewise-
-/// parabolic interpolation as observations arrive — O(1) memory and
-/// O(1) time per observation, independent of stream length, which is
-/// what makes long-horizon scenario metrics O(1) in job count
-/// (metrics/Latency.h, PercentileMode::Streaming).
-///
-/// Fully deterministic: the estimate is a pure function of the
-/// observation sequence (no randomization, no buffers to flush), so
-/// identical replays produce bit-identical streamed metrics. For
-/// samples of at most five observations the estimate is EXACT — the
-/// markers still hold the sorted sample and value() reads the type-7
-/// interpolated percentile off it, matching percentile().
-///
-/// Accuracy on larger streams is that of the published algorithm:
-/// exact for constant streams, and within a few percent of the sample
-/// range for adversarial (sorted, bimodal) streams —
-/// tests/fastreplay_test.cpp pins the documented tolerances. Exact
-/// percentiles (PercentileMode::Exact) remain the default everywhere
-/// artifacts are compared byte for byte.
-class P2Quantile {
-public:
-  /// \p Pct in [0,100], e.g. 95 for the P95 estimator.
-  explicit P2Quantile(double Pct);
-
-  /// Feeds one observation.
-  void add(double X);
-
-  /// Current estimate; 0 before any observation.
-  double value() const;
-
-  /// Observations fed so far.
-  size_t count() const { return Count; }
-
-private:
-  double Q;            ///< Target quantile fraction in [0,1].
-  double Heights[5];   ///< Marker heights (estimates).
-  double Positions[5]; ///< Actual marker positions (1-based ranks).
-  double Desired[5];   ///< Desired marker positions.
-  double Increment[5]; ///< Desired-position increments per observation.
-  size_t Count = 0;
-};
 
 /// Deterministic mergeable streaming quantile sketch: the buffered
 /// merging t-digest (Dunning's MergingDigest, simplified to weight-1

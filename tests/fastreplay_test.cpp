@@ -6,10 +6,9 @@
 // cycle totals / completion TIMES drift only by the reassociation of
 // whole-chain sums into the quantum accumulator — within 1e-9
 // relative. Also covers the hot-lane configuration-offset cache (must
-// be invisible: Flat stays bit-identical to Reference), the P²
-// streaming quantile sketch against exact percentiles on adversarial
-// streams, the streaming metric accumulators against their exact
-// twins, and the completion sink's O(1)-memory run path.
+// be invisible: Flat stays bit-identical to Reference), the streaming
+// metric accumulators against their exact twins, and the completion
+// sink's O(1)-memory run path.
 //
 //===----------------------------------------------------------------------===//
 
@@ -272,102 +271,6 @@ TEST(HotLane, ConfigOffsetCacheInvisibleUnderMigrationChurn) {
   }
   // Many migrations and sharer changes, or the cache was not churned.
   EXPECT_GT(TotalSwitches, 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// P² streaming quantile sketch
-//===----------------------------------------------------------------------===//
-
-TEST(P2QuantileTest, ExactForFiveOrFewerSamples) {
-  Rng Gen(5);
-  for (double Pct : {10.0, 50.0, 90.0, 95.0, 99.0}) {
-    for (size_t N = 1; N <= 5; ++N) {
-      P2Quantile Sketch(Pct);
-      std::vector<double> Sample;
-      for (size_t I = 0; I < N; ++I) {
-        double X = 100 * Gen.nextDouble();
-        Sketch.add(X);
-        Sample.push_back(X);
-      }
-      EXPECT_EQ(Sketch.value(), percentile(Sample, Pct))
-          << "pct " << Pct << " n " << N;
-    }
-  }
-}
-
-TEST(P2QuantileTest, ConstantStreamIsExact) {
-  P2Quantile Sketch(95);
-  for (int I = 0; I < 10000; ++I)
-    Sketch.add(7.25);
-  EXPECT_EQ(Sketch.value(), 7.25);
-  EXPECT_EQ(Sketch.count(), 10000u);
-}
-
-TEST(P2QuantileTest, SortedStreamWithinDocumentedTolerance) {
-  // Monotone input is adversarial for marker-based sketches. Documented
-  // tolerance: within 2% of the sample range of the exact percentile.
-  for (bool Ascending : {true, false}) {
-    P2Quantile P50(50), P95(95);
-    std::vector<double> Sample;
-    const int N = 10000;
-    for (int I = 0; I < N; ++I) {
-      double X = Ascending ? I : N - 1 - I;
-      P50.add(X);
-      P95.add(X);
-      Sample.push_back(X);
-    }
-    double Range = N - 1;
-    EXPECT_NEAR(P50.value(), percentile(Sample, 50), 0.02 * Range)
-        << (Ascending ? "ascending" : "descending");
-    EXPECT_NEAR(P95.value(), percentile(Sample, 95), 0.02 * Range)
-        << (Ascending ? "ascending" : "descending");
-  }
-}
-
-TEST(P2QuantileTest, BimodalStreamWithinDocumentedTolerance) {
-  // Two far-apart modes (90% at 10, every 10th observation at 1000).
-  // Documented tolerance: within 5% of the sample range.
-  P2Quantile P50(50), P95(95);
-  std::vector<double> Sample;
-  for (int I = 0; I < 10000; ++I) {
-    double X = (I % 10 == 9) ? 1000.0 : 10.0;
-    P50.add(X);
-    P95.add(X);
-    Sample.push_back(X);
-  }
-  double Range = 990;
-  EXPECT_NEAR(P50.value(), percentile(Sample, 50), 0.05 * Range);
-  EXPECT_NEAR(P95.value(), percentile(Sample, 95), 0.05 * Range);
-}
-
-TEST(P2QuantileTest, UniformRandomStreamClose) {
-  // The sketch's home turf: on i.i.d. samples the estimate lands within
-  // 1% of the range.
-  Rng Gen(99);
-  P2Quantile P50(50), P95(95), P99(99);
-  std::vector<double> Sample;
-  for (int I = 0; I < 20000; ++I) {
-    double X = 1000 * Gen.nextDouble();
-    P50.add(X);
-    P95.add(X);
-    P99.add(X);
-    Sample.push_back(X);
-  }
-  EXPECT_NEAR(P50.value(), percentile(Sample, 50), 10.0);
-  EXPECT_NEAR(P95.value(), percentile(Sample, 95), 10.0);
-  EXPECT_NEAR(P99.value(), percentile(Sample, 99), 10.0);
-}
-
-TEST(P2QuantileTest, DeterministicAcrossReplays) {
-  // Identical observation sequences must produce bit-identical
-  // estimates (streamed metrics of replayed runs are reproducible).
-  Rng GenA(7), GenB(7);
-  P2Quantile A(95), B(95);
-  for (int I = 0; I < 5000; ++I) {
-    A.add(GenA.nextDouble());
-    B.add(GenB.nextDouble());
-  }
-  EXPECT_EQ(A.value(), B.value());
 }
 
 //===----------------------------------------------------------------------===//

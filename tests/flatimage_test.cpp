@@ -207,6 +207,13 @@ struct Lockstep {
   uint32_t MidLoopParks = 0;
   /// ... of which the process was being monitored.
   uint32_t MonitoredParks = 0;
+  /// ... of which it was not: its next advance call starts from zero
+  /// used cycles inside the loop, so the kernel charges the resumed trips
+  /// through its prefix table.
+  uint32_t UnmonitoredParks = 0;
+  /// Prefix tables the Flat and FastReplay machines built by the end.
+  size_t FlatTables = 0;
+  size_t FastTables = 0;
   /// Consecutive mid-loop parks of one process between which the active
   /// core count of its L2 group changed.
   uint32_t SharerChanges = 0;
@@ -310,6 +317,8 @@ Lockstep runLockstep(const MachineConfig &MC, const SimConfig &Base,
         ++Cov.MidLoopParks;
         if (F.MonActive)
           ++Cov.MonitoredParks;
+        else
+          ++Cov.UnmonitoredParks;
         int64_t Sharers = groupSharers(Flat, static_cast<uint32_t>(Core));
         if (LastParkSharers[Pid] >= 0 && LastParkSharers[Pid] != Sharers)
           ++Cov.SharerChanges;
@@ -322,6 +331,8 @@ Lockstep runLockstep(const MachineConfig &MC, const SimConfig &Base,
     EXPECT_GE(Fast.process(Pid).CompletionTime, 0);
     Cov.Stats.push_back(Ref.process(Pid).Stats);
   }
+  Cov.FlatTables = Flat.selfLoopTableCount();
+  Cov.FastTables = Fast.selfLoopTableCount();
   return Cov;
 }
 
@@ -338,6 +349,31 @@ double tripsPerQuantum(const HandImage &H, const MachineConfig &MC,
                                 FI.cycleTable()[FI.block(Global).CycleRow +
                                                 FI.configOffset(Ct, S)]);
   return Most;
+}
+
+/// A timeslice whose budget on a \p Freq core — Timeslice * Freq, as
+/// Machine::run evaluates it — equals \p Budget bit for bit, when the
+/// nearest few doubles to Budget / Freq reach it (callers assert).
+double timesliceFor(double Budget, double Freq) {
+  double Timeslice = Budget / Freq;
+  for (int Step = 0; Step < 16 && Timeslice * Freq != Budget; ++Step)
+    Timeslice = std::nextafter(Timeslice,
+                               Timeslice * Freq < Budget ? 1.0 : 0.0);
+  return Timeslice;
+}
+
+/// A machine with one core of one type.
+MachineConfig oneCoreMachine() {
+  MachineConfig MC;
+  MC.CoreTypes = {{"only", 2.0e6, 4096}};
+  MC.Cores = {{0, 0}};
+  return MC;
+}
+
+/// Cycles of \p Global's body on core type \p Ct alone on its L2.
+double bodyCycles(const HandImage &H, uint32_t Global, uint32_t Ct = 0) {
+  const FlatImage &FI = *H.Flat;
+  return FI.cycleTable()[FI.block(Global).CycleRow + FI.configOffset(Ct, 1)];
 }
 
 } // namespace
@@ -578,17 +614,13 @@ TEST(SelfLoopKernel, QuantumEndingExactlyOnTheBudget) {
   // cycles of the entry block plus K trips. Trip K then ends exactly on
   // the budget: K = 3 stops mid-activation, K = Trips - 1 stops on the
   // budget and the last back edge at once, K = Trips is the exit trip.
-  MachineConfig MC;
-  MC.CoreTypes = {{"only", 2.0e6, 4096}};
-  MC.Cores = {{0, 0}};
+  MachineConfig MC = oneCoreMachine();
   const uint32_t Trips = 8;
   HandImage H =
       handImage(selfLoopProgram(Trips, /*Outer=*/3, InstMix::compute(40)),
                 MC);
-  const FlatImage &FI = *H.Flat;
-  uint32_t Off = FI.configOffset(0, 1);
-  double Entry = FI.cycleTable()[FI.block(0).CycleRow + Off];
-  double Body = FI.cycleTable()[FI.block(SelfLoopBlock).CycleRow + Off];
+  double Entry = bodyCycles(H, 0);
+  double Body = bodyCycles(H, SelfLoopBlock);
   double Freq = MC.CoreTypes[0].Frequency;
   for (uint32_t K : {3u, Trips - 1, Trips}) {
     SCOPED_TRACE("K " + std::to_string(K));
@@ -596,11 +628,7 @@ TEST(SelfLoopKernel, QuantumEndingExactlyOnTheBudget) {
     for (uint32_t I = 0; I < K; ++I)
       Budget += Body;
     SimConfig SC;
-    SC.Timeslice = Budget / Freq;
-    for (int Step = 0; Step < 16 && SC.Timeslice * Freq != Budget; ++Step)
-      SC.Timeslice = std::nextafter(SC.Timeslice, SC.Timeslice * Freq < Budget
-                                                      ? 1.0
-                                                      : 0.0);
+    SC.Timeslice = timesliceFor(Budget, Freq);
     ASSERT_EQ(SC.Timeslice * Freq, Budget);
 
     // The first quantum must stop exactly on the budget in every engine.
@@ -680,6 +708,167 @@ TEST(SelfLoopKernel, MarkedBackEdgeSteps) {
   Lockstep Cov = runLockstep(MC, SC, {H});
   ASSERT_EQ(Cov.Stats.size(), 1u);
   EXPECT_EQ(Cov.Stats[0].MarksFired, Outer * (Trips - 1));
+}
+
+// A kernel call that starts from zero used cycles with monitoring off
+// charges its trips through the body cost's prefix table. These cases
+// pin the lookup's boundaries against the stepping engines.
+
+TEST(SelfLoopKernel, ResumeBudgetEqualToATableEntry) {
+  // A one-core machine whose quantum budget equals, bit for bit, the sum
+  // of K bodies from zero — prefix-table entry K - 1. The first quantum
+  // runs the entry block and K trips; every later quantum resumes the
+  // loop from zero and must stop on exactly that entry: K trips, not
+  // K + 1. 63 back edges divide by every K, so one resume also runs out
+  // of back edges on the very trip that reaches the budget.
+  MachineConfig MC = oneCoreMachine();
+  const uint32_t Trips = 64;
+  HandImage H =
+      handImage(selfLoopProgram(Trips, /*Outer=*/2, InstMix::compute(40)),
+                MC);
+  ASSERT_LT(bodyCycles(H, 0), bodyCycles(H, SelfLoopBlock));
+  double Body = bodyCycles(H, SelfLoopBlock);
+  double Freq = MC.CoreTypes[0].Frequency;
+  for (uint32_t K : {1u, 3u, 7u}) {
+    SCOPED_TRACE("K " + std::to_string(K));
+    double Budget = 0;
+    for (uint32_t I = 0; I < K; ++I)
+      Budget += Body;
+    SimConfig SC;
+    SC.Timeslice = timesliceFor(Budget, Freq);
+    ASSERT_EQ(SC.Timeslice * Freq, Budget);
+
+    for (ExecEngine E : {ExecEngine::Reference, ExecEngine::Flat,
+                         ExecEngine::FastReplay}) {
+      SimConfig One = SC;
+      One.Engine = E;
+      Machine M(MC, One, std::make_unique<ObliviousScheduler>());
+      uint32_t Pid = M.spawn(H.IP, H.Cost, TunerConfig(), 5, -1, 0, H.Flat);
+      M.run(M.now() + One.Timeslice);
+      const Process &P = M.process(Pid);
+      ASSERT_EQ(P.LoopRemaining[SelfLoopBlock], Trips - K);
+      uint64_t Blocks = P.Stats.BlocksExecuted;
+      double Cycles = P.Stats.CyclesConsumed;
+      M.run(M.now() + One.Timeslice);
+      EXPECT_EQ(P.Stats.BlocksExecuted - Blocks, K);
+      EXPECT_EQ(P.Stats.CyclesConsumed, Cycles + Budget);
+      EXPECT_EQ(P.LoopRemaining[SelfLoopBlock], Trips - 2 * K);
+    }
+    Lockstep Cov = runLockstep(MC, SC, {H});
+    EXPECT_GT(Cov.UnmonitoredParks, 0u);
+    EXPECT_EQ(Cov.FlatTables, 1u);
+  }
+}
+
+TEST(SelfLoopKernel, SecondProcessResumesOnAReducedBudget) {
+  // One core, two processes. A (pid 0) needs about a quantum and a half;
+  // B (pid 1) parks mid-loop in quantum 2. In quantum 3, A finishes
+  // mid-quantum and B resumes from zero used cycles on what is left of
+  // the budget: a table lookup that lands inside the table.
+  MachineConfig MC = oneCoreMachine();
+  SimConfig SC;
+  HandImage Probe = handImage(
+      selfLoopProgram(2, /*Outer=*/1, InstMix::compute(40)), MC);
+  double PerQuantum = tripsPerQuantum(Probe, MC, SC, SelfLoopBlock);
+  auto TripsA = static_cast<uint32_t>(1.5 * PerQuantum);
+  std::vector<HandImage> Images = {
+      handImage(selfLoopProgram(TripsA, /*Outer=*/1, InstMix::compute(40)),
+                MC),
+      handImage(selfLoopProgram(5000, /*Outer=*/1, InstMix::compute(56)),
+                MC)};
+
+  Machine M(MC, SC, std::make_unique<ObliviousScheduler>());
+  for (uint32_t I = 0; I < 2; ++I)
+    M.spawn(Images[I].IP, Images[I].Cost, TunerConfig(), 5 + I, -1, 0,
+            Images[I].Flat);
+  M.run(M.now() + 2 * SC.Timeslice);
+  ASSERT_LT(M.process(0).CompletionTime, 0);
+  ASSERT_GT(M.process(1).LoopRemaining[SelfLoopBlock], 1u);
+  M.run(M.now() + SC.Timeslice);
+  ASSERT_GT(M.process(0).CompletionTime, 2 * SC.Timeslice);
+  ASSERT_LT(M.process(0).CompletionTime, 3 * SC.Timeslice);
+
+  Lockstep Cov = runLockstep(MC, SC, Images);
+  EXPECT_GT(Cov.UnmonitoredParks, 0u);
+  EXPECT_EQ(Cov.FlatTables, 2u);
+  EXPECT_EQ(Cov.FastTables, 2u);
+}
+
+TEST(SelfLoopKernel, BackEdgesRunOutInsideATableCall) {
+  // A loop of about a quantum and a half: the first quantum parks it
+  // with fewer back edges left than the next quantum's budget covers,
+  // so the resume's lookup is cut short by the back edges (R0 - 1 < K_B),
+  // and the exit trip and the outer loop step in the same call.
+  MachineConfig MC = oneCoreMachine();
+  SimConfig SC;
+  HandImage Probe = handImage(
+      selfLoopProgram(2, /*Outer=*/1, InstMix::compute(40)), MC);
+  double PerQuantum = tripsPerQuantum(Probe, MC, SC, SelfLoopBlock);
+  auto Trips = static_cast<uint32_t>(1.5 * PerQuantum);
+  HandImage H =
+      handImage(selfLoopProgram(Trips, /*Outer=*/3, InstMix::compute(40)),
+                MC);
+
+  Machine M(MC, SC, std::make_unique<ObliviousScheduler>());
+  uint32_t Pid = M.spawn(H.IP, H.Cost, TunerConfig(), 5, -1, 0, H.Flat);
+  M.run(M.now() + SC.Timeslice);
+  uint32_t Left = M.process(Pid).LoopRemaining[SelfLoopBlock];
+  ASSERT_GT(Left, 1u);
+  ASSERT_LT(Left - 1, PerQuantum);
+
+  Lockstep Cov = runLockstep(MC, SC, {H});
+  EXPECT_GT(Cov.UnmonitoredParks, 0u);
+  ASSERT_EQ(Cov.Stats.size(), 1u);
+  EXPECT_EQ(Cov.Stats[0].BlocksExecuted, 3u * (Trips + 2) + 1);
+}
+
+TEST(SelfLoopKernel, MonitoredResumeAtQuantumStartSteps) {
+  // One core, so every resume starts the quantum from zero used cycles.
+  // The first activation is monitored (a mark on the loop's entry edge
+  // starts the session, one on its exit edge ends it): those resumes
+  // must step, adding each trip to MonCycles too. Later activations,
+  // sampled already, resume through the table.
+  MachineConfig MC = oneCoreMachine();
+  SimConfig SC;
+  HandImage H = handImage(
+      selfLoopProgram(4000, /*Outer=*/4, InstMix::compute(48)), MC,
+      {{0, 0, 0, MarkPoint::Edge, 0},
+       {0, SelfLoopBlock, 1, MarkPoint::Edge, 1}},
+      /*NumTypes=*/2);
+  ASSERT_TRUE(isKernelLoop(*H.Flat, SelfLoopBlock));
+  ASSERT_GT(4000, tripsPerQuantum(H, MC, SC, SelfLoopBlock));
+  Lockstep Cov = runLockstep(MC, SC, {H});
+  EXPECT_GT(Cov.MonitoredParks, 0u);
+  EXPECT_GT(Cov.UnmonitoredParks, 0u);
+  ASSERT_EQ(Cov.Stats.size(), 1u);
+  EXPECT_GT(Cov.Stats[0].MonitorSessions, 0u);
+}
+
+TEST(SelfLoopKernel, CoreTypesAndProcessesShareOneTable) {
+  // Two core types of different frequency, slow core first so the
+  // table is built by a slow-core resume and then read by fast-core
+  // resumes with a larger budget; two processes with different images
+  // but equal body costs. All of it runs through one table.
+  MachineConfig MC;
+  MC.CoreTypes = {{"slow", 1.6e6, 4096}, {"fast", 2.4e6, 4096}};
+  MC.Cores = {{0, 0}, {1, 1}};
+  // Miss stalls cost Frequency * MemLatency cycles; without them a
+  // body's cycles do not depend on the core type.
+  MC.MemLatency = 0;
+  SimConfig SC;
+  std::vector<HandImage> Images;
+  for (uint32_t Trips : {6000u, 9000u})
+    Images.push_back(handImage(
+        selfLoopProgram(Trips, /*Outer=*/2, InstMix::compute(64)), MC));
+  double Body = bodyCycles(Images[0], SelfLoopBlock, 0);
+  for (const HandImage &H : Images)
+    for (uint32_t Ct = 0; Ct < 2; ++Ct)
+      ASSERT_EQ(bodyCycles(H, SelfLoopBlock, Ct), Body)
+          << "the body must cost the same everywhere";
+  Lockstep Cov = runLockstep(MC, SC, Images);
+  EXPECT_GT(Cov.UnmonitoredParks, 0u);
+  EXPECT_EQ(Cov.FlatTables, 1u);
+  EXPECT_EQ(Cov.FastTables, 1u);
 }
 
 TEST(ParallelRunner, BitIdenticalToSerialRuns) {
