@@ -1,4 +1,4 @@
-//===- analysis/PassManager.cpp - Static-pipeline pass manager ------------===//
+//===- analysis/PassManager.cpp - Static preparation pipeline -------------===//
 //
 // Part of the phase-based-tuning reproduction. MIT license.
 //
@@ -21,23 +21,13 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <tuple>
 
 using namespace pbt;
-
-ProgramPass::~ProgramPass() = default;
-bool ProgramPass::doInitialization(PipelineContext &) { return false; }
-bool ProgramPass::doFinalization(PipelineContext &) { return false; }
-
-PassManager::PassManager() = default;
-PassManager::~PassManager() = default;
-
-void PassManager::add(std::unique_ptr<ProgramPass> Pass) {
-  Passes.push_back(std::move(Pass));
-}
 
 //===----------------------------------------------------------------------===//
 // Verify-IR toggle and cumulative stats
@@ -55,7 +45,6 @@ struct CumulativeStats {
 
   void accumulate(const PipelineStats &Run) {
     std::lock_guard<std::mutex> Lock(Mutex);
-    Stats.Rounds += Run.Rounds;
     for (const PassStats &P : Run.Passes) {
       PassStats *Row = nullptr;
       for (PassStats &Existing : Stats.Passes)
@@ -108,105 +97,99 @@ PipelineStats pbt::cumulativePipelineStats() {
 
 namespace {
 
+// Each stage fills its slot of one ProgramPrep and returns true, or
+// returns false when there is nothing for it to do: the slot is
+// already filled (a rerun) or the technique skips the stage. Stages run
+// concurrently for different programs, so each touches only its own
+// ProgramPrep (plus the read-only context).
+
 /// Binds the program to the machine: the per-block cycle/instruction
 /// tables every later stage (oracle typing, flat fusion) reads.
-class CostModelPass final : public ProgramPass {
-public:
-  const char *name() const override { return "cost-model"; }
-  bool doProgramPass(ProgramPrep &PC, const PipelineContext &Ctx) override {
-    if (PC.Cost)
-      return false;
-    PC.Cost = std::make_shared<const CostModel>(*PC.Prog, *Ctx.Machine);
-    return true;
-  }
-};
+bool costModelPass(ProgramPrep &PC, const PipelineContext &Ctx) {
+  if (PC.Cost)
+    return false;
+  PC.Cost = std::make_shared<const CostModel>(*PC.Prog, *Ctx.Machine);
+  return true;
+}
 
 /// Phase-type assignment: the k-means proof of concept or the
 /// behavioural oracle, per the technique. The baseline is untyped.
-class TypingPass final : public ProgramPass {
-public:
-  const char *name() const override { return "typing"; }
-  bool doProgramPass(ProgramPrep &PC, const PipelineContext &Ctx) override {
-    if (Ctx.Tech->Baseline || PC.Typed || !PC.Cost)
-      return false;
-    if (Ctx.Tech->UseStaticTyping) {
-      TypingConfig Config;
-      Config.Seed = Ctx.TypingSeed;
-      PC.Typing = computeStaticTyping(*PC.Prog, Config);
-    } else {
-      PC.Typing = computeOracleTyping(*PC.Prog, *PC.Cost);
-    }
-    PC.Typed = true;
-    return true;
+bool typingPass(ProgramPrep &PC, const PipelineContext &Ctx) {
+  if (Ctx.Tech->Baseline || PC.Typed)
+    return false;
+  if (Ctx.Tech->UseStaticTyping) {
+    TypingConfig Config;
+    Config.Seed = Ctx.TypingSeed;
+    PC.Typing = computeStaticTyping(*PC.Prog, Config);
+  } else {
+    PC.Typing = computeOracleTyping(*PC.Prog, *PC.Cost);
   }
-};
+  PC.Typed = true;
+  return true;
+}
 
 /// Fig. 7 clustering-error injection over the fresh typing.
-class ErrorInjectPass final : public ProgramPass {
-public:
-  const char *name() const override { return "error-inject"; }
-  bool doProgramPass(ProgramPrep &PC, const PipelineContext &Ctx) override {
-    if (Ctx.Tech->Baseline || Ctx.Tech->TypingError <= 0 ||
-        PC.ErrorInjected || !PC.Typed)
-      return false;
-    PC.Typing = injectClusteringError(PC.Typing, Ctx.Tech->TypingError,
-                                      Ctx.TypingSeed ^ 0xE77);
-    PC.ErrorInjected = true;
-    return true;
-  }
-};
+bool errorInjectPass(ProgramPrep &PC, const PipelineContext &Ctx) {
+  if (Ctx.Tech->Baseline || Ctx.Tech->TypingError <= 0 || PC.ErrorInjected)
+    return false;
+  PC.Typing = injectClusteringError(PC.Typing, Ctx.Tech->TypingError,
+                                    Ctx.TypingSeed ^ 0xE77);
+  PC.ErrorInjected = true;
+  return true;
+}
 
 /// Transition analysis: where the phase marks go. The baseline gets the
 /// trivial one-type, zero-mark result.
-class TransitionsPass final : public ProgramPass {
-public:
-  const char *name() const override { return "transitions"; }
-  bool doProgramPass(ProgramPrep &PC, const PipelineContext &Ctx) override {
-    if (PC.Marked)
-      return false;
-    if (Ctx.Tech->Baseline) {
-      PC.Marking = MarkingResult();
-      PC.Marking.NumTypes = 1;
-      PC.Marking.RegionType.resize(PC.Prog->Procs.size());
-    } else {
-      // The error-inject pass must have had its chance at the typing
-      // before marks are derived from it; within one round the pass
-      // order guarantees that.
-      if (!PC.Typed)
-        return false;
-      PC.Marking =
-          computeTransitions(*PC.Prog, PC.Typing, Ctx.Tech->Transition);
-    }
-    PC.Marked = true;
-    return true;
+bool transitionsPass(ProgramPrep &PC, const PipelineContext &Ctx) {
+  if (PC.Marked)
+    return false;
+  if (Ctx.Tech->Baseline) {
+    PC.Marking = MarkingResult();
+    PC.Marking.NumTypes = 1;
+    PC.Marking.RegionType.resize(PC.Prog->Procs.size());
+  } else {
+    PC.Marking =
+        computeTransitions(*PC.Prog, PC.Typing, Ctx.Tech->Transition);
   }
-};
+  PC.Marked = true;
+  return true;
+}
 
 /// Builds the instrumented program; the marks move into the image,
 /// which owns them from here on.
-class InstrumentPass final : public ProgramPass {
-public:
-  const char *name() const override { return "instrument"; }
-  bool doProgramPass(ProgramPrep &PC, const PipelineContext &Ctx) override {
-    if (PC.Image || !PC.Marked)
-      return false;
-    PC.Image = std::make_shared<const InstrumentedProgram>(
-        *PC.Prog, std::move(PC.Marking), Ctx.Tech->Cost);
-    return true;
-  }
-};
+bool instrumentPass(ProgramPrep &PC, const PipelineContext &Ctx) {
+  if (PC.Image)
+    return false;
+  PC.Image = std::make_shared<const InstrumentedProgram>(
+      *PC.Prog, std::move(PC.Marking), Ctx.Tech->Cost);
+  return true;
+}
 
 /// Fuses image + cost model into the flat execution image.
-class FlattenPass final : public ProgramPass {
-public:
-  const char *name() const override { return "flatten"; }
-  bool doProgramPass(ProgramPrep &PC, const PipelineContext &) override {
-    if (PC.Flat || !PC.Image || !PC.Cost)
-      return false;
-    PC.Flat = std::make_shared<const FlatImage>(PC.Image, PC.Cost);
-    return true;
-  }
+bool flattenPass(ProgramPrep &PC, const PipelineContext &) {
+  if (PC.Flat)
+    return false;
+  PC.Flat = std::make_shared<const FlatImage>(PC.Image, PC.Cost);
+  return true;
+}
+
+/// One named stage of the pipeline.
+struct PipelinePass {
+  const char *Name;
+  bool (*Run)(ProgramPrep &PC, const PipelineContext &Ctx);
 };
+
+/// The preparation pipeline, in execution order: each stage reads what
+/// the stages before it wrote.
+constexpr PipelinePass PreparationPasses[] = {
+    {"cost-model", costModelPass},
+    {"typing", typingPass},
+    {"error-inject", errorInjectPass},
+    {"transitions", transitionsPass},
+    {"instrument", instrumentPass},
+    {"flatten", flattenPass},
+};
+constexpr size_t NumPasses = std::size(PreparationPasses);
 
 double nowSeconds() {
   // Wall time for the per-pass Seconds counters only; never feeds a
@@ -216,17 +199,6 @@ double nowSeconds() {
 }
 
 } // namespace
-
-PassManager pbt::buildPreparationPipeline() {
-  PassManager PM;
-  PM.add(std::make_unique<CostModelPass>());
-  PM.add(std::make_unique<TypingPass>());
-  PM.add(std::make_unique<ErrorInjectPass>());
-  PM.add(std::make_unique<TransitionsPass>());
-  PM.add(std::make_unique<InstrumentPass>());
-  PM.add(std::make_unique<FlattenPass>());
-  return PM;
-}
 
 PipelineContext pbt::makePipelineContext(const std::vector<Program> &Programs,
                                          const MachineConfig &Machine,
@@ -245,11 +217,11 @@ PipelineContext pbt::makePipelineContext(const std::vector<Program> &Programs,
   return Ctx;
 }
 
-PipelineStats PassManager::run(PipelineContext &Ctx) const {
+PipelineStats pbt::runPreparationPipeline(PipelineContext &Ctx) {
   PipelineStats Stats;
-  Stats.Passes.resize(Passes.size() + (Ctx.VerifyIR ? 1 : 0));
-  for (size_t P = 0; P < Passes.size(); ++P)
-    Stats.Passes[P].Name = Passes[P]->name();
+  Stats.Passes.resize(NumPasses + (Ctx.VerifyIR ? 1 : 0));
+  for (size_t P = 0; P < NumPasses; ++P)
+    Stats.Passes[P].Name = PreparationPasses[P].Name;
   if (Ctx.VerifyIR)
     Stats.Passes.back().Name = "verify";
 
@@ -280,43 +252,19 @@ PipelineStats PassManager::run(PipelineContext &Ctx) const {
             "': " + Errors[I]);
   };
 
-  for (size_t P = 0; P < Passes.size(); ++P) {
+  for (size_t P = 0; P < NumPasses; ++P) {
+    const PipelinePass &Pass = PreparationPasses[P];
+    PassStats &PS = Stats.Passes[P];
     double Start = nowSeconds();
-    Passes[P]->doInitialization(Ctx);
-    Stats.Passes[P].Seconds += nowSeconds() - Start;
-  }
-
-  // The cross-program fixpoint: rounds of every pass over every
-  // program until a full round reports no change.
-  bool AnyChanged = true;
-  while (AnyChanged) {
-    AnyChanged = false;
-    ++Stats.Rounds;
-    for (size_t P = 0; P < Passes.size(); ++P) {
-      PassStats &PS = Stats.Passes[P];
-      double Start = nowSeconds();
-      std::fill(Changed.begin(), Changed.end(), 0);
-      Pool.parallelFor(N, [&](size_t I) {
-        Changed[I] =
-            Passes[P]->doProgramPass(Ctx.Programs[I], Ctx) ? 1 : 0;
-      });
-      uint64_t Count = 0;
-      for (uint8_t C : Changed)
-        Count += C;
-      PS.Invocations += N;
-      PS.ProgramsChanged += Count;
-      PS.Seconds += nowSeconds() - Start;
-      if (Count)
-        AnyChanged = true;
-      if (Ctx.VerifyIR)
-        VerifySweep(Passes[P]->name());
-    }
-  }
-
-  for (size_t P = 0; P < Passes.size(); ++P) {
-    double Start = nowSeconds();
-    Passes[P]->doFinalization(Ctx);
-    Stats.Passes[P].Seconds += nowSeconds() - Start;
+    Pool.parallelFor(N, [&](size_t I) {
+      Changed[I] = Pass.Run(Ctx.Programs[I], Ctx) ? 1 : 0;
+    });
+    PS.Invocations = N;
+    for (uint8_t C : Changed)
+      PS.ProgramsChanged += C;
+    PS.Seconds = nowSeconds() - Start;
+    if (Ctx.VerifyIR)
+      VerifySweep(Pass.Name);
   }
 
   cumulative().accumulate(Stats);

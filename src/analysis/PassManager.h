@@ -1,28 +1,26 @@
-//===- analysis/PassManager.h - Static-pipeline pass manager ---*- C++ -*-===//
+//===- analysis/PassManager.h - Static preparation pipeline ----*- C++ -*-===//
 //
 // Part of the phase-based-tuning reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The static preparation pipeline as an iterative pass manager, the
-/// IterativeModulePass idiom of whole-program analysis frameworks: each
-/// stage of suite preparation — cost-model binding, typing, error
-/// injection, transition marking, instrumentation, flat-image fusion —
-/// is a named ProgramPass over per-program state, and the manager runs
-/// doInitialization for every pass, iterates every pass's doProgramPass
-/// over every program until a full round reports no change (the
-/// cross-program fixpoint), then runs doFinalization. Passes are
-/// idempotent (they report a change only when they computed something
-/// that was not there yet), so the fixpoint is reached in one working
-/// round plus one quiescent round today; passes with genuine
-/// cross-program propagation can extend the loop without touching the
-/// manager.
+/// The static preparation pipeline: six named stages — cost-model
+/// binding, typing, error injection, transition marking,
+/// instrumentation, flat-image fusion — each a function over one
+/// program's ProgramPrep. runPreparationPipeline runs every stage once,
+/// in that order, over every program. No stage needs facts from another
+/// program, so one forward sweep is the whole pipeline, the paper's
+/// shape: type blocks, find transitions, insert marks. Stages are
+/// idempotent (each reports a change only when it computed something
+/// that was not there yet), so rerunning on a prepared context changes
+/// nothing.
 ///
 /// Per-program steps are independent and fan out over a ThreadPool with
 /// by-index writes, so pipeline output is bit-identical to the serial
 /// loop — and to the pre-pass-manager monolithic prepareSuite, which is
-/// the promotion contract tests/passmanager_test.cpp enforces.
+/// the promotion contract tests/passmanager_test.cpp enforces;
+/// prepareSuiteMonolithic stays as that independent reference.
 ///
 /// The pipeline finishes with self-verification: VerifyPass is a static
 /// analysis of our *own* IR and derived images that checks structural
@@ -30,9 +28,9 @@
 /// shape, mark-placement legality, flat-image global-block-id
 /// contiguity, cost-table binding, and superblock-chain summaries
 /// re-walked against the exact block walk. Under the verify-IR toggle
-/// (driver `--verify-ir` or env `PBT_VERIFY_IR`) the manager reruns the
-/// verification sweep after every pass of every round, so a pass that
-/// corrupts state is caught at the pass boundary that broke it.
+/// (driver `--verify-ir` or env `PBT_VERIFY_IR`) the pipeline reruns the
+/// verification sweep after every pass, so a pass that corrupts state
+/// is caught at the pass boundary that broke it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -94,30 +92,6 @@ struct PipelineContext {
   ThreadPool *Pool = nullptr;
 };
 
-/// One named stage of the static pipeline. Implementations must be
-/// idempotent: doProgramPass returns true only when it computed state
-/// that was not present yet, so a quiescent round ends the fixpoint.
-/// doProgramPass may run concurrently for different programs and must
-/// touch only its own ProgramPrep (plus the read-only context).
-class ProgramPass {
-public:
-  virtual ~ProgramPass();
-
-  virtual const char *name() const = 0;
-
-  /// Whole-context setup before the first round. Returns true when it
-  /// changed pipeline state.
-  virtual bool doInitialization(PipelineContext &Ctx);
-
-  /// One per-program step; returns true when it changed \p PC.
-  virtual bool doProgramPass(ProgramPrep &PC,
-                             const PipelineContext &Ctx) = 0;
-
-  /// Whole-context wrap-up after the fixpoint. Returns true when it
-  /// changed pipeline state.
-  virtual bool doFinalization(PipelineContext &Ctx);
-};
-
 /// Per-pass counters of one pipeline run (or the process-wide
 /// cumulative view). ProgramsChanged and Invocations are deterministic;
 /// Seconds is wall time and must never feed a byte-compared artifact
@@ -125,51 +99,27 @@ public:
 /// from every byte-identity check).
 struct PassStats {
   std::string Name;
-  /// doProgramPass calls, summed over rounds.
+  /// Per-program calls: one per program per pipeline run.
   uint64_t Invocations = 0;
   /// Calls that reported a change.
   uint64_t ProgramsChanged = 0;
-  /// Wall time of the pass's sweeps (init + per-program + finalize).
+  /// Wall time of the pass's sweeps.
   double Seconds = 0;
 };
 
-/// Outcome of one PassManager::run.
+/// Outcome of one runPreparationPipeline call.
 struct PipelineStats {
-  /// Full rounds executed, including the quiescent one that ended the
-  /// fixpoint.
-  uint32_t Rounds = 0;
   std::vector<PassStats> Passes;
 };
 
-/// Runs registered passes over a PipelineContext to the cross-program
-/// fixpoint, collecting per-pass stats. See the file comment for the
-/// exact phase order.
-class PassManager {
-public:
-  PassManager();
-  PassManager(PassManager &&) = default;
-  PassManager &operator=(PassManager &&) = default;
-  ~PassManager();
-
-  void add(std::unique_ptr<ProgramPass> Pass);
-  size_t size() const { return Passes.size(); }
-
-  /// Runs the pipeline on \p Ctx: every pass's doInitialization, then
-  /// rounds of every pass's doProgramPass over every program until a
-  /// round reports no change, then every pass's doFinalization. When
-  /// Ctx.VerifyIR is set, a verification sweep runs after every pass
-  /// (throwing std::runtime_error naming the pass, program, and broken
-  /// invariant on failure). Stats are also accumulated into the
-  /// process-wide cumulativePipelineStats().
-  PipelineStats run(PipelineContext &Ctx) const;
-
-private:
-  std::vector<std::unique_ptr<ProgramPass>> Passes;
-};
-
-/// The fixed preparation pipeline: cost-model, typing, error-inject,
-/// transitions, instrument, flatten. prepareSuite runs exactly this.
-PassManager buildPreparationPipeline();
+/// Runs the preparation pipeline on \p Ctx: cost-model, typing,
+/// error-inject, transitions, instrument, flatten, each once over every
+/// program, with Passes in that order. When Ctx.VerifyIR is set, a
+/// verification sweep runs after every pass (throwing std::runtime_error
+/// naming the pass, program, and broken invariant on failure) and its
+/// stats follow as a "verify" entry. Stats are also accumulated into
+/// the process-wide cumulativePipelineStats().
+PipelineStats runPreparationPipeline(PipelineContext &Ctx);
 
 /// Builds a PipelineContext for preparing \p Programs (which must
 /// outlive the context) with the VerifyIR flag seeded from the

@@ -86,9 +86,9 @@ Comparison Lab::compare(const TechniqueSpec &Tech, uint32_t Slots,
   const std::vector<double> &Iso = isolated();
   std::vector<WorkloadJob> Jobs(2);
   Jobs[0] = {&BaselineSuite, &W, &MachineCfg, Sim, Horizon, &Iso,
-             SchedulerSpec(), ScenarioSpec()};
+             SchedulerSpec(), ScenarioSpec(), std::string(), 0};
   Jobs[1] = {&TunedSuite, &W, &MachineCfg, Sim, Horizon, &Iso,
-             SchedulerSpec(), ScenarioSpec()};
+             SchedulerSpec(), ScenarioSpec(), std::string(), 0};
   std::vector<RunResult> Results = runWorkloads(Jobs);
   Comparison C;
   C.Base = std::move(Results[0]);

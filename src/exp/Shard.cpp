@@ -54,6 +54,13 @@ bool ShardSpec::parse(const std::string &Text, ShardSpec &Out,
   } catch (const std::exception &) {
     return Malformed();
   }
+  // Both numbers are all digits now. Only the canonical spelling is
+  // accepted, so a parsed spec re-formats as "k/n" to its input bytes.
+  if ((Text[0] == '0' && Slash > 1) ||
+      (Text[Slash + 1] == '0' && Text.size() > Slash + 2)) {
+    Error = "invalid shard spec '" + Text + "': leading zero in k or n";
+    return false;
+  }
   if (N < 1 || N > 0xFFFFFFFFUL) {
     Error = "invalid shard spec '" + Text + "': n must be in [1, 2^32)";
     return false;

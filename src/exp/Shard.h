@@ -77,7 +77,8 @@ struct ShardSpec {
   /// "k-of-n", as embedded in every shard-emitted file name.
   std::string label() const;
 
-  /// Parses "k/n" with 1 <= k <= n (e.g. "2/4"). Returns false and a
+  /// Parses "k/n" with 1 <= k <= n (e.g. "2/4"), both in canonical
+  /// decimal (no sign, space, or leading zero). Returns false and a
   /// human diagnostic in \p Error on malformed input.
   static bool parse(const std::string &Text, ShardSpec &Out,
                     std::string &Error);

@@ -303,13 +303,16 @@ void Machine::flushTraceWindows() {
 Machine::AdvanceResult Machine::advanceProcess(Process &P, uint32_t Core,
                                                double BudgetCycles,
                                                uint32_t Sharers) {
-  if (Sim.Engine == ExecEngine::FastReplay)
-    return advanceProcessFastReplay(P, Core, BudgetCycles, Sharers);
+  switch (Sim.Engine) {
+  case ExecEngine::Flat:
+    return advanceProcessFlat<false>(P, Core, BudgetCycles, Sharers);
+  case ExecEngine::FastReplay:
+    return advanceProcessFlat<true>(P, Core, BudgetCycles, Sharers);
+  case ExecEngine::Reference:
+    break;
+  }
   uint64_t InstsBefore = P.Stats.InstsRetired;
-  AdvanceResult R =
-      Sim.Engine == ExecEngine::Flat
-          ? advanceProcessFlat(P, Core, BudgetCycles, Sharers)
-          : advanceProcessReference(P, Core, BudgetCycles, Sharers);
+  AdvanceResult R = advanceProcessReference(P, Core, BudgetCycles, Sharers);
   R.InstsDelta = P.Stats.InstsRetired - InstsBefore;
   return R;
 }
@@ -345,7 +348,8 @@ const std::vector<double> *Machine::selfLoopTable(double C) {
   return Table.empty() ? nullptr : &Table;
 }
 
-/// The exact self-loop kernel shared by the Flat and FastReplay engines.
+/// The exact self-loop kernel of the flat-image engine loop (both the
+/// Flat and the FastReplay engine).
 /// Applies when record \p Cur is a Loop latch whose back edge (Succ[0])
 /// targets the record itself and carries no mark — the shape of the
 /// suite's hot phase bodies. It runs the activation's back-edge trips
@@ -428,188 +432,48 @@ inline bool Machine::runSelfLoop(const FlatBlock &B, uint32_t Cur,
   return true;
 }
 
-/// The flat-image interpreter. Mirrors advanceProcessReference exactly —
-/// same block sequence, same RNG draws, and the same floating-point
-/// accumulation order (one add per block, marks charged through
-/// fireMark) — so both engines produce bit-identical ProcessStats. The
-/// difference is purely mechanical: each step is one indexed load from
-/// the FlatImage instead of pointer chases through Program, CostModel,
-/// and InstrumentedProgram, mark-free superblock chains run in a
-/// dispatch-free inner loop, and unmarked self-loops run in
-/// runSelfLoop's kernel.
+/// The flat-image interpreter behind both the Flat and the FastReplay
+/// engines; \p Fused selects FastReplay. Each step is one indexed load
+/// from the FlatImage instead of pointer chases through Program,
+/// CostModel, and InstrumentedProgram; mark-free superblock chains run
+/// in a dispatch-free inner loop, unmarked self-loops in runSelfLoop's
+/// kernel. Hot-path state lives in locals for the whole call — the
+/// cycle, instruction, and block accumulators plus the monitoring
+/// triple — and is written back to the cold Process body at exit and
+/// around fireMark, which reads and mutates it.
+///
+/// With Fused off (Flat) the loop mirrors advanceProcessReference
+/// exactly — same block sequence, same RNG draws, and the same
+/// floating-point accumulation order (one add per block, marks charged
+/// through fireMark) — so both produce bit-identical ProcessStats.
+///
+/// With Fused on (FastReplay) a superblock chain that fits whole in the
+/// remaining budget is charged in O(1) through its precomputed
+/// left-to-right sum in chainCycleTable(). Each sum equals bit for bit
+/// what the exact walk adds from a zero partial sum, so the only drift
+/// is reassociating a whole-chain sum into the non-zero quantum
+/// accumulator: a few ulps of the running total per fused charge; the
+/// dynamic trace and every integer statistic stay identical. Monitoring
+/// sessions never fuse: MonCycles feeds truncated into integer tuner
+/// samples, where drift would become integer divergence in tuning
+/// decisions. Mark-free Jump cycles (ChainBlocks == 0) and
+/// budget-straddling chains take the exact walk.
+template <bool Fused>
 Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
                                                    double BudgetCycles,
                                                    uint32_t Sharers) {
-  AdvanceResult R;
-  const FlatImage &FI = *P.Flat;
-  const FlatBlock *Blk = FI.blocks();
-  const double *Cyc = FI.cycleTable();
-  const PhaseMark *Marks = FI.marks();
-  // Per-quantum invariant, cached across quanta in the hot lane and
-  // recomputed only on migration or a sharer-count change. Pure
-  // function of (core type, sharers), so caching cannot change results.
-  uint32_t CfgOff = configOffsetCached(P, Core, Sharers);
-  uint32_t Cur = P.CurGlobal;
-
-  while (!P.Finished && R.CyclesUsed < BudgetCycles) {
-    const FlatBlock *B = &Blk[Cur];
-
-    if (runSelfLoop(*B, Cur, Cyc, CfgOff, P.Pid, P.LoopRemaining.data(),
-                    BudgetCycles, R.CyclesUsed, P.Stats.InstsRetired,
-                    P.Stats.BlocksExecuted, P.MonActive, P.MonInsts,
-                    P.MonCycles))
-      continue;
-
-    if (B->Op == FlatOp::Chain) {
-      // Exact superblock walk: no terminator dispatch, no mark lookups,
-      // no RNG — just successive records until the chain exit or the
-      // quantum budget. Monitoring is hoisted out of the loop (it can
-      // only change at a mark, and chains are mark-free).
-      if (P.MonActive) {
-        do {
-          double Cycles = Cyc[B->CycleRow + CfgOff];
-          R.CyclesUsed += Cycles;
-          P.Stats.InstsRetired += B->Insts;
-          ++P.Stats.BlocksExecuted;
-          P.MonInsts += B->Insts;
-          P.MonCycles += Cycles;
-          Cur = B->Succ[0];
-          B = &Blk[Cur];
-        } while (B->Op == FlatOp::Chain && R.CyclesUsed < BudgetCycles);
-      } else {
-        do {
-          R.CyclesUsed += Cyc[B->CycleRow + CfgOff];
-          P.Stats.InstsRetired += B->Insts;
-          ++P.Stats.BlocksExecuted;
-          Cur = B->Succ[0];
-          B = &Blk[Cur];
-        } while (B->Op == FlatOp::Chain && R.CyclesUsed < BudgetCycles);
-      }
-      continue;
-    }
-
-    double Cycles = Cyc[B->CycleRow + CfgOff];
-    uint32_t Insts = B->Insts;
-    R.CyclesUsed += Cycles;
-    P.Stats.InstsRetired += Insts;
-    ++P.Stats.BlocksExecuted;
-    if (P.MonActive) {
-      P.MonInsts += Insts;
-      P.MonCycles += Cycles;
-    }
-
-    const PhaseMark *TakenMark = nullptr;
-    switch (B->Op) {
-    case FlatOp::Jump: // Always carries a mark (else it would be Chain).
-      TakenMark = Marks + B->EdgeMark[0];
-      Cur = B->Succ[0];
-      break;
-    case FlatOp::Call: {
-      P.CallStack.push_back(CallFrame{0, 0, B->EdgeMark[0], B->Succ[0]});
-      int32_t CallMark = B->CallMark;
-      Cur = B->Callee;
-      if (CallMark >= 0 &&
-          fireMark(P, Marks[CallMark], Core, R.CyclesUsed)) {
-        R.Migrated = true;
-        P.CurGlobal = Cur;
-        return R;
-      }
-      continue;
-    }
-    case FlatOp::Loop: {
-      uint32_t &Rem = P.LoopRemaining[Cur];
-      if (Rem == 0)
-        Rem = B->TripCount; // First latch execution of this activation.
-      uint32_t Index;
-      if (Rem > 1) {
-        --Rem;
-        Index = 0;
-      } else {
-        Rem = 0;
-        Index = 1;
-      }
-      int32_t Mark = B->EdgeMark[Index];
-      if (Mark >= 0)
-        TakenMark = Marks + Mark;
-      Cur = B->Succ[Index];
-      break;
-    }
-    case FlatOp::Cond: {
-      uint32_t Index = P.Gen.nextBool(B->TakenProb) ? 0 : 1;
-      int32_t Mark = B->EdgeMark[Index];
-      if (Mark >= 0)
-        TakenMark = Marks + Mark;
-      Cur = B->Succ[Index];
-      break;
-    }
-    case FlatOp::Ret: {
-      if (P.CallStack.empty()) {
-        P.Finished = true;
-        R.Finished = true;
-        P.CurGlobal = Cur;
-        return R;
-      }
-      CallFrame Frame = P.CallStack.back();
-      P.CallStack.pop_back();
-      Cur = Frame.ContGlobal;
-      if (Frame.ContMarkIndex >= 0)
-        TakenMark = Marks + Frame.ContMarkIndex;
-      break;
-    }
-    case FlatOp::Chain: // Handled above.
-      break;
-    }
-
-    if (TakenMark && fireMark(P, *TakenMark, Core, R.CyclesUsed)) {
-      R.Migrated = true;
-      P.CurGlobal = Cur;
-      return R;
-    }
-  }
-  P.CurGlobal = Cur;
-  return R;
-}
-
-/// The validated fast-replay engine. Same block sequence and RNG draws
-/// as the exact engines — the dynamic trace is identical — but three
-/// things make it faster, at the price of ulp-bounded cycle drift (it
-/// also shares the Flat engine's exact self-loop kernel, runSelfLoop):
-///
-///  1. Superblock chains are ALWAYS charged through the precomputed
-///     left-to-right sums in chainCycleTable() (no opt-in flag, no
-///     per-member walk) whenever the whole chain fits in the remaining
-///     budget. Each sum equals bit for bit what the exact walk adds
-///     from a zero partial sum, so the only drift is reassociating a
-///     whole-chain sum into the non-zero quantum accumulator: a few
-///     ulps of the running total per fused charge.
-///  2. Hot-path state lives in registers for the whole call: cycle,
-///     instruction, and block accumulators plus the monitoring triple
-///     are locals, written back to the cold Process body once per
-///     quantum (and flushed/reloaded around fireMark, which reads and
-///     mutates the cold body).
-///  3. Per-quantum invariants (the config offset) are served from the
-///     hot lane's migration-aware cache, like the flat engine.
-///
-/// Monitoring sessions never fuse: MonCycles feeds truncated into
-/// integer tuner samples, where drift would become integer divergence
-/// in tuning decisions. Mark-free Jump cycles (ChainBlocks == 0) fall
-/// back to the exact tight loop, exactly like the flat engine.
-Machine::AdvanceResult
-Machine::advanceProcessFastReplay(Process &P, uint32_t Core,
-                                  double BudgetCycles, uint32_t Sharers) {
-  AdvanceResult R;
   const FlatImage &FI = *P.Flat;
   const FlatBlock *Blk = FI.blocks();
   const double *Cyc = FI.cycleTable();
   const double *ChainCyc = FI.chainCycleTable();
   const PhaseMark *Marks = FI.marks();
   uint32_t *LoopRem = P.LoopRemaining.data();
-  Rng &Gen = P.Gen;
+  // Per-quantum invariant, cached across quanta in the hot lane and
+  // recomputed only on migration or a sharer-count change. Pure
+  // function of (core type, sharers), so caching cannot change results.
   const uint32_t CfgOff = configOffsetCached(P, Core, Sharers);
   const uint64_t EntryInsts = P.Stats.InstsRetired;
 
-  // Register-resident hot state; flushed once at exit (and around
-  // fireMark, whose monitoring bookkeeping reads the cold body).
   uint32_t Cur = P.CurGlobal;
   double Used = 0;
   uint64_t Insts = 0;
@@ -628,8 +492,6 @@ Machine::advanceProcessFastReplay(Process &P, uint32_t Core,
     P.MonInsts = MonInsts;
     P.MonCycles = MonCycles;
   };
-  // fireMark reads/writes the cold body (stats, monitoring, tuner,
-  // affinity), so the hot state round-trips through the Process here.
   auto Fire = [&](const PhaseMark &Mark) {
     Flush();
     bool Migrate = fireMark(P, Mark, Core, Used);
@@ -638,7 +500,18 @@ Machine::advanceProcessFastReplay(Process &P, uint32_t Core,
     MonCycles = P.MonCycles;
     return Migrate;
   };
+  auto Exit = [&](bool Finished, bool Migrated) {
+    Flush();
+    AdvanceResult R;
+    R.CyclesUsed = Used;
+    R.InstsDelta = P.Stats.InstsRetired - EntryInsts;
+    R.Finished = Finished;
+    R.Migrated = Migrated;
+    return R;
+  };
 
+  // No Finished test: runqueues hold only unfinished processes, and the
+  // final Ret returns at once.
   while (Used < BudgetCycles) {
     const FlatBlock *B = &Blk[Cur];
 
@@ -647,20 +520,22 @@ Machine::advanceProcessFastReplay(Process &P, uint32_t Core,
       continue;
 
     if (B->Op == FlatOp::Chain) {
-      if (!MonActive && B->ChainBlocks > 0) {
-        double Sum = ChainCyc[B->ChainRow + CfgOff];
-        if (Used + Sum < BudgetCycles) {
-          // O(1) superblock: the whole mark-free chain fits in the
-          // remaining budget; charge the fused left-to-right sum.
-          Used += Sum;
-          Insts += B->ChainInsts;
-          Blocks += B->ChainBlocks;
-          Cur = B->ChainExit;
-          continue;
+      if constexpr (Fused) {
+        if (!MonActive && B->ChainBlocks > 0) {
+          double Sum = ChainCyc[B->ChainRow + CfgOff];
+          if (Used + Sum < BudgetCycles) {
+            Used += Sum;
+            Insts += B->ChainInsts;
+            Blocks += B->ChainBlocks;
+            Cur = B->ChainExit;
+            continue;
+          }
         }
       }
-      // Exact tight loop: budget-straddling chains, mark-free cycles
-      // (ChainBlocks == 0), and monitored sections.
+      // Exact superblock walk: no terminator dispatch, no mark lookups,
+      // no RNG — just successive records until the chain exit or the
+      // quantum budget. Monitoring is hoisted out of the loop (it can
+      // only change at a mark, and chains are mark-free).
       if (MonActive) {
         do {
           double Cycles = Cyc[B->CycleRow + CfgOff];
@@ -704,13 +579,8 @@ Machine::advanceProcessFastReplay(Process &P, uint32_t Core,
       P.CallStack.push_back(CallFrame{0, 0, B->EdgeMark[0], B->Succ[0]});
       int32_t CallMark = B->CallMark;
       Cur = B->Callee;
-      if (CallMark >= 0 && Fire(Marks[CallMark])) {
-        R.Migrated = true;
-        Flush();
-        R.CyclesUsed = Used;
-        R.InstsDelta = P.Stats.InstsRetired - EntryInsts;
-        return R;
-      }
+      if (CallMark >= 0 && Fire(Marks[CallMark]))
+        return Exit(false, true);
       continue;
     }
     case FlatOp::Loop: {
@@ -732,7 +602,7 @@ Machine::advanceProcessFastReplay(Process &P, uint32_t Core,
       break;
     }
     case FlatOp::Cond: {
-      uint32_t Index = Gen.nextBool(B->TakenProb) ? 0 : 1;
+      uint32_t Index = P.Gen.nextBool(B->TakenProb) ? 0 : 1;
       int32_t Mark = B->EdgeMark[Index];
       if (Mark >= 0)
         TakenMark = Marks + Mark;
@@ -742,11 +612,7 @@ Machine::advanceProcessFastReplay(Process &P, uint32_t Core,
     case FlatOp::Ret: {
       if (P.CallStack.empty()) {
         P.Finished = true;
-        R.Finished = true;
-        Flush();
-        R.CyclesUsed = Used;
-        R.InstsDelta = P.Stats.InstsRetired - EntryInsts;
-        return R;
+        return Exit(true, false);
       }
       CallFrame Frame = P.CallStack.back();
       P.CallStack.pop_back();
@@ -759,18 +625,10 @@ Machine::advanceProcessFastReplay(Process &P, uint32_t Core,
       break;
     }
 
-    if (TakenMark && Fire(*TakenMark)) {
-      R.Migrated = true;
-      Flush();
-      R.CyclesUsed = Used;
-      R.InstsDelta = P.Stats.InstsRetired - EntryInsts;
-      return R;
-    }
+    if (TakenMark && Fire(*TakenMark))
+      return Exit(false, true);
   }
-  Flush();
-  R.CyclesUsed = Used;
-  R.InstsDelta = P.Stats.InstsRetired - EntryInsts;
-  return R;
+  return Exit(false, false);
 }
 
 Machine::AdvanceResult

@@ -47,14 +47,15 @@ class TraceSink;
 enum class ExecEngine : uint8_t {
   /// Flat-image engine: one indexed load per block, superblock chains
   /// executed in a dispatch-free tight loop. Bit-identical to Reference.
+  /// Runs Machine::advanceProcessFlat<false>.
   Flat,
   /// Block-at-a-time interpreter over the IR + CostModel + mark lookup,
   /// retained as the differential-testing oracle.
   Reference,
-  /// Validated fast-replay engine: the flat image with superblock
-  /// chains always charged through their precomputed left-to-right
-  /// cycle sums, register-local hot-path accumulators, and per-quantum
-  /// invariants cached across quanta (recomputed only on migration).
+  /// Validated fast-replay engine: the Flat engine's loop
+  /// (Machine::advanceProcessFlat<true>) with one difference — a
+  /// superblock chain that fits whole in the remaining budget is
+  /// charged through its precomputed left-to-right cycle sum.
   /// Integer statistics (instructions, blocks, marks, switches) and
   /// completion order are exactly identical to the exact engines on
   /// the differential corpus; cycle totals and completion times drift
@@ -188,7 +189,7 @@ public:
   obs::TraceSink *traceSink() const { return Trace; }
 
   /// Self-loop prefix tables built so far: one per distinct body cost
-  /// the flat-image engines' kernel has charged from zero used cycles
+  /// the flat-image engine loop's kernel has charged from zero used cycles
   /// (diagnostic; see selfLoopTable).
   size_t selfLoopTableCount() const { return SelfLoopTables.size(); }
 
@@ -247,7 +248,9 @@ private:
   AdvanceResult advanceProcess(Process &P, uint32_t Core,
                                double BudgetCycles, uint32_t Sharers);
 
-  /// Flat-image engine (see FlatImage.h).
+  /// Flat-image engine loop (see FlatImage.h): the Flat engine with
+  /// \p Fused off, FastReplay (see ExecEngine::FastReplay) with it on.
+  template <bool Fused>
   AdvanceResult advanceProcessFlat(Process &P, uint32_t Core,
                                    double BudgetCycles, uint32_t Sharers);
 
@@ -256,13 +259,8 @@ private:
                                         double BudgetCycles,
                                         uint32_t Sharers);
 
-  /// Validated fast-replay engine (see ExecEngine::FastReplay).
-  AdvanceResult advanceProcessFastReplay(Process &P, uint32_t Core,
-                                         double BudgetCycles,
-                                         uint32_t Sharers);
-
-  /// The exact self-loop kernel shared by the Flat and FastReplay
-  /// engines (see Machine.cpp). \p Pid names the process whose hot lane
+  /// The exact self-loop kernel of the flat-image engine loop (see
+  /// Machine.cpp). \p Pid names the process whose hot lane
   /// caches the prefix table; the accumulators are the calling engine's.
   bool runSelfLoop(const FlatBlock &B, uint32_t Cur, const double *Cyc,
                    uint32_t CfgOff, uint32_t Pid, uint32_t *LoopRem,

@@ -89,7 +89,7 @@ pbt::preparePrograms(const std::vector<Program> &Programs,
                      uint64_t TypingSeed, ThreadPool *Pool) {
   PipelineContext Ctx =
       makePipelineContext(Programs, Machine, Tech, TypingSeed, Pool);
-  buildPreparationPipeline().run(Ctx);
+  runPreparationPipeline(Ctx);
 
   std::vector<PreparedProgram> Out(Programs.size());
   for (size_t Index = 0; Index < Programs.size(); ++Index) {

@@ -291,8 +291,7 @@ struct WorkloadJob {
   /// is enabled process-wide, the runner opens a per-unit sink named
   /// TRACE_<experiment>.g<TraceGroup>.<TraceUnit>.json. Unit ids come
   /// from the sweep plan, so file names — and contents — are
-  /// independent of thread scheduling. Deliberately the last members:
-  /// existing aggregate initializers default them to "off".
+  /// independent of thread scheduling. An empty TraceUnit is "off".
   std::string TraceUnit;
   uint64_t TraceGroup = 0;
 };

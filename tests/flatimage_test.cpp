@@ -585,6 +585,47 @@ TEST(FlatEngine, SingleSuccessorCondFoldsIdentically) {
   EXPECT_EQ(Stats[0].MarksFired, 50u);
 }
 
+// Flat and FastReplay share one block loop, and only FastReplay may
+// charge a superblock chain as one precomputed sum; Flat must add it
+// block by block. Here a four-block chain with fractional costs runs
+// inside an outer loop, so the two orders round differently and a Flat
+// that fused would drift from Reference.
+TEST(FlatEngine, WalksChainsBlockByBlock) {
+  const uint32_t Links = 4;
+  IRBuilder B("chain_loop", 5);
+  uint32_t Main = B.createProc("main");
+  for (uint32_t I = 0; I < Links + 2; ++I)
+    B.addBlock(Main);
+  for (uint32_t I = 0; I < Links; ++I) {
+    B.appendMix(Main, I, InstMix::memory(11 + 7 * I, 1u << 17, 0.3));
+    B.setJump(Main, I, I + 1);
+  }
+  B.appendMix(Main, Links, InstMix::compute(10));
+  B.setLoop(Main, Links, 0, Links + 1, 5000);
+  B.setRet(Main, Links + 1);
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  HandImage H = handImage(B.take(), MC);
+  ASSERT_EQ(H.Flat->block(0).Op, FlatOp::Chain);
+  ASSERT_EQ(H.Flat->block(0).ChainBlocks, Links);
+
+  std::vector<ProcessStats> Stats;
+  for (ExecEngine Engine :
+       {ExecEngine::Reference, ExecEngine::Flat, ExecEngine::FastReplay}) {
+    SimConfig SC;
+    SC.Engine = Engine;
+    Machine M(MC, SC, std::make_unique<ObliviousScheduler>());
+    uint32_t Pid = M.spawn(H.IP, H.Cost, TunerConfig(), 5, -1, 0, H.Flat);
+    while (M.process(Pid).CompletionTime < 0)
+      M.run(M.now() + 64);
+    Stats.push_back(M.process(Pid).Stats);
+  }
+  expectStatsIdentical(Stats[0], Stats[1]);
+  // The input does tell the orders apart: FastReplay's fused charges
+  // keep the integer stats but round the cycle total differently.
+  EXPECT_EQ(Stats[0].BlocksExecuted, Stats[2].BlocksExecuted);
+  EXPECT_NE(Stats[0].CyclesConsumed, Stats[2].CyclesConsumed);
+}
+
 // The self-loop kernel: unmarked single-block loops run their back-edge
 // trips in a dedicated loop inside both flat-image engines. These
 // hand-built programs pin its edge cases against the Reference

@@ -1,11 +1,11 @@
 //===- tests/passmanager_test.cpp - static pipeline & self-verification ---===//
 //
-// The pass-manager promotion contract and the VerifyPass static
-// analysis: prepareSuite (the pass-manager pipeline) must be
-// bit-identical to the legacy monolithic path, the cross-program
-// fixpoint must quiesce in one working round, and verifyPrep /
-// verifyPrepared must accept every well-formed preparation and reject
-// each documented class of broken state.
+// The pipeline promotion contract and the VerifyPass static analysis:
+// prepareSuite (the linear preparation pipeline) must be bit-identical
+// to the legacy monolithic path, each pass must visit each program
+// exactly once per run, and verifyPrep / verifyPrepared must accept
+// every well-formed preparation and reject each documented class of
+// broken state.
 
 #include "analysis/PassManager.h"
 
@@ -135,10 +135,10 @@ const PassStats *findPass(const PipelineStats &Stats, const char *Name) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Promotion contract: pass manager == legacy monolithic pipeline
+// Promotion contract: preparation pipeline == legacy monolithic path
 //===----------------------------------------------------------------------===//
 
-// The tentpole's promotion contract: the pass-manager pipeline behind
+// The promotion contract: the preparation pipeline behind
 // prepareSuite must produce artifacts bit-identical to the
 // pre-pass-manager monolithic path, for every technique class —
 // baseline, loop/BB marking, static typing with error injection.
@@ -188,32 +188,28 @@ TEST(PassManagerPromotion, VerifyIRDoesNotPerturbOutput) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fixpoint mechanics and per-pass stats
+// Linear pipeline mechanics and per-pass stats
 //===----------------------------------------------------------------------===//
 
-// The preparation passes are idempotent, so the cross-program fixpoint
-// is one working round plus the quiescent round that proves it; every
-// pass visits every program each round, and the working round's change
-// counts are exactly the programs each stage had to fill in.
-TEST(PassManagerFixpoint, OneWorkingRoundThenQuiescence) {
+// One run visits every program once per pass, in the fixed pass order,
+// and the change counts are exactly the programs each stage had to fill
+// in.
+TEST(PassManagerLinearPipeline, EachPassVisitsEachProgramOnce) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   std::vector<Program> Programs = randomPrograms(11, 5);
   TechniqueSpec Tech = loopTechnique();
   const uint64_t N = Programs.size();
 
-  PassManager PM = buildPreparationPipeline();
-  ASSERT_EQ(PM.size(), 6u);
   PipelineContext Ctx = makePipelineContext(Programs, MC, Tech, 42);
   Ctx.VerifyIR = false;
-  PipelineStats Stats = PM.run(Ctx);
+  PipelineStats Stats = runPreparationPipeline(Ctx);
 
-  EXPECT_EQ(Stats.Rounds, 2u);
   ASSERT_EQ(Stats.Passes.size(), 6u);
   const char *Order[] = {"cost-model", "typing",     "error-inject",
                          "transitions", "instrument", "flatten"};
   for (size_t P = 0; P < 6; ++P) {
     EXPECT_EQ(Stats.Passes[P].Name, Order[P]);
-    EXPECT_EQ(Stats.Passes[P].Invocations, Stats.Rounds * N);
+    EXPECT_EQ(Stats.Passes[P].Invocations, N);
   }
   // Loop technique, no error injection: every stage except error-inject
   // computes something for every program, exactly once.
@@ -231,10 +227,10 @@ TEST(PassManagerFixpoint, OneWorkingRoundThenQuiescence) {
     EXPECT_TRUE(verifyPrep(PC, Ctx, &Err)) << Err;
   }
 
-  // Re-running on the already-prepared context is a pure no-op: a
-  // single quiescent round, nothing changed.
-  PipelineStats Again = PM.run(Ctx);
-  EXPECT_EQ(Again.Rounds, 1u);
+  // Re-running on the already-prepared context is a pure no-op: every
+  // pass visits every program once and changes nothing.
+  PipelineStats Again = runPreparationPipeline(Ctx);
+  ASSERT_EQ(Again.Passes.size(), 6u);
   for (const PassStats &P : Again.Passes) {
     EXPECT_EQ(P.Invocations, N);
     EXPECT_EQ(P.ProgramsChanged, 0u);
@@ -244,7 +240,7 @@ TEST(PassManagerFixpoint, OneWorkingRoundThenQuiescence) {
 // The baseline technique short-circuits typing and error injection but
 // still flows through transitions (the trivial one-type marking),
 // instrumentation, and flattening.
-TEST(PassManagerFixpoint, BaselineSkipsTypingStages) {
+TEST(PassManagerLinearPipeline, BaselineSkipsTypingStages) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   std::vector<Program> Programs = randomPrograms(23, 4);
   TechniqueSpec Tech = TechniqueSpec::baseline();
@@ -252,9 +248,10 @@ TEST(PassManagerFixpoint, BaselineSkipsTypingStages) {
 
   PipelineContext Ctx = makePipelineContext(Programs, MC, Tech, 42);
   Ctx.VerifyIR = false;
-  PipelineStats Stats = buildPreparationPipeline().run(Ctx);
+  PipelineStats Stats = runPreparationPipeline(Ctx);
 
-  EXPECT_EQ(Stats.Rounds, 2u);
+  for (const PassStats &P : Stats.Passes)
+    EXPECT_EQ(P.Invocations, N) << P.Name;
   EXPECT_EQ(findPass(Stats, "typing")->ProgramsChanged, 0u);
   EXPECT_EQ(findPass(Stats, "error-inject")->ProgramsChanged, 0u);
   EXPECT_EQ(findPass(Stats, "transitions")->ProgramsChanged, N);
@@ -266,8 +263,8 @@ TEST(PassManagerFixpoint, BaselineSkipsTypingStages) {
 }
 
 // With error injection enabled the error-inject pass perturbs every
-// typed program exactly once, and stays idempotent.
-TEST(PassManagerFixpoint, ErrorInjectionChangesEveryTypedProgramOnce) {
+// typed program exactly once.
+TEST(PassManagerLinearPipeline, ErrorInjectionChangesEveryTypedProgramOnce) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   std::vector<Program> Programs = randomPrograms(37, 5);
   TechniqueSpec Tech = loopTechnique();
@@ -277,17 +274,18 @@ TEST(PassManagerFixpoint, ErrorInjectionChangesEveryTypedProgramOnce) {
 
   PipelineContext Ctx = makePipelineContext(Programs, MC, Tech, 42);
   Ctx.VerifyIR = false;
-  PipelineStats Stats = buildPreparationPipeline().run(Ctx);
-  EXPECT_EQ(Stats.Rounds, 2u);
+  PipelineStats Stats = runPreparationPipeline(Ctx);
+  for (const PassStats &P : Stats.Passes)
+    EXPECT_EQ(P.Invocations, N) << P.Name;
   EXPECT_EQ(findPass(Stats, "error-inject")->ProgramsChanged, N);
   for (const ProgramPrep &PC : Ctx.Programs)
     EXPECT_TRUE(PC.ErrorInjected);
 }
 
-// Under verify-IR the manager appends a "verify" stats entry and runs
-// the sweep after every pass of every round: passes * rounds * programs
-// verification invocations, with no exception on healthy state.
-TEST(PassManagerFixpoint, VerifySweepRunsAfterEveryPass) {
+// Under verify-IR the pipeline appends a "verify" stats entry and runs
+// the sweep after every pass: passes * programs verification
+// invocations, with no exception on healthy state.
+TEST(PassManagerLinearPipeline, VerifySweepRunsAfterEveryPass) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   std::vector<Program> Programs = randomPrograms(41, 3);
   TechniqueSpec Tech = loopTechnique();
@@ -295,18 +293,18 @@ TEST(PassManagerFixpoint, VerifySweepRunsAfterEveryPass) {
 
   PipelineContext Ctx = makePipelineContext(Programs, MC, Tech, 42);
   Ctx.VerifyIR = true;
-  PipelineStats Stats = buildPreparationPipeline().run(Ctx);
+  PipelineStats Stats = runPreparationPipeline(Ctx);
 
   ASSERT_EQ(Stats.Passes.size(), 7u);
   EXPECT_EQ(Stats.Passes.back().Name, "verify");
-  EXPECT_EQ(Stats.Passes.back().Invocations, 6u * Stats.Rounds * N);
+  EXPECT_EQ(Stats.Passes.back().Invocations, 6u * N);
   EXPECT_EQ(Stats.Passes.back().ProgramsChanged, 0u);
 }
 
 // Pipeline runs accumulate into the process-wide cumulative stats the
 // driver surfaces; the deterministic counters grow by exactly one
 // run's worth.
-TEST(PassManagerFixpoint, CumulativeStatsAccumulateAcrossRuns) {
+TEST(PassManagerLinearPipeline, CumulativeStatsAccumulateAcrossRuns) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   std::vector<Program> Programs = randomPrograms(43, 4);
   const uint64_t N = Programs.size();
@@ -315,16 +313,15 @@ TEST(PassManagerFixpoint, CumulativeStatsAccumulateAcrossRuns) {
   TechniqueSpec Tech = loopTechnique();
   PipelineContext Ctx = makePipelineContext(Programs, MC, Tech, 42);
   Ctx.VerifyIR = false;
-  PipelineStats Run = buildPreparationPipeline().run(Ctx);
+  runPreparationPipeline(Ctx);
   PipelineStats After = cumulativePipelineStats();
 
-  EXPECT_EQ(After.Rounds, Before.Rounds + Run.Rounds);
   for (const char *Name : {"cost-model", "typing", "flatten"}) {
     const PassStats *B = findPass(Before, Name);
     const PassStats *A = findPass(After, Name);
     ASSERT_TRUE(A != nullptr);
     uint64_t BeforeInvocations = B ? B->Invocations : 0;
-    EXPECT_EQ(A->Invocations, BeforeInvocations + Run.Rounds * N);
+    EXPECT_EQ(A->Invocations, BeforeInvocations + N);
   }
 }
 

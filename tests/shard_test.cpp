@@ -306,6 +306,82 @@ TEST(ShardSpecTest, RejectsMalformedSpecsWithDiagnostic) {
   }
 }
 
+// Leading zeros get their own diagnostic: "02/4" would otherwise name
+// shard 2/4 under a second spelling.
+TEST(ShardSpecTest, RejectsLeadingZerosWithDistinctDiagnostic) {
+  for (const char *Bad : {"02/4", "2/04", "00/4", "01/01", "007/8"}) {
+    ShardSpec S;
+    std::string Err;
+    EXPECT_FALSE(ShardSpec::parse(Bad, S, Err)) << "accepted \"" << Bad << "\"";
+    EXPECT_NE(Err.find("leading zero"), std::string::npos)
+        << "\"" << Bad << "\": " << Err;
+  }
+  // A lone zero is a number out of range, not a leading zero.
+  ShardSpec S;
+  std::string Err;
+  EXPECT_FALSE(ShardSpec::parse("0/4", S, Err));
+  EXPECT_NE(Err.find("out of range"), std::string::npos) << Err;
+}
+
+namespace {
+
+/// Parses one mutant: an accepted spec must re-format as "Index/Count"
+/// to exactly its input bytes, and a rejected one must say why.
+void checkSpecMutant(const std::string &Text, uint32_t &Accepted,
+                     uint32_t &Rejected) {
+  ShardSpec S;
+  std::string Err;
+  if (ShardSpec::parse(Text, S, Err)) {
+    ++Accepted;
+    EXPECT_EQ(std::to_string(S.Index) + "/" + std::to_string(S.Count), Text)
+        << "accepted spec does not round-trip";
+    EXPECT_TRUE(S.Index >= 1 && S.Index <= S.Count) << Text;
+  } else {
+    ++Rejected;
+    EXPECT_FALSE(Err.empty()) << "no diagnostic for \"" << Text << "\"";
+  }
+}
+
+} // namespace
+
+// Seeded mutations of valid specs — byte flips, replacements from the
+// spec alphabet, every truncation, and splices of two specs — never
+// yield an accepted spec that names a shard under another spelling, nor
+// a silent rejection.
+TEST(ShardSpecTest, MutatedSpecsRoundTripOrCarryDiagnostic) {
+  const std::vector<std::string> Valid = {
+      "1/1",    "2/4",     "8/8",       "3/17",
+      "10/10",  "100/100", "123/4096",  "4294967295/4294967295"};
+  const std::string Alphabet = "0123456789/+- x";
+  Rng Gen(61);
+  uint32_t Accepted = 0, Rejected = 0;
+  for (uint32_t T = 0; T < 4000 && !::testing::Test::HasFailure(); ++T) {
+    std::string Text = Valid[Gen.nextBelow(Valid.size())];
+    uint64_t Flips = 1 + Gen.nextBelow(3);
+    for (uint64_t F = 0; F < Flips; ++F) {
+      char &C = Text[Gen.nextBelow(Text.size())];
+      if (Gen.nextBelow(2) == 0)
+        C = Alphabet[Gen.nextBelow(Alphabet.size())];
+      else
+        C = static_cast<char>(C ^ (1 + Gen.nextBelow(255)));
+    }
+    checkSpecMutant(Text, Accepted, Rejected);
+  }
+  for (const std::string &Text : Valid)
+    for (size_t Len = 0; Len < Text.size(); ++Len)
+      checkSpecMutant(Text.substr(0, Len), Accepted, Rejected);
+  for (uint32_t T = 0; T < 4000 && !::testing::Test::HasFailure(); ++T) {
+    const std::string &A = Valid[Gen.nextBelow(Valid.size())];
+    const std::string &B = Valid[Gen.nextBelow(Valid.size())];
+    checkSpecMutant(A.substr(0, Gen.nextBelow(A.size() + 1)) +
+                        B.substr(Gen.nextBelow(B.size() + 1)),
+                    Accepted, Rejected);
+  }
+  // Both outcomes must actually occur, or the loop proves nothing.
+  EXPECT_GT(Accepted, 100u);
+  EXPECT_GT(Rejected, 100u);
+}
+
 //===----------------------------------------------------------------------===//
 // Partitioner properties
 //===----------------------------------------------------------------------===//
