@@ -36,7 +36,12 @@ struct ReuseProfile {
   /// accesses that have a finite reuse distance.
   std::vector<uint32_t> Distances;
   /// Recorded accesses with no prior access to the same line (infinite
-  /// distance); these always miss.
+  /// distance; missRate() counts them as misses). The recorded second
+  /// pass follows a full first pass over the same stream, so it never
+  /// sees one: computeBlockReuse() always leaves this 0, and every
+  /// finite distance of a non-streaming access is below the block's
+  /// distinct-line count. CostModel's closed-form miss count rests on
+  /// both facts.
   uint32_t ColdCount = 0;
   /// Total recorded accesses (|Distances| + ColdCount).
   uint32_t AccessCount = 0;

@@ -6,6 +6,7 @@
 
 #include "sim/CostModel.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace pbt;
@@ -34,6 +35,7 @@ CostModel::CostModel(const Program &Prog, const MachineConfig &MachineIn,
                      CpiTable Cpi)
     : Machine(MachineIn) {
   MaxSharers = std::max(1u, Machine.maxGroupSize());
+  Stride = Machine.numCoreTypes() * MaxSharers;
 
   ProcOffset.resize(Prog.Procs.size());
   uint32_t Offset = 0;
@@ -42,27 +44,88 @@ CostModel::CostModel(const Program &Prog, const MachineConfig &MachineIn,
     Offset += static_cast<uint32_t>(P.Blocks.size());
   }
   Entries.resize(Offset);
+  Stalls.resize(static_cast<size_t>(Offset) * Stride);
+
+  // Base CPI per InstKind: the per-instruction sum is one indexed load.
+  constexpr size_t NumKinds = static_cast<size_t>(InstKind::Syscall) + 1;
+  double KindCpi[NumKinds];
+  for (size_t K = 0; K < NumKinds; ++K)
+    KindCpi[K] = Cpi.of(static_cast<InstKind>(K));
+
+  // Effective L2 lines (>= 1) and miss penalty of each stall column.
+  std::vector<uint32_t> EffLines(Stride);
+  std::vector<double> Penalty(Stride);
+  uint32_t MinEffLines = ~0u;
+  for (uint32_t Ct = 0; Ct < Machine.numCoreTypes(); ++Ct)
+    for (uint32_t Sharers = 1; Sharers <= MaxSharers; ++Sharers) {
+      uint32_t C = Ct * MaxSharers + (Sharers - 1);
+      EffLines[C] = std::max(1u, Machine.cacheLines(Ct) / Sharers);
+      Penalty[C] = Machine.missPenaltyCycles(Ct);
+      MinEffLines = std::min(MinEffLines, EffLines[C]);
+    }
+
+  // Scratch shared by every block: occurrences of each line in one
+  // execution, and the lines seen so far (to reset them after).
+  std::vector<uint32_t> Occurrences;
+  std::vector<uint32_t> Lines;
 
   for (const Procedure &P : Prog.Procs) {
     for (const BasicBlock &BB : P.Blocks) {
-      BlockEntry &E = Entries[ProcOffset[P.Id] + BB.Id];
+      size_t G = ProcOffset[P.Id] + BB.Id;
+      BlockEntry &E = Entries[G];
       E.Insts = static_cast<uint32_t>(BB.size());
-      E.MemOps = static_cast<uint32_t>(BB.memOpCount());
-      for (const Instruction &I : BB.Insts)
-        E.BaseCycles += Cpi.of(I.Kind);
+      double Base = 0;
+      for (const Instruction &I : BB.Insts) {
+        Base += KindCpi[static_cast<size_t>(I.Kind)];
+        if (!isMemoryKind(I.Kind))
+          continue;
+        ++E.MemOps;
+        assert(I.MemRef >= 0 && "memory op without a line");
+        auto Line = static_cast<uint32_t>(I.MemRef);
+        if (Line >= Occurrences.size())
+          Occurrences.resize(static_cast<size_t>(Line) + 1, 0);
+        if (Occurrences[Line]++ == 0)
+          Lines.push_back(Line);
+      }
+      E.BaseCycles = Base;
 
-      ReuseProfile Reuse = computeBlockReuse(BB);
-      E.StallCycles.resize(Machine.numCoreTypes());
-      for (uint32_t Ct = 0; Ct < Machine.numCoreTypes(); ++Ct) {
-        E.StallCycles[Ct].resize(MaxSharers);
-        double Penalty = Machine.missPenaltyCycles(Ct);
-        for (uint32_t Sharers = 1; Sharers <= MaxSharers; ++Sharers) {
-          uint32_t EffLines = std::max(1u, Machine.cacheLines(Ct) / Sharers);
-          E.StallCycles[Ct][Sharers - 1] =
-              (Reuse.missRate(EffLines) * static_cast<double>(E.MemOps) +
-               Cpi.AmbientMissPerInst * static_cast<double>(E.Insts)) *
-              Penalty;
+      // Lines touched once per execution stream when the block declares
+      // a stream (see computeBlockReuse()).
+      uint32_t Streaming = 0;
+      for (uint32_t Line : Lines) {
+        Streaming += Occurrences[Line] == 1 ? 1 : 0;
+        Occurrences[Line] = 0;
+      }
+      auto Distinct = static_cast<uint32_t>(Lines.size());
+      Lines.clear();
+
+      // The closed form below holds for EffLines >= Distinct; a cache
+      // share smaller than the block replays its reference stream.
+      ReuseProfile Reuse;
+      if (Distinct > MinEffLines)
+        Reuse = computeBlockReuse(BB);
+
+      double Ambient = Cpi.AmbientMissPerInst * static_cast<double>(E.Insts);
+      double *Row = &Stalls[G * Stride];
+      for (uint32_t C = 0; C < Stride; ++C) {
+        double Rate;
+        if (EffLines[C] < Distinct) {
+          Rate = Reuse.missRate(EffLines[C]);
+        } else {
+          // No recorded access is cold and every resident distance is
+          // below Distinct, so only streaming accesses (distance
+          // StreamWorkingSet) can miss. EffLines >= 1, so a block that
+          // declares no stream (StreamWorkingSet == 0) counts none.
+          // Missing == 0 also covers blocks without memory operations,
+          // for which missRate() returns 0 instead of 0/0.
+          uint32_t Missing =
+              BB.StreamWorkingSet >= EffLines[C] ? Streaming : 0;
+          Rate = Missing == 0 ? 0.0
+                              : static_cast<double>(Missing) /
+                                    static_cast<double>(E.MemOps);
         }
+        Row[C] = (Rate * static_cast<double>(E.MemOps) + Ambient) *
+                 Penalty[C];
       }
     }
   }
@@ -74,15 +137,17 @@ void CostModel::serializeTables(BinaryWriter &W) const {
   for (uint32_t Offset : ProcOffset)
     W.u32(Offset);
   W.u32(static_cast<uint32_t>(Entries.size()));
+  const uint32_t NumCoreTypes = Stride / MaxSharers;
+  const double *Row = Stalls.data();
   for (const BlockEntry &E : Entries) {
     W.u32(E.Insts);
     W.u32(E.MemOps);
     W.f64(E.BaseCycles);
-    W.u32(static_cast<uint32_t>(E.StallCycles.size()));
-    for (const std::vector<double> &Row : E.StallCycles) {
-      W.u32(static_cast<uint32_t>(Row.size()));
-      for (double Stall : Row)
-        W.f64(Stall);
+    W.u32(NumCoreTypes);
+    for (uint32_t Ct = 0; Ct < NumCoreTypes; ++Ct) {
+      W.u32(MaxSharers);
+      for (uint32_t L = 0; L < MaxSharers; ++L)
+        W.f64(*Row++);
     }
   }
 }
@@ -92,76 +157,75 @@ CostModel CostModel::deserializeTables(BinaryReader &R,
                                        const Program &Prog) {
   CostModel M;
   M.Machine = Machine;
+  // The tables must agree with the machine and program they claim to
+  // describe: sharer depth, stall-matrix shape, the canonical offset
+  // layout, and per-block instruction counts. Each shape word is
+  // checked before the data it sizes is read.
   M.MaxSharers = R.u32();
+  if (M.MaxSharers != std::max(1u, Machine.maxGroupSize()))
+    R.markFailed();
+  const uint32_t NumCoreTypes = Machine.numCoreTypes();
+  M.Stride = NumCoreTypes * M.MaxSharers;
   M.ProcOffset.resize(R.count(1u << 24, /*ElemBytes=*/4));
   for (uint32_t &Offset : M.ProcOffset)
     Offset = R.u32();
   M.Entries.resize(R.count(1u << 24, /*ElemBytes=*/20));
+  if (M.ProcOffset.size() != Prog.Procs.size() ||
+      M.Entries.size() != Prog.blockCount())
+    R.markFailed();
+  if (R.failed())
+    return M;
+  M.Stalls.resize(M.Entries.size() * M.Stride);
+  double *Row = M.Stalls.data();
   for (BlockEntry &E : M.Entries) {
     E.Insts = R.u32();
     E.MemOps = R.u32();
     E.BaseCycles = R.f64();
-    E.StallCycles.resize(R.count(256, /*ElemBytes=*/4));
-    for (std::vector<double> &Row : E.StallCycles) {
-      Row.resize(R.count(256, /*ElemBytes=*/8));
-      for (double &Stall : Row)
-        Stall = R.f64();
+    if (R.u32() != NumCoreTypes)
+      R.markFailed();
+    for (uint32_t Ct = 0; Ct < NumCoreTypes && !R.failed(); ++Ct) {
+      if (R.u32() != M.MaxSharers)
+        R.markFailed();
+      for (uint32_t L = 0; L < M.MaxSharers; ++L)
+        *Row++ = R.f64();
     }
     if (R.failed())
-      break; // Bail before resizing from further garbage lengths.
+      return M;
   }
-  // The tables must agree with the machine and program they claim to
-  // describe: sharer depth, stall-matrix shape, the canonical offset
-  // layout, and per-block instruction counts.
-  if (M.MaxSharers != std::max(1u, Machine.maxGroupSize()))
-    R.markFailed();
-  for (const BlockEntry &E : M.Entries) {
-    if (E.StallCycles.size() != Machine.numCoreTypes())
+  uint32_t Offset = 0;
+  for (const Procedure &P : Prog.Procs) {
+    if (M.ProcOffset[P.Id] != Offset) {
       R.markFailed();
-    for (const std::vector<double> &Row : E.StallCycles)
-      if (Row.size() != M.MaxSharers)
-        R.markFailed();
-    if (R.failed())
       break;
-  }
-  if (M.ProcOffset.size() != Prog.Procs.size() ||
-      M.Entries.size() != Prog.blockCount())
-    R.markFailed();
-  if (!R.failed()) {
-    uint32_t Offset = 0;
-    for (const Procedure &P : Prog.Procs) {
-      if (M.ProcOffset[P.Id] != Offset) {
+    }
+    for (const BasicBlock &BB : P.Blocks)
+      if (M.Entries[Offset + BB.Id].Insts != BB.size()) {
         R.markFailed();
         break;
       }
-      for (const BasicBlock &BB : P.Blocks)
-        if (M.Entries[Offset + BB.Id].Insts != BB.size()) {
-          R.markFailed();
-          break;
-        }
-      Offset += static_cast<uint32_t>(P.Blocks.size());
-    }
+    Offset += static_cast<uint32_t>(P.Blocks.size());
   }
   return M;
 }
 
 double CostModel::blockCycles(uint32_t Proc, uint32_t Block,
                               uint32_t CoreType, uint32_t Sharers) const {
-  const BlockEntry &E = entry(Proc, Block);
-  assert(CoreType < E.StallCycles.size() && "core type out of range");
+  assert(CoreType * MaxSharers < Stride && "core type out of range");
   uint32_t Level = std::min(std::max(Sharers, 1u), MaxSharers) - 1;
-  return E.BaseCycles + E.StallCycles[CoreType][Level];
+  size_t G = ProcOffset[Proc] + Block;
+  return Entries[G].BaseCycles +
+         Stalls[G * Stride + CoreType * MaxSharers + Level];
 }
 
 uint32_t CostModel::blockInsts(uint32_t Proc, uint32_t Block) const {
-  return entry(Proc, Block).Insts;
+  return Entries[ProcOffset[Proc] + Block].Insts;
 }
 
 double CostModel::blockIpc(uint32_t Proc, uint32_t Block,
                            uint32_t CoreType) const {
-  const BlockEntry &E = entry(Proc, Block);
   double Cycles = blockCycles(Proc, Block, CoreType, 1);
-  return Cycles <= 0 ? 0 : static_cast<double>(E.Insts) / Cycles;
+  return Cycles <= 0 ? 0
+                     : static_cast<double>(blockInsts(Proc, Block)) / Cycles;
 }
 
 ProgramTyping pbt::computeOracleTyping(const Program &Prog,

@@ -20,6 +20,24 @@
 /// (so they run faster on high-frequency cores), while memory-bound
 /// blocks show distinctly higher IPC on slow cores (fewer wasted cycles).
 ///
+/// Construction is one pass over the instructions. The base cycles are
+/// summed through a per-InstKind table in instruction order. The miss
+/// count takes a closed form instead of the LRU replay of
+/// computeBlockReuse(): the profile records the block's second pass, so
+/// no access is cold; a block-resident access has an LRU distance below
+/// the block's distinct-line count D, and a streaming access (a line
+/// touched once per execution of a block with a declared stream) has
+/// distance StreamWorkingSet. So for EffLines >= D the misses are exactly
+/// the streaming accesses when StreamWorkingSet >= EffLines, and none
+/// otherwise. Only EffLines < D (an L2 share smaller than one block's
+/// lines, which no preset machine reaches) replays the block through
+/// computeBlockReuse(). The integers match, so every table entry is bit
+/// for bit what the replay would give. See docs/ARCHITECTURE.md
+/// "Cost model".
+///
+/// The stall cycles live in one flat [block][coreType][sharers-1] table,
+/// the layout FlatImage's cycle table uses.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PBT_SIM_COSTMODEL_H
@@ -114,17 +132,15 @@ private:
     uint32_t Insts = 0;
     uint32_t MemOps = 0;
     double BaseCycles = 0;
-    /// Stall cycles per core type, indexed by [CoreType][Sharers-1].
-    std::vector<std::vector<double>> StallCycles;
   };
-
-  const BlockEntry &entry(uint32_t Proc, uint32_t Block) const {
-    return Entries[ProcOffset[Proc] + Block];
-  }
 
   MachineConfig Machine;
   std::vector<uint32_t> ProcOffset;
   std::vector<BlockEntry> Entries;
+  /// Stall cycles, indexed by [block][CoreType][Sharers-1]: Stride =
+  /// numCoreTypes * MaxSharers entries per block.
+  std::vector<double> Stalls;
+  uint32_t Stride = 0;
   uint32_t MaxSharers = 1;
 };
 

@@ -8,6 +8,10 @@
 
 #include "support/Env.h"
 
+#include <algorithm>
+#include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -19,13 +23,54 @@ using namespace pbt;
 namespace {
 
 double parseProbability(const std::string &Key, const std::string &Value) {
+  auto Malformed = [&] {
+    return std::invalid_argument("PBT_FAULTS: " + Key +
+                                 " wants a probability in [0,1], got '" +
+                                 Value + "'");
+  };
+  // strtod skips leading whitespace; a spec value is the number alone.
+  if (Value.empty() || std::isspace(static_cast<unsigned char>(Value[0])))
+    throw Malformed();
   char *End = nullptr;
   double P = std::strtod(Value.c_str(), &End);
-  if (End == Value.c_str() || *End != '\0' || P < 0 || P > 1)
+  if (End == Value.c_str() || *End != '\0')
+    throw Malformed();
+  // NaN fails every comparison, so a range test alone would let it
+  // through as a silently disarmed fault.
+  if (std::isnan(P))
     throw std::invalid_argument("PBT_FAULTS: " + Key +
-                                " wants a probability in [0,1], got '" +
-                                Value + "'");
+                                " is not a number: '" + Value + "'");
+  if (!(P >= 0 && P <= 1))
+    throw Malformed();
   return P;
+}
+
+/// Parses \p Value as a decimal integer in [\p Min, \p Max]. Digits
+/// only: strtoull would also take leading whitespace and a sign, and
+/// wraps "-1" to its maximum.
+uint64_t parseInteger(const std::string &What, const std::string &Value,
+                      uint64_t Min, uint64_t Max) {
+  if (Value.empty() ||
+      !std::all_of(Value.begin(), Value.end(), [](char C) {
+        return std::isdigit(static_cast<unsigned char>(C)) != 0;
+      }))
+    throw std::invalid_argument("PBT_FAULTS: " + What +
+                                " wants decimal digits, got '" + Value + "'");
+  auto OutOfRange = [&] {
+    return std::invalid_argument("PBT_FAULTS: " + What + " '" + Value +
+                                 "' out of range [" + std::to_string(Min) +
+                                 ", " + std::to_string(Max) + "]");
+  };
+  uint64_t N = 0;
+  for (char C : Value) {
+    auto Digit = static_cast<uint64_t>(C - '0');
+    if (N > (Max - Digit) / 10)
+      throw OutOfRange();
+    N = N * 10 + Digit;
+  }
+  if (N < Min)
+    throw OutOfRange();
+  return N;
 }
 
 } // namespace
@@ -69,10 +114,7 @@ FaultConfig FaultInjection::parse(const std::string &Spec) {
     std::string Key = Item.substr(0, Eq);
     std::string Value = Item.substr(Eq + 1);
     if (Key == "seed") {
-      char *End = nullptr;
-      C.Seed = std::strtoull(Value.c_str(), &End, 10);
-      if (End == Value.c_str() || *End != '\0')
-        throw std::invalid_argument("PBT_FAULTS: bad seed '" + Value + "'");
+      C.Seed = parseInteger("seed", Value, 0, UINT64_MAX);
     } else if (Key == "eio") {
       C.EioP = parseProbability(Key, Value);
     } else if (Key == "short_write") {
@@ -87,15 +129,9 @@ FaultConfig FaultInjection::parse(const std::string &Spec) {
       size_t Colon = Value.find(':');
       C.CrashPoint = Value.substr(0, Colon);
       C.CrashAtHit = 1;
-      if (Colon != std::string::npos) {
-        std::string Hit = Value.substr(Colon + 1);
-        char *End = nullptr;
-        unsigned long N = std::strtoul(Hit.c_str(), &End, 10);
-        if (End == Hit.c_str() || *End != '\0' || N == 0)
-          throw std::invalid_argument("PBT_FAULTS: bad crash_at hit '" +
-                                      Hit + "'");
-        C.CrashAtHit = static_cast<uint32_t>(N);
-      }
+      if (Colon != std::string::npos)
+        C.CrashAtHit = static_cast<uint32_t>(parseInteger(
+            "crash_at hit", Value.substr(Colon + 1), 1, UINT32_MAX));
       if (C.CrashPoint.empty())
         throw std::invalid_argument("PBT_FAULTS: crash_at wants a point name");
     } else {

@@ -85,7 +85,10 @@ public:
 
   /// Parses a `key=value,...` spec (keys: seed, eio, short_write,
   /// torn_rename, vanish, lock_open, crash_at=<point>[:<hit>]). Throws
-  /// std::invalid_argument on unknown keys or malformed values.
+  /// std::invalid_argument on unknown keys or malformed values: integers
+  /// are decimal digits only, range-checked (seed < 2^64, hit in
+  /// [1, 2^32)); probabilities are numbers in [0,1], never NaN, with no
+  /// leading whitespace.
   static FaultConfig parse(const std::string &Spec);
 
   /// Installs \p C, resetting the decision stream and crash counters.

@@ -1,9 +1,10 @@
-//===- tests/codec_mutation_test.cpp - shard codec decoder robustness -----===//
+//===- tests/codec_mutation_test.cpp - byte decoder robustness ------------===//
 //
-// Seeded mutation loops over two decoders of bytes on disk: the replay
-// unit codec behind `.cells.pbs` shard payloads (deserializeRunResult)
-// and the t-digest sketches inside shard manifests (TDigest::
-// deserialize). Inputs are valid encodings with bytes flipped, cut at
+// Seeded mutation loops over three decoders of bytes on disk: the replay
+// unit codec behind `.cells.pbs` shard payloads (deserializeRunResult),
+// the t-digest sketches inside shard manifests (TDigest::deserialize),
+// and the cost tables inside `pbt-prog-v2` store entries
+// (CostModel::deserializeTables). Inputs are valid encodings with bytes flipped, cut at
 // every length, or spliced from two encodings. Every input must either
 // be rejected or decode to a value whose re-encoding reproduces exactly
 // the bytes the decoder consumed; the sanitizer jobs run this suite, so
@@ -13,6 +14,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "exp/Shard.h"
+#include "ir/IRBuilder.h"
+#include "sim/CostModel.h"
 #include "support/Binary.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
@@ -191,6 +194,90 @@ bool decodeDigest(BinaryReader &R, BinaryWriter &W) {
   return true;
 }
 
+//===----------------------------------------------------------------------===//
+// CostModel tables (store prog entries)
+//===----------------------------------------------------------------------===//
+
+/// Two procedures: compute, memory and syscall blocks, and a call.
+Program tableProgram() {
+  IRBuilder B("tables");
+  uint32_t Main = B.createProc("main");
+  uint32_t Leaf = B.createProc("leaf");
+  uint32_t Comp = B.addBlock(Main);
+  B.appendMix(Main, Comp, InstMix::compute(12));
+  B.appendCall(Main, Comp, Leaf);
+  uint32_t Mem = B.addBlock(Main);
+  B.appendMix(Main, Mem, InstMix::memory(16, 6, 0.25));
+  B.appendSyscall(Main, Mem);
+  B.setJump(Main, Comp, Mem);
+  B.setRet(Main, Mem);
+  uint32_t Body = B.addBlock(Leaf);
+  B.appendMix(Leaf, Body, InstMix::memory(10, 3));
+  B.setRet(Leaf, Body);
+  return B.take();
+}
+
+/// The cost-table codec for one (program, machine) pair, and valid
+/// encodings of it under three CPI tables (splices cross them).
+struct TableCodec {
+  Program Prog = tableProgram();
+  MachineConfig Machine;
+
+  explicit TableCodec(MachineConfig M) : Machine(std::move(M)) {}
+
+  std::vector<std::string> encodings() const {
+    std::vector<std::string> Out;
+    for (double Scale : {1.0, 1.5, 3.0}) {
+      CpiTable Cpi;
+      Cpi.IntAlu *= Scale;
+      Cpi.Mem *= Scale;
+      Cpi.AmbientMissPerInst *= Scale;
+      BinaryWriter W;
+      CostModel(Prog, Machine, Cpi).serializeTables(W);
+      Out.push_back(W.buffer());
+    }
+    return Out;
+  }
+
+  Codec codec() const {
+    return [this](BinaryReader &R, BinaryWriter &W) {
+      CostModel M = CostModel::deserializeTables(R, Machine, Prog);
+      if (R.failed())
+        return false;
+      M.serializeTables(W);
+      // An accepted model must also be safe to query at every shape.
+      for (const Procedure &P : Prog.Procs)
+        for (const BasicBlock &BB : P.Blocks)
+          for (uint32_t Ct = 0; Ct < Machine.numCoreTypes(); ++Ct)
+            (void)M.blockCycles(P.Id, BB.Id, Ct, M.maxSharers());
+      return true;
+    };
+  }
+};
+
+/// quadAsymmetric with all four cores on one L2: four sharer levels.
+MachineConfig oneL2Quad() {
+  MachineConfig M = MachineConfig::quadAsymmetric();
+  for (CoreDesc &C : M.Cores)
+    C.L2Group = 0;
+  return M;
+}
+
+/// quadAsymmetric with a third core type on its own L2.
+MachineConfig threeTypeQuad() {
+  MachineConfig M = MachineConfig::quadAsymmetric();
+  M.CoreTypes.push_back(M.CoreTypes[1]);
+  M.Cores.push_back({2, 2});
+  return M;
+}
+
+/// Machines whose tables differ in shape: 2 types x 2 sharers, 1 x 2,
+/// 2 x 4 and 3 x 2.
+std::vector<MachineConfig> tableMachines() {
+  return {MachineConfig::quadAsymmetric(), MachineConfig::symmetricQuad(),
+          oneL2Quad(), threeTypeQuad()};
+}
+
 } // namespace
 
 TEST(RunResultCodecMutation, ValidEncodingsRoundTrip) {
@@ -261,5 +348,65 @@ TEST(TDigestCodecMutation, OversizedTotalIsRejected) {
     BinaryReader R(W.buffer());
     TDigest D;
     EXPECT_FALSE(D.deserialize(R)) << Weight;
+  }
+}
+
+TEST(CostTableCodecMutation, ValidEncodingsRoundTrip) {
+  for (const MachineConfig &M : tableMachines()) {
+    TableCodec T(M);
+    for (const std::string &Bytes : T.encodings()) {
+      BinaryReader R(Bytes);
+      BinaryWriter W;
+      ASSERT_TRUE(T.codec()(R, W));
+      EXPECT_EQ(R.remaining(), 0u);
+      EXPECT_EQ(W.buffer(), Bytes);
+    }
+  }
+}
+
+TEST(CostTableCodecMutation, FlippedBytes) {
+  uint64_t Seed = 61;
+  for (const MachineConfig &M : tableMachines()) {
+    TableCodec T(M);
+    Outcome Out = flipLoop(T.codec(), T.encodings(), Seed++, 3000);
+    // Flips in shape words and instruction counts are rejected; flips in
+    // cycle values and memory-op counts decode to other values.
+    EXPECT_GT(Out.Accepted, 0u);
+    EXPECT_GT(Out.Rejected, 0u);
+  }
+}
+
+TEST(CostTableCodecMutation, TruncationsAreRejected) {
+  for (const MachineConfig &M : tableMachines()) {
+    TableCodec T(M);
+    Outcome Out = truncationLoop(T.codec(), T.encodings());
+    EXPECT_EQ(Out.Accepted, 0u);
+    EXPECT_GT(Out.Rejected, 0u);
+  }
+}
+
+TEST(CostTableCodecMutation, SplicedEncodings) {
+  uint64_t Seed = 71;
+  for (const MachineConfig &M : tableMachines()) {
+    TableCodec T(M);
+    Outcome Out = spliceLoop(T.codec(), T.encodings(), Seed++, 3000);
+    EXPECT_GT(Out.Rejected, 0u);
+  }
+}
+
+TEST(CostTableCodecMutation, ShapeWordsAreChecked) {
+  // Tables never decode against a machine of another shape: the sharer
+  // depth or a block's core-type or sharer row count disagrees, and the
+  // decoder stops before it reads the row. (The machine itself is not
+  // serialized; the store keys entries by it.)
+  std::vector<MachineConfig> Machines = tableMachines();
+  for (size_t A = 0; A < Machines.size(); ++A) {
+    TableCodec T(Machines[A]);
+    for (size_t B = 0; B < Machines.size(); ++B)
+      for (const std::string &Bytes : T.encodings()) {
+        BinaryReader R(Bytes);
+        (void)CostModel::deserializeTables(R, Machines[B], T.Prog);
+        EXPECT_EQ(R.failed(), A != B) << A << " decoded as " << B;
+      }
   }
 }

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -149,6 +151,100 @@ TEST(FaultInjectionTest, ParseRejectsMalformedSpecs) {
   EXPECT_THROW(FaultInjection::parse("crash_at="), std::invalid_argument);
   EXPECT_THROW(FaultInjection::parse("crash_at=p:0"), std::invalid_argument);
   EXPECT_THROW(FaultInjection::parse("crash_at=p:x"), std::invalid_argument);
+}
+
+/// The message \p Spec is rejected with ("" when it is accepted).
+std::string rejection(const std::string &Spec) {
+  try {
+    (void)FaultInjection::parse(Spec);
+  } catch (const std::invalid_argument &E) {
+    return E.what();
+  }
+  return "";
+}
+
+TEST(FaultInjectionTest, ParseRejectsWrappedAndUnsignedLookalikes) {
+  // strtoul/strtoull/strtod would take each of these: a hit past 2^32
+  // truncated to 0 (never crash), a negative hit or seed wrapped to the
+  // maximum, a NaN that disarms the fault, and values with leading
+  // whitespace or a sign.
+  EXPECT_NE(rejection("crash_at=p:4294967296").find("out of range"),
+            std::string::npos);
+  EXPECT_NE(rejection("crash_at=p:0").find("out of range"),
+            std::string::npos);
+  EXPECT_NE(rejection("crash_at=p:-1").find("digits"), std::string::npos);
+  EXPECT_NE(rejection("crash_at=p: 2").find("digits"), std::string::npos);
+  EXPECT_NE(rejection("crash_at=p:+2").find("digits"), std::string::npos);
+  EXPECT_NE(rejection("crash_at=p:").find("digits"), std::string::npos);
+  EXPECT_NE(rejection("seed=-1").find("digits"), std::string::npos);
+  EXPECT_NE(rejection("seed= 7").find("digits"), std::string::npos);
+  EXPECT_NE(rejection("seed=").find("digits"), std::string::npos);
+  EXPECT_NE(rejection("seed=0x10").find("digits"), std::string::npos);
+  EXPECT_NE(rejection("seed=18446744073709551616").find("out of range"),
+            std::string::npos);
+  EXPECT_NE(rejection("eio=nan").find("not a number"), std::string::npos);
+  EXPECT_NE(rejection("vanish=-nan").find("not a number"), std::string::npos);
+  EXPECT_NE(rejection("eio=inf").find("[0,1]"), std::string::npos);
+  EXPECT_NE(rejection("eio= 0.5").find("[0,1]"), std::string::npos);
+  EXPECT_NE(rejection("eio=").find("[0,1]"), std::string::npos);
+  // The extremes of each range still parse.
+  EXPECT_EQ(FaultInjection::parse("crash_at=p:4294967295").CrashAtHit,
+            4294967295u);
+  EXPECT_EQ(FaultInjection::parse("seed=18446744073709551615").Seed,
+            UINT64_MAX);
+  EXPECT_EQ(FaultInjection::parse("seed=0").Seed, 0u);
+  EXPECT_DOUBLE_EQ(FaultInjection::parse("lock_open=1").LockOpenP, 1.0);
+  EXPECT_DOUBLE_EQ(FaultInjection::parse("eio=0").EioP, 0.0);
+}
+
+TEST(FaultInjectionTest, ParseMutantsAreRejectedOrSane) {
+  // Seeded character flips, insertions and deletions over valid specs:
+  // every mutant either throws std::invalid_argument with a message, or
+  // yields finite probabilities in [0,1] and a crash hit of at least 1.
+  const std::string Valid[] = {
+      "seed=7,eio=0.05,short_write=0.1,torn_rename=0.25,vanish=0.5,"
+      "crash_at=store.locked:2",
+      "crash_at=atomic.mid_write:4294967295,lock_open=1",
+      "seed=18446744073709551615,eio=1e-3"};
+  const char Alphabet[] = "0123456789-+ .eEnaifx:,=_";
+  Rng Gen(0xFA017);
+  uint32_t Accepted = 0, Rejected = 0;
+  for (int Trial = 0; Trial < 20000 && !HasFailure(); ++Trial) {
+    std::string Spec = Valid[Gen.nextBelow(3)];
+    for (uint64_t Edits = 1 + Gen.nextBelow(3); Edits > 0; --Edits) {
+      size_t At = Gen.nextBelow(Spec.size() + 1);
+      char C = Alphabet[Gen.nextBelow(sizeof(Alphabet) - 1)];
+      switch (Gen.nextBelow(3)) {
+      case 0:
+        if (At < Spec.size())
+          Spec[At] = C;
+        break;
+      case 1:
+        Spec.insert(Spec.begin() + static_cast<std::ptrdiff_t>(At), C);
+        break;
+      default:
+        if (At < Spec.size())
+          Spec.erase(At, 1);
+        break;
+      }
+    }
+    try {
+      FaultConfig Cfg = FaultInjection::parse(Spec);
+      ++Accepted;
+      for (double P : {Cfg.EioP, Cfg.ShortWriteP, Cfg.TornRenameP,
+                       Cfg.VanishP, Cfg.LockOpenP}) {
+        EXPECT_TRUE(std::isfinite(P)) << Spec;
+        EXPECT_GE(P, 0.0) << Spec;
+        EXPECT_LE(P, 1.0) << Spec;
+      }
+      EXPECT_GE(Cfg.CrashAtHit, 1u) << Spec;
+    } catch (const std::invalid_argument &E) {
+      ++Rejected;
+      EXPECT_STRNE(E.what(), "") << Spec;
+    }
+  }
+  EXPECT_GT(Accepted, 0u);
+  EXPECT_GT(Rejected, 0u);
 }
 
 TEST(FaultInjectionTest, DecisionStreamIsSeededDeterministic) {

@@ -1,8 +1,12 @@
 //===- tests/reuse_test.cpp - reuse-distance analysis tests ---------------===//
 
 #include "analysis/ReuseDistance.h"
+#include "support/Rng.h"
+#include "workload/Benchmarks.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace pbt;
 
@@ -92,4 +96,65 @@ TEST(Reuse, AccountingInvariant) {
   ReuseProfile Prof =
       computeBlockReuse(blockWithRefs({0, 1, 2, 0, 1, 2, 3}, 100));
   EXPECT_EQ(Prof.AccessCount, Prof.Distances.size() + Prof.ColdCount);
+}
+
+namespace {
+
+/// Checks the two facts CostModel's closed-form miss count rests on: no
+/// recorded access is cold, and every distance other than the declared
+/// stream's is below the block's distinct-line count.
+void expectClosedFormInvariants(const BasicBlock &BB) {
+  std::vector<int32_t> Refs;
+  for (const Instruction &I : BB.Insts)
+    if (isMemoryKind(I.Kind))
+      Refs.push_back(I.MemRef);
+  std::vector<int32_t> Lines = Refs;
+  std::sort(Lines.begin(), Lines.end());
+  Lines.erase(std::unique(Lines.begin(), Lines.end()), Lines.end());
+  size_t Streaming = 0;
+  if (BB.StreamWorkingSet > 0)
+    for (int32_t L : Lines)
+      Streaming += std::count(Refs.begin(), Refs.end(), L) == 1 ? 1 : 0;
+
+  ReuseProfile Prof = computeBlockReuse(BB);
+  EXPECT_EQ(Prof.ColdCount, 0u);
+  EXPECT_EQ(Prof.AccessCount, Refs.size());
+  // Streaming accesses sit at StreamWorkingSet; every other distance is
+  // below the distinct-line count. So the distances at or past that count
+  // are exactly the streaming ones when the stream reaches it, else none.
+  auto AtOrPast = static_cast<size_t>(std::count_if(
+      Prof.Distances.begin(), Prof.Distances.end(),
+      [&](uint32_t D) { return D >= Lines.size(); }));
+  EXPECT_EQ(AtOrPast, BB.StreamWorkingSet >= Lines.size() ? Streaming : 0);
+  EXPECT_GE(std::count(Prof.Distances.begin(), Prof.Distances.end(),
+                       BB.StreamWorkingSet),
+            static_cast<std::ptrdiff_t>(Streaming));
+}
+
+} // namespace
+
+TEST(Reuse, SuiteBlocksHaveNoColdAndResidentDistancesBelowLines) {
+  for (const Program &Prog : buildSuite())
+    for (const Procedure &P : Prog.Procs)
+      for (const BasicBlock &BB : P.Blocks)
+        expectClosedFormInvariants(BB);
+}
+
+TEST(Reuse, RandomBlocksHaveNoColdAndResidentDistancesBelowLines) {
+  Rng Gen(0x2E05E);
+  for (int Case = 0; Case < 500; ++Case) {
+    BasicBlock BB;
+    uint32_t Lines = 1 + static_cast<uint32_t>(Gen.nextBelow(40));
+    uint32_t Len = static_cast<uint32_t>(Gen.nextBelow(120));
+    for (uint32_t I = 0; I < Len; ++I) {
+      if (Gen.nextBelow(4) == 0)
+        BB.Insts.push_back(Instruction::intAlu());
+      auto Ref = static_cast<int32_t>(Gen.nextBelow(Lines));
+      BB.Insts.push_back(Gen.nextBelow(2) ? Instruction::load(Ref)
+                                          : Instruction::store(Ref));
+    }
+    const uint32_t Streams[] = {0, 1, Lines - 1, Lines, Lines + 1, 5000};
+    BB.StreamWorkingSet = Streams[Gen.nextBelow(6)];
+    expectClosedFormInvariants(BB);
+  }
 }
