@@ -10,6 +10,7 @@
 #include "analysis/NaturalLoops.h"
 #include "core/ErrorInjection.h"
 #include "core/Instrument.h"
+#include "ir/ProgramSet.h"
 #include "obs/Clock.h"
 #include "sim/CostModel.h"
 #include "sim/FlatImage.h"
@@ -156,12 +157,17 @@ bool transitionsPass(ProgramPrep &PC, const PipelineContext &Ctx) {
 }
 
 /// Builds the instrumented program; the marks move into the image,
-/// which owns them from here on.
+/// which owns them from here on. The image shares the program when the
+/// caller's set is shared, and copies it otherwise.
 bool instrumentPass(ProgramPrep &PC, const PipelineContext &Ctx) {
   if (PC.Image)
     return false;
-  PC.Image = std::make_shared<const InstrumentedProgram>(
-      *PC.Prog, std::move(PC.Marking), Ctx.Tech->Cost);
+  if (PC.Shared)
+    PC.Image = std::make_shared<const InstrumentedProgram>(
+        PC.Shared, std::move(PC.Marking), Ctx.Tech->Cost);
+  else
+    PC.Image = std::make_shared<const InstrumentedProgram>(
+        *PC.Prog, std::move(PC.Marking), Ctx.Tech->Cost);
   return true;
 }
 
@@ -200,20 +206,48 @@ double nowSeconds() {
 
 } // namespace
 
-PipelineContext pbt::makePipelineContext(const std::vector<Program> &Programs,
-                                         const MachineConfig &Machine,
-                                         const TechniqueSpec &Tech,
-                                         uint64_t TypingSeed,
-                                         ThreadPool *Pool) {
+namespace {
+
+/// A context for \p N programs, with everything but the programs set.
+PipelineContext emptyContext(size_t N, const MachineConfig &Machine,
+                             const TechniqueSpec &Tech, uint64_t TypingSeed,
+                             ThreadPool *Pool) {
   PipelineContext Ctx;
   Ctx.Machine = &Machine;
   Ctx.Tech = &Tech;
   Ctx.TypingSeed = TypingSeed;
   Ctx.VerifyIR = verifyIREnabled();
   Ctx.Pool = Pool;
-  Ctx.Programs.resize(Programs.size());
+  Ctx.Programs.resize(N);
+  return Ctx;
+}
+
+} // namespace
+
+PipelineContext pbt::makePipelineContext(const std::vector<Program> &Programs,
+                                         const MachineConfig &Machine,
+                                         const TechniqueSpec &Tech,
+                                         uint64_t TypingSeed,
+                                         ThreadPool *Pool) {
+  PipelineContext Ctx =
+      emptyContext(Programs.size(), Machine, Tech, TypingSeed, Pool);
   for (size_t I = 0; I < Programs.size(); ++I)
     Ctx.Programs[I].Prog = &Programs[I];
+  return Ctx;
+}
+
+PipelineContext
+pbt::makePipelineContext(const std::shared_ptr<const ProgramSet> &Set,
+                         const std::vector<size_t> &Indices,
+                         const MachineConfig &Machine,
+                         const TechniqueSpec &Tech, uint64_t TypingSeed,
+                         ThreadPool *Pool) {
+  PipelineContext Ctx =
+      emptyContext(Indices.size(), Machine, Tech, TypingSeed, Pool);
+  for (size_t I = 0; I < Indices.size(); ++I) {
+    Ctx.Programs[I].Shared = shareProgram(Set, Indices[I]);
+    Ctx.Programs[I].Prog = Ctx.Programs[I].Shared.get();
+  }
   return Ctx;
 }
 
@@ -632,8 +666,9 @@ bool pbt::verifyPrep(const ProgramPrep &PC, const PipelineContext &Ctx,
 
   if (PC.Image) {
     const InstrumentedProgram &IP = *PC.Image;
-    // The image carries its own program copy; it must still satisfy the
-    // IR invariants and describe the same program.
+    // An image that copied its program (the by-reference path) must
+    // still satisfy the IR invariants and describe the same program; one
+    // that shares the source program is that program.
     if (&IP.program() != Prog) {
       if (!verify(IP.program(), &Err))
         return failWith(ErrorOut, "image program invariant: " + Err);

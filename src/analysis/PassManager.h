@@ -50,6 +50,7 @@ namespace pbt {
 class CostModel;
 class FlatImage;
 class InstrumentedProgram;
+class ProgramSet;
 class ThreadPool;
 struct MachineConfig;
 struct PreparedSuite;
@@ -62,6 +63,12 @@ struct TechniqueSpec;
 struct ProgramPrep {
   /// The source program; owned by the caller, outlives the run.
   const Program *Prog = nullptr;
+  /// Shared ownership of *Prog when the caller's programs live in a
+  /// ProgramSet: the instrument pass aliases it, so the image shares the
+  /// set's IR. Null on the by-reference path, where the instrument pass
+  /// copies the program into the image (on the pool, one program per
+  /// task).
+  std::shared_ptr<const Program> Shared;
   /// Cost-model binding of Prog to the machine (cost-model pass).
   std::shared_ptr<const CostModel> Cost;
   /// Phase-type assignment (typing pass; absent for the baseline).
@@ -123,12 +130,21 @@ PipelineStats runPreparationPipeline(PipelineContext &Ctx);
 
 /// Builds a PipelineContext for preparing \p Programs (which must
 /// outlive the context) with the VerifyIR flag seeded from the
-/// process-wide toggle.
+/// process-wide toggle. Each image gets its own copy of its program.
 PipelineContext makePipelineContext(const std::vector<Program> &Programs,
                                     const MachineConfig &Machine,
                                     const TechniqueSpec &Tech,
                                     uint64_t TypingSeed,
                                     ThreadPool *Pool = nullptr);
+
+/// Builds a PipelineContext for preparing the programs of \p Set listed
+/// in \p Indices (context program I is Set[Indices[I]]). Every image
+/// aliases its program in the set instead of copying it.
+PipelineContext
+makePipelineContext(const std::shared_ptr<const ProgramSet> &Set,
+                    const std::vector<size_t> &Indices,
+                    const MachineConfig &Machine, const TechniqueSpec &Tech,
+                    uint64_t TypingSeed, ThreadPool *Pool = nullptr);
 
 /// VerifyPass's per-program check, usable standalone: validates every
 /// artifact present in \p PC against the invariants in the file

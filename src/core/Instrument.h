@@ -23,6 +23,7 @@
 #include "ir/Program.h"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace pbt {
@@ -74,13 +75,22 @@ uint64_t hashValue(const MarkCostModel &Cost);
 
 /// A program together with its phase marks and O(1) mark lookup,
 /// analogous to the paper's "standalone binary with phase information and
-/// dynamic analysis code fragments".
+/// dynamic analysis code fragments". The image does not copy the
+/// program: it shares the caller's immutable IR (usually an aliasing
+/// handle into a lab's program set), so every technique's image of one
+/// program reads the same bytes.
 class InstrumentedProgram {
 public:
+  InstrumentedProgram(std::shared_ptr<const Program> Prog,
+                      MarkingResult Marking,
+                      MarkCostModel Cost = MarkCostModel::tuned());
+
+  /// Convenience for callers holding a program by value: moves it into
+  /// a fresh shared allocation the image owns alone.
   InstrumentedProgram(Program Prog, MarkingResult Marking,
                       MarkCostModel Cost = MarkCostModel::tuned());
 
-  const Program &program() const { return Prog; }
+  const Program &program() const { return *Prog; }
   const std::vector<PhaseMark> &marks() const { return Marks; }
   uint32_t numTypes() const { return NumTypes; }
   const MarkCostModel &cost() const { return Cost; }
@@ -104,7 +114,7 @@ private:
     int32_t CallMark = -1;
   };
 
-  Program Prog;
+  std::shared_ptr<const Program> Prog;
   std::vector<PhaseMark> Marks;
   uint32_t NumTypes = 0;
   MarkCostModel Cost;

@@ -6,6 +6,7 @@
 
 #include "exp/CacheStore.h"
 
+#include "obs/Span.h"
 #include "support/Binary.h"
 #include "support/Env.h"
 #include "support/FaultInjection.h"
@@ -101,35 +102,8 @@ const char *checkHeader(const std::string &Bytes, uint32_t FileMagic,
 }
 
 //===----------------------------------------------------------------------===//
-// Program + marks serialization
+// Marks serialization
 //===----------------------------------------------------------------------===//
-
-void writeProgram(BinaryWriter &W, const Program &Prog) {
-  W.str(Prog.Name);
-  W.u32(static_cast<uint32_t>(Prog.Procs.size()));
-  for (const Procedure &P : Prog.Procs) {
-    W.u32(P.Id);
-    W.str(P.Name);
-    W.u32(static_cast<uint32_t>(P.Blocks.size()));
-    for (const BasicBlock &BB : P.Blocks) {
-      W.u32(BB.Id);
-      W.u32(static_cast<uint32_t>(BB.Insts.size()));
-      for (const Instruction &I : BB.Insts) {
-        W.u8(static_cast<uint8_t>(I.Kind));
-        W.u8(I.SizeBytes);
-        W.i32(I.MemRef);
-        W.i32(I.Callee);
-      }
-      W.u8(static_cast<uint8_t>(BB.Term));
-      W.u32(static_cast<uint32_t>(BB.Succs.size()));
-      for (uint32_t Succ : BB.Succs)
-        W.u32(Succ);
-      W.u32(BB.TripCount);
-      W.f64(BB.TakenProb);
-      W.u32(BB.StreamWorkingSet);
-    }
-  }
-}
 
 void writeMarks(BinaryWriter &W, const std::vector<PhaseMark> &Marks) {
   W.u32(static_cast<uint32_t>(Marks.size()));
@@ -194,14 +168,17 @@ void writePrepared(BinaryWriter &W, const InstrumentedProgram &Image,
 }
 
 /// Decodes one prepared program from a whole `pbt-prog-v2` payload,
-/// validated against \p Prog, and rebuilds its flat image. Returns a
-/// PreparedProgram with null pointers on any rejection.
-PreparedProgram readPrepared(BinaryReader &R, const Program &Prog,
+/// validated against \p Prog, and rebuilds its flat image. The image
+/// shares \p Prog (the caller's program, usually an aliasing handle into
+/// its set). Returns a PreparedProgram with null pointers on any
+/// rejection.
+PreparedProgram readPrepared(BinaryReader &R,
+                             const std::shared_ptr<const Program> &Prog,
                              const MachineConfig &Machine,
                              const TechniqueSpec &Tech) {
   PreparedProgram Out;
   MarkingResult Marking;
-  Marking.Marks = readMarks(R, Prog);
+  Marking.Marks = readMarks(R, *Prog);
   Marking.NumTypes = R.u32();
   // The tuner sizes its per-phase state by numTypes() and indexes it
   // with the firing mark's PhaseType; an out-of-range type in a store
@@ -223,7 +200,7 @@ PreparedProgram readPrepared(BinaryReader &R, const Program &Prog,
   if (R.failed() || Cost != Tech.Cost)
     return Out;
 
-  CostModel Tables = CostModel::deserializeTables(R, Machine, Prog);
+  CostModel Tables = CostModel::deserializeTables(R, Machine, *Prog);
   if (R.failed() || R.remaining() != 0)
     return Out;
 
@@ -406,28 +383,6 @@ std::shared_ptr<CacheStore> CacheStore::fromEnv() {
                        : std::shared_ptr<CacheStore>();
   }();
   return Store;
-}
-
-uint64_t CacheStore::hashProgramSet(const std::vector<Program> &Programs) {
-  BinaryWriter W;
-  for (const Program &Prog : Programs)
-    writeProgram(W, Prog);
-  return fnv1a(W.buffer().data(), W.buffer().size());
-}
-
-uint64_t CacheStore::hashProgram(const Program &Prog) {
-  BinaryWriter W;
-  writeProgram(W, Prog);
-  return fnv1a(W.buffer().data(), W.buffer().size());
-}
-
-std::vector<uint64_t>
-CacheStore::hashPrograms(const std::vector<Program> &Programs) {
-  std::vector<uint64_t> Hashes;
-  Hashes.reserve(Programs.size());
-  for (const Program &Prog : Programs)
-    Hashes.push_back(hashProgram(Prog));
-  return Hashes;
 }
 
 uint64_t CacheStore::suiteKey(uint64_t ProgramSetHash,
@@ -655,10 +610,10 @@ CacheStore::GcStats CacheStore::gc(uint64_t MaxBytes, double MaxAgeSeconds) {
 }
 
 std::shared_ptr<const PreparedSuite>
-CacheStore::load(uint64_t Key, uint64_t ProgramSetHash,
-                 const std::vector<Program> &Programs,
+CacheStore::load(uint64_t Key, const std::shared_ptr<const ProgramSet> &Set,
                  const MachineConfig &Machine, const TechniqueSpec &Tech,
                  uint64_t TypingSeed) {
+  obs::Span Timed("store.load");
   std::lock_guard<std::mutex> Lock(Mutex);
 
   // Shared reader lock with bounded retry: waits out an in-flight
@@ -685,7 +640,7 @@ CacheStore::load(uint64_t Key, uint64_t ProgramSetHash,
 
   Header Expect;
   Expect.Key = Key;
-  Expect.ProgramSetHash = ProgramSetHash;
+  Expect.ProgramSetHash = Set->hash();
   Expect.MachineHash = hashValue(Machine);
   Expect.PrepHash = Tech.preparationHash();
   Expect.TypingSeed = TypingSeed;
@@ -697,8 +652,8 @@ CacheStore::load(uint64_t Key, uint64_t ProgramSetHash,
     Hashes = readManifest(Payload);
     if (Payload.failed())
       Why = "payload"; // Checksummed bytes decode to nonsense.
-    else if (Hashes.size() != Programs.size())
-      Why = "count"; // The i-th hash must name Programs[i].
+    else if (Hashes.size() != Set->size())
+      Why = "count"; // The i-th hash must name (*Set)[i].
   }
 
   if (!Why) {
@@ -707,15 +662,15 @@ CacheStore::load(uint64_t Key, uint64_t ProgramSetHash,
     // re-prepares (incrementally, through per-program probes of its
     // own) and save() heals the gap.
     std::vector<PreparedProgram> Parts =
-        loadEntries(Hashes.data(), Programs.data(), Programs.size(), Machine,
-                    Tech, TypingSeed, /*AllOrNothing=*/true);
+        loadEntries(Hashes.data(), Set, 0, Set->size(), Machine, Tech,
+                    TypingSeed, /*AllOrNothing=*/true);
     if (!Parts.empty() && !Parts.front().Image) {
       ++Misses;
       return nullptr;
     }
     auto Suite = std::make_shared<PreparedSuite>();
     for (size_t I = 0; I < Parts.size(); ++I) {
-      Suite->Names.push_back(Programs[I].Name);
+      Suite->Names.push_back((*Set)[I].Name);
       Suite->Images.push_back(std::move(Parts[I].Image));
       Suite->Costs.push_back(std::move(Parts[I].Cost));
       Suite->Flats.push_back(std::move(Parts[I].Flat));
@@ -749,32 +704,29 @@ CacheStore::load(uint64_t Key, uint64_t ProgramSetHash,
   return nullptr;
 }
 
-PreparedProgram CacheStore::loadProgram(uint64_t ProgramHash,
-                                        const Program &Prog,
-                                        const MachineConfig &Machine,
-                                        const TechniqueSpec &Tech,
-                                        uint64_t TypingSeed) {
+PreparedProgram
+CacheStore::loadProgram(const std::shared_ptr<const ProgramSet> &Set,
+                        size_t Index, const MachineConfig &Machine,
+                        const TechniqueSpec &Tech, uint64_t TypingSeed) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  return loadEntries(&ProgramHash, &Prog, 1, Machine, Tech, TypingSeed,
-                     /*AllOrNothing=*/false)
+  return loadEntries(&Set->programHashes()[Index], Set, Index, 1, Machine,
+                     Tech, TypingSeed, /*AllOrNothing=*/false)
       .front();
 }
 
 std::vector<PreparedProgram>
-CacheStore::loadPrograms(const std::vector<uint64_t> &Hashes,
-                         const std::vector<Program> &Programs,
+CacheStore::loadPrograms(const std::shared_ptr<const ProgramSet> &Set,
                          const MachineConfig &Machine,
                          const TechniqueSpec &Tech, uint64_t TypingSeed) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  if (Hashes.size() != Programs.size())
-    return std::vector<PreparedProgram>(Programs.size());
-  return loadEntries(Hashes.data(), Programs.data(), Programs.size(), Machine,
-                     Tech, TypingSeed, /*AllOrNothing=*/false);
+  return loadEntries(Set->programHashes().data(), Set, 0, Set->size(),
+                     Machine, Tech, TypingSeed, /*AllOrNothing=*/false);
 }
 
 std::vector<PreparedProgram>
-CacheStore::loadEntries(const uint64_t *Hashes, const Program *Progs,
-                        size_t N, const MachineConfig &Machine,
+CacheStore::loadEntries(const uint64_t *Hashes,
+                        const std::shared_ptr<const ProgramSet> &Set,
+                        size_t First, size_t N, const MachineConfig &Machine,
                         const TechniqueSpec &Tech, uint64_t TypingSeed,
                         bool AllOrNothing) {
   std::vector<PreparedProgram> Out(N);
@@ -825,7 +777,8 @@ CacheStore::loadEntries(const uint64_t *Hashes, const Program *Progs,
       return;
     BinaryReader Payload(Bytes[I].data() + HeaderBytes,
                          Bytes[I].size() - HeaderBytes);
-    Out[I] = readPrepared(Payload, Progs[I], Machine, Tech);
+    Out[I] = readPrepared(Payload, shareProgram(Set, First + I), Machine,
+                          Tech);
     if (!Out[I].Image)
       Why[I] = "payload";
   });
@@ -870,6 +823,7 @@ bool CacheStore::save(uint64_t Key, uint64_t ProgramSetHash,
                       const std::vector<uint64_t> &ProgramHashes,
                       const MachineConfig &Machine, const TechniqueSpec &Tech,
                       uint64_t TypingSeed, const PreparedSuite &Suite) {
+  obs::Span Timed("store.save");
   std::lock_guard<std::mutex> Lock(Mutex);
   if (ProgramHashes.size() != Suite.Images.size())
     return false;

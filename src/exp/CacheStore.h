@@ -39,8 +39,9 @@
 /// list for manifests; for prog entries only what preparation
 /// *computed* — phase marks, type count, mark cost words, and cost
 /// tables. Doubles are stored by bit pattern. The program IR is not
-/// stored: the caller already holds it (its content hash is the entry's
-/// key), so the loader attaches the caller's own Program, validates the
+/// stored: the caller already holds it in a shared ProgramSet (its
+/// content hash is the entry's key), so the loader gives each image an
+/// aliasing handle to the caller's program — no copy — validates the
 /// marks and tables against it, and rebuilds the flat execution image
 /// with its constructor, exactly as the flatten pass does. A loaded
 /// suite is therefore bit-identical to the freshly prepared one (proven
@@ -52,7 +53,10 @@
 /// manifest order (so a `PBT_FAULTS` schedule sees the same query
 /// sequence every run); header, checksum and payload decode then fan
 /// out over the global thread pool; a final serial phase settles
-/// counters, LRU touches and quarantines in manifest order.
+/// counters, LRU touches and quarantines in manifest order. Every
+/// load() and save() call is timed as the Plane-2 span `store.load` /
+/// `store.save` (obs/Span.h), so PROFILE_driver.json attributes store
+/// time, fsynced writes included.
 ///
 /// **Crash safety and concurrency.** The store is built to survive
 /// `kill -9`, concurrent writers, and injected filesystem faults
@@ -140,69 +144,56 @@ public:
   /// variable is unset (persistence disabled).
   static std::shared_ptr<CacheStore> fromEnv();
 
-  /// Content hash of a whole program set (every instruction of every
-  /// block); the program-set component of suite keys.
-  static uint64_t hashProgramSet(const std::vector<Program> &Programs);
-
-  /// Content hash of one program; the program component of prog keys
-  /// and the hashes a suite manifest lists. hashProgramSet is the hash
-  /// of the concatenation, NOT of these values, so the two are
-  /// independent addressing schemes.
-  static uint64_t hashProgram(const Program &Prog);
-
-  /// hashProgram of every program in \p Programs, in order.
-  static std::vector<uint64_t>
-  hashPrograms(const std::vector<Program> &Programs);
-
   /// The store key for (\p ProgramSetHash, \p Machine, \p Tech,
-  /// \p TypingSeed). Uses Tech's preparation identity only (tuner
-  /// excluded), mirroring SuiteCache's in-memory key relation.
+  /// \p TypingSeed). \p ProgramSetHash is the set's content hash
+  /// (ProgramSet::hash(), ir/ProgramSet.h). Uses Tech's preparation
+  /// identity only (tuner excluded), mirroring SuiteCache's in-memory
+  /// key relation.
   static uint64_t suiteKey(uint64_t ProgramSetHash,
                            const MachineConfig &Machine,
                            const TechniqueSpec &Tech, uint64_t TypingSeed);
 
   /// The per-program entry key for (\p ProgramHash, \p Machine,
-  /// \p Tech, \p TypingSeed). Deliberately excludes any program-set
+  /// \p Tech, \p TypingSeed); \p ProgramHash is the program's own
+  /// content hash (contentHash(const Program &), an element of
+  /// ProgramSet::programHashes()). Deliberately excludes any program-set
   /// component (that is what makes cross-suite dedupe work) and bakes
   /// in ProgFormatVersion and PipelineVersion.
   static uint64_t progKey(uint64_t ProgramHash, const MachineConfig &Machine,
                           const TechniqueSpec &Tech, uint64_t TypingSeed);
 
   /// Loads the suite stored under \p Key for the caller's program set
-  /// \p Programs (whose set hash is \p ProgramSetHash): reads the
-  /// manifest, verifies its header against the request's key
-  /// components, its payload against its checksum, and its hash count
-  /// against Programs.size(), then reassembles the suite from the
-  /// `pbt-prog-v2` entries the manifest lists — the i-th listed hash
-  /// belongs to Programs[i], whose IR the loaded image carries. Each
-  /// entry is validated the same way, decoded in parallel, and checked
-  /// against its program. Returns nullptr on miss or on any rejection
-  /// (corrupt, truncated, version, key or count mismatch, or any
-  /// referenced prog entry missing/rejected). The returned suite
-  /// carries a default-constructed TunerConfig; callers stamp the
-  /// requested tuner (as SuiteCache does for in-memory hits).
+  /// \p Set: reads the manifest, verifies its header against the
+  /// request's key components (Set->hash() among them), its payload
+  /// against its checksum, and its hash count against Set->size(), then
+  /// reassembles the suite from the `pbt-prog-v2` entries the manifest
+  /// lists — the i-th listed hash belongs to (*Set)[i], which the loaded
+  /// image shares. Each entry is validated the same way, decoded in
+  /// parallel, and checked against its program. Returns nullptr on miss
+  /// or on any rejection (corrupt, truncated, version, key or count
+  /// mismatch, or any referenced prog entry missing/rejected). The
+  /// returned suite carries a default-constructed TunerConfig; callers
+  /// stamp the requested tuner (as SuiteCache does for in-memory hits).
   std::shared_ptr<const PreparedSuite>
-  load(uint64_t Key, uint64_t ProgramSetHash,
-       const std::vector<Program> &Programs, const MachineConfig &Machine,
-       const TechniqueSpec &Tech, uint64_t TypingSeed);
+  load(uint64_t Key, const std::shared_ptr<const ProgramSet> &Set,
+       const MachineConfig &Machine, const TechniqueSpec &Tech,
+       uint64_t TypingSeed);
 
-  /// Loads the single prepared program stored under
-  /// progKey(\p ProgramHash, ...), attached to \p Prog (the program
-  /// whose content hash is \p ProgramHash). Returns a PreparedProgram
-  /// with null pointers on miss or rejection.
-  PreparedProgram loadProgram(uint64_t ProgramHash, const Program &Prog,
-                              const MachineConfig &Machine,
+  /// Loads the single prepared program (*\p Set)[\p Index], stored under
+  /// progKey(Set->programHashes()[Index], ...); the image shares the
+  /// set's program. Returns a PreparedProgram with null pointers on miss
+  /// or rejection.
+  PreparedProgram loadProgram(const std::shared_ptr<const ProgramSet> &Set,
+                              size_t Index, const MachineConfig &Machine,
                               const TechniqueSpec &Tech,
                               uint64_t TypingSeed);
 
-  /// loadProgram for every program of \p Programs at once (\p Hashes[i]
-  /// is Programs[i]'s content hash), decoded in parallel; each entry
-  /// hits or misses independently. The incremental half of the store:
-  /// SuiteCache probes per program on a manifest miss and re-prepares
-  /// only the programs this cannot serve.
+  /// loadProgram for every program of \p Set at once, decoded in
+  /// parallel; each entry hits or misses independently. The incremental
+  /// half of the store: SuiteCache probes per program on a manifest miss
+  /// and re-prepares only the programs this cannot serve.
   std::vector<PreparedProgram>
-  loadPrograms(const std::vector<uint64_t> &Hashes,
-               const std::vector<Program> &Programs,
+  loadPrograms(const std::shared_ptr<const ProgramSet> &Set,
                const MachineConfig &Machine, const TechniqueSpec &Tech,
                uint64_t TypingSeed);
 
@@ -338,14 +329,16 @@ private:
 
   /// The three-phase batch load behind load() and loadPrograms
   /// (callers hold Mutex): \p N prog entries, \p Hashes[i] naming
-  /// \p Progs[i]. With \p AllOrNothing (load()), the first entry that
-  /// cannot be served fails the whole batch: it is counted (and
-  /// quarantined if rejected), every other entry is left unsettled, and
-  /// all returned pointers are null.
+  /// (*\p Set)[\p First + i]. With \p AllOrNothing (load()), the first
+  /// entry that cannot be served fails the whole batch: it is counted
+  /// (and quarantined if rejected), every other entry is left unsettled,
+  /// and all returned pointers are null.
   std::vector<PreparedProgram>
-  loadEntries(const uint64_t *Hashes, const Program *Progs, size_t N,
-              const MachineConfig &Machine, const TechniqueSpec &Tech,
-              uint64_t TypingSeed, bool AllOrNothing);
+  loadEntries(const uint64_t *Hashes,
+              const std::shared_ptr<const ProgramSet> &Set, size_t First,
+              size_t N, const MachineConfig &Machine,
+              const TechniqueSpec &Tech, uint64_t TypingSeed,
+              bool AllOrNothing);
 };
 
 } // namespace exp

@@ -17,10 +17,11 @@ using namespace pbt::exp;
 namespace {
 /// The paper suite behind every default lab. Programs are immutable and
 /// do not depend on the machine, so all default labs in a process share
-/// one copy instead of each building (and holding) its own.
-std::shared_ptr<const std::vector<Program>> paperSuite() {
-  static const std::shared_ptr<const std::vector<Program>> Suite =
-      std::make_shared<const std::vector<Program>>(buildSuite());
+/// one set — one copy of the IR, hashed at most once — instead of each
+/// building (and holding) its own.
+const std::shared_ptr<const ProgramSet> &paperSuite() {
+  static const std::shared_ptr<const ProgramSet> Suite =
+      std::make_shared<const ProgramSet>(buildSuite());
   return Suite;
 }
 } // namespace
@@ -33,8 +34,7 @@ Lab::Lab(MachineConfig MachineCfgIn)
 Lab::Lab(std::vector<Program> ProgramsIn, MachineConfig MachineCfgIn,
          SimConfig SimIn)
     : MachineCfg(std::move(MachineCfgIn)), Sim(SimIn),
-      Programs(
-          std::make_shared<const std::vector<Program>>(std::move(ProgramsIn))) {
+      Programs(std::make_shared<const ProgramSet>(std::move(ProgramsIn))) {
   Cache.setStore(CacheStore::fromEnv());
 }
 
@@ -52,13 +52,12 @@ const std::vector<double> &Lab::isolated() {
 PreparedSuite Lab::suite(const TechniqueSpec &Tech, uint64_t TypingSeed) {
   if (replayPlanning())
     throw ReplayPlanStop();
-  return Cache.get(*Programs, MachineCfg, Tech, TypingSeed);
+  return Cache.get(Programs, MachineCfg, Tech, TypingSeed);
 }
 
 uint64_t Lab::replayHash() {
   if (!ReplayHashed) {
-    uint64_t H = hashCombine(Cache.programSetHash(*Programs),
-                             hashValue(MachineCfg));
+    uint64_t H = hashCombine(Programs->hash(), hashValue(MachineCfg));
     H = hashCombine(H, hashDouble(Sim.Timeslice));
     H = hashCombine(H, hashDouble(Sim.BalancePeriod));
     H = hashCombine(H, Sim.CounterSlots);

@@ -71,7 +71,13 @@ public:
       SimConfig Sim = SimConfig());
 
   /// The lab's (fixed) benchmark programs.
-  const std::vector<Program> &programs() const { return *Programs; }
+  const std::vector<Program> &programs() const { return Programs->programs(); }
+  /// The set behind programs(): every prepared image of this lab shares
+  /// its program with it (so a suite keeps the set alive after the lab
+  /// is gone), and default labs all share the one paper-suite set.
+  const std::shared_ptr<const ProgramSet> &programSet() const {
+    return Programs;
+  }
   /// The lab's machine description.
   const MachineConfig &machine() const { return MachineCfg; }
   /// The lab's simulator configuration.
@@ -133,7 +139,7 @@ private:
   MachineConfig MachineCfg;
   SimConfig Sim;
   /// Immutable, so default labs share one copy (see Lab.cpp).
-  std::shared_ptr<const std::vector<Program>> Programs;
+  std::shared_ptr<const ProgramSet> Programs;
   SuiteCache Cache;
   std::vector<double> Isolated;
   bool IsolatedMeasured = false;

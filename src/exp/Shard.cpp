@@ -476,26 +476,32 @@ std::string parseManifest(const std::string &Bytes, const std::string &File,
       Out.Spec.Count == 0 || Out.Spec.Index == 0 ||
       Out.Spec.Index > Out.Spec.Count)
     return "manifest " + File + ": malformed";
+  if (R.remaining() != 0)
+    return "manifest " + File + ": trailing bytes after the sketches";
   return std::string();
 }
 
-/// Validates a shard-emitted file against its manifest record before the
-/// merge consumes (or copies) it.
-std::string checkPartial(const std::string &Dir, const std::string &File,
-                         uint64_t Bytes, uint64_t Fnv, std::string &Out) {
+/// Validates a shard-emitted file against its record in manifest
+/// \p Manifest before the merge consumes (or copies) it. Diagnostics
+/// name both files: either may be the damaged one.
+std::string checkPartial(const std::string &Dir, const std::string &Manifest,
+                         const std::string &File, uint64_t Bytes,
+                         uint64_t Fnv, std::string &Out) {
   if (!readFile(joinDir(Dir, File), Out))
-    return "missing partial " + File + " (listed in its shard manifest)";
+    return "missing partial " + File + " (listed in " + Manifest + ")";
   if (Out.size() != Bytes)
-    return "truncated partial " + File + ": manifest records " +
+    return "truncated partial " + File + ": " + Manifest + " records " +
            std::to_string(Bytes) + " bytes, file has " +
            std::to_string(Out.size());
   if (fnv1a(Out.data(), Out.size()) != Fnv)
-    return "corrupt partial " + File + ": checksum mismatch";
+    return "corrupt partial " + File + ": checksum mismatch against " +
+           Manifest;
   return std::string();
 }
 
 /// Units of one cells payload, keyed "seq:id", in file order.
 std::string parsePayload(const std::string &Bytes, const std::string &File,
+                         const std::string &Manifest,
                          const std::string &ExpName, const ShardSpec &Spec,
                          std::vector<std::pair<std::string, RunResult>> &Out) {
   BinaryReader R(Bytes.data(), Bytes.size());
@@ -511,7 +517,7 @@ std::string parsePayload(const std::string &Bytes, const std::string &File,
   uint64_t Units = R.u64();
   if (R.failed() || Name != ExpName || Index != Spec.Index ||
       Count != Spec.Count || Units > (1u << 20))
-    return "cells partial " + File + ": header does not match its manifest";
+    return "cells partial " + File + ": header does not match " + Manifest;
   Out.reserve(Units);
   for (uint64_t I = 0; I < Units; ++I) {
     uint32_t Seq = R.u32();
@@ -627,18 +633,21 @@ std::string pbt::exp::mergeShards(const std::string &ShardDir,
     for (const MEntry &E : PM.Entries)
       if (!E.Ok)
         return "experiment " + E.Name + " failed on shard " +
-               PM.Spec.label() + "; refusing to merge";
+               PM.Spec.label() + " (" + PM.File + "); refusing to merge";
 
-  // Union of experiments, each with a consistent granularity.
-  std::map<std::string, ShardGranularity> Experiments;
+  // Union of experiments, each with a consistent granularity; the value
+  // also remembers the first manifest listing it, for diagnostics.
+  std::map<std::string, std::pair<ShardGranularity, const std::string *>>
+      Experiments;
   for (const ParsedManifest &PM : Shards)
     for (const MEntry &E : PM.Entries) {
       auto It = Experiments.find(E.Name);
       if (It == Experiments.end())
-        Experiments.emplace(E.Name, E.G);
-      else if (It->second != E.G)
+        Experiments.emplace(E.Name, std::make_pair(E.G, &PM.File));
+      else if (It->second.first != E.G)
         return "granularity mismatch for " + E.Name +
-               " across shard manifests";
+               " across shard manifests " + *It->second.second + " and " +
+               PM.File;
     }
 
   MergeScope Scope;
@@ -658,18 +667,19 @@ std::string pbt::exp::mergeShards(const std::string &ShardDir,
 
   for (const auto &Exp : Experiments) {
     const std::string &Name = Exp.first;
-    ShardGranularity G = Exp.second;
+    ShardGranularity G = Exp.second.first;
+    const std::string &ListedIn = *Exp.second.second;
 
     // Every manifest experiment must resolve in the merging binary —
     // whole-granularity artifacts included, else a mismatched binary
     // would byte-copy artifacts it could never have produced.
     const MergeExperimentInfo *Info = Resolve(Name);
     if (!Info)
-      return "unknown experiment " + Name +
-             " in shard manifests (not registered in this binary)";
+      return "unknown experiment " + Name + " in shard manifest " +
+             ListedIn + " (not registered in this binary)";
     if (Info->G != G)
-      return "granularity disagreement for " + Name +
-             ": shard manifests say " + shardGranularityName(G) +
+      return "granularity disagreement for " + Name + ": " + ListedIn +
+             " says " + shardGranularityName(G) +
              ", this binary registers " + shardGranularityName(Info->G);
 
     if (G == ShardGranularity::Whole) {
@@ -681,16 +691,15 @@ std::string pbt::exp::mergeShards(const std::string &ShardDir,
         for (const MEntry &E : PM.Entries)
           if (E.Name == Name) {
             if (Entry)
-              return "whole experiment " + Name +
-                     " appears in manifests of shards " +
-                     OwnerPM->Spec.label() + " and " + PM.Spec.label();
+              return "whole experiment " + Name + " appears in " +
+                     OwnerPM->File + " and " + PM.File;
             OwnerPM = &PM;
             Entry = &E;
           }
       std::string Bytes;
-      std::string Err = checkPartial(ShardDir, Entry->ArtifactFile,
-                                     Entry->ArtifactBytes,
-                                     Entry->ArtifactFnv, Bytes);
+      std::string Err =
+          checkPartial(ShardDir, OwnerPM->File, Entry->ArtifactFile,
+                       Entry->ArtifactBytes, Entry->ArtifactFnv, Bytes);
       if (!Err.empty())
         return Err;
       if (!writeFileAtomic(joinDir(OutDir, "BENCH_" + Name + ".json"), Bytes))
@@ -710,15 +719,16 @@ std::string pbt::exp::mergeShards(const std::string &ShardDir,
           Entry = &E;
       if (!Entry || Entry->PayloadFile.empty())
         return "missing cells partial for " + Name + " on shard " +
-               PM.Spec.label();
+               PM.Spec.label() + " (" + PM.File + ")";
       std::string Bytes;
-      std::string Err = checkPartial(ShardDir, Entry->PayloadFile,
-                                     Entry->PayloadBytes, Entry->PayloadFnv,
-                                     Bytes);
+      std::string Err =
+          checkPartial(ShardDir, PM.File, Entry->PayloadFile,
+                       Entry->PayloadBytes, Entry->PayloadFnv, Bytes);
       if (!Err.empty())
         return Err;
       std::vector<std::pair<std::string, RunResult>> Parsed;
-      Err = parsePayload(Bytes, Entry->PayloadFile, Name, PM.Spec, Parsed);
+      Err = parsePayload(Bytes, Entry->PayloadFile, PM.File, Name, PM.Spec,
+                         Parsed);
       if (!Err.empty())
         return Err;
       for (auto &Unit : Parsed) {

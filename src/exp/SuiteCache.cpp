@@ -20,24 +20,7 @@ void SuiteCache::setStore(std::shared_ptr<CacheStore> StoreIn) {
   Store = std::move(StoreIn);
 }
 
-uint64_t SuiteCache::programSetHash(const std::vector<Program> &Programs) {
-  if (!ProgramsHashed) {
-    ProgramsHash = CacheStore::hashProgramSet(Programs);
-    ProgramsHashed = true;
-  }
-  return ProgramsHash;
-}
-
-const std::vector<uint64_t> &
-SuiteCache::programHashes(const std::vector<Program> &Programs) {
-  if (!ProgramHashesComputed) {
-    ProgramHashes = CacheStore::hashPrograms(Programs);
-    ProgramHashesComputed = true;
-  }
-  return ProgramHashes;
-}
-
-PreparedSuite SuiteCache::get(const std::vector<Program> &Programs,
+PreparedSuite SuiteCache::get(const std::shared_ptr<const ProgramSet> &Set,
                               const MachineConfig &Machine,
                               const TechniqueSpec &Tech,
                               uint64_t TypingSeed) {
@@ -66,10 +49,8 @@ PreparedSuite SuiteCache::get(const std::vector<Program> &Programs,
   // later processes (or labs over the same programs) skip it.
   uint64_t StoreKey = 0;
   if (Store) {
-    StoreKey = CacheStore::suiteKey(programSetHash(Programs), Machine, Tech,
-                                    TypingSeed);
-    E.Suite = Store->load(StoreKey, programSetHash(Programs), Programs,
-                          Machine, Tech, TypingSeed);
+    StoreKey = CacheStore::suiteKey(Set->hash(), Machine, Tech, TypingSeed);
+    E.Suite = Store->load(StoreKey, Set, Machine, Tech, TypingSeed);
     if (E.Suite)
       ++StoreHits;
   }
@@ -80,23 +61,18 @@ PreparedSuite SuiteCache::get(const std::vector<Program> &Programs,
     // serve — adding one benchmark to an otherwise-cached suite
     // prepares exactly that benchmark, and programs shared with other
     // suites are reused regardless of which suite wrote them.
-    const std::vector<uint64_t> &Hashes = programHashes(Programs);
     std::vector<PreparedProgram> Parts =
-        Store->loadPrograms(Hashes, Programs, Machine, Tech, TypingSeed);
+        Store->loadPrograms(Set, Machine, Tech, TypingSeed);
     std::vector<size_t> MissingIdx;
-    for (size_t I = 0; I < Programs.size(); ++I)
+    for (size_t I = 0; I < Set->size(); ++I)
       if (!Parts[I].Image)
         MissingIdx.push_back(I);
-    ProgramStoreHits += Programs.size() - MissingIdx.size();
+    ProgramStoreHits += Set->size() - MissingIdx.size();
 
     if (!MissingIdx.empty()) {
-      std::vector<Program> Todo;
-      Todo.reserve(MissingIdx.size());
-      for (size_t I : MissingIdx)
-        Todo.push_back(Programs[I]);
       obs::Span Prep("suite_cache.prepare");
       std::vector<PreparedProgram> Fresh =
-          preparePrograms(Todo, Machine, Tech, TypingSeed);
+          preparePrograms(Set, MissingIdx, Machine, Tech, TypingSeed);
       for (size_t J = 0; J < MissingIdx.size(); ++J)
         Parts[MissingIdx[J]] = std::move(Fresh[J]);
       ++Prepared;
@@ -108,8 +84,8 @@ PreparedSuite SuiteCache::get(const std::vector<Program> &Programs,
     }
 
     auto Assembled = std::make_shared<PreparedSuite>();
-    for (size_t I = 0; I < Programs.size(); ++I) {
-      Assembled->Names.push_back(Programs[I].Name);
+    for (size_t I = 0; I < Set->size(); ++I) {
+      Assembled->Names.push_back((*Set)[I].Name);
       Assembled->Images.push_back(std::move(Parts[I].Image));
       Assembled->Costs.push_back(std::move(Parts[I].Cost));
       Assembled->Flats.push_back(std::move(Parts[I].Flat));
@@ -117,7 +93,7 @@ PreparedSuite SuiteCache::get(const std::vector<Program> &Programs,
     E.Suite = Assembled;
     // Writes the prog entries the store was missing plus the manifest
     // that makes the next load a whole-suite hit.
-    Store->save(StoreKey, programSetHash(Programs), Hashes, Machine, Tech,
+    Store->save(StoreKey, Set->hash(), Set->programHashes(), Machine, Tech,
                 TypingSeed, *E.Suite);
   }
 
@@ -134,10 +110,10 @@ PreparedSuite SuiteCache::get(const std::vector<Program> &Programs,
 
   if (!E.Suite) {
     ++Prepared;
-    PreparedPrograms += Programs.size();
+    PreparedPrograms += Set->size();
     obs::Span Prep("suite_cache.prepare");
     E.Suite = std::make_shared<const PreparedSuite>(
-        prepareSuite(Programs, Machine, Tech, TypingSeed));
+        prepareSuite(Set, Machine, Tech, TypingSeed));
   }
 
   Bucket.push_back(E);

@@ -16,11 +16,16 @@
 ///
 /// One cache serves one fixed program set (it is owned by a Lab, whose
 /// programs never change); programs are therefore not part of the
-/// in-memory key. An optional CacheStore adds a persistent disk tier:
-/// memory misses are served from disk (load-through) before falling back
-/// to the static pipeline, and fresh preparations are written back, so
-/// suites survive across processes. The disk tier keys on the program
-/// set too, so one store directory safely serves many labs.
+/// in-memory key. Every image the cache hands out — freshly prepared,
+/// store-loaded or assembled per program — shares its program with the
+/// caller's ProgramSet instead of copying it, and the set's content
+/// hashes (the disk keys) are memoized on the set, not here, so labs
+/// sharing one set hash it once. An optional CacheStore adds a
+/// persistent disk tier: memory misses are served from disk
+/// (load-through) before falling back to the static pipeline, and fresh
+/// preparations are written back, so suites survive across processes.
+/// The disk tier keys on the program set too, so one store directory
+/// safely serves many labs.
 ///
 /// The disk tier is *module-granular*: when the whole-suite manifest
 /// misses, the cache probes the store per program
@@ -70,7 +75,7 @@ public:
   /// The returned value shares the cached immutable images/costs/flats
   /// (cheap shared_ptr copies) but carries \p Tech's own TunerConfig,
   /// so cache hits still honor the requested tuner.
-  PreparedSuite get(const std::vector<Program> &Programs,
+  PreparedSuite get(const std::shared_ptr<const ProgramSet> &Set,
                     const MachineConfig &Machine, const TechniqueSpec &Tech,
                     uint64_t TypingSeed = DefaultTypingSeed);
 
@@ -97,10 +102,6 @@ public:
   /// Distinct prepared suites currently held in memory.
   size_t size() const;
 
-  /// The program-set content hash for the disk tier, computed once (the
-  /// cache serves one fixed program set for its whole life).
-  uint64_t programSetHash(const std::vector<Program> &Programs);
-
   void clear();
 
 private:
@@ -111,20 +112,10 @@ private:
     std::shared_ptr<const PreparedSuite> Suite;
   };
 
-  /// Per-program content hashes, memoized alongside programSetHash: the
-  /// keys of the store's per-program entries, handed to
-  /// CacheStore::loadPrograms and CacheStore::save.
-  const std::vector<uint64_t> &
-  programHashes(const std::vector<Program> &Programs);
-
   /// Hash buckets hold entry lists so hash collisions fall back to exact
   /// comparison (samePreparation + machine equality + seed).
   std::unordered_map<uint64_t, std::vector<Entry>> Buckets;
   std::shared_ptr<CacheStore> Store;
-  uint64_t ProgramsHash = 0;
-  bool ProgramsHashed = false;
-  std::vector<uint64_t> ProgramHashes;
-  bool ProgramHashesComputed = false;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   uint64_t StoreHits = 0;

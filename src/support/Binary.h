@@ -154,13 +154,17 @@ private:
   bool Fail = false;
 };
 
+/// FNV-1a offset basis: the state of a hash over zero bytes.
+constexpr uint64_t Fnv1aBasis = 0xCBF29CE484222325ULL;
+
 /// FNV-1a over \p Size bytes (payload checksums; stable across runs).
 /// The one byte-level FNV primitive in support/ — Hashing.h's
 /// hashString delegates here, and persisted-file checksums depend on
-/// these constants staying fixed.
-inline uint64_t fnv1a(const void *Data, size_t Size) {
+/// these constants staying fixed. \p H continues a running hash, so
+/// hashing two buffers in turn equals hashing their concatenation.
+inline uint64_t fnv1a(const void *Data, size_t Size,
+                      uint64_t H = Fnv1aBasis) {
   const uint8_t *Bytes = static_cast<const uint8_t *>(Data);
-  uint64_t H = 0xCBF29CE484222325ULL;
   for (size_t I = 0; I < Size; ++I) {
     H ^= Bytes[I];
     H *= 0x100000001B3ULL;

@@ -83,16 +83,14 @@ PreparedProgram prepareOne(const Program &Prog, const MachineConfig &Machine,
 
 } // namespace
 
-std::vector<PreparedProgram>
-pbt::preparePrograms(const std::vector<Program> &Programs,
-                     const MachineConfig &Machine, const TechniqueSpec &Tech,
-                     uint64_t TypingSeed, ThreadPool *Pool) {
-  PipelineContext Ctx =
-      makePipelineContext(Programs, Machine, Tech, TypingSeed, Pool);
-  runPreparationPipeline(Ctx);
+namespace {
 
-  std::vector<PreparedProgram> Out(Programs.size());
-  for (size_t Index = 0; Index < Programs.size(); ++Index) {
+/// Runs the pipeline over \p Ctx and moves its artifacts out, in
+/// context order.
+std::vector<PreparedProgram> runPipeline(PipelineContext &Ctx) {
+  runPreparationPipeline(Ctx);
+  std::vector<PreparedProgram> Out(Ctx.Programs.size());
+  for (size_t Index = 0; Index < Out.size(); ++Index) {
     Out[Index].Image = std::move(Ctx.Programs[Index].Image);
     Out[Index].Cost = std::move(Ctx.Programs[Index].Cost);
     Out[Index].Flat = std::move(Ctx.Programs[Index].Flat);
@@ -100,13 +98,9 @@ pbt::preparePrograms(const std::vector<Program> &Programs,
   return Out;
 }
 
-PreparedSuite pbt::prepareSuite(const std::vector<Program> &Programs,
-                                const MachineConfig &Machine,
-                                const TechniqueSpec &Tech,
-                                uint64_t TypingSeed, ThreadPool *Pool) {
-  std::vector<PreparedProgram> Prepared =
-      preparePrograms(Programs, Machine, Tech, TypingSeed, Pool);
-
+PreparedSuite assembleSuite(const std::vector<Program> &Programs,
+                            std::vector<PreparedProgram> Prepared,
+                            const TechniqueSpec &Tech) {
   PreparedSuite Suite;
   Suite.Tuner = Tech.Tuner;
   for (size_t Index = 0; Index < Programs.size(); ++Index) {
@@ -116,6 +110,48 @@ PreparedSuite pbt::prepareSuite(const std::vector<Program> &Programs,
     Suite.Flats.push_back(std::move(Prepared[Index].Flat));
   }
   return Suite;
+}
+
+} // namespace
+
+std::vector<PreparedProgram>
+pbt::preparePrograms(const std::vector<Program> &Programs,
+                     const MachineConfig &Machine, const TechniqueSpec &Tech,
+                     uint64_t TypingSeed, ThreadPool *Pool) {
+  PipelineContext Ctx =
+      makePipelineContext(Programs, Machine, Tech, TypingSeed, Pool);
+  return runPipeline(Ctx);
+}
+
+std::vector<PreparedProgram>
+pbt::preparePrograms(const std::shared_ptr<const ProgramSet> &Set,
+                     const std::vector<size_t> &Indices,
+                     const MachineConfig &Machine, const TechniqueSpec &Tech,
+                     uint64_t TypingSeed, ThreadPool *Pool) {
+  PipelineContext Ctx =
+      makePipelineContext(Set, Indices, Machine, Tech, TypingSeed, Pool);
+  return runPipeline(Ctx);
+}
+
+PreparedSuite pbt::prepareSuite(const std::vector<Program> &Programs,
+                                const MachineConfig &Machine,
+                                const TechniqueSpec &Tech,
+                                uint64_t TypingSeed, ThreadPool *Pool) {
+  return assembleSuite(
+      Programs, preparePrograms(Programs, Machine, Tech, TypingSeed, Pool),
+      Tech);
+}
+
+PreparedSuite pbt::prepareSuite(const std::shared_ptr<const ProgramSet> &Set,
+                                const MachineConfig &Machine,
+                                const TechniqueSpec &Tech,
+                                uint64_t TypingSeed, ThreadPool *Pool) {
+  std::vector<size_t> All(Set->size());
+  for (size_t Index = 0; Index < All.size(); ++Index)
+    All[Index] = Index;
+  return assembleSuite(
+      Set->programs(),
+      preparePrograms(Set, All, Machine, Tech, TypingSeed, Pool), Tech);
 }
 
 PreparedSuite pbt::prepareSuiteMonolithic(const std::vector<Program> &Programs,

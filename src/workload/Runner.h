@@ -19,6 +19,7 @@
 #include "core/Instrument.h"
 #include "core/Transitions.h"
 #include "core/Tuner.h"
+#include "ir/ProgramSet.h"
 #include "scenario/Scenario.h"
 #include "sim/Machine.h"
 #include "support/ThreadPool.h"
@@ -124,9 +125,20 @@ struct PreparedProgram {
 /// k-means and error injection. The per-program steps are independent,
 /// so they fan out over \p Pool (the global thread pool when null) with
 /// by-index writes: output is bit-identical to the serial loop
-/// regardless of pool size.
+/// regardless of pool size. Every image carries its own copy of its
+/// program, made on the pool.
 std::vector<PreparedProgram>
 preparePrograms(const std::vector<Program> &Programs,
+                const MachineConfig &Machine, const TechniqueSpec &Tech,
+                uint64_t TypingSeed = 42, ThreadPool *Pool = nullptr);
+
+/// preparePrograms over the programs of \p Set listed in \p Indices
+/// (result I is Set[Indices[I]]'s). The images alias their programs in
+/// the set instead of copying them; the set lives as long as any image.
+/// Output is otherwise bit-identical to the by-reference overload.
+std::vector<PreparedProgram>
+preparePrograms(const std::shared_ptr<const ProgramSet> &Set,
+                const std::vector<size_t> &Indices,
                 const MachineConfig &Machine, const TechniqueSpec &Tech,
                 uint64_t TypingSeed = 42, ThreadPool *Pool = nullptr);
 
@@ -134,6 +146,14 @@ preparePrograms(const std::vector<Program> &Programs,
 /// by running the pass-manager pipeline (see preparePrograms) and
 /// assembling the results into a suite.
 PreparedSuite prepareSuite(const std::vector<Program> &Programs,
+                           const MachineConfig &Machine,
+                           const TechniqueSpec &Tech,
+                           uint64_t TypingSeed = 42,
+                           ThreadPool *Pool = nullptr);
+
+/// prepareSuite over a shared set: every image aliases its program in
+/// \p Set (see the shared preparePrograms).
+PreparedSuite prepareSuite(const std::shared_ptr<const ProgramSet> &Set,
                            const MachineConfig &Machine,
                            const TechniqueSpec &Tech,
                            uint64_t TypingSeed = 42,

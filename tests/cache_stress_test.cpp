@@ -93,10 +93,11 @@ size_t countMatching(const std::string &Dir, const char *Needle) {
 /// BEFORE any fork (children must not touch the thread pool).
 struct CrashRig {
   explicit CrashRig(const std::string &DirName)
-      : DirName(DirName), Programs(tinySuite()),
+      : DirName(DirName), Set(std::make_shared<const ProgramSet>(tinySuite())),
+        Programs(Set->programs()),
         MC(MachineConfig::quadAsymmetric()), Tech(loopTechnique(60)),
-        ProgramsHash(CacheStore::hashProgramSet(Programs)),
-        ProgramHashes(CacheStore::hashPrograms(Programs)),
+        ProgramsHash(Set->hash()),
+        ProgramHashes(Set->programHashes()),
         Key(CacheStore::suiteKey(ProgramsHash, MC, Tech, 42)),
         Suite(prepareSuite(Programs, MC, Tech, 42)) {
     wipeDir(DirName);
@@ -144,14 +145,15 @@ struct CrashRig {
     std::string Bytes;
     EXPECT_TRUE(readFile(
         Ref.progPathFor(CacheStore::progKey(
-            CacheStore::hashProgram(Programs[I]), MC, Tech, 42)),
+            contentHash(Programs[I]), MC, Tech, 42)),
         Bytes))
         << "reference prog entry " << I;
     return Bytes;
   }
 
   std::string DirName;
-  std::vector<Program> Programs;
+  std::shared_ptr<const ProgramSet> Set;
+  const std::vector<Program> &Programs;
   MachineConfig MC;
   TechniqueSpec Tech;
   uint64_t ProgramsHash;
@@ -175,13 +177,14 @@ TEST(CacheStressTest, SurvivesEnvironmentFaults) {
   std::string EnvDir = testCacheDir("stress_envfaults.cache");
   wipeDir(EnvDir);
   auto Store = std::make_shared<CacheStore>(EnvDir);
-  std::vector<Program> Programs = tinySuite();
+  auto Set = std::make_shared<const ProgramSet>(tinySuite());
+  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique(58);
   for (int Round = 0; Round < 6; ++Round) {
     SuiteCache Cache; // Cold memory tier every round: disk is in play.
     Cache.setStore(Store);
-    PreparedSuite Suite = Cache.get(Programs, MC, Tech);
+    PreparedSuite Suite = Cache.get(Set, MC, Tech);
     ASSERT_EQ(Suite.Images.size(), Programs.size()) << "round " << Round;
   }
   FaultInjection::instance().reset();
@@ -202,8 +205,7 @@ TEST(CacheStressTest, CrashMidWriteLeavesRecoverableStore) {
   CacheStore After(Rig.DirName); // Construction sweeps the dead temp.
   EXPECT_EQ(countMatching(After.dir(), ".tmp."), 0u)
       << "dead writer's temp must be swept";
-  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.Programs, Rig.MC,
-                         Rig.Tech, 42) == nullptr)
+  EXPECT_TRUE(After.load(Rig.Key, Rig.Set, Rig.MC, Rig.Tech, 42) == nullptr)
       << "a crashed write must never produce a visible entry";
   EXPECT_EQ(After.rejects(), 0u) << "nothing to reject: a clean miss";
 
@@ -223,8 +225,7 @@ TEST(CacheStressTest, CrashBeforeRenameLeavesNoEntry) {
 
   CacheStore After(Rig.DirName);
   EXPECT_EQ(countMatching(After.dir(), ".tmp."), 0u);
-  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.Programs, Rig.MC,
-                         Rig.Tech, 42) == nullptr);
+  EXPECT_TRUE(After.load(Rig.Key, Rig.Set, Rig.MC, Rig.Tech, 42) == nullptr);
   EXPECT_EQ(After.rejects(), 0u);
 }
 
@@ -241,14 +242,13 @@ TEST(CacheStressTest, CrashAfterRenameLeavesCompleteEntry) {
 
   CacheStore After(Rig.DirName);
   std::string FirstProgPath = After.progPathFor(CacheStore::progKey(
-      CacheStore::hashProgram(Rig.Programs[0]), Rig.MC, Rig.Tech, 42));
+      contentHash(Rig.Programs[0]), Rig.MC, Rig.Tech, 42));
   std::string ProgBytes;
   ASSERT_TRUE(readFile(FirstProgPath, ProgBytes))
       << "renamed prog entry survives the crash";
   EXPECT_EQ(ProgBytes, Rig.referenceProgBytes(0))
       << "completed prog entry is byte-identical to a quiet writer's";
-  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.Programs, Rig.MC,
-                         Rig.Tech, 42) == nullptr)
+  EXPECT_TRUE(After.load(Rig.Key, Rig.Set, Rig.MC, Rig.Tech, 42) == nullptr)
       << "no manifest yet: the suite is a clean miss";
   EXPECT_EQ(After.rejects(), 0u);
 
@@ -261,8 +261,7 @@ TEST(CacheStressTest, CrashAfterRenameLeavesCompleteEntry) {
   std::string Bytes;
   ASSERT_TRUE(readFile(After.pathFor(Rig.Key), Bytes));
   EXPECT_EQ(Bytes, Reference);
-  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.Programs, Rig.MC,
-                         Rig.Tech, 42) != nullptr);
+  EXPECT_TRUE(After.load(Rig.Key, Rig.Set, Rig.MC, Rig.Tech, 42) != nullptr);
 }
 
 // A child dies while HOLDING the exclusive writer flock: the kernel
@@ -277,8 +276,7 @@ TEST(CacheStressTest, CrashWhileHoldingLockStrandsNothing) {
   ASSERT_TRUE(After.save(Rig.Key, Rig.ProgramsHash, Rig.ProgramHashes,
                          Rig.MC, Rig.Tech, 42, Rig.Suite))
       << "dead child's flock must have died with it";
-  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.Programs, Rig.MC,
-                         Rig.Tech, 42) != nullptr);
+  EXPECT_TRUE(After.load(Rig.Key, Rig.Set, Rig.MC, Rig.Tech, 42) != nullptr);
   EXPECT_EQ(After.lockTimeouts(), 0u);
 }
 
@@ -293,8 +291,7 @@ TEST(CacheStressTest, CrashAfterSaveIsInvisible) {
   std::string Bytes;
   ASSERT_TRUE(readFile(After.pathFor(Rig.Key), Bytes));
   EXPECT_EQ(Bytes, Reference);
-  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.Programs, Rig.MC,
-                         Rig.Tech, 42) != nullptr);
+  EXPECT_TRUE(After.load(Rig.Key, Rig.Set, Rig.MC, Rig.Tech, 42) != nullptr);
 }
 
 //===----------------------------------------------------------------------===//
@@ -339,7 +336,7 @@ TEST(CacheStressTest, MultiProcessHammerConvergesToReferenceBytes) {
         uint64_t K = First ? Rig.Key : SecondKey;
         const TechniqueSpec &T = First ? Rig.Tech : SecondTech;
         const PreparedSuite &S = First ? Rig.Suite : SecondSuite;
-        if (!Store.load(K, Rig.ProgramsHash, Rig.Programs, Rig.MC, T, 42))
+        if (!Store.load(K, Rig.Set, Rig.MC, T, 42))
           Store.save(K, Rig.ProgramsHash, Rig.ProgramHashes, Rig.MC, T, 42,
                      S);
       }
@@ -357,12 +354,10 @@ TEST(CacheStressTest, MultiProcessHammerConvergesToReferenceBytes) {
   // Recovery pass: one quiet load-through each. A key the chaos left
   // torn gets quarantined and rebuilt here; a healthy key just hits.
   CacheStore Final(DirName);
-  if (!Final.load(Rig.Key, Rig.ProgramsHash, Rig.Programs, Rig.MC, Rig.Tech,
-                  42))
+  if (!Final.load(Rig.Key, Rig.Set, Rig.MC, Rig.Tech, 42))
     ASSERT_TRUE(Final.save(Rig.Key, Rig.ProgramsHash, Rig.ProgramHashes,
                            Rig.MC, Rig.Tech, 42, Rig.Suite));
-  if (!Final.load(SecondKey, Rig.ProgramsHash, Rig.Programs, Rig.MC,
-                  SecondTech, 42))
+  if (!Final.load(SecondKey, Rig.Set, Rig.MC, SecondTech, 42))
     ASSERT_TRUE(Final.save(SecondKey, Rig.ProgramsHash, Rig.ProgramHashes,
                            Rig.MC, SecondTech, 42, SecondSuite));
 

@@ -170,16 +170,17 @@ TEST(PrepareSuiteParallel, DownstreamRunResultsBitIdentical) {
 //===----------------------------------------------------------------------===//
 
 TEST(SuiteCacheTest, TunerOnlyVariationHitsCache) {
-  std::vector<Program> Programs = smallSuite();
+  auto Set = std::make_shared<const ProgramSet>(smallSuite());
+  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   SuiteCache Cache;
 
-  PreparedSuite First = Cache.get(Programs, MC, loopTechnique(0.1));
+  PreparedSuite First = Cache.get(Set, MC, loopTechnique(0.1));
   EXPECT_EQ(Cache.misses(), 1u);
   EXPECT_EQ(Cache.hits(), 0u);
 
   // Same preparation, different tuner: served from cache, tuner honored.
-  PreparedSuite Second = Cache.get(Programs, MC, loopTechnique(0.4));
+  PreparedSuite Second = Cache.get(Set, MC, loopTechnique(0.4));
   EXPECT_EQ(Cache.misses(), 1u);
   EXPECT_EQ(Cache.hits(), 1u);
   EXPECT_DOUBLE_EQ(Second.Tuner.IpcDelta, 0.4);
@@ -195,35 +196,37 @@ TEST(SuiteCacheTest, TunerOnlyVariationHitsCache) {
   TechniqueSpec BB = loopTechnique();
   BB.Transition.Strat = Strategy::BasicBlock;
   BB.Transition.MinSize = 15;
-  Cache.get(Programs, MC, BB);
+  Cache.get(Set, MC, BB);
   EXPECT_EQ(Cache.misses(), 2u);
   EXPECT_EQ(Cache.size(), 2u);
 }
 
 TEST(SuiteCacheTest, KeyCoversMachineSeedAndPreparationFields) {
-  std::vector<Program> Programs = smallSuite();
+  auto Set = std::make_shared<const ProgramSet>(smallSuite());
+  const std::vector<Program> &Programs = Set->programs();
   SuiteCache Cache;
-  Cache.get(Programs, MachineConfig::quadAsymmetric(), loopTechnique());
-  Cache.get(Programs, MachineConfig::threeCore(), loopTechnique());
+  Cache.get(Set, MachineConfig::quadAsymmetric(), loopTechnique());
+  Cache.get(Set, MachineConfig::threeCore(), loopTechnique());
   EXPECT_EQ(Cache.misses(), 2u); // Machine differs.
-  Cache.get(Programs, MachineConfig::quadAsymmetric(), loopTechnique(), 7);
+  Cache.get(Set, MachineConfig::quadAsymmetric(), loopTechnique(), 7);
   EXPECT_EQ(Cache.misses(), 3u); // Typing seed differs.
   TechniqueSpec Err = loopTechnique();
   Err.TypingError = 0.1;
-  Cache.get(Programs, MachineConfig::quadAsymmetric(), Err);
+  Cache.get(Set, MachineConfig::quadAsymmetric(), Err);
   EXPECT_EQ(Cache.misses(), 4u); // Preparation differs.
   EXPECT_EQ(Cache.hits(), 0u);
-  Cache.get(Programs, MachineConfig::quadAsymmetric(), loopTechnique());
+  Cache.get(Set, MachineConfig::quadAsymmetric(), loopTechnique());
   EXPECT_EQ(Cache.hits(), 1u);
 }
 
 TEST(SuiteCacheTest, RenamedMachineStillHits) {
-  std::vector<Program> Programs = smallSuite();
+  auto Set = std::make_shared<const ProgramSet>(smallSuite());
+  const std::vector<Program> &Programs = Set->programs();
   SuiteCache Cache;
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  Cache.get(Programs, MC, loopTechnique());
+  Cache.get(Set, MC, loopTechnique());
   MC.Name = "renamed"; // Display label is not part of the identity.
-  Cache.get(Programs, MC, loopTechnique());
+  Cache.get(Set, MC, loopTechnique());
   EXPECT_EQ(Cache.hits(), 1u);
   EXPECT_EQ(Cache.misses(), 1u);
 }
@@ -534,9 +537,10 @@ void expectTablesBitIdentical(const PreparedSuite &A,
 // bit-identical results.
 TEST(CacheStoreTest, RoundTripBitIdentical) {
   CacheStore Store(testCacheDir("exp_test_roundtrip.cache"));
-  std::vector<Program> Programs = randomPrograms(31, 5);
+  auto Set = std::make_shared<const ProgramSet>(randomPrograms(31, 5));
+  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  uint64_t ProgramsHash = CacheStore::hashProgramSet(Programs);
+  uint64_t ProgramsHash = Set->hash();
 
   TechniqueSpec Static = loopTechnique();
   Static.UseStaticTyping = true;
@@ -545,11 +549,11 @@ TEST(CacheStoreTest, RoundTripBitIdentical) {
     PreparedSuite Fresh = prepareSuite(Programs, MC, Tech, 42);
     uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
     ASSERT_TRUE(Store.save(Key, ProgramsHash,
-                           CacheStore::hashPrograms(Programs), MC, Tech, 42,
+                           Set->programHashes(), MC, Tech, 42,
                            Fresh));
 
     std::shared_ptr<const PreparedSuite> Loaded =
-        Store.load(Key, ProgramsHash, Programs, MC, Tech, 42);
+        Store.load(Key, Set, MC, Tech, 42);
     ASSERT_TRUE(Loaded != nullptr);
     PreparedSuite Reloaded = *Loaded;
     Reloaded.Tuner = Tech.Tuner; // Callers stamp the tuner, as SuiteCache does.
@@ -568,13 +572,14 @@ TEST(CacheStoreTest, RoundTripBitIdentical) {
 
 TEST(CacheStoreTest, VersionMismatchRejected) {
   CacheStore Store(testCacheDir("exp_test_version.cache"));
-  std::vector<Program> Programs = smallSuite();
+  auto Set = std::make_shared<const ProgramSet>(smallSuite());
+  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
-  uint64_t ProgramsHash = CacheStore::hashProgramSet(Programs);
+  uint64_t ProgramsHash = Set->hash();
   uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
   ASSERT_TRUE(Store.save(Key, ProgramsHash,
-                         CacheStore::hashPrograms(Programs), MC, Tech, 42,
+                         Set->programHashes(), MC, Tech, 42,
                          prepareSuite(Programs, MC, Tech, 42)));
 
   // Bump the format-version field (bytes 4..7, after the magic).
@@ -583,20 +588,20 @@ TEST(CacheStoreTest, VersionMismatchRejected) {
   Bytes[4] = static_cast<char>(CacheStore::FormatVersion + 1);
   ASSERT_TRUE(writeFileAtomic(Store.pathFor(Key), Bytes));
 
-  EXPECT_TRUE(Store.load(Key, ProgramsHash, Programs, MC, Tech, 42) ==
-              nullptr);
+  EXPECT_TRUE(Store.load(Key, Set, MC, Tech, 42) == nullptr);
   EXPECT_EQ(Store.rejects(), 1u);
 }
 
 TEST(CacheStoreTest, TruncatedAndCorruptFilesRejected) {
   CacheStore Store(testCacheDir("exp_test_corrupt.cache"));
-  std::vector<Program> Programs = smallSuite();
+  auto Set = std::make_shared<const ProgramSet>(smallSuite());
+  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
-  uint64_t ProgramsHash = CacheStore::hashProgramSet(Programs);
+  uint64_t ProgramsHash = Set->hash();
   uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
   ASSERT_TRUE(Store.save(Key, ProgramsHash,
-                         CacheStore::hashPrograms(Programs), MC, Tech, 42,
+                         Set->programHashes(), MC, Tech, 42,
                          prepareSuite(Programs, MC, Tech, 42)));
   std::string Good;
   ASSERT_TRUE(readFile(Store.pathFor(Key), Good));
@@ -605,8 +610,7 @@ TEST(CacheStoreTest, TruncatedAndCorruptFilesRejected) {
   // boundary (the header is 64 bytes), and mid-payload.
   for (size_t Keep : {size_t(10), size_t(64), Good.size() / 2}) {
     ASSERT_TRUE(writeFileAtomic(Store.pathFor(Key), Good.substr(0, Keep)));
-    EXPECT_TRUE(Store.load(Key, ProgramsHash, Programs, MC, Tech, 42) ==
-                nullptr)
+    EXPECT_TRUE(Store.load(Key, Set, MC, Tech, 42) == nullptr)
         << "truncated to " << Keep << " bytes";
   }
 
@@ -614,27 +618,26 @@ TEST(CacheStoreTest, TruncatedAndCorruptFilesRejected) {
   std::string Flipped = Good;
   Flipped[Good.size() - 7] ^= 0x20;
   ASSERT_TRUE(writeFileAtomic(Store.pathFor(Key), Flipped));
-  EXPECT_TRUE(Store.load(Key, ProgramsHash, Programs, MC, Tech, 42) ==
-              nullptr);
+  EXPECT_TRUE(Store.load(Key, Set, MC, Tech, 42) == nullptr);
   EXPECT_EQ(Store.rejects(), 4u);
 
   // The pristine bytes still load.
   ASSERT_TRUE(writeFileAtomic(Store.pathFor(Key), Good));
-  EXPECT_TRUE(Store.load(Key, ProgramsHash, Programs, MC, Tech, 42) !=
-              nullptr);
+  EXPECT_TRUE(Store.load(Key, Set, MC, Tech, 42) != nullptr);
 }
 
 // --clean-cache's helper: only entries carrying a foreign format
 // version are deleted; current entries and non-store files survive.
 TEST(CacheStoreTest, CleanMismatchedVersionsRemovesOnlyStaleEntries) {
   CacheStore Store(testCacheDir("exp_test_clean.cache"));
-  std::vector<Program> Programs = smallSuite();
+  auto Set = std::make_shared<const ProgramSet>(smallSuite());
+  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
-  uint64_t ProgramsHash = CacheStore::hashProgramSet(Programs);
+  uint64_t ProgramsHash = Set->hash();
   uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
   ASSERT_TRUE(Store.save(Key, ProgramsHash,
-                         CacheStore::hashPrograms(Programs), MC, Tech, 42,
+                         Set->programHashes(), MC, Tech, 42,
                          prepareSuite(Programs, MC, Tech, 42)));
 
   // A stale entry from a previous format version ("PBTS" + version 1),
@@ -650,8 +653,7 @@ TEST(CacheStoreTest, CleanMismatchedVersionsRemovesOnlyStaleEntries) {
   std::string Bytes;
   EXPECT_FALSE(readFile(StalePath, Bytes)) << "stale entry must be gone";
   EXPECT_TRUE(readFile(ForeignPath, Bytes)) << "foreign file untouched";
-  EXPECT_TRUE(Store.load(Key, ProgramsHash, Programs, MC, Tech, 42) !=
-              nullptr)
+  EXPECT_TRUE(Store.load(Key, Set, MC, Tech, 42) != nullptr)
       << "current-version entry untouched";
   std::remove(ForeignPath.c_str());
 }
@@ -700,9 +702,10 @@ uint64_t groupBytes(const std::vector<std::string> &Paths) {
 /// one save's files, aged together: suite I's mtime is (3 - I) hours
 /// ago.
 std::vector<std::vector<std::string>> populateGcStore(CacheStore &Store) {
-  std::vector<Program> Programs = smallSuite();
+  auto Set = std::make_shared<const ProgramSet>(smallSuite());
+  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  uint64_t ProgramsHash = CacheStore::hashProgramSet(Programs);
+  uint64_t ProgramsHash = Set->hash();
   std::vector<std::vector<std::string>> Groups;
   std::vector<std::string> Before;
   for (uint32_t I = 0; I < 3; ++I) {
@@ -710,7 +713,7 @@ std::vector<std::vector<std::string>> populateGcStore(CacheStore &Store) {
     Tech.Transition.MinSize = 40 + I; // Distinct preparations.
     uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
     EXPECT_TRUE(Store.save(Key, ProgramsHash,
-                           CacheStore::hashPrograms(Programs), MC, Tech, 42,
+                           Set->programHashes(), MC, Tech, 42,
                            prepareSuite(Programs, MC, Tech, 42)));
     std::vector<std::string> After = listEntryFiles(Store.dir());
     std::vector<std::string> Fresh;
@@ -792,14 +795,14 @@ TEST(CacheStoreTest, LoadRefreshesLruRecency) {
   std::vector<std::vector<std::string>> Groups = populateGcStore(Store);
 
   // Touch the oldest suite through a real load.
-  std::vector<Program> Programs = smallSuite();
+  auto Set = std::make_shared<const ProgramSet>(smallSuite());
+  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  uint64_t ProgramsHash = CacheStore::hashProgramSet(Programs);
+  uint64_t ProgramsHash = Set->hash();
   TechniqueSpec Oldest = loopTechnique();
   Oldest.Transition.MinSize = 40;
   uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Oldest, 42);
-  ASSERT_TRUE(Store.load(Key, ProgramsHash, Programs, MC, Oldest, 42) !=
-              nullptr);
+  ASSERT_TRUE(Store.load(Key, Set, MC, Oldest, 42) != nullptr);
 
   // A budget fitting two suites must now evict Groups[1] (MinSize 41,
   // the new LRU), not the freshly used Groups[0].
@@ -819,18 +822,19 @@ TEST(CacheStoreTest, SuiteCacheLoadThrough) {
       testCacheDir("exp_test_loadthrough.cache"));
   TechniqueSpec Tech = loopTechnique(0.2);
   Tech.Transition.MinSize = 44;
-  std::vector<Program> Programs = smallSuite();
+  auto Set = std::make_shared<const ProgramSet>(smallSuite());
+  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
 
   SuiteCache First;
   First.setStore(Store);
-  PreparedSuite Prepared = First.get(Programs, MC, Tech);
+  PreparedSuite Prepared = First.get(Set, MC, Tech);
   EXPECT_EQ(First.prepared(), 1u);
   EXPECT_EQ(First.storeHits(), 0u);
 
   SuiteCache Second;
   Second.setStore(Store);
-  PreparedSuite FromDisk = Second.get(Programs, MC, Tech);
+  PreparedSuite FromDisk = Second.get(Set, MC, Tech);
   EXPECT_EQ(Second.misses(), 1u);   // Not in Second's memory...
   EXPECT_EQ(Second.storeHits(), 1u); // ...but served from disk...
   EXPECT_EQ(Second.prepared(), 0u);  // ...with no pipeline run.
@@ -839,7 +843,7 @@ TEST(CacheStoreTest, SuiteCacheLoadThrough) {
 
   // And a repeat request is a plain memory hit: the disk tier is only
   // consulted on memory misses.
-  Second.get(Programs, MC, Tech);
+  Second.get(Set, MC, Tech);
   EXPECT_EQ(Second.hits(), 1u);
   EXPECT_EQ(Second.storeHits(), 1u);
 }

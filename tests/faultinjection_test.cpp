@@ -90,10 +90,11 @@ struct FaultScope {
 /// A store with one saved entry for key-corruption experiments.
 struct StoreRig {
   explicit StoreRig(const std::string &DirName, unsigned MinSize = 40)
-      : Store(DirName), Programs(tinySuite()),
+      : Store(DirName), Set(std::make_shared<const ProgramSet>(tinySuite())),
+        Programs(Set->programs()),
         MC(MachineConfig::quadAsymmetric()), Tech(loopTechnique(MinSize)),
-        ProgramsHash(CacheStore::hashProgramSet(Programs)),
-        ProgramHashes(CacheStore::hashPrograms(Programs)),
+        ProgramsHash(Set->hash()),
+        ProgramHashes(Set->programHashes()),
         Key(CacheStore::suiteKey(ProgramsHash, MC, Tech, 42)) {
     wipeDir(Store.dir());
     Suite = prepareSuite(Programs, MC, Tech, 42);
@@ -104,11 +105,12 @@ struct StoreRig {
     return Store.save(Key, ProgramsHash, ProgramHashes, MC, Tech, 42, Suite);
   }
   std::shared_ptr<const PreparedSuite> load() {
-    return Store.load(Key, ProgramsHash, Programs, MC, Tech, 42);
+    return Store.load(Key, Set, MC, Tech, 42);
   }
 
   CacheStore Store;
-  std::vector<Program> Programs;
+  std::shared_ptr<const ProgramSet> Set;
+  const std::vector<Program> &Programs;
   MachineConfig MC;
   TechniqueSpec Tech;
   uint64_t ProgramsHash;
@@ -344,7 +346,7 @@ TEST(FaultInjectionTest, TornRenameIsQuarantinedThenRebuilt) {
   // (shared_ptr with a no-op deleter: the rig owns the store)
   Cache.setStore(std::shared_ptr<CacheStore>(
       std::shared_ptr<CacheStore>(), &Rig.Store));
-  Cache.get(Rig.Programs, Rig.MC, Rig.Tech);
+  Cache.get(Rig.Set, Rig.MC, Rig.Tech);
   EXPECT_EQ(Cache.prepared(), 0u);
   EXPECT_EQ(Cache.storeHits(), 1u);
   EXPECT_EQ(Cache.programStoreHits(), Rig.Programs.size());
@@ -443,8 +445,8 @@ TEST(FaultInjectionTest, EveryRejectReasonQuarantinesAndRecovers) {
 
   // The neighbor key served hits throughout, untouched by the chaos.
   uint64_t HitsBefore = Rig.Store.hits();
-  EXPECT_TRUE(Rig.Store.load(NeighborKey, Rig.ProgramsHash, Rig.Programs,
-                             Rig.MC, NeighborTech, 42) != nullptr);
+  EXPECT_TRUE(Rig.Store.load(NeighborKey, Rig.Set, Rig.MC, NeighborTech,
+                             42) != nullptr);
   EXPECT_EQ(Rig.Store.hits(), HitsBefore + 1);
 }
 

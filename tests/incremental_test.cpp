@@ -149,7 +149,8 @@ bool writeFileBytes(const std::string &Path, const std::string &Bytes) {
 // suite — bit-identical to the freshly prepared artifact.
 TEST(IncrementalStore, ProgEntryRoundTripBitIdentical) {
   CacheStore Store(testCacheDir("incr_roundtrip.cache"));
-  std::vector<Program> Programs = randomPrograms(7, 4);
+  auto Set = std::make_shared<const ProgramSet>(randomPrograms(7, 4));
+  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
 
@@ -161,15 +162,14 @@ TEST(IncrementalStore, ProgEntryRoundTripBitIdentical) {
     Suite.Costs.push_back(Fresh[I].Cost);
     Suite.Flats.push_back(Fresh[I].Flat);
   }
-  uint64_t SetHash = CacheStore::hashProgramSet(Programs);
+  uint64_t SetHash = Set->hash();
   uint64_t Key = CacheStore::suiteKey(SetHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, SetHash, CacheStore::hashPrograms(Programs), MC,
+  ASSERT_TRUE(Store.save(Key, SetHash, Set->programHashes(), MC,
                          Tech, 42, Suite));
   EXPECT_EQ(Store.progWrites(), Programs.size());
 
   for (size_t I = 0; I < Programs.size(); ++I) {
-    PreparedProgram Loaded = Store.loadProgram(
-        CacheStore::hashProgram(Programs[I]), Programs[I], MC, Tech, 42);
+    PreparedProgram Loaded = Store.loadProgram(Set, I, MC, Tech, 42);
     expectProgramsBitIdentical(Fresh[I], Loaded);
   }
   EXPECT_EQ(Store.progHits(), Programs.size());
@@ -181,21 +181,20 @@ TEST(IncrementalStore, ProgEntryRoundTripBitIdentical) {
 // typing seed misses too (the seed is part of the key).
 TEST(IncrementalStore, ProgProbeMissesAreKeyed) {
   CacheStore Store(testCacheDir("incr_probe.cache"));
-  std::vector<Program> Programs = randomPrograms(9, 2);
+  auto Set = std::make_shared<const ProgramSet>(randomPrograms(9, 2));
+  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
 
   PreparedSuite Suite = prepareSuite({Programs[0]}, MC, Tech, 42);
-  uint64_t SetHash = CacheStore::hashProgramSet({Programs[0]});
+  uint64_t SetHash = contentHash(std::vector<Program>{Programs[0]});
   ASSERT_TRUE(Store.save(CacheStore::suiteKey(SetHash, MC, Tech, 42), SetHash,
-                         {CacheStore::hashProgram(Programs[0])}, MC, Tech, 42,
+                         {contentHash(Programs[0])}, MC, Tech, 42,
                          Suite));
 
-  PreparedProgram Absent = Store.loadProgram(
-      CacheStore::hashProgram(Programs[1]), Programs[1], MC, Tech, 42);
+  PreparedProgram Absent = Store.loadProgram(Set, 1, MC, Tech, 42);
   EXPECT_TRUE(Absent.Image == nullptr);
-  PreparedProgram WrongSeed = Store.loadProgram(
-      CacheStore::hashProgram(Programs[0]), Programs[0], MC, Tech, 43);
+  PreparedProgram WrongSeed = Store.loadProgram(Set, 0, MC, Tech, 43);
   EXPECT_TRUE(WrongSeed.Image == nullptr);
   EXPECT_EQ(Store.progMisses(), 2u);
   EXPECT_EQ(Store.rejects(), 0u); // Plain absence, nothing rejected.
@@ -212,26 +211,28 @@ TEST(IncrementalStore, ProgProbeMissesAreKeyed) {
 TEST(IncrementalStore, AddOneBenchmarkPreparesExactlyOne) {
   auto Store =
       std::make_shared<CacheStore>(testCacheDir("incr_addone.cache"));
-  std::vector<Program> Programs = randomPrograms(13, 6);
+  auto Set = std::make_shared<const ProgramSet>(randomPrograms(13, 6));
+  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
-  std::vector<Program> Smaller(Programs.begin(), Programs.end() - 1);
+  auto Smaller = std::make_shared<const ProgramSet>(
+      std::vector<Program>(Programs.begin(), Programs.end() - 1));
 
   SuiteCache First;
   First.setStore(Store);
   First.get(Smaller, MC, Tech, 42);
   EXPECT_EQ(First.prepared(), 1u);
-  EXPECT_EQ(First.preparedPrograms(), Smaller.size());
-  EXPECT_EQ(Store->progWrites(), Smaller.size());
+  EXPECT_EQ(First.preparedPrograms(), Smaller->size());
+  EXPECT_EQ(Store->progWrites(), Smaller->size());
 
   // A fresh in-memory cache (a new process in miniature) over the
   // grown suite: one preparation, N prog-entry hits.
   SuiteCache Second;
   Second.setStore(Store);
-  PreparedSuite Grown = Second.get(Programs, MC, Tech, 42);
+  PreparedSuite Grown = Second.get(Set, MC, Tech, 42);
   EXPECT_EQ(Second.prepared(), 1u);
   EXPECT_EQ(Second.preparedPrograms(), 1u);
-  EXPECT_EQ(Second.programStoreHits(), Smaller.size());
+  EXPECT_EQ(Second.programStoreHits(), Smaller->size());
   EXPECT_EQ(Store->progWrites(), Programs.size()); // Only the new entry.
 
   // And the assembled suite is bit-identical to preparing from scratch.
@@ -242,7 +243,7 @@ TEST(IncrementalStore, AddOneBenchmarkPreparesExactlyOne) {
   // process gets a whole-suite store hit with nothing prepared.
   SuiteCache Third;
   Third.setStore(Store);
-  Third.get(Programs, MC, Tech, 42);
+  Third.get(Set, MC, Tech, 42);
   EXPECT_EQ(Third.prepared(), 0u);
   EXPECT_EQ(Third.storeHits(), 1u);
   EXPECT_EQ(Third.preparedPrograms(), 0u);
@@ -254,23 +255,25 @@ TEST(IncrementalStore, AddOneBenchmarkPreparesExactlyOne) {
 TEST(IncrementalStore, CrossSuiteDedupeServesSharedPrograms) {
   auto Store =
       std::make_shared<CacheStore>(testCacheDir("incr_dedupe.cache"));
-  std::vector<Program> Programs = randomPrograms(19, 5);
+  auto Set = std::make_shared<const ProgramSet>(randomPrograms(19, 5));
+  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
 
   SuiteCache First;
   First.setStore(Store);
-  First.get(Programs, MC, Tech, 42);
+  First.get(Set, MC, Tech, 42);
   ASSERT_EQ(First.preparedPrograms(), Programs.size());
 
   // A different suite sharing two programs (reversed order on top, so
   // the set hash differs even ignoring membership).
-  std::vector<Program> Other = {Programs[3], Programs[1]};
+  auto Other = std::make_shared<const ProgramSet>(
+      std::vector<Program>{Programs[3], Programs[1]});
   SuiteCache Second;
   Second.setStore(Store);
   PreparedSuite Assembled = Second.get(Other, MC, Tech, 42);
   EXPECT_EQ(Second.preparedPrograms(), 0u);
-  EXPECT_EQ(Second.programStoreHits(), Other.size());
+  EXPECT_EQ(Second.programStoreHits(), Other->size());
   EXPECT_EQ(Second.prepared(), 0u);
   // Served entirely from the store even though no manifest existed.
   EXPECT_EQ(Second.storeHits(), 1u);
@@ -278,7 +281,8 @@ TEST(IncrementalStore, CrossSuiteDedupeServesSharedPrograms) {
   EXPECT_EQ(Assembled.Names[0], Programs[3].Name);
   EXPECT_EQ(Assembled.Names[1], Programs[1].Name);
 
-  expectSuitesBitIdentical(Assembled, prepareSuite(Other, MC, Tech, 42));
+  expectSuitesBitIdentical(Assembled,
+                           prepareSuite(Other->programs(), MC, Tech, 42));
 }
 
 // Techniques with the same preparation identity share prog entries;
@@ -286,12 +290,13 @@ TEST(IncrementalStore, CrossSuiteDedupeServesSharedPrograms) {
 TEST(IncrementalStore, PreparationIdentityGovernsDedupe) {
   auto Store =
       std::make_shared<CacheStore>(testCacheDir("incr_prepid.cache"));
-  std::vector<Program> Programs = randomPrograms(23, 3);
+  auto Set = std::make_shared<const ProgramSet>(randomPrograms(23, 3));
+  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
 
   SuiteCache Cache;
   Cache.setStore(Store);
-  Cache.get(Programs, MC, loopTechnique(), 42);
+  Cache.get(Set, MC, loopTechnique(), 42);
 
   // Same preparation, different tuner: in-memory representation aside,
   // the store must not re-prepare anything.
@@ -299,7 +304,7 @@ TEST(IncrementalStore, PreparationIdentityGovernsDedupe) {
   Retuned.Tuner.IpcDelta = 0.4;
   SuiteCache SameIdentity;
   SameIdentity.setStore(Store);
-  SameIdentity.get(Programs, MC, Retuned, 42);
+  SameIdentity.get(Set, MC, Retuned, 42);
   EXPECT_EQ(SameIdentity.preparedPrograms(), 0u);
 
   // Different preparation identity: everything re-prepares.
@@ -307,7 +312,7 @@ TEST(IncrementalStore, PreparationIdentityGovernsDedupe) {
   Erroneous.TypingError = 0.2;
   SuiteCache OtherIdentity;
   OtherIdentity.setStore(Store);
-  OtherIdentity.get(Programs, MC, Erroneous, 42);
+  OtherIdentity.get(Set, MC, Erroneous, 42);
   EXPECT_EQ(OtherIdentity.preparedPrograms(), Programs.size());
   EXPECT_EQ(OtherIdentity.programStoreHits(), 0u);
 }
@@ -322,18 +327,19 @@ TEST(IncrementalStore, PreparationIdentityGovernsDedupe) {
 TEST(IncrementalStore, CorruptProgEntryQuarantinedThenHealed) {
   std::string Dir = testCacheDir("incr_corrupt.cache");
   auto Store = std::make_shared<CacheStore>(Dir);
-  std::vector<Program> Programs = randomPrograms(29, 4);
+  auto Set = std::make_shared<const ProgramSet>(randomPrograms(29, 4));
+  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
 
   SuiteCache Seed;
   Seed.setStore(Store);
-  PreparedSuite Reference = Seed.get(Programs, MC, Tech, 42);
+  PreparedSuite Reference = Seed.get(Set, MC, Tech, 42);
 
   // Flip one payload byte of program 2's entry: header intact, checksum
   // no longer matches.
   std::string Path = Store->progPathFor(
-      CacheStore::progKey(CacheStore::hashProgram(Programs[2]), MC, Tech, 42));
+      CacheStore::progKey(contentHash(Programs[2]), MC, Tech, 42));
   std::string Bytes;
   ASSERT_TRUE(readFileBytes(Path, Bytes));
   ASSERT_GT(Bytes.size(), 100u);
@@ -346,7 +352,7 @@ TEST(IncrementalStore, CorruptProgEntryQuarantinedThenHealed) {
   auto Cold = std::make_shared<CacheStore>(Dir);
   SuiteCache Healer;
   Healer.setStore(Cold);
-  PreparedSuite Healed = Healer.get(Programs, MC, Tech, 42);
+  PreparedSuite Healed = Healer.get(Set, MC, Tech, 42);
   EXPECT_EQ(Healer.prepared(), 1u);
   EXPECT_EQ(Healer.preparedPrograms(), 1u);
   EXPECT_EQ(Healer.programStoreHits(), Programs.size() - 1);
@@ -360,7 +366,7 @@ TEST(IncrementalStore, CorruptProgEntryQuarantinedThenHealed) {
   auto Verify = std::make_shared<CacheStore>(Dir);
   SuiteCache Clean;
   Clean.setStore(Verify);
-  Clean.get(Programs, MC, Tech, 42);
+  Clean.get(Set, MC, Tech, 42);
   EXPECT_EQ(Clean.prepared(), 0u);
   EXPECT_EQ(Clean.storeHits(), 1u);
   EXPECT_EQ(Verify->rejects(), 0u);
@@ -371,14 +377,15 @@ TEST(IncrementalStore, CorruptProgEntryQuarantinedThenHealed) {
 TEST(IncrementalStore, GcScansAndEvictsProgEntries) {
   std::string Dir = testCacheDir("incr_gc.cache");
   CacheStore Store(Dir);
-  std::vector<Program> Programs = randomPrograms(31, 3);
+  auto Set = std::make_shared<const ProgramSet>(randomPrograms(31, 3));
+  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
 
   PreparedSuite Suite = prepareSuite(Programs, MC, Tech, 42);
-  uint64_t SetHash = CacheStore::hashProgramSet(Programs);
+  uint64_t SetHash = Set->hash();
   uint64_t Key = CacheStore::suiteKey(SetHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, SetHash, CacheStore::hashPrograms(Programs), MC,
+  ASSERT_TRUE(Store.save(Key, SetHash, Set->programHashes(), MC,
                          Tech, 42, Suite));
 
   CacheStore::GcStats Stats = Store.gc(/*MaxBytes=*/1);
@@ -392,14 +399,15 @@ TEST(IncrementalStore, GcScansAndEvictsProgEntries) {
 TEST(IncrementalStore, CleanMismatchedVersionsCoversProgEntries) {
   std::string Dir = testCacheDir("incr_versions.cache");
   CacheStore Store(Dir);
-  std::vector<Program> Programs = randomPrograms(37, 2);
+  auto Set = std::make_shared<const ProgramSet>(randomPrograms(37, 2));
+  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
 
   PreparedSuite Suite = prepareSuite(Programs, MC, Tech, 42);
-  uint64_t SetHash = CacheStore::hashProgramSet(Programs);
+  uint64_t SetHash = Set->hash();
   uint64_t Key = CacheStore::suiteKey(SetHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, SetHash, CacheStore::hashPrograms(Programs), MC,
+  ASSERT_TRUE(Store.save(Key, SetHash, Set->programHashes(), MC,
                          Tech, 42, Suite));
   size_t LiveFiles = filesContaining(Dir, ".pbt").size();
 
@@ -429,8 +437,7 @@ TEST(IncrementalStore, CleanMismatchedVersionsCoversProgEntries) {
   EXPECT_EQ(filesContaining(Dir, ".pbt").size(), LiveFiles + 1);
 
   // Current entries still load after the clean.
-  PreparedProgram Loaded = Store.loadProgram(
-      CacheStore::hashProgram(Programs[0]), Programs[0], MC, Tech, 42);
+  PreparedProgram Loaded = Store.loadProgram(Set, 0, MC, Tech, 42);
   EXPECT_TRUE(Loaded.Image != nullptr);
 
   std::remove((Dir + "/prog-00000000cafecafe.pbt").c_str());

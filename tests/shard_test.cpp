@@ -804,3 +804,159 @@ TEST(ShardMergeDiagnosticsTest, FailedExperimentOnShard) {
   ASSERT_TRUE(RT.writeManifest());
   expectMergeDiagnostic(Dir, "failed on shard");
 }
+
+//===----------------------------------------------------------------------===//
+// Seeded mutation of the shard manifest (.pbs) framing
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Overwrites \p Path without the fsyncs of writeFileAtomic: mutants
+/// are throwaway, and thousands of durable writes would dominate.
+void writePlain(const std::string &Path, const std::string &Bytes) {
+  std::FILE *F = std::fopen(Path.c_str(), "wb");
+  ASSERT_NE(F, nullptr) << Path;
+  ASSERT_EQ(std::fwrite(Bytes.data(), 1, Bytes.size(), F), Bytes.size());
+  ASSERT_EQ(std::fclose(F), 0);
+}
+
+/// Replaces the 8-byte self-checksum trailer so the mutant reaches the
+/// decoder instead of the checksum latch. \p Body excludes any trailer.
+std::string withTrailer(std::string Body) {
+  uint64_t Fnv = fnv1a(Body.data(), Body.size());
+  for (int I = 0; I < 8; ++I)
+    Body.push_back(static_cast<char>((Fnv >> (8 * I)) & 0xFF));
+  return Body;
+}
+
+/// A working copy of the 2-shard fixture whose manifests are mutated in
+/// place, one mutant at a time. Every mutant must either be refused with
+/// a diagnostic naming the mutated manifest, or merge into experiment
+/// artifacts byte-identical to the unmutated merge. BENCH_merge.json is
+/// not compared: it reports the manifests' own sketch numbers, so a
+/// re-checksummed change there is data, not damage.
+struct ManifestMutationRig {
+  std::string Dir = freshDir("mutation_fabric");
+  std::string Out = freshDir("mutation_out");
+  const std::vector<std::string> Manifests = {"shard-1-of-2.manifest.pbs",
+                                              "shard-2-of-2.manifest.pbs"};
+  std::map<std::string, std::string> Good;     ///< Manifest -> bytes.
+  std::map<std::string, std::string> Expected; ///< Merged artifacts.
+  size_t Refused = 0;
+  size_t Merged = 0;
+  std::string Dirty; ///< The manifest currently holding a mutant.
+
+  ManifestMutationRig() {
+    copyDir(fixtureFabric(), Dir);
+    for (const std::string &M : Manifests)
+      Good[M] = slurp(Dir + "/" + M);
+    std::string Err = mergeDemo(Dir, Out);
+    EXPECT_TRUE(Err.empty()) << Err;
+    for (const DemoExp &E : Demos) {
+      std::string Name = std::string("BENCH_") + E.Name + ".json";
+      Expected[Name] = slurp(Out + "/" + Name);
+    }
+  }
+  ~ManifestMutationRig() {
+    removeTree(Dir);
+    removeTree(Out);
+  }
+
+  /// Merges with \p Mutant in place of manifest \p File (the other
+  /// manifest holds its good bytes) and checks the outcome.
+  void check(const std::string &File, const std::string &Mutant,
+             const std::string &What) {
+    if (!Dirty.empty() && Dirty != File)
+      writePlain(Dir + "/" + Dirty, Good[Dirty]);
+    Dirty = File;
+    writePlain(Dir + "/" + File, Mutant);
+    for (const auto &KV : Expected)
+      std::remove((Out + "/" + KV.first).c_str());
+    std::string Err = mergeDemo(Dir, Out);
+    if (!Err.empty()) {
+      ++Refused;
+      EXPECT_NE(Err.find(File), std::string::npos)
+          << What << ": diagnostic does not name " << File << ": " << Err;
+    } else {
+      ++Merged;
+      for (const auto &KV : Expected)
+        EXPECT_EQ(slurp(Out + "/" + KV.first), KV.second)
+            << What << ": accepted mutant changed " << KV.first;
+    }
+  }
+};
+
+} // namespace
+
+// Single-byte flips, raw (the self-checksum must refuse every one) and
+// re-checksummed (the decoder and the merge's cross-checks must).
+TEST(ShardManifestMutationTest, FlipsAreRefusedOrHarmless) {
+  ManifestMutationRig Rig;
+  Rng Gen(0x5EED1);
+  for (int I = 0; I < 120; ++I) {
+    const std::string &File = Rig.Manifests[static_cast<size_t>(I) % 2];
+    const std::string &Good = Rig.Good[File];
+    size_t At = Gen.nextBelow(Good.size());
+    std::string Mutant = Good;
+    Mutant[At] = static_cast<char>(Mutant[At] ^ (1 + Gen.nextBelow(255)));
+    size_t RefusedBefore = Rig.Refused;
+    Rig.check(File, Mutant, "raw flip at " + std::to_string(At));
+    EXPECT_EQ(Rig.Refused, RefusedBefore + 1)
+        << "raw flip at " << At << " escaped the checksum";
+
+    size_t Body = Good.size() - 8;
+    At = Gen.nextBelow(Body);
+    Mutant = Good.substr(0, Body);
+    Mutant[At] = static_cast<char>(Mutant[At] ^ (1 + Gen.nextBelow(255)));
+    Rig.check(File, withTrailer(Mutant),
+              "re-checksummed flip at " + std::to_string(At));
+  }
+  // Both outcomes occur: header and entry fields are refused, sketch
+  // payload bytes merge (and leave the experiment artifacts alone).
+  EXPECT_GT(Rig.Refused, 120u);
+  EXPECT_GT(Rig.Merged, 0u);
+}
+
+// Every truncation of every manifest: raw cuts fail the checksum, and
+// cuts given a fresh trailer must never decode as a whole manifest.
+TEST(ShardManifestMutationTest, EveryTruncationIsRefused) {
+  ManifestMutationRig Rig;
+  for (const std::string &File : Rig.Manifests) {
+    const std::string &Good = Rig.Good[File];
+    for (size_t Keep = 0; Keep < Good.size(); ++Keep) {
+      Rig.check(File, Good.substr(0, Keep),
+                "raw truncation to " + std::to_string(Keep));
+      if (Keep < Good.size() - 8)
+        Rig.check(File, withTrailer(Good.substr(0, Keep)),
+                  "re-checksummed truncation to " + std::to_string(Keep));
+    }
+  }
+  EXPECT_EQ(Rig.Merged, 0u);
+}
+
+// Splices: a prefix of one manifest joined to a suffix of another (or of
+// itself), re-checksummed. Catches decoders that accept a record
+// boundary in the wrong place, and trailing bytes.
+TEST(ShardManifestMutationTest, SplicesAreRefusedOrHarmless) {
+  ManifestMutationRig Rig;
+  Rng Gen(0x5EED2);
+  for (int I = 0; I < 200; ++I) {
+    const std::string &File = Rig.Manifests[Gen.nextBelow(2)];
+    const std::string &Donor = Rig.Good[Rig.Manifests[Gen.nextBelow(2)]];
+    std::string Head = Rig.Good[File].substr(0, Rig.Good[File].size() - 8);
+    std::string Tail = Donor.substr(0, Donor.size() - 8);
+    size_t Cut = Gen.nextBelow(Head.size() + 1);
+    size_t From = Gen.nextBelow(Tail.size() + 1);
+    Rig.check(File, withTrailer(Head.substr(0, Cut) + Tail.substr(From)),
+              "splice " + std::to_string(Cut) + "+" + std::to_string(From));
+  }
+  // Appending bytes after an intact manifest is refused too.
+  for (const std::string &File : Rig.Manifests) {
+    const std::string &Good = Rig.Good[File];
+    size_t MergedBefore = Rig.Merged;
+    Rig.check(File, withTrailer(Good.substr(0, Good.size() - 8) + "x"),
+              "trailing byte");
+    EXPECT_EQ(Rig.Merged, MergedBefore) << "trailing byte accepted";
+  }
+  EXPECT_GT(Rig.Refused, 0u);
+}

@@ -114,11 +114,13 @@ const char *truncationReason(size_t Size) {
 struct MutationRig {
   explicit MutationRig(const std::string &DirName)
       : Store(testCacheDir(DirName)),
-        Programs(namedSuite({"164.gzip", "179.art"})),
+        Set(std::make_shared<const ProgramSet>(
+            namedSuite({"164.gzip", "179.art"}))),
+        Programs(Set->programs()),
         MC(MachineConfig::quadAsymmetric()), Tech(loopTechnique(45)),
         OtherTech(loopTechnique(15)),
-        SetHash(CacheStore::hashProgramSet(Programs)),
-        Hashes(CacheStore::hashPrograms(Programs)),
+        SetHash(Set->hash()),
+        Hashes(Set->programHashes()),
         Key(CacheStore::suiteKey(SetHash, MC, Tech, 42)) {
     EXPECT_TRUE(Store.save(Key, SetHash, Hashes, MC, Tech, 42,
                            prepareSuite(Programs, MC, Tech, 42)));
@@ -141,13 +143,13 @@ struct MutationRig {
   /// it was served.
   bool loadFirst(bool WholeSuite) {
     if (WholeSuite)
-      return Store.load(Key, SetHash, Programs, MC, Tech, 42) != nullptr;
-    return Store.loadProgram(Hashes[0], Programs[0], MC, Tech, 42).Image !=
-           nullptr;
+      return Store.load(Key, Set, MC, Tech, 42) != nullptr;
+    return Store.loadProgram(Set, 0, MC, Tech, 42).Image != nullptr;
   }
 
   CacheStore Store;
-  std::vector<Program> Programs;
+  std::shared_ptr<const ProgramSet> Set;
+  const std::vector<Program> &Programs;
   MachineConfig MC;
   TechniqueSpec Tech;
   TechniqueSpec OtherTech;
@@ -297,8 +299,7 @@ TEST(StoreMutationTest, RechecksummedFlipsNeverCrashTheDecoder) {
     writeBytes(Path, rechecksum(Mutant));
     uint64_t Rejects = Rig.Store.rejects();
     PreparedProgram Loaded =
-        Rig.Store.loadProgram(Rig.Hashes[0], Rig.Programs[0], Rig.MC,
-                              Rig.Tech, 42);
+        Rig.Store.loadProgram(Rig.Set, 0, Rig.MC, Rig.Tech, 42);
     if (Loaded.Image) {
       EXPECT_EQ(Loaded.Flat->numBlocks(), Blocks) << "flip at " << At;
       EXPECT_EQ(Rig.Store.rejects(), Rejects) << "flip at " << At;
@@ -323,20 +324,24 @@ TEST(StoreMutationTest, RechecksummedFlipsNeverCrashTheDecoder) {
 
 TEST(StoreMutationTest, ManifestCountMismatchIsQuarantined) {
   auto Store = std::make_shared<CacheStore>(testCacheDir("count.cache"));
-  std::vector<Program> Programs = namedSuite({"164.gzip", "179.art"});
+  auto Set =
+      std::make_shared<const ProgramSet>(namedSuite({"164.gzip", "179.art"}));
+  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique(47);
-  uint64_t SetHash = CacheStore::hashProgramSet(Programs);
-  std::vector<uint64_t> Hashes = CacheStore::hashPrograms(Programs);
+  uint64_t SetHash = Set->hash();
+  std::vector<uint64_t> Hashes = Set->programHashes();
   uint64_t Key = CacheStore::suiteKey(SetHash, MC, Tech, 42);
 
   // A manifest under the two-program set's key that lists one program:
   // checksummed and well formed, but its i-th hash cannot name the
   // caller's i-th program.
-  std::vector<Program> First = {Programs[0]};
+  auto FirstSet =
+      std::make_shared<const ProgramSet>(std::vector<Program>{Programs[0]});
+  const std::vector<Program> &First = FirstSet->programs();
   ASSERT_TRUE(Store->save(Key, SetHash, {Hashes[0]}, MC, Tech, 42,
                           prepareSuite(First, MC, Tech, 42)));
-  EXPECT_TRUE(Store->load(Key, SetHash, Programs, MC, Tech, 42) == nullptr);
+  EXPECT_TRUE(Store->load(Key, Set, MC, Tech, 42) == nullptr);
   EXPECT_EQ(Store->rejects(), 1u);
   EXPECT_EQ(Store->quarantines(), 1u);
   EXPECT_FALSE(fileExists(Store->pathFor(Key)));
@@ -346,18 +351,17 @@ TEST(StoreMutationTest, ManifestCountMismatchIsQuarantined) {
   // program 1 is prepared, and the rewritten manifest serves the suite.
   SuiteCache Cache;
   Cache.setStore(Store);
-  Cache.get(Programs, MC, Tech, 42);
+  Cache.get(Set, MC, Tech, 42);
   EXPECT_EQ(Cache.programStoreHits(), 1u);
   EXPECT_EQ(Cache.preparedPrograms(), 1u);
-  EXPECT_TRUE(Store->load(Key, SetHash, Programs, MC, Tech, 42) != nullptr);
+  EXPECT_TRUE(Store->load(Key, Set, MC, Tech, 42) != nullptr);
 
   // Too many hashes is the same mismatch.
-  uint64_t FirstHash = CacheStore::hashProgramSet(First);
+  uint64_t FirstHash = FirstSet->hash();
   uint64_t FirstKey = CacheStore::suiteKey(FirstHash, MC, Tech, 42);
   ASSERT_TRUE(Store->save(FirstKey, FirstHash, Hashes, MC, Tech, 42,
                           prepareSuite(Programs, MC, Tech, 42)));
-  EXPECT_TRUE(Store->load(FirstKey, FirstHash, First, MC, Tech, 42) ==
-              nullptr);
+  EXPECT_TRUE(Store->load(FirstKey, FirstSet, MC, Tech, 42) == nullptr);
   EXPECT_TRUE(fileExists(Store->quarantinePathFor(FirstKey, "count")));
 
   // save() refuses hash lists that do not match the suite.
@@ -399,8 +403,9 @@ std::string programDigest(const PreparedSuite &S, size_t I) {
 /// byte for byte.
 void servedMatchesPrepared(unsigned Threads) {
   bool Ok = ThreadPool::global().size() == Threads;
-  std::vector<Program> Programs = namedSuite(
-      {"164.gzip", "179.art", "181.mcf", "183.equake", "188.ammp"});
+  auto Set = std::make_shared<const ProgramSet>(namedSuite(
+      {"164.gzip", "179.art", "181.mcf", "183.equake", "188.ammp"}));
+  const std::vector<Program> &Programs = Set->programs();
   TechniqueSpec Static = loopTechnique(45);
   Static.UseStaticTyping = true;
   TechniqueSpec Err = loopTechnique(30);
@@ -413,10 +418,10 @@ void servedMatchesPrepared(unsigned Threads) {
          {TechniqueSpec::baseline(), loopTechnique(45), Static, Err}) {
       SuiteCache Cold;
       Cold.setStore(std::make_shared<CacheStore>(Dir));
-      Cold.get(Programs, MC, Tech, 7);
+      Cold.get(Set, MC, Tech, 7);
       SuiteCache Warm;
       Warm.setStore(std::make_shared<CacheStore>(Dir));
-      PreparedSuite Served = Warm.get(Programs, MC, Tech, 7);
+      PreparedSuite Served = Warm.get(Set, MC, Tech, 7);
       Ok = Ok && Warm.storeHits() == 1 && Warm.preparedPrograms() == 0;
       PreparedSuite Fresh = prepareSuite(Programs, MC, Tech, 7);
       Ok = Ok && Served.Images.size() == Fresh.Images.size();

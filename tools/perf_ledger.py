@@ -11,11 +11,12 @@ to PERF_LEDGER.jsonl at the root of this repository:
 
 TREE defaults to this repository. Each tree builds its own binaries (the
 benchmark builds into TREE/.bench_build/). With two or more trees the runs
-alternate, tree by tree, within each repeat, so slow drift of the host
-hits every tree alike; run i of every tree uses seed --seed + i. After the
-runs, every end-to-end metric of BENCHMARK.json is summarised per tree
-(median and interquartile range), and each later tree is compared pair by
-pair with the first.
+alternate, tree by tree, within each repeat, and every other repeat runs
+the trees in reverse order, so slow drift of the host and any first-run
+advantage hit every tree alike; run i of every tree uses seed --seed + i.
+After the runs, every end-to-end metric of BENCHMARK.json is summarised
+per tree (median and interquartile range), and each later tree is
+compared pair by pair with the first.
 
 A ledger line holds:
 
@@ -139,10 +140,12 @@ def main():
     for workload in args.workload or WORKLOADS:
         seeds = [args.seed + i for i in range(args.runs)]
         runs = [[] for _ in trees]
-        for seed in seeds:
-            for t, tree in enumerate(trees):
-                runs[t].append(run_once(tree, workload, seed, args.seconds,
-                                        args.trace))
+        for i, seed in enumerate(seeds):
+            order = range(len(trees)) if i % 2 == 0 else \
+                reversed(range(len(trees)))
+            for t in order:
+                runs[t].append(run_once(trees[t], workload, seed,
+                                        args.seconds, args.trace))
         lines = [ledger_line(labels[t], workload, args, seeds, runs[t])
                  for t in range(len(trees))]
         with open(args.ledger, "a") as f:
