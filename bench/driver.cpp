@@ -63,7 +63,8 @@
 // diagnostic and a nonzero exit.
 //
 // --clean-cache deletes PBT_CACHE_DIR entries written by other format
-// versions (they can never load again) and exits.
+// versions and legacy suite manifests (they can never load again) and
+// exits.
 //
 // --gc-cache garbage-collects PBT_CACHE_DIR by recency and exits:
 // entries older than --max-cache-age-days are evicted, then the
@@ -87,7 +88,7 @@
 // PBT_EXP_TIMEOUT_SECONDS / PBT_EXP_MAX_ATTEMPTS default the two
 // guard flags, PBT_FAULTS arms fault injection (support/FaultInjection).
 //
-// Writes BENCH_driver.json (schema pbt-driver-v4, docs/BENCH_SCHEMA.md)
+// Writes BENCH_driver.json (schema pbt-driver-v5, docs/BENCH_SCHEMA.md)
 // with per-experiment status/attempts/duration, a failure summary, and
 // suite-cache statistics, plus PROFILE_driver.json (pbt-profile-v1) —
 // the full observability counter registry; exits non-zero when any
@@ -332,7 +333,7 @@ int main(int Argc, char **Argv) {
     std::printf("cleaned %s: removed %zu version-mismatched entr%s "
                 "(current format v%u)\n",
                 Store->dir().c_str(), Removed, Removed == 1 ? "y" : "ies",
-                exp::CacheStore::FormatVersion);
+                exp::CacheStore::ProgFormatVersion);
     return 0;
   }
 
@@ -621,12 +622,14 @@ int main(int Argc, char **Argv) {
     }
 
   Json Root = Json::object();
-  // v4: "pipeline" per-pass stats block, module-granular suite_cache
-  // counters (prepared_programs, program_store_hits, store.prog_*),
-  // and "verify_ir"; v3 added the optional "shard" block and the
+  // v5: the store holds only per-program entries, so store.hits /
+  // misses / rejects / writes count entries, store.prog_* is gone, and
+  // program_store_hits counts every program served from disk; v4 added
+  // the "pipeline" per-pass stats block, module-granular suite_cache
+  // counters and "verify_ir"; v3 added the optional "shard" block and the
   // "other-shard" status; v2 added suite_cache store counters — see
   // docs/BENCH_SCHEMA.md.
-  Root["schema"] = "pbt-driver-v4";
+  Root["schema"] = "pbt-driver-v5";
   Root["verify_ir"] = verifyIREnabled();
   if (ShardMode) {
     Json ShardBlock = Json::object();
@@ -663,9 +666,6 @@ int main(int Argc, char **Argv) {
       StoreStats["writes"] = Store->writes();
       StoreStats["quarantines"] = Store->quarantines();
       StoreStats["lock_timeouts"] = Store->lockTimeouts();
-      StoreStats["prog_hits"] = Store->progHits();
-      StoreStats["prog_misses"] = Store->progMisses();
-      StoreStats["prog_writes"] = Store->progWrites();
       CacheStats["store"] = std::move(StoreStats);
     }
     Root["suite_cache"] = std::move(CacheStats);
@@ -710,9 +710,6 @@ int main(int Argc, char **Argv) {
       Reg.set("store.writes", Store->writes());
       Reg.set("store.quarantines", Store->quarantines());
       Reg.set("store.lock_timeouts", Store->lockTimeouts());
-      Reg.set("store.prog_hits", Store->progHits());
-      Reg.set("store.prog_misses", Store->progMisses());
-      Reg.set("store.prog_writes", Store->progWrites());
     }
     for (const PassStats &P : cumulativePipelineStats().Passes) {
       Reg.set("pipeline." + P.Name + ".invocations", P.Invocations);

@@ -1,4 +1,4 @@
-//===- exp/CacheStore.cpp - Persistent prepared-suite store ---------------===//
+//===- exp/CacheStore.cpp - Persistent prepared-program store ------------===//
 //
 // Part of the phase-based-tuning reproduction. MIT license.
 //
@@ -33,18 +33,17 @@ using namespace pbt::exp;
 
 namespace {
 
-/// "PBTS" as a little-endian u32: suite manifests.
-constexpr uint32_t Magic = 0x53544250u;
-
-/// "PBTP" as a little-endian u32: per-program entries.
+/// "PBTP" as a little-endian u32: store entries.
 constexpr uint32_t ProgMagic = 0x50544250u;
 
-/// Fixed-size file header preceding the payload. Manifests and prog
-/// entries share the layout; for prog entries the second slot holds the
-/// single program's content hash instead of the set hash.
+/// "PBTS" as a little-endian u32: legacy `pbt-suite-v4` manifests, only
+/// ever deleted (cleanMismatchedVersions).
+constexpr uint32_t LegacyManifestMagic = 0x53544250u;
+
+/// Fixed-size file header preceding the payload.
 struct Header {
   uint64_t Key = 0;
-  uint64_t ProgramSetHash = 0;
+  uint64_t ProgramHash = 0;
   uint64_t MachineHash = 0;
   uint64_t PrepHash = 0;
   uint64_t TypingSeed = 0;
@@ -52,12 +51,11 @@ struct Header {
   uint64_t Checksum = 0;
 };
 
-void writeHeader(BinaryWriter &W, uint32_t FileMagic, uint32_t Version,
-                 const Header &H) {
-  W.u32(FileMagic);
-  W.u32(Version);
+void writeHeader(BinaryWriter &W, const Header &H) {
+  W.u32(ProgMagic);
+  W.u32(CacheStore::ProgFormatVersion);
   W.u64(H.Key);
-  W.u64(H.ProgramSetHash);
+  W.u64(H.ProgramHash);
   W.u64(H.MachineHash);
   W.u64(H.PrepHash);
   W.u64(H.TypingSeed);
@@ -72,16 +70,15 @@ constexpr size_t HeaderBytes = 4 + 4 + 7 * 8;
 /// checksum. Returns nullptr for a sound entry, else the first failed
 /// check, which becomes the quarantine suffix — so a post-mortem can
 /// tell bit rot from a version skew from a hash collision at a glance.
-const char *checkHeader(const std::string &Bytes, uint32_t FileMagic,
-                        uint32_t Version, const Header &Expect) {
+const char *checkHeader(const std::string &Bytes, const Header &Expect) {
   BinaryReader R(Bytes);
-  if (R.u32() != FileMagic)
+  if (R.u32() != ProgMagic)
     return "magic";
-  if (R.u32() != Version)
+  if (R.u32() != CacheStore::ProgFormatVersion)
     return "version";
   Header H;
   H.Key = R.u64();
-  H.ProgramSetHash = R.u64();
+  H.ProgramHash = R.u64();
   H.MachineHash = R.u64();
   H.PrepHash = R.u64();
   H.TypingSeed = R.u64();
@@ -90,7 +87,7 @@ const char *checkHeader(const std::string &Bytes, uint32_t FileMagic,
   if (R.failed())
     return "truncated";
   // The header must describe exactly the requested preparation.
-  if (H.Key != Expect.Key || H.ProgramSetHash != Expect.ProgramSetHash ||
+  if (H.Key != Expect.Key || H.ProgramHash != Expect.ProgramHash ||
       H.MachineHash != Expect.MachineHash || H.PrepHash != Expect.PrepHash ||
       H.TypingSeed != Expect.TypingSeed)
     return "key";
@@ -148,7 +145,7 @@ std::vector<PhaseMark> readMarks(BinaryReader &R, const Program &Prog) {
 }
 
 //===----------------------------------------------------------------------===//
-// Per-program payload and suite manifest
+// Per-program payload
 //===----------------------------------------------------------------------===//
 
 /// One prepared program: the `pbt-prog-v2` payload (marks, type count,
@@ -211,23 +208,6 @@ PreparedProgram readPrepared(BinaryReader &R,
   return Out;
 }
 
-/// The `pbt-suite-v4` manifest payload: the per-program content hashes
-/// whose prog entries make up the suite, in suite order.
-void writeManifest(BinaryWriter &W, const std::vector<uint64_t> &Hashes) {
-  W.u32(static_cast<uint32_t>(Hashes.size()));
-  for (uint64_t H : Hashes)
-    W.u64(H);
-}
-
-std::vector<uint64_t> readManifest(BinaryReader &R) {
-  std::vector<uint64_t> Hashes(R.count(1u << 16, /*ElemBytes=*/8));
-  for (uint64_t &H : Hashes)
-    H = R.u64();
-  if (R.remaining() != 0)
-    R.markFailed();
-  return Hashes;
-}
-
 /// Creates \p Dir (and parents) best-effort; existing directories are
 /// fine — a failed creation surfaces later as save() I/O failures.
 void makeDirs(const std::string &Dir) {
@@ -244,23 +224,22 @@ void makeDirs(const std::string &Dir) {
   }
 }
 
-/// True for file names this store writes for suite manifests:
-/// "suite-<16 hex>.pbt".
-bool isSuiteEntryName(const char *Name) {
+/// True for legacy suite manifest names: "suite-<16 hex>.pbt".
+bool isLegacyManifestName(const char *Name) {
   size_t Len = std::strlen(Name);
   return Len == 26 && std::strncmp(Name, "suite-", 6) == 0 &&
          std::strcmp(Name + Len - 4, ".pbt") == 0;
 }
 
-/// True for per-program entries: "prog-<16 hex>.pbt".
+/// True for store entries: "prog-<16 hex>.pbt".
 bool isProgEntryName(const char *Name) {
   size_t Len = std::strlen(Name);
   return Len == 25 && std::strncmp(Name, "prog-", 5) == 0 &&
          std::strcmp(Name + Len - 4, ".pbt") == 0;
 }
 
-/// True for the store's advisory lock files: "suite-<16 hex>.lck" or
-/// "prog-<16 hex>.lck".
+/// True for the store's advisory lock files: "prog-<16 hex>.lck", or a
+/// legacy manifest's "suite-<16 hex>.lck".
 bool isLockName(const char *Name) {
   size_t Len = std::strlen(Name);
   if (std::strncmp(Name, "suite-", 6) == 0)
@@ -270,8 +249,9 @@ bool isLockName(const char *Name) {
   return false;
 }
 
-/// True when \p Name starts with one of the store's entry prefixes (the
-/// debris sweep's coarse filter; exact shapes are checked above).
+/// True when \p Name starts with the entry prefix or the legacy
+/// manifest prefix (the debris sweep's coarse filter; exact shapes are
+/// checked above).
 bool hasStorePrefix(const char *Name) {
   return std::strncmp(Name, "suite-", 6) == 0 ||
          std::strncmp(Name, "prog-", 5) == 0;
@@ -385,17 +365,6 @@ std::shared_ptr<CacheStore> CacheStore::fromEnv() {
   return Store;
 }
 
-uint64_t CacheStore::suiteKey(uint64_t ProgramSetHash,
-                              const MachineConfig &Machine,
-                              const TechniqueSpec &Tech,
-                              uint64_t TypingSeed) {
-  uint64_t Key = hashCombine(0x5B17CACE, FormatVersion);
-  Key = hashCombine(Key, ProgramSetHash);
-  Key = hashCombine(Key, hashValue(Machine));
-  Key = hashCombine(Key, Tech.preparationHash());
-  return hashCombine(Key, TypingSeed);
-}
-
 uint64_t CacheStore::progKey(uint64_t ProgramHash,
                              const MachineConfig &Machine,
                              const TechniqueSpec &Tech,
@@ -408,23 +377,9 @@ uint64_t CacheStore::progKey(uint64_t ProgramHash,
   return hashCombine(Key, TypingSeed);
 }
 
-std::string CacheStore::pathFor(uint64_t Key) const {
-  char Name[32];
-  std::snprintf(Name, sizeof(Name), "suite-%016llx.pbt",
-                static_cast<unsigned long long>(Key));
-  return Dir + "/" + Name;
-}
-
 std::string CacheStore::progPathFor(uint64_t Key) const {
   char Name[32];
   std::snprintf(Name, sizeof(Name), "prog-%016llx.pbt",
-                static_cast<unsigned long long>(Key));
-  return Dir + "/" + Name;
-}
-
-std::string CacheStore::lockPathFor(uint64_t Key) const {
-  char Name[32];
-  std::snprintf(Name, sizeof(Name), "suite-%016llx.lck",
                 static_cast<unsigned long long>(Key));
   return Dir + "/" + Name;
 }
@@ -434,11 +389,6 @@ std::string CacheStore::progLockPathFor(uint64_t Key) const {
   std::snprintf(Name, sizeof(Name), "prog-%016llx.lck",
                 static_cast<unsigned long long>(Key));
   return Dir + "/" + Name;
-}
-
-std::string CacheStore::quarantinePathFor(uint64_t Key,
-                                          const char *Reason) const {
-  return pathFor(Key) + ".quarantined-" + Reason;
 }
 
 std::string CacheStore::progQuarantinePathFor(uint64_t Key,
@@ -470,11 +420,11 @@ size_t CacheStore::cleanMismatchedVersions() {
   std::vector<std::string> Stale;
   while (const dirent *Entry = ::readdir(D)) {
     const char *Name = Entry->d_name;
-    // Only files this store wrote: "suite-<16 hex>.pbt" manifests and
-    // "prog-<16 hex>.pbt" program entries, each against its own
-    // expected magic and version.
-    bool IsSuite = isSuiteEntryName(Name);
-    if (!IsSuite && !isProgEntryName(Name))
+    // Only files this store wrote: "prog-<16 hex>.pbt" entries, stale
+    // off the current version, and legacy "suite-<16 hex>.pbt"
+    // manifests, stale whatever their version.
+    bool IsLegacy = isLegacyManifestName(Name);
+    if (!IsLegacy && !isProgEntryName(Name))
       continue;
     std::string Path = Dir + "/" + Name;
     // Only the first 8 header bytes matter (magic + version); entries
@@ -489,9 +439,9 @@ size_t CacheStore::cleanMismatchedVersions() {
     if (Got != sizeof(Hdr))
       continue; // Too short to carry a header; leave it.
     BinaryReader R(Hdr, sizeof(Hdr));
-    if (R.u32() != (IsSuite ? Magic : ProgMagic))
+    if (R.u32() != (IsLegacy ? LegacyManifestMagic : ProgMagic))
       continue; // Not one of ours after all.
-    if (R.u32() != (IsSuite ? FormatVersion : ProgFormatVersion))
+    if (IsLegacy || R.u32() != ProgFormatVersion)
       Stale.push_back(std::move(Path));
   }
   ::closedir(D);
@@ -517,12 +467,11 @@ CacheStore::GcStats CacheStore::gc(uint64_t MaxBytes, double MaxAgeSeconds) {
   std::lock_guard<std::mutex> Lock(Mutex);
   GcStats Stats;
 
-  // Scan the directory for store entries — suite manifests and prog
-  // entries alike, the same name + magic filter
-  // cleanMismatchedVersions uses, so foreign files are never touched.
-  // Sort by (mtime, path): mtime is the LRU clock (load() refreshes it,
-  // for every prog entry a manifest hit resolved too), the path
-  // tie-break makes a pass deterministic for a given directory state.
+  // Scan the directory for store entries — the same name + magic
+  // filter cleanMismatchedVersions uses, so foreign files are never
+  // touched. Sort by (mtime, path): mtime is the LRU clock (load()
+  // refreshes it on every hit), the path tie-break makes a pass
+  // deterministic for a given directory state.
   struct Entry {
     time_t Mtime;
     uint64_t Bytes;
@@ -534,8 +483,7 @@ CacheStore::GcStats CacheStore::gc(uint64_t MaxBytes, double MaxAgeSeconds) {
     return Stats;
   while (const dirent *DirEntry = ::readdir(D)) {
     const char *Name = DirEntry->d_name;
-    bool IsSuite = isSuiteEntryName(Name);
-    if (!IsSuite && !isProgEntryName(Name))
+    if (!isProgEntryName(Name))
       continue;
     std::string Path = Dir + "/" + Name;
     char Hdr[4];
@@ -547,7 +495,7 @@ CacheStore::GcStats CacheStore::gc(uint64_t MaxBytes, double MaxAgeSeconds) {
     if (Got != sizeof(Hdr))
       continue;
     BinaryReader R(Hdr, sizeof(Hdr));
-    if (R.u32() != (IsSuite ? Magic : ProgMagic))
+    if (R.u32() != ProgMagic)
       continue; // Not one of ours after all.
     struct stat St;
     if (::stat(Path.c_str(), &St) != 0)
@@ -609,153 +557,43 @@ CacheStore::GcStats CacheStore::gc(uint64_t MaxBytes, double MaxAgeSeconds) {
   return Stats;
 }
 
-std::shared_ptr<const PreparedSuite>
-CacheStore::load(uint64_t Key, const std::shared_ptr<const ProgramSet> &Set,
+std::vector<PreparedProgram>
+CacheStore::load(const std::shared_ptr<const ProgramSet> &Set,
                  const MachineConfig &Machine, const TechniqueSpec &Tech,
                  uint64_t TypingSeed) {
   obs::Span Timed("store.load");
   std::lock_guard<std::mutex> Lock(Mutex);
-
-  // Shared reader lock with bounded retry: waits out an in-flight
-  // writer on the same key, but contention past the retry budget
-  // degrades to a miss rather than stalling an experiment. When the
-  // lock file cannot even be opened (a read-only store directory, e.g.
-  // a team-prebuilt PBT_CACHE_DIR), fall through to a lockless read:
-  // atomic rename already makes reads safe without the lock, which
-  // only buys efficiency against in-flight writers.
-  FileLock ReadLock;
-  if (!ReadLock.acquire(lockPathFor(Key), FileLock::Mode::Shared,
-                        LockMaxAttempts, LockRng, LockBaseDelayMicros) &&
-      !ReadLock.openFailed()) {
-    ++Misses;
-    ++LockTimeouts;
-    return nullptr;
-  }
-
-  std::string Bytes;
-  if (!readFile(pathFor(Key), Bytes)) {
-    ++Misses; // Plain absence: the ordinary cold-store miss.
-    return nullptr;
-  }
-
-  Header Expect;
-  Expect.Key = Key;
-  Expect.ProgramSetHash = Set->hash();
-  Expect.MachineHash = hashValue(Machine);
-  Expect.PrepHash = Tech.preparationHash();
-  Expect.TypingSeed = TypingSeed;
-  const char *Why = checkHeader(Bytes, Magic, FormatVersion, Expect);
-  std::vector<uint64_t> Hashes;
-  if (!Why) {
-    BinaryReader Payload(Bytes.data() + HeaderBytes,
-                         Bytes.size() - HeaderBytes);
-    Hashes = readManifest(Payload);
-    if (Payload.failed())
-      Why = "payload"; // Checksummed bytes decode to nonsense.
-    else if (Hashes.size() != Set->size())
-      Why = "count"; // The i-th hash must name (*Set)[i].
-  }
-
-  if (!Why) {
-    // Resolve every referenced prog entry. Any one missing or rejected
-    // degrades the whole request to a plain miss — the caller
-    // re-prepares (incrementally, through per-program probes of its
-    // own) and save() heals the gap.
-    std::vector<PreparedProgram> Parts =
-        loadEntries(Hashes.data(), Set, 0, Set->size(), Machine, Tech,
-                    TypingSeed, /*AllOrNothing=*/true);
-    if (!Parts.empty() && !Parts.front().Image) {
-      ++Misses;
-      return nullptr;
-    }
-    auto Suite = std::make_shared<PreparedSuite>();
-    for (size_t I = 0; I < Parts.size(); ++I) {
-      Suite->Names.push_back((*Set)[I].Name);
-      Suite->Images.push_back(std::move(Parts[I].Image));
-      Suite->Costs.push_back(std::move(Parts[I].Cost));
-      Suite->Flats.push_back(std::move(Parts[I].Flat));
-    }
-    ++Hits;
-    // Refresh the manifest's mtime: it is the LRU clock gc() evicts by,
-    // so a hit must mark the entry recently used (best-effort — a
-    // failed touch only ages the entry; the prog entries were touched
-    // by loadEntries).
-    ::utime(pathFor(Key).c_str(), nullptr);
-    return Suite;
-  }
-
-  // Manifest rejected. Count a miss (the caller re-prepares) and
-  // quarantine the file so the next request sees a clean miss instead
-  // of re-parsing the same bad bytes — but only under an uncontended
-  // writer lock, and only if the bytes did not change underneath us (a
-  // concurrent save may already have replaced the entry with a healthy
-  // one).
-  ++Misses;
-  ++Rejects;
-  ReadLock.release();
-  FileLock WriteLock;
-  if (WriteLock.tryAcquire(lockPathFor(Key), FileLock::Mode::Exclusive)) {
-    std::string Again;
-    if (readFile(pathFor(Key), Again) && Again == Bytes &&
-        std::rename(pathFor(Key).c_str(),
-                    quarantinePathFor(Key, Why).c_str()) == 0)
-      ++Quarantines;
-  }
-  return nullptr;
-}
-
-PreparedProgram
-CacheStore::loadProgram(const std::shared_ptr<const ProgramSet> &Set,
-                        size_t Index, const MachineConfig &Machine,
-                        const TechniqueSpec &Tech, uint64_t TypingSeed) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return loadEntries(&Set->programHashes()[Index], Set, Index, 1, Machine,
-                     Tech, TypingSeed, /*AllOrNothing=*/false)
-      .front();
-}
-
-std::vector<PreparedProgram>
-CacheStore::loadPrograms(const std::shared_ptr<const ProgramSet> &Set,
-                         const MachineConfig &Machine,
-                         const TechniqueSpec &Tech, uint64_t TypingSeed) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return loadEntries(Set->programHashes().data(), Set, 0, Set->size(),
-                     Machine, Tech, TypingSeed, /*AllOrNothing=*/false);
-}
-
-std::vector<PreparedProgram>
-CacheStore::loadEntries(const uint64_t *Hashes,
-                        const std::shared_ptr<const ProgramSet> &Set,
-                        size_t First, size_t N, const MachineConfig &Machine,
-                        const TechniqueSpec &Tech, uint64_t TypingSeed,
-                        bool AllOrNothing) {
+  const std::vector<uint64_t> &Hashes = Set->programHashes();
+  const size_t N = Hashes.size();
   std::vector<PreparedProgram> Out(N);
   std::vector<uint64_t> Keys(N);
   std::vector<std::string> Bytes(N);
   std::vector<uint8_t> Read(N, 0);
 
-  // Phase 1, serial and in order: locks and file reads. The fault seam
-  // is consulted here only, so a PBT_FAULTS schedule sees the same query
-  // sequence however the decode below is scheduled. Same locking
-  // contract as the manifest: bounded shared lock, lockless fallback
-  // for read-only stores, timeout degrades to a miss. The lock is only
-  // held across the read; decoding works on the bytes in memory.
+  // Phase 1, serial and in set order: locks and file reads. The fault
+  // seam is consulted here only, so a PBT_FAULTS schedule sees the same
+  // query sequence however the decode below is scheduled. A shared
+  // reader lock with bounded retry waits out an in-flight writer on the
+  // same entry, but contention past the retry budget degrades to a miss
+  // rather than stalling an experiment. When the lock file cannot even
+  // be opened (a read-only store directory, e.g. a team-prebuilt
+  // PBT_CACHE_DIR), the read goes ahead lockless: atomic rename already
+  // makes reads safe, the lock only buys efficiency against in-flight
+  // writers. The lock is only held across the read; decoding works on
+  // the bytes in memory.
   for (size_t I = 0; I < N; ++I) {
     Keys[I] = progKey(Hashes[I], Machine, Tech, TypingSeed);
     FileLock ReadLock;
     if (!ReadLock.acquire(progLockPathFor(Keys[I]), FileLock::Mode::Shared,
                           LockMaxAttempts, LockRng, LockBaseDelayMicros) &&
         !ReadLock.openFailed()) {
-      ++ProgMisses;
+      ++Misses;
       ++LockTimeouts;
     } else if (readFile(progPathFor(Keys[I]), Bytes[I])) {
       Read[I] = 1;
-      continue;
     } else {
-      ++ProgMisses; // Plain absence.
+      ++Misses; // Plain absence: the ordinary cold-store miss.
     }
-    if (AllOrNothing)
-      return std::vector<PreparedProgram>(N);
   }
 
   // Phase 2, parallel: header, checksum and payload decode are pure
@@ -771,25 +609,36 @@ CacheStore::loadEntries(const uint64_t *Hashes,
       return;
     Header E = Expect;
     E.Key = Keys[I];
-    E.ProgramSetHash = Hashes[I]; // The program's own content hash here.
-    Why[I] = checkHeader(Bytes[I], ProgMagic, ProgFormatVersion, E);
+    E.ProgramHash = Hashes[I];
+    Why[I] = checkHeader(Bytes[I], E);
     if (Why[I])
       return;
     BinaryReader Payload(Bytes[I].data() + HeaderBytes,
                          Bytes[I].size() - HeaderBytes);
-    Out[I] = readPrepared(Payload, shareProgram(Set, First + I), Machine,
-                          Tech);
+    Out[I] = readPrepared(Payload, shareProgram(Set, I), Machine, Tech);
     if (!Out[I].Image)
       Why[I] = "payload";
   });
 
-  // Phase 3, serial and in order: counters, LRU touches, quarantines.
-  auto Quarantine = [&](size_t I) {
-    ++ProgMisses;
+  // Phase 3, serial and in set order: counters, LRU touches and
+  // quarantines.
+  for (size_t I = 0; I < N; ++I) {
+    if (!Read[I])
+      continue;
+    if (!Why[I]) {
+      ++Hits;
+      // mtime is the LRU clock gc() evicts by (best-effort: a failed
+      // touch only ages the entry).
+      ::utime(progPathFor(Keys[I]).c_str(), nullptr);
+      continue;
+    }
+    // Rejected: a miss (the caller re-prepares), and quarantined so the
+    // next request sees a clean miss instead of re-parsing the same bad
+    // bytes — but only under an uncontended writer lock, and only if
+    // the bytes did not change underneath us (a concurrent save may
+    // already have replaced the entry with a healthy one).
+    ++Misses;
     ++Rejects;
-    // Only under an uncontended writer lock, and only if the bytes did
-    // not change underneath us (a concurrent save may already have
-    // replaced the entry with a healthy one).
     FileLock WriteLock;
     std::string Again;
     if (WriteLock.tryAcquire(progLockPathFor(Keys[I]),
@@ -798,29 +647,11 @@ CacheStore::loadEntries(const uint64_t *Hashes,
         std::rename(progPathFor(Keys[I]).c_str(),
                     progQuarantinePathFor(Keys[I], Why[I]).c_str()) == 0)
       ++Quarantines;
-  };
-  if (AllOrNothing) {
-    for (size_t I = 0; I < N; ++I)
-      if (Why[I]) {
-        Quarantine(I);
-        return std::vector<PreparedProgram>(N);
-      }
-  }
-  for (size_t I = 0; I < N; ++I) {
-    if (!Read[I])
-      continue;
-    if (Why[I]) {
-      Quarantine(I);
-      continue;
-    }
-    ++ProgHits;
-    ::utime(progPathFor(Keys[I]).c_str(), nullptr); // LRU touch.
   }
   return Out;
 }
 
-bool CacheStore::save(uint64_t Key, uint64_t ProgramSetHash,
-                      const std::vector<uint64_t> &ProgramHashes,
+bool CacheStore::save(const std::vector<uint64_t> &ProgramHashes,
                       const MachineConfig &Machine, const TechniqueSpec &Tech,
                       uint64_t TypingSeed, const PreparedSuite &Suite) {
   obs::Span Timed("store.save");
@@ -828,79 +659,52 @@ bool CacheStore::save(uint64_t Key, uint64_t ProgramSetHash,
   if (ProgramHashes.size() != Suite.Images.size())
     return false;
 
-  // First the per-program entries the manifest will reference. Entries
-  // already on disk are skipped: content addressing makes a same-key
-  // file identical by construction, and the skip is what dedupes
-  // programs shared across suites (and keeps an incremental save to
-  // "exactly the new benchmark" writes).
+  bool AllOnDisk = true;
   for (size_t I = 0; I < Suite.Images.size(); ++I) {
-    uint64_t PKey = progKey(ProgramHashes[I], Machine, Tech, TypingSeed);
+    uint64_t Key = progKey(ProgramHashes[I], Machine, Tech, TypingSeed);
 
+    // Entries already on disk are skipped: content addressing makes a
+    // same-key file identical by construction, and the skip is what
+    // dedupes programs shared across suites (and keeps an incremental
+    // save to "exactly the new benchmark" writes).
     struct stat St;
-    if (::stat(progPathFor(PKey).c_str(), &St) == 0)
-      continue; // Entry exists; identical by construction.
+    if (::stat(progPathFor(Key).c_str(), &St) == 0)
+      continue;
 
     BinaryWriter Payload;
     writePrepared(Payload, *Suite.Images[I], *Suite.Costs[I]);
     Header H;
-    H.Key = PKey;
-    H.ProgramSetHash = ProgramHashes[I]; // The program's own content hash.
+    H.Key = Key;
+    H.ProgramHash = ProgramHashes[I];
     H.MachineHash = hashValue(Machine);
     H.PrepHash = Tech.preparationHash();
     H.TypingSeed = TypingSeed;
     H.PayloadSize = Payload.buffer().size();
     H.Checksum = fnv1a(Payload.buffer().data(), Payload.buffer().size());
     BinaryWriter File;
-    writeHeader(File, ProgMagic, ProgFormatVersion, H);
+    writeHeader(File, H);
 
-    FileLock ProgLock;
-    if (!ProgLock.acquire(progLockPathFor(PKey), FileLock::Mode::Exclusive,
-                          LockMaxAttempts, LockRng, LockBaseDelayMicros)) {
-      // Contended past the budget: whoever holds the lock is writing
-      // identical bytes, so trust them and move on (the manifest may
-      // briefly reference an in-flight entry; readers of a missing or
-      // partial entry just miss). Only real contention counts.
-      if (!ProgLock.openFailed())
+    // Exclusive writer lock, bounded: an entry contended past the retry
+    // budget just skips the write-back (the program is still served
+    // from memory, and whoever holds the lock is writing identical
+    // bytes). An unopenable lock file (read-only store directory) is
+    // not contention; the write-back is skipped either way, but only
+    // real contention counts as a lock timeout.
+    FileLock WriteLock;
+    if (!WriteLock.acquire(progLockPathFor(Key), FileLock::Mode::Exclusive,
+                           LockMaxAttempts, LockRng, LockBaseDelayMicros)) {
+      if (!WriteLock.openFailed())
         ++LockTimeouts;
+      AllOnDisk = false;
       continue;
     }
-    if (!writeFileAtomic(progPathFor(PKey),
-                         File.buffer() + Payload.buffer()))
-      return false; // The manifest must not reference a failed write.
-    ++ProgWrites;
+    FaultInjection::instance().crashPoint("store.locked");
+    if (!writeFileAtomic(progPathFor(Key), File.buffer() + Payload.buffer())) {
+      AllOnDisk = false;
+      continue;
+    }
+    FaultInjection::instance().crashPoint("store.saved");
+    ++Writes;
   }
-
-  // Then the manifest, the commit point of the whole save.
-  BinaryWriter Payload;
-  writeManifest(Payload, ProgramHashes);
-  Header H;
-  H.Key = Key;
-  H.ProgramSetHash = ProgramSetHash;
-  H.MachineHash = hashValue(Machine);
-  H.PrepHash = Tech.preparationHash();
-  H.TypingSeed = TypingSeed;
-  H.PayloadSize = Payload.buffer().size();
-  H.Checksum = fnv1a(Payload.buffer().data(), Payload.buffer().size());
-  BinaryWriter File;
-  writeHeader(File, Magic, FormatVersion, H);
-
-  // Exclusive writer lock, bounded: a key contended past the retry
-  // budget just skips the write-back (the suite is still served from
-  // memory, and whoever holds the lock is writing identical bytes).
-  FileLock WriteLock;
-  if (!WriteLock.acquire(lockPathFor(Key), FileLock::Mode::Exclusive,
-                         LockMaxAttempts, LockRng, LockBaseDelayMicros)) {
-    // An unopenable lock file (read-only store directory) is not
-    // contention; the write-back is skipped either way, but only real
-    // contention counts as a lock timeout.
-    if (!WriteLock.openFailed())
-      ++LockTimeouts;
-    return false;
-  }
-  FaultInjection::instance().crashPoint("store.locked");
-  if (!writeFileAtomic(pathFor(Key), File.buffer() + Payload.buffer()))
-    return false;
-  FaultInjection::instance().crashPoint("store.saved");
-  ++Writes;
-  return true;
+  return AllOnDisk;
 }

@@ -1,4 +1,4 @@
-//===- exp/CacheStore.h - Persistent prepared-suite store ------*- C++ -*-===//
+//===- exp/CacheStore.h - Persistent prepared-program store ----*- C++ -*-===//
 //
 // Part of the phase-based-tuning reproduction. MIT license.
 //
@@ -6,57 +6,49 @@
 ///
 /// \file
 /// The on-disk half of the suite cache: a content-addressed store of
-/// prepared suites (instrumented programs, phase marks, cost tables,
-/// flat execution images) that survives across processes. A SuiteCache with an attached store serves misses from
-/// disk before running the static pipeline, so a second run of any
-/// experiment — or the one-process bench/driver — skips every
-/// preparation it has seen before.
+/// prepared programs (phase marks, type count, mark cost, cost tables)
+/// that survives across processes. A SuiteCache with an attached store
+/// serves misses from disk before running the static pipeline, so a
+/// second run of any experiment — or the one-process bench/driver —
+/// skips every preparation it has seen before.
 ///
-/// **Addressing.** Entries are keyed by 64-bit content hashes of
-/// everything preparation depends on. The store is *module-granular*:
-/// the unit of storage is one prepared program (`pbt-prog-v2`,
-/// `prog-<16 hex>.pbt`), keyed by that program's own content hash
-/// (every instruction of every block), the machine (structural fields,
-/// name excluded), the technique's preparation identity
-/// (`TechniqueSpec::preparationHash`, tuner excluded — the same
-/// relation the in-memory SuiteCache keys on), the typing seed, and the
-/// program-format + pipeline versions. Because the *set* a program
-/// belongs to is not part of its key, programs shared by different
-/// suites resolve to the same entry: adding one benchmark to a cached
-/// suite re-prepares exactly that benchmark, and shared programs dedupe
-/// across suites. The suite entry (`pbt-suite-v4`,
-/// `suite-<16 hex>.pbt`, keyed as before by the whole program-set hash)
-/// is a thin *manifest*: the list of per-program content hashes, from
-/// which load() reassembles the suite out of prog entries. One store
-/// directory can thus be shared by labs with different program sets and
-/// machines.
+/// **Addressing.** The store holds one kind of entry: one prepared
+/// program (`pbt-prog-v2`, `prog-<16 hex>.pbt`), keyed by a 64-bit hash
+/// of everything its preparation depends on — the program's own content
+/// hash (every instruction of every block), the machine (structural
+/// fields, name excluded), the technique's preparation identity
+/// (`TechniqueSpec::preparationHash`, tuner excluded — the same relation
+/// the in-memory SuiteCache keys on), the typing seed, and the
+/// program-format + pipeline versions. The *set* a program belongs to
+/// is not part of its key: a suite is just its set's list of program
+/// hashes, which the caller's ProgramSet already holds in memory, so
+/// adding one benchmark to a cached suite re-prepares exactly that
+/// benchmark, and programs shared by different suites resolve to the
+/// same entry. One store directory can thus be shared by labs with
+/// different program sets and machines.
 ///
-/// **Format** (`pbt-suite-v4` manifests and `pbt-prog-v2` program
-/// entries, documented field by field in docs/BENCH_SCHEMA.md): a fixed
-/// header — magic (`PBTS` for manifests, `PBTP` for prog entries),
-/// format version, key, the key components, payload length, FNV-1a
-/// payload checksum — followed by the payload: the per-program hash
-/// list for manifests; for prog entries only what preparation
-/// *computed* — phase marks, type count, mark cost words, and cost
-/// tables. Doubles are stored by bit pattern. The program IR is not
-/// stored: the caller already holds it in a shared ProgramSet (its
-/// content hash is the entry's key), so the loader gives each image an
-/// aliasing handle to the caller's program — no copy — validates the
-/// marks and tables against it, and rebuilds the flat execution image
-/// with its constructor, exactly as the flatten pass does. A loaded
-/// suite is therefore bit-identical to the freshly prepared one (proven
-/// in tests/exp_test.cpp, tests/incremental_test.cpp and
-/// tests/store_mutation_test.cpp).
+/// **Format** (documented field by field in docs/BENCH_SCHEMA.md): a
+/// fixed header — magic `PBTP`, format version, key, the key
+/// components, payload length, FNV-1a payload checksum — followed by
+/// only what preparation *computed*: phase marks, type count, mark cost
+/// words, and cost tables. Doubles are stored by bit pattern. The
+/// program IR is not stored: the caller already holds it in a shared
+/// ProgramSet (its content hash is the entry's key), so the loader
+/// gives each image an aliasing handle to the caller's program — no
+/// copy — validates the marks and tables against it, and rebuilds the
+/// flat execution image with its constructor, exactly as the flatten
+/// pass does. A loaded program is therefore bit-identical to the
+/// freshly prepared one (proven in tests/exp_test.cpp,
+/// tests/incremental_test.cpp and tests/store_mutation_test.cpp).
 ///
-/// **Parallel decode.** A whole-suite load() runs in three phases: a
-/// serial phase takes each prog entry's lock and reads its file in
-/// manifest order (so a `PBT_FAULTS` schedule sees the same query
-/// sequence every run); header, checksum and payload decode then fan
-/// out over the global thread pool; a final serial phase settles
-/// counters, LRU touches and quarantines in manifest order. Every
-/// load() and save() call is timed as the Plane-2 span `store.load` /
-/// `store.save` (obs/Span.h), so PROFILE_driver.json attributes store
-/// time, fsynced writes included.
+/// **Parallel decode.** load() runs in three phases: a serial phase
+/// takes each entry's lock and reads its file in set order (so a
+/// `PBT_FAULTS` schedule sees the same query sequence every run);
+/// header, checksum and payload decode then fan out over the global
+/// thread pool; a final serial phase settles counters, LRU touches and
+/// quarantines in set order. Every load() and save() call is timed as
+/// the Plane-2 span `store.load` / `store.save` (obs/Span.h), so
+/// PROFILE_driver.json attributes store time, fsynced writes included.
 ///
 /// **Crash safety and concurrency.** The store is built to survive
 /// `kill -9`, concurrent writers, and injected filesystem faults
@@ -66,8 +58,8 @@
 ///    parent-directory fsync (support/Binary's writeFileAtomic), so
 ///    readers never observe partial files and a crash leaves at worst
 ///    a stale `.tmp.<pid>` file.
-///  - Cooperating processes serialize per key through an advisory
-///    `flock` on `suite-<key>.lck` — shared for readers, exclusive for
+///  - Cooperating processes serialize per entry through an advisory
+///    `flock` on `prog-<key>.lck` — shared for readers, exclusive for
 ///    writers — acquired with bounded, seeded-backoff retries
 ///    (support/FileLock). Exhausting the retries degrades gracefully:
 ///    a reader counts a miss, a writer skips the write-back (counted
@@ -78,9 +70,8 @@
 ///    (rename atomicity keeps them safe) and writers skip the
 ///    write-back without counting a timeout.
 ///  - Any mismatch on load — wrong magic, wrong version, wrong key,
-///    truncation, checksum failure, a manifest listing a different
-///    number of programs than the caller holds, or out-of-range indices
-///    in the decoded structures — **quarantines** the file (renamed to
+///    truncation, checksum failure, or out-of-range indices in the
+///    decoded structures — **quarantines** the file (renamed to
 ///    `<entry>.quarantined-<reason>` under the writer lock) and counts
 ///    as a plain miss, so the next preparation rebuilds the entry
 ///    transparently instead of tripping over it again.
@@ -90,6 +81,11 @@
 /// Every filesystem step routes through support/FaultInjection, so the
 /// whole contract is exercised under injected EIO, short writes, torn
 /// renames, and crash points.
+///
+/// Stores written before the format held one kind of entry also carry
+/// `pbt-suite-v4` manifests (`suite-<16 hex>.pbt`, magic `PBTS`): a
+/// list of the program hashes the caller now supplies itself. Nothing
+/// reads them; cleanMismatchedVersions() deletes them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -108,31 +104,19 @@
 namespace pbt {
 namespace exp {
 
-/// Content-addressed on-disk store of serialized PreparedSuites.
+/// Content-addressed on-disk store of prepared programs.
 class CacheStore {
 public:
-  /// On-disk suite-entry format version; bumped whenever the binary
-  /// layout changes. Part of the file header AND the key hash, so a
-  /// version bump invalidates old entries without ever misreading them.
-  /// v2 dropped the per-program spawn-affinity word (the HASS-static
-  /// comparator moved from suite preparation to the scheduler-policy
-  /// axis); v3 changed FlatImage chain cycle sums to left-to-right
-  /// accumulation (the fast-replay drift bound), so v2 images would
-  /// replay with stale fused sums; v4 turned the suite entry into a
-  /// thin manifest of per-program content hashes resolved against
-  /// per-program entries.
-  static constexpr uint32_t FormatVersion = 4;
-
-  /// On-disk per-program entry format version (`pbt-prog-v2`),
-  /// versioned independently of the manifest format. v2 dropped the
-  /// program IR (the caller supplies it) and the serialized flat image
-  /// (rebuilt on load).
+  /// On-disk entry format version (`pbt-prog-v2`). Part of the file
+  /// header AND the key hash, so a version bump invalidates old entries
+  /// without ever misreading them. v2 dropped the program IR (the
+  /// caller supplies it) and the serialized flat image (rebuilt on
+  /// load).
   static constexpr uint32_t ProgFormatVersion = 2;
 
-  /// Version of the static preparation pipeline whose output prog
-  /// entries hold (analysis/PassManager.h); part of every prog key, so
-  /// a pipeline change that alters prepared artifacts invalidates
-  /// exactly the program entries.
+  /// Version of the static preparation pipeline whose output entries
+  /// hold (analysis/PassManager.h); part of every key, so a pipeline
+  /// change that alters prepared artifacts invalidates every entry.
   static constexpr uint32_t PipelineVersion = 1;
 
   /// Opens (creating if needed) the store directory \p Dir and sweeps
@@ -144,90 +128,50 @@ public:
   /// variable is unset (persistence disabled).
   static std::shared_ptr<CacheStore> fromEnv();
 
-  /// The store key for (\p ProgramSetHash, \p Machine, \p Tech,
-  /// \p TypingSeed). \p ProgramSetHash is the set's content hash
-  /// (ProgramSet::hash(), ir/ProgramSet.h). Uses Tech's preparation
-  /// identity only (tuner excluded), mirroring SuiteCache's in-memory
-  /// key relation.
-  static uint64_t suiteKey(uint64_t ProgramSetHash,
-                           const MachineConfig &Machine,
-                           const TechniqueSpec &Tech, uint64_t TypingSeed);
-
-  /// The per-program entry key for (\p ProgramHash, \p Machine,
-  /// \p Tech, \p TypingSeed); \p ProgramHash is the program's own
-  /// content hash (contentHash(const Program &), an element of
+  /// The entry key for (\p ProgramHash, \p Machine, \p Tech,
+  /// \p TypingSeed); \p ProgramHash is the program's own content hash
+  /// (contentHash(const Program &), an element of
   /// ProgramSet::programHashes()). Deliberately excludes any program-set
   /// component (that is what makes cross-suite dedupe work) and bakes
-  /// in ProgFormatVersion and PipelineVersion.
+  /// in ProgFormatVersion and PipelineVersion. Uses Tech's preparation
+  /// identity only (tuner excluded), mirroring SuiteCache's in-memory
+  /// key relation.
   static uint64_t progKey(uint64_t ProgramHash, const MachineConfig &Machine,
                           const TechniqueSpec &Tech, uint64_t TypingSeed);
 
-  /// Loads the suite stored under \p Key for the caller's program set
-  /// \p Set: reads the manifest, verifies its header against the
-  /// request's key components (Set->hash() among them), its payload
-  /// against its checksum, and its hash count against Set->size(), then
-  /// reassembles the suite from the `pbt-prog-v2` entries the manifest
-  /// lists — the i-th listed hash belongs to (*Set)[i], which the loaded
-  /// image shares. Each entry is validated the same way, decoded in
-  /// parallel, and checked against its program. Returns nullptr on miss
-  /// or on any rejection (corrupt, truncated, version, key or count
-  /// mismatch, or any referenced prog entry missing/rejected). The
-  /// returned suite carries a default-constructed TunerConfig; callers
-  /// stamp the requested tuner (as SuiteCache does for in-memory hits).
-  std::shared_ptr<const PreparedSuite>
-  load(uint64_t Key, const std::shared_ptr<const ProgramSet> &Set,
+  /// Loads every program of \p Set prepared for (\p Machine, \p Tech,
+  /// \p TypingSeed): result I is (*Set)[I]'s entry, stored under
+  /// progKey(Set->programHashes()[I], ...), and its image shares that
+  /// program. Each entry hits or misses independently; a miss or any
+  /// rejection (corrupt, truncated, version or key mismatch) leaves null
+  /// pointers at its index.
+  std::vector<PreparedProgram>
+  load(const std::shared_ptr<const ProgramSet> &Set,
        const MachineConfig &Machine, const TechniqueSpec &Tech,
        uint64_t TypingSeed);
 
-  /// Loads the single prepared program (*\p Set)[\p Index], stored under
-  /// progKey(Set->programHashes()[Index], ...); the image shares the
-  /// set's program. Returns a PreparedProgram with null pointers on miss
-  /// or rejection.
-  PreparedProgram loadProgram(const std::shared_ptr<const ProgramSet> &Set,
-                              size_t Index, const MachineConfig &Machine,
-                              const TechniqueSpec &Tech,
-                              uint64_t TypingSeed);
-
-  /// loadProgram for every program of \p Set at once, decoded in
-  /// parallel; each entry hits or misses independently. The incremental
-  /// half of the store: SuiteCache probes per program on a manifest miss
-  /// and re-prepares only the programs this cannot serve.
-  std::vector<PreparedProgram>
-  loadPrograms(const std::shared_ptr<const ProgramSet> &Set,
-               const MachineConfig &Machine, const TechniqueSpec &Tech,
-               uint64_t TypingSeed);
-
-  /// Serializes \p Suite under \p Key: writes one `pbt-prog-v2` entry
-  /// per program under its content hash \p ProgramHashes[i] (skipping
-  /// entries already on disk — content addressing makes them identical
-  /// by construction, which is what dedupes shared programs), then the
-  /// manifest (atomic write). Returns false when \p ProgramHashes does
-  /// not match the suite's size or any write the manifest would depend
-  /// on failed. An existing manifest is replaced — by construction with
-  /// identical content, so this also self-heals corrupted files.
-  bool save(uint64_t Key, uint64_t ProgramSetHash,
-            const std::vector<uint64_t> &ProgramHashes,
+  /// Writes \p Suite's programs, the I-th under its content hash
+  /// \p ProgramHashes[I]. Entries already on disk are skipped: content
+  /// addressing makes them identical by construction, which is what
+  /// dedupes shared programs and keeps an incremental save to exactly
+  /// the new programs' writes. Returns true when every entry is on disk
+  /// afterwards; false when \p ProgramHashes does not match the suite's
+  /// size, or any write failed or was skipped (a contended or
+  /// unopenable lock). Each write is atomic, so a failed save leaves the
+  /// other entries intact.
+  bool save(const std::vector<uint64_t> &ProgramHashes,
             const MachineConfig &Machine, const TechniqueSpec &Tech,
             uint64_t TypingSeed, const PreparedSuite &Suite);
 
-  /// The file path suite manifests for \p Key live at.
-  std::string pathFor(uint64_t Key) const;
-
-  /// The file path the prog entry for \p Key lives at.
+  /// The file path the entry for \p Key lives at.
   std::string progPathFor(uint64_t Key) const;
 
-  /// The advisory lock file guarding \p Key's manifest.
-  std::string lockPathFor(uint64_t Key) const;
-
-  /// The advisory lock file guarding \p Key's prog entry.
+  /// The advisory lock file guarding \p Key's entry.
   std::string progLockPathFor(uint64_t Key) const;
 
-  /// The quarantine destination for \p Key's manifest when rejected for
+  /// The quarantine destination for \p Key's entry when rejected for
   /// \p Reason ("magic", "version", "key", "truncated", "checksum",
-  /// "count", "payload"; "count" applies to manifests only).
-  std::string quarantinePathFor(uint64_t Key, const char *Reason) const;
-
-  /// The quarantine destination for \p Key's prog entry.
+  /// "payload").
   std::string progQuarantinePathFor(uint64_t Key, const char *Reason) const;
 
   /// Tunes the bounded lock acquisition: \p MaxAttempts non-blocking
@@ -245,11 +189,12 @@ public:
   /// quarantine).
   size_t sweepStale(double MaxQuarantineAgeSeconds = 7 * 86400.0);
 
-  /// Deletes every `suite-*.pbt` entry whose header carries a format
-  /// version other than FormatVersion and every `prog-*.pbt` entry off
-  /// ProgFormatVersion (such entries can never load again; a bump only
-  /// changes the keys, so they would otherwise sit on disk forever).
-  /// Returns the number of files removed. Unreadable or foreign files
+  /// Deletes every `prog-*.pbt` entry whose header carries a format
+  /// version other than ProgFormatVersion (such entries can never load
+  /// again; a bump only changes the keys, so they would otherwise sit on
+  /// disk forever) and every legacy `pbt-suite-v4` manifest
+  /// (`suite-*.pbt`, whatever its version), each with its lock file.
+  /// Returns the number of entries removed. Unreadable or foreign files
   /// are left alone. Backs `bench/driver --clean-cache`.
   size_t cleanMismatchedVersions();
 
@@ -265,48 +210,37 @@ public:
                               ///< files removed alongside the pass.
   };
 
-  /// Age/size-based garbage collection over the store directory (both
-  /// suite manifests and prog entries), backing `bench/driver
-  /// --gc-cache`. Recency is approximated by file modification time,
-  /// which load() refreshes on every hit — a manifest hit touches the
-  /// manifest *and* every prog entry it resolved, so a suite's programs
-  /// age as a group while unshared entries of abandoned suites age out.
-  /// Eviction order is least-recently-used. A manifest whose prog entry
-  /// was evicted underneath it simply misses and is rebuilt. Two independent bounds:
-  /// entries older than \p MaxAgeSeconds are always evicted
-  /// (<= 0 disables the age bound), then the oldest remaining entries
-  /// are evicted until the store fits in \p MaxBytes (0 disables the
-  /// size bound). Only files with the store magic are touched; ties on
-  /// mtime break by path, so a pass is deterministic for a given
-  /// directory state.
+  /// Age/size-based garbage collection over the store's entries,
+  /// backing `bench/driver --gc-cache`. Recency is approximated by file
+  /// modification time, which load() refreshes on every hit, so a
+  /// suite's programs age as a group while unshared entries of
+  /// abandoned suites age out. Eviction order is least-recently-used;
+  /// an evicted entry simply misses and is prepared again. Two
+  /// independent bounds: entries older than \p MaxAgeSeconds are always
+  /// evicted (<= 0 disables the age bound), then the oldest remaining
+  /// entries are evicted until the store fits in \p MaxBytes (0
+  /// disables the size bound). Only files with the store magic are
+  /// touched; ties on mtime break by path, so a pass is deterministic
+  /// for a given directory state.
   GcStats gc(uint64_t MaxBytes, double MaxAgeSeconds = 0);
 
   const std::string &dir() const { return Dir; }
 
-  /// Suites served from disk (manifest plus every prog entry).
+  /// Entries served from disk.
   uint64_t hits() const { return Hits; }
-  /// Suite requests the store could not serve (absent manifest, or a
-  /// manifest whose prog entries could not all be resolved).
-  uint64_t misses() const { return Misses; }
-  /// Files present but rejected (corruption, truncation, version or key
-  /// mismatch), manifests and prog entries alike; every suite-level
-  /// reject is also counted as a miss.
-  uint64_t rejects() const { return Rejects; }
-  /// Suite manifests written by save().
-  uint64_t writes() const { return Writes; }
-  /// Prog entries served from disk (by a load() hit, or by
-  /// loadProgram/loadPrograms).
-  uint64_t progHits() const { return ProgHits; }
-  /// Prog entries that could not be served: absent, lock-contended or
+  /// Entries load() could not serve: absent, lock-contended or
   /// rejected.
-  uint64_t progMisses() const { return ProgMisses; }
-  /// Prog entries written by save() (existing entries are skipped, so
-  /// this counts genuinely new preparations reaching disk).
-  uint64_t progWrites() const { return ProgWrites; }
+  uint64_t misses() const { return Misses; }
+  /// Entries present but rejected (corruption, truncation, version or
+  /// key mismatch); each is also counted as a miss.
+  uint64_t rejects() const { return Rejects; }
+  /// Entries written by save() (existing entries are skipped, so this
+  /// counts genuinely new preparations reaching disk).
+  uint64_t writes() const { return Writes; }
   /// Rejected entries renamed aside for post-mortem (a subset of
   /// rejects(): quarantining needs the uncontended writer lock).
   uint64_t quarantines() const { return Quarantines; }
-  /// Operations abandoned because the per-key lock stayed contended
+  /// Operations abandoned because the per-entry lock stayed contended
   /// through every bounded retry (each degrades to a miss or a
   /// skipped write-back; nothing aborts).
   uint64_t lockTimeouts() const { return LockTimeouts; }
@@ -321,24 +255,8 @@ private:
   uint64_t Misses = 0;
   uint64_t Rejects = 0;
   uint64_t Writes = 0;
-  uint64_t ProgHits = 0;
-  uint64_t ProgMisses = 0;
-  uint64_t ProgWrites = 0;
   uint64_t Quarantines = 0;
   uint64_t LockTimeouts = 0;
-
-  /// The three-phase batch load behind load() and loadPrograms
-  /// (callers hold Mutex): \p N prog entries, \p Hashes[i] naming
-  /// (*\p Set)[\p First + i]. With \p AllOrNothing (load()), the first
-  /// entry that cannot be served fails the whole batch: it is counted
-  /// (and quarantined if rejected), every other entry is left unsettled,
-  /// and all returned pointers are null.
-  std::vector<PreparedProgram>
-  loadEntries(const uint64_t *Hashes,
-              const std::shared_ptr<const ProgramSet> &Set, size_t First,
-              size_t N, const MachineConfig &Machine,
-              const TechniqueSpec &Tech, uint64_t TypingSeed,
-              bool AllOrNothing);
 };
 
 } // namespace exp

@@ -21,19 +21,18 @@
 /// caller's ProgramSet instead of copying it, and the set's content
 /// hashes (the disk keys) are memoized on the set, not here, so labs
 /// sharing one set hash it once. An optional CacheStore adds a
-/// persistent disk tier: memory misses are served from disk
-/// (load-through) before falling back to the static pipeline, and fresh
-/// preparations are written back, so suites survive across processes.
-/// The disk tier keys on the program set too, so one store directory
-/// safely serves many labs.
+/// persistent disk tier, so preparations survive across processes. It
+/// holds one entry per prepared program, keyed by that program's
+/// content hash, so one store directory safely serves many labs.
 ///
-/// The disk tier is *module-granular*: when the whole-suite manifest
-/// misses, the cache probes the store per program
-/// (CacheStore::loadPrograms) and runs the static pipeline only over the
-/// programs the store cannot serve — so adding one benchmark to an
-/// otherwise-cached suite prepares exactly that benchmark, and programs
-/// shared between suites (or labs) are prepared once ever
-/// (preparedPrograms() / programStoreHits() count this split).
+/// A memory miss takes one path: probe the store for every program of
+/// the set (CacheStore::load), run the static pipeline only over the
+/// programs it cannot serve, write those back, audit the store-served
+/// programs when verify-IR is on, and assemble the suite. Adding one
+/// benchmark to an otherwise-cached suite therefore prepares exactly
+/// that benchmark, and programs shared between suites (or labs) are
+/// prepared once ever (preparedPrograms() / programStoreHits() count
+/// this split).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,10 +83,8 @@ public:
   /// Requests not in memory (storeHits() + prepared() of them were
   /// served from disk / freshly prepared, respectively).
   uint64_t misses() const { return Misses; }
-  /// Memory misses served entirely from the persistent store — via the
-  /// suite manifest, or assembled from per-program entries alone
-  /// (cross-suite dedupe: every program already on disk, only the
-  /// manifest was new).
+  /// Memory misses served entirely from the persistent store: every
+  /// program of the set came from disk, whichever suite wrote it.
   uint64_t storeHits() const { return StoreHits; }
   /// Requests that had to run the static pipeline for at least one
   /// program.
@@ -96,8 +93,8 @@ public:
   /// counter: adding one benchmark to a warm suite raises this by
   /// exactly one).
   uint64_t preparedPrograms() const { return PreparedPrograms; }
-  /// Programs served from per-program store entries during incremental
-  /// assembly (manifest-level hits not included).
+  /// Programs served from the persistent store, over every memory miss
+  /// (whole-suite store hits included).
   uint64_t programStoreHits() const { return ProgramStoreHits; }
   /// Distinct prepared suites currently held in memory.
   size_t size() const;

@@ -98,9 +98,11 @@ std::vector<PreparedProgram> runPipeline(PipelineContext &Ctx) {
   return Out;
 }
 
-PreparedSuite assembleSuite(const std::vector<Program> &Programs,
-                            std::vector<PreparedProgram> Prepared,
-                            const TechniqueSpec &Tech) {
+} // namespace
+
+PreparedSuite pbt::assembleSuite(const std::vector<Program> &Programs,
+                                 std::vector<PreparedProgram> Prepared,
+                                 const TechniqueSpec &Tech) {
   PreparedSuite Suite;
   Suite.Tuner = Tech.Tuner;
   for (size_t Index = 0; Index < Programs.size(); ++Index) {
@@ -111,8 +113,6 @@ PreparedSuite assembleSuite(const std::vector<Program> &Programs,
   }
   return Suite;
 }
-
-} // namespace
 
 std::vector<PreparedProgram>
 pbt::preparePrograms(const std::vector<Program> &Programs,
@@ -140,18 +140,6 @@ PreparedSuite pbt::prepareSuite(const std::vector<Program> &Programs,
   return assembleSuite(
       Programs, preparePrograms(Programs, Machine, Tech, TypingSeed, Pool),
       Tech);
-}
-
-PreparedSuite pbt::prepareSuite(const std::shared_ptr<const ProgramSet> &Set,
-                                const MachineConfig &Machine,
-                                const TechniqueSpec &Tech,
-                                uint64_t TypingSeed, ThreadPool *Pool) {
-  std::vector<size_t> All(Set->size());
-  for (size_t Index = 0; Index < All.size(); ++Index)
-    All[Index] = Index;
-  return assembleSuite(
-      Set->programs(),
-      preparePrograms(Set, All, Machine, Tech, TypingSeed, Pool), Tech);
 }
 
 PreparedSuite pbt::prepareSuiteMonolithic(const std::vector<Program> &Programs,

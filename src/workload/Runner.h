@@ -142,18 +142,16 @@ preparePrograms(const std::shared_ptr<const ProgramSet> &Set,
                 const MachineConfig &Machine, const TechniqueSpec &Tech,
                 uint64_t TypingSeed = 42, ThreadPool *Pool = nullptr);
 
+/// The suite of \p Programs from their prepared artifacts \p Prepared
+/// (one per program, in order), tuned by \p Tech's tuner.
+PreparedSuite assembleSuite(const std::vector<Program> &Programs,
+                            std::vector<PreparedProgram> Prepared,
+                            const TechniqueSpec &Tech);
+
 /// Types + marks + instruments every program for \p Tech on \p Machine
 /// by running the pass-manager pipeline (see preparePrograms) and
 /// assembling the results into a suite.
 PreparedSuite prepareSuite(const std::vector<Program> &Programs,
-                           const MachineConfig &Machine,
-                           const TechniqueSpec &Tech,
-                           uint64_t TypingSeed = 42,
-                           ThreadPool *Pool = nullptr);
-
-/// prepareSuite over a shared set: every image aliases its program in
-/// \p Set (see the shared preparePrograms).
-PreparedSuite prepareSuite(const std::shared_ptr<const ProgramSet> &Set,
                            const MachineConfig &Machine,
                            const TechniqueSpec &Tech,
                            uint64_t TypingSeed = 42,

@@ -90,23 +90,22 @@ size_t countMatching(const std::string &Dir, const char *Needle) {
 }
 
 /// Everything a crash-point scenario needs, prepared once in the parent
-/// BEFORE any fork (children must not touch the thread pool).
+/// BEFORE any fork (children must not touch the thread pool). A save
+/// writes one entry per program, in set order.
 struct CrashRig {
   explicit CrashRig(const std::string &DirName)
       : DirName(DirName), Set(std::make_shared<const ProgramSet>(tinySuite())),
         Programs(Set->programs()),
         MC(MachineConfig::quadAsymmetric()), Tech(loopTechnique(60)),
-        ProgramsHash(Set->hash()),
         ProgramHashes(Set->programHashes()),
-        Key(CacheStore::suiteKey(ProgramsHash, MC, Tech, 42)),
         Suite(prepareSuite(Programs, MC, Tech, 42)) {
     wipeDir(DirName);
     wipeDir(DirName + ".ref");
   }
 
-  /// Forks a child that arms \p CrashPoint and calls save(); asserts it
-  /// died with the kill -9 status. Returns the child's exit status.
-  void crashChildAt(const char *CrashPoint) {
+  /// Forks a child that arms \p CrashPoint at its \p Hit-th hit and
+  /// calls save(); asserts it died with the kill -9 status.
+  void crashChildAt(const char *CrashPoint, uint32_t Hit = 1) {
     pid_t Pid = ::fork();
     ASSERT_GE(Pid, 0);
     if (Pid == 0) {
@@ -114,9 +113,10 @@ struct CrashRig {
       // via _exit — gtest machinery, buffers, and all.
       FaultConfig C;
       C.CrashPoint = CrashPoint;
+      C.CrashAtHit = Hit;
       FaultInjection::instance().configure(C);
       CacheStore Child(DirName);
-      Child.save(Key, ProgramsHash, ProgramHashes, MC, Tech, 42, Suite);
+      Child.save(ProgramHashes, MC, Tech, 42, Suite);
       ::_exit(0); // The crash point never fired: wrong, and visible.
     }
     int Status = 0;
@@ -126,39 +126,49 @@ struct CrashRig {
         << ": child must die AT the crash point";
   }
 
-  /// The manifest bytes a quiet single writer produces for Key (the
-  /// reference store lives beside the crash store and is populated on
-  /// first call).
-  std::string referenceBytes() {
-    CacheStore Ref(DirName + ".ref");
-    EXPECT_TRUE(
-        Ref.save(Key, ProgramsHash, ProgramHashes, MC, Tech, 42, Suite));
-    std::string Bytes;
-    EXPECT_TRUE(readFile(Ref.pathFor(Key), Bytes));
-    return Bytes;
+  /// The path of program \p I's entry under \p T in \p Store.
+  std::string entryPath(const CacheStore &Store, size_t I,
+                        const TechniqueSpec &T) const {
+    return Store.progPathFor(CacheStore::progKey(ProgramHashes[I], MC, T, 42));
   }
 
-  /// The reference store's bytes for program \p I's per-program entry
-  /// (referenceBytes() must have populated the reference store first).
-  std::string referenceProgBytes(size_t I) {
-    CacheStore Ref(DirName + ".ref");
-    std::string Bytes;
-    EXPECT_TRUE(readFile(
-        Ref.progPathFor(CacheStore::progKey(
-            contentHash(Programs[I]), MC, Tech, 42)),
-        Bytes))
-        << "reference prog entry " << I;
-    return Bytes;
+  /// Every entry's bytes under \p T in \p Store, in set order (empty
+  /// where the entry is absent).
+  std::vector<std::string> entryBytes(const CacheStore &Store,
+                                      const TechniqueSpec &T) const {
+    std::vector<std::string> Out(Programs.size());
+    for (size_t I = 0; I < Programs.size(); ++I)
+      readFile(entryPath(Store, I, T), Out[I]);
+    return Out;
   }
+
+  /// The entries a quiet single writer produces for \p S under \p T
+  /// (the reference store lives beside the crash store).
+  std::vector<std::string> referenceBytes(const TechniqueSpec &T,
+                                          const PreparedSuite &S) {
+    CacheStore Ref(DirName + ".ref");
+    EXPECT_TRUE(Ref.save(ProgramHashes, MC, T, 42, S));
+    return entryBytes(Ref, T);
+  }
+  std::vector<std::string> referenceBytes() {
+    return referenceBytes(Tech, Suite);
+  }
+
+  /// How many of the set's programs \p Store serves under \p T.
+  size_t served(CacheStore &Store, const TechniqueSpec &T) const {
+    size_t N = 0;
+    for (const PreparedProgram &P : Store.load(Set, MC, T, 42))
+      N += P.Image != nullptr;
+    return N;
+  }
+  size_t served(CacheStore &Store) const { return served(Store, Tech); }
 
   std::string DirName;
   std::shared_ptr<const ProgramSet> Set;
   const std::vector<Program> &Programs;
   MachineConfig MC;
   TechniqueSpec Tech;
-  uint64_t ProgramsHash;
   std::vector<uint64_t> ProgramHashes;
-  uint64_t Key;
   PreparedSuite Suite;
 };
 
@@ -194,27 +204,24 @@ TEST(CacheStressTest, SurvivesEnvironmentFaults) {
 // kill -9 at every interesting instant of a store write
 //===----------------------------------------------------------------------===//
 
-// A child dies mid-temp-write: the destination must never exist, the
-// torn temp is swept at the next construction, and a rebuild produces
-// byte-identical output.
+// A child dies mid-temp-write of the first entry: the destination
+// must never exist, the torn temp is swept at the next construction,
+// and a rebuild produces byte-identical output.
 TEST(CacheStressTest, CrashMidWriteLeavesRecoverableStore) {
   CrashRig Rig(testCacheDir("stress_crash_midwrite.cache"));
-  std::string Reference = Rig.referenceBytes();
+  std::vector<std::string> Reference = Rig.referenceBytes();
   Rig.crashChildAt("atomic.mid_write");
 
   CacheStore After(Rig.DirName); // Construction sweeps the dead temp.
   EXPECT_EQ(countMatching(After.dir(), ".tmp."), 0u)
       << "dead writer's temp must be swept";
-  EXPECT_TRUE(After.load(Rig.Key, Rig.Set, Rig.MC, Rig.Tech, 42) == nullptr)
+  EXPECT_EQ(Rig.served(After), 0u)
       << "a crashed write must never produce a visible entry";
   EXPECT_EQ(After.rejects(), 0u) << "nothing to reject: a clean miss";
 
   // Rebuild and compare to the quiet single writer, byte for byte.
-  ASSERT_TRUE(After.save(Rig.Key, Rig.ProgramsHash, Rig.ProgramHashes,
-                         Rig.MC, Rig.Tech, 42, Rig.Suite));
-  std::string Bytes;
-  ASSERT_TRUE(readFile(After.pathFor(Rig.Key), Bytes));
-  EXPECT_EQ(Bytes, Reference);
+  ASSERT_TRUE(After.save(Rig.ProgramHashes, Rig.MC, Rig.Tech, 42, Rig.Suite));
+  EXPECT_EQ(Rig.entryBytes(After, Rig.Tech), Reference);
 }
 
 // A child dies between the temp fsync and the rename: same contract —
@@ -225,43 +232,37 @@ TEST(CacheStressTest, CrashBeforeRenameLeavesNoEntry) {
 
   CacheStore After(Rig.DirName);
   EXPECT_EQ(countMatching(After.dir(), ".tmp."), 0u);
-  EXPECT_TRUE(After.load(Rig.Key, Rig.Set, Rig.MC, Rig.Tech, 42) == nullptr);
+  EXPECT_EQ(Rig.served(After), 0u);
   EXPECT_EQ(After.rejects(), 0u);
 }
 
-// A child dies right AFTER the first rename of the save — which, under
-// module-granular addressing, commits the first program's entry, not
-// the manifest. That entry is complete and byte-identical to a quiet
-// writer's (the point of fsync-before-rename); the suite itself is a
-// clean miss (the manifest never landed), and a rebuild reuses the
-// durable prog entry and converges to the reference bytes.
+// A child dies right AFTER the first rename of the save, which commits
+// the first program's entry. That entry is complete and byte-identical
+// to a quiet writer's (the point of fsync-before-rename) and serves;
+// the second program is a clean miss, and a rebuild reuses the durable
+// entry and converges to the reference bytes.
 TEST(CacheStressTest, CrashAfterRenameLeavesCompleteEntry) {
   CrashRig Rig(testCacheDir("stress_crash_postrename.cache"));
-  std::string Reference = Rig.referenceBytes();
+  std::vector<std::string> Reference = Rig.referenceBytes();
   Rig.crashChildAt("atomic.after_rename");
 
   CacheStore After(Rig.DirName);
-  std::string FirstProgPath = After.progPathFor(CacheStore::progKey(
-      contentHash(Rig.Programs[0]), Rig.MC, Rig.Tech, 42));
   std::string ProgBytes;
-  ASSERT_TRUE(readFile(FirstProgPath, ProgBytes))
-      << "renamed prog entry survives the crash";
-  EXPECT_EQ(ProgBytes, Rig.referenceProgBytes(0))
-      << "completed prog entry is byte-identical to a quiet writer's";
-  EXPECT_TRUE(After.load(Rig.Key, Rig.Set, Rig.MC, Rig.Tech, 42) == nullptr)
-      << "no manifest yet: the suite is a clean miss";
+  ASSERT_TRUE(readFile(Rig.entryPath(After, 0, Rig.Tech), ProgBytes))
+      << "renamed entry survives the crash";
+  EXPECT_EQ(ProgBytes, Reference[0])
+      << "completed entry is byte-identical to a quiet writer's";
+  EXPECT_EQ(Rig.served(After), 1u)
+      << "the committed entry serves; the unwritten one is a clean miss";
   EXPECT_EQ(After.rejects(), 0u);
 
-  // Rebuild: the durable prog entry is reused (exists-skip), the rest
-  // is written, and the manifest matches the quiet single writer's.
-  ASSERT_TRUE(After.save(Rig.Key, Rig.ProgramsHash, Rig.ProgramHashes,
-                         Rig.MC, Rig.Tech, 42, Rig.Suite));
-  EXPECT_EQ(After.progWrites(), Rig.Programs.size() - 1)
+  // Rebuild: the durable entry is reused (exists-skip), the rest is
+  // written, and every entry matches the quiet single writer's.
+  ASSERT_TRUE(After.save(Rig.ProgramHashes, Rig.MC, Rig.Tech, 42, Rig.Suite));
+  EXPECT_EQ(After.writes(), Rig.Programs.size() - 1)
       << "the crash's surviving entry must not be rewritten";
-  std::string Bytes;
-  ASSERT_TRUE(readFile(After.pathFor(Rig.Key), Bytes));
-  EXPECT_EQ(Bytes, Reference);
-  EXPECT_TRUE(After.load(Rig.Key, Rig.Set, Rig.MC, Rig.Tech, 42) != nullptr);
+  EXPECT_EQ(Rig.entryBytes(After, Rig.Tech), Reference);
+  EXPECT_EQ(Rig.served(After), Rig.Programs.size());
 }
 
 // A child dies while HOLDING the exclusive writer flock: the kernel
@@ -273,25 +274,23 @@ TEST(CacheStressTest, CrashWhileHoldingLockStrandsNothing) {
 
   CacheStore After(Rig.DirName);
   After.setLockPolicy(/*MaxAttempts=*/2, /*BaseDelayMicros=*/10);
-  ASSERT_TRUE(After.save(Rig.Key, Rig.ProgramsHash, Rig.ProgramHashes,
-                         Rig.MC, Rig.Tech, 42, Rig.Suite))
+  ASSERT_TRUE(After.save(Rig.ProgramHashes, Rig.MC, Rig.Tech, 42, Rig.Suite))
       << "dead child's flock must have died with it";
-  EXPECT_TRUE(After.load(Rig.Key, Rig.Set, Rig.MC, Rig.Tech, 42) != nullptr);
+  EXPECT_EQ(Rig.served(After), Rig.Programs.size());
   EXPECT_EQ(After.lockTimeouts(), 0u);
 }
 
-// A child dies after the full save: everything is durable; a second
-// process simply hits.
+// A child dies after the last entry of the save: everything is durable;
+// a second process simply hits.
 TEST(CacheStressTest, CrashAfterSaveIsInvisible) {
   CrashRig Rig(testCacheDir("stress_crash_saved.cache"));
-  std::string Reference = Rig.referenceBytes();
-  Rig.crashChildAt("store.saved");
+  std::vector<std::string> Reference = Rig.referenceBytes();
+  Rig.crashChildAt("store.saved",
+                   static_cast<uint32_t>(Rig.Programs.size()));
 
   CacheStore After(Rig.DirName);
-  std::string Bytes;
-  ASSERT_TRUE(readFile(After.pathFor(Rig.Key), Bytes));
-  EXPECT_EQ(Bytes, Reference);
-  EXPECT_TRUE(After.load(Rig.Key, Rig.Set, Rig.MC, Rig.Tech, 42) != nullptr);
+  EXPECT_EQ(Rig.entryBytes(After, Rig.Tech), Reference);
+  EXPECT_EQ(Rig.served(After), Rig.Programs.size());
 }
 
 //===----------------------------------------------------------------------===//
@@ -307,11 +306,11 @@ TEST(CacheStressTest, MultiProcessHammerConvergesToReferenceBytes) {
   std::string DirName = testCacheDir("stress_hammer.cache");
   CrashRig Rig(DirName); // Reuses the rig for key/suite plumbing.
   TechniqueSpec SecondTech = loopTechnique(61);
-  uint64_t SecondKey =
-      CacheStore::suiteKey(Rig.ProgramsHash, Rig.MC, SecondTech, 42);
   PreparedSuite SecondSuite =
       prepareSuite(Rig.Programs, Rig.MC, SecondTech, 42);
-  std::string Reference = Rig.referenceBytes();
+  std::vector<std::string> Reference = Rig.referenceBytes();
+  std::vector<std::string> SecondReference =
+      Rig.referenceBytes(SecondTech, SecondSuite);
 
   constexpr int NumChildren = 4;
   std::vector<pid_t> Children;
@@ -329,16 +328,14 @@ TEST(CacheStressTest, MultiProcessHammerConvergesToReferenceBytes) {
       CacheStore Store(DirName);
       Store.setLockPolicy(/*MaxAttempts=*/200, /*BaseDelayMicros=*/50);
       for (int Round = 0; Round < 8; ++Round) {
-        // Alternate keys so writers and readers collide across
+        // Alternate techniques so writers and readers collide across
         // children. Loads may miss (faults, quarantines, in-flight
         // writers) — they must just never crash or wedge.
         bool First = (Round + Child) % 2 == 0;
-        uint64_t K = First ? Rig.Key : SecondKey;
         const TechniqueSpec &T = First ? Rig.Tech : SecondTech;
         const PreparedSuite &S = First ? Rig.Suite : SecondSuite;
-        if (!Store.load(K, Rig.Set, Rig.MC, T, 42))
-          Store.save(K, Rig.ProgramsHash, Rig.ProgramHashes, Rig.MC, T, 42,
-                     S);
+        if (Rig.served(Store, T) != Rig.Programs.size())
+          Store.save(Rig.ProgramHashes, Rig.MC, T, 42, S);
       }
       ::_exit(0);
     }
@@ -351,28 +348,27 @@ TEST(CacheStressTest, MultiProcessHammerConvergesToReferenceBytes) {
     ASSERT_EQ(WEXITSTATUS(Status), 0) << "no child may crash or wedge";
   }
 
-  // Recovery pass: one quiet load-through each. A key the chaos left
-  // torn gets quarantined and rebuilt here; a healthy key just hits.
+  // Recovery pass: one quiet load-through each. An entry the chaos left
+  // torn gets quarantined and rebuilt here; a healthy one just hits.
   CacheStore Final(DirName);
-  if (!Final.load(Rig.Key, Rig.Set, Rig.MC, Rig.Tech, 42))
-    ASSERT_TRUE(Final.save(Rig.Key, Rig.ProgramsHash, Rig.ProgramHashes,
-                           Rig.MC, Rig.Tech, 42, Rig.Suite));
-  if (!Final.load(SecondKey, Rig.Set, Rig.MC, SecondTech, 42))
-    ASSERT_TRUE(Final.save(SecondKey, Rig.ProgramsHash, Rig.ProgramHashes,
-                           Rig.MC, SecondTech, 42, SecondSuite));
+  if (Rig.served(Final) != Rig.Programs.size())
+    ASSERT_TRUE(
+        Final.save(Rig.ProgramHashes, Rig.MC, Rig.Tech, 42, Rig.Suite));
+  if (Rig.served(Final, SecondTech) != Rig.Programs.size())
+    ASSERT_TRUE(
+        Final.save(Rig.ProgramHashes, Rig.MC, SecondTech, 42, SecondSuite));
 
   // Byte-identity with the quiet single-writer reference: concurrency
   // and faults may cost misses, never artifact drift.
-  std::string Bytes;
-  ASSERT_TRUE(readFile(Final.pathFor(Rig.Key), Bytes));
-  EXPECT_EQ(Bytes, Reference);
+  EXPECT_EQ(Rig.entryBytes(Final, Rig.Tech), Reference);
+  EXPECT_EQ(Rig.entryBytes(Final, SecondTech), SecondReference);
 
   // gc clears every trace of the chaos: quarantines, dead temps,
   // orphaned locks.
   Final.gc(/*MaxBytes=*/0);
   EXPECT_EQ(countMatching(Final.dir(), ".tmp."), 0u);
   EXPECT_EQ(countMatching(Final.dir(), ".quarantined-"), 0u);
-  EXPECT_TRUE(fileExists(Final.pathFor(Rig.Key)))
+  EXPECT_TRUE(fileExists(Rig.entryPath(Final, 0, Rig.Tech)))
       << "gc must not evict live entries";
 }
 

@@ -22,6 +22,7 @@
 #include <cstring>
 #include <ctime>
 #include <iterator>
+#include <optional>
 #include <thread>
 #include <utime.h>
 
@@ -529,6 +530,26 @@ void expectTablesBitIdentical(const PreparedSuite &A,
   }
 }
 
+/// The suite \p Store serves for \p Set, or nullopt when any program
+/// misses.
+std::optional<PreparedSuite>
+loadSuite(CacheStore &Store, const std::shared_ptr<const ProgramSet> &Set,
+          const MachineConfig &MC, const TechniqueSpec &Tech) {
+  std::vector<PreparedProgram> Parts = Store.load(Set, MC, Tech, 42);
+  for (const PreparedProgram &P : Parts)
+    if (!P.Image)
+      return std::nullopt;
+  return assembleSuite(Set->programs(), std::move(Parts), Tech);
+}
+
+/// The entry of \p Set's first program under \p Tech.
+std::string firstEntryPath(const CacheStore &Store, const ProgramSet &Set,
+                           const MachineConfig &MC,
+                           const TechniqueSpec &Tech) {
+  return Store.progPathFor(
+      CacheStore::progKey(Set.programHashes()[0], MC, Tech, 42));
+}
+
 } // namespace
 
 // A suite written to the store and loaded back must be bit-identical to
@@ -540,23 +561,17 @@ TEST(CacheStoreTest, RoundTripBitIdentical) {
   auto Set = std::make_shared<const ProgramSet>(randomPrograms(31, 5));
   const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  uint64_t ProgramsHash = Set->hash();
 
   TechniqueSpec Static = loopTechnique();
   Static.UseStaticTyping = true;
   for (const TechniqueSpec &Tech :
        {TechniqueSpec::baseline(), loopTechnique(), Static}) {
     PreparedSuite Fresh = prepareSuite(Programs, MC, Tech, 42);
-    uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
-    ASSERT_TRUE(Store.save(Key, ProgramsHash,
-                           Set->programHashes(), MC, Tech, 42,
-                           Fresh));
+    ASSERT_TRUE(Store.save(Set->programHashes(), MC, Tech, 42, Fresh));
 
-    std::shared_ptr<const PreparedSuite> Loaded =
-        Store.load(Key, Set, MC, Tech, 42);
-    ASSERT_TRUE(Loaded != nullptr);
-    PreparedSuite Reloaded = *Loaded;
-    Reloaded.Tuner = Tech.Tuner; // Callers stamp the tuner, as SuiteCache does.
+    std::optional<PreparedSuite> Loaded = loadSuite(Store, Set, MC, Tech);
+    ASSERT_TRUE(Loaded.has_value());
+    const PreparedSuite &Reloaded = *Loaded;
 
     expectSuitesIdentical(Fresh, Reloaded);
     expectTablesBitIdentical(Fresh, Reloaded);
@@ -566,7 +581,7 @@ TEST(CacheStoreTest, RoundTripBitIdentical) {
     RunResult FromDisk = runWorkload(Reloaded, W, MC, SimConfig(), 15);
     expectRunsIdentical(FromFresh, FromDisk);
   }
-  EXPECT_EQ(Store.hits(), 3u);
+  EXPECT_EQ(Store.hits(), 3 * Programs.size());
   EXPECT_EQ(Store.rejects(), 0u);
 }
 
@@ -576,19 +591,17 @@ TEST(CacheStoreTest, VersionMismatchRejected) {
   const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
-  uint64_t ProgramsHash = Set->hash();
-  uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, ProgramsHash,
-                         Set->programHashes(), MC, Tech, 42,
+  ASSERT_TRUE(Store.save(Set->programHashes(), MC, Tech, 42,
                          prepareSuite(Programs, MC, Tech, 42)));
 
   // Bump the format-version field (bytes 4..7, after the magic).
+  std::string Path = firstEntryPath(Store, *Set, MC, Tech);
   std::string Bytes;
-  ASSERT_TRUE(readFile(Store.pathFor(Key), Bytes));
-  Bytes[4] = static_cast<char>(CacheStore::FormatVersion + 1);
-  ASSERT_TRUE(writeFileAtomic(Store.pathFor(Key), Bytes));
+  ASSERT_TRUE(readFile(Path, Bytes));
+  Bytes[4] = static_cast<char>(CacheStore::ProgFormatVersion + 1);
+  ASSERT_TRUE(writeFileAtomic(Path, Bytes));
 
-  EXPECT_TRUE(Store.load(Key, Set, MC, Tech, 42) == nullptr);
+  EXPECT_FALSE(loadSuite(Store, Set, MC, Tech).has_value());
   EXPECT_EQ(Store.rejects(), 1u);
 }
 
@@ -598,32 +611,30 @@ TEST(CacheStoreTest, TruncatedAndCorruptFilesRejected) {
   const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
-  uint64_t ProgramsHash = Set->hash();
-  uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, ProgramsHash,
-                         Set->programHashes(), MC, Tech, 42,
+  ASSERT_TRUE(Store.save(Set->programHashes(), MC, Tech, 42,
                          prepareSuite(Programs, MC, Tech, 42)));
+  std::string Path = firstEntryPath(Store, *Set, MC, Tech);
   std::string Good;
-  ASSERT_TRUE(readFile(Store.pathFor(Key), Good));
+  ASSERT_TRUE(readFile(Path, Good));
 
   // Truncation at several depths: inside the header, at the payload
   // boundary (the header is 64 bytes), and mid-payload.
   for (size_t Keep : {size_t(10), size_t(64), Good.size() / 2}) {
-    ASSERT_TRUE(writeFileAtomic(Store.pathFor(Key), Good.substr(0, Keep)));
-    EXPECT_TRUE(Store.load(Key, Set, MC, Tech, 42) == nullptr)
+    ASSERT_TRUE(writeFileAtomic(Path, Good.substr(0, Keep)));
+    EXPECT_FALSE(loadSuite(Store, Set, MC, Tech).has_value())
         << "truncated to " << Keep << " bytes";
   }
 
   // A single flipped payload byte must fail the checksum.
   std::string Flipped = Good;
   Flipped[Good.size() - 7] ^= 0x20;
-  ASSERT_TRUE(writeFileAtomic(Store.pathFor(Key), Flipped));
-  EXPECT_TRUE(Store.load(Key, Set, MC, Tech, 42) == nullptr);
+  ASSERT_TRUE(writeFileAtomic(Path, Flipped));
+  EXPECT_FALSE(loadSuite(Store, Set, MC, Tech).has_value());
   EXPECT_EQ(Store.rejects(), 4u);
 
   // The pristine bytes still load.
-  ASSERT_TRUE(writeFileAtomic(Store.pathFor(Key), Good));
-  EXPECT_TRUE(Store.load(Key, Set, MC, Tech, 42) != nullptr);
+  ASSERT_TRUE(writeFileAtomic(Path, Good));
+  EXPECT_TRUE(loadSuite(Store, Set, MC, Tech).has_value());
 }
 
 // --clean-cache's helper: only entries carrying a foreign format
@@ -634,18 +645,15 @@ TEST(CacheStoreTest, CleanMismatchedVersionsRemovesOnlyStaleEntries) {
   const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
-  uint64_t ProgramsHash = Set->hash();
-  uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, ProgramsHash,
-                         Set->programHashes(), MC, Tech, 42,
+  ASSERT_TRUE(Store.save(Set->programHashes(), MC, Tech, 42,
                          prepareSuite(Programs, MC, Tech, 42)));
 
-  // A stale entry from a previous format version ("PBTS" + version 1),
+  // A stale entry from a previous format version ("PBTP" + version 1),
   // and a foreign file that merely looks similar.
-  std::string StalePath = Store.dir() + "/suite-00000000deadbeef.pbt";
-  std::string Stale("PBTS\x01\x00\x00\x00stale-payload", 21);
+  std::string StalePath = Store.dir() + "/prog-00000000deadbeef.pbt";
+  std::string Stale("PBTP\x01\x00\x00\x00stale-payload", 21);
   ASSERT_TRUE(writeFileAtomic(StalePath, Stale));
-  std::string ForeignPath = Store.dir() + "/suite-0000000000000000.txt";
+  std::string ForeignPath = Store.dir() + "/prog-0000000000000000.txt";
   ASSERT_TRUE(writeFileAtomic(ForeignPath, "not a store file"));
 
   EXPECT_EQ(Store.cleanMismatchedVersions(), 1u);
@@ -653,8 +661,8 @@ TEST(CacheStoreTest, CleanMismatchedVersionsRemovesOnlyStaleEntries) {
   std::string Bytes;
   EXPECT_FALSE(readFile(StalePath, Bytes)) << "stale entry must be gone";
   EXPECT_TRUE(readFile(ForeignPath, Bytes)) << "foreign file untouched";
-  EXPECT_TRUE(Store.load(Key, Set, MC, Tech, 42) != nullptr)
-      << "current-version entry untouched";
+  EXPECT_TRUE(loadSuite(Store, Set, MC, Tech).has_value())
+      << "current-version entries untouched";
   std::remove(ForeignPath.c_str());
 }
 
@@ -673,8 +681,8 @@ uint64_t fileBytes(const std::string &Path) {
   return readFile(Path, Bytes) ? Bytes.size() : 0;
 }
 
-/// Every store entry file (suite manifest or prog entry) currently in
-/// \p Dir, sorted for deterministic diffs.
+/// Every store entry file currently in \p Dir, sorted for
+/// deterministic diffs.
 std::vector<std::string> listEntryFiles(const std::string &Dir) {
   std::vector<std::string> Files;
   if (DIR *D = ::opendir(Dir.c_str())) {
@@ -697,23 +705,19 @@ uint64_t groupBytes(const std::vector<std::string> &Paths) {
 }
 
 /// Three distinct suites in a fresh GC-test store, oldest first. A save
-/// produces a file *group* — one manifest plus a prog entry per program
-/// — and gc treats each file as an entry, so each element holds all of
-/// one save's files, aged together: suite I's mtime is (3 - I) hours
-/// ago.
+/// produces a file *group* — one entry per program — and gc treats each
+/// file as an entry, so each element holds all of one save's files,
+/// aged together: suite I's mtime is (3 - I) hours ago.
 std::vector<std::vector<std::string>> populateGcStore(CacheStore &Store) {
   auto Set = std::make_shared<const ProgramSet>(smallSuite());
   const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  uint64_t ProgramsHash = Set->hash();
   std::vector<std::vector<std::string>> Groups;
   std::vector<std::string> Before;
   for (uint32_t I = 0; I < 3; ++I) {
     TechniqueSpec Tech = loopTechnique();
     Tech.Transition.MinSize = 40 + I; // Distinct preparations.
-    uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
-    EXPECT_TRUE(Store.save(Key, ProgramsHash,
-                           Set->programHashes(), MC, Tech, 42,
+    EXPECT_TRUE(Store.save(Set->programHashes(), MC, Tech, 42,
                            prepareSuite(Programs, MC, Tech, 42)));
     std::vector<std::string> After = listEntryFiles(Store.dir());
     std::vector<std::string> Fresh;
@@ -742,8 +746,8 @@ void expectGroup(const std::vector<std::string> &Paths, bool Present,
 
 // Size-bound GC evicts least-recently-used entries first and stops as
 // soon as the store fits the budget. Eviction is per file, but mtimes
-// move per save group (the manifest and its prog entries age together),
-// so a whole suite is the natural LRU victim.
+// move per save group (a suite's entries age together), so a whole
+// suite is the natural LRU victim.
 TEST(CacheStoreTest, GcEvictsLeastRecentlyUsedBeyondSizeBudget) {
   CacheStore Store(testCacheDir("exp_test_gc_size.cache"));
   std::vector<std::vector<std::string>> Groups = populateGcStore(Store);
@@ -751,7 +755,7 @@ TEST(CacheStoreTest, GcEvictsLeastRecentlyUsedBeyondSizeBudget) {
   size_t TotalFiles = Groups[0].size() + Groups[1].size() + Groups[2].size();
 
   // Budget exactly fits the two newest suites: only the oldest group
-  // (its manifest and every prog entry) goes.
+  // (every entry of its save) goes.
   uint64_t Budget = groupBytes(Groups[1]) + groupBytes(Groups[2]);
   CacheStore::GcStats Stats = Store.gc(Budget);
   EXPECT_EQ(Stats.Scanned, TotalFiles);
@@ -772,11 +776,11 @@ TEST(CacheStoreTest, GcEvictsLeastRecentlyUsedBeyondSizeBudget) {
 TEST(CacheStoreTest, GcAgeBoundEvictsOldEntriesOnly) {
   CacheStore Store(testCacheDir("exp_test_gc_age.cache"));
   std::vector<std::vector<std::string>> Groups = populateGcStore(Store);
-  std::string ForeignPath = Store.dir() + "/suite-0000000000000000.txt";
+  std::string ForeignPath = Store.dir() + "/prog-0000000000000000.txt";
   ASSERT_TRUE(writeFileAtomic(ForeignPath, "not a store file"));
 
-  // Cutoff at 2.5 hours: the 3-hour suite (manifest + prog entries)
-  // goes, the 2- and 1-hour suites stay.
+  // Cutoff at 2.5 hours: the 3-hour suite's entries go, the 2- and
+  // 1-hour suites stay.
   CacheStore::GcStats Stats = Store.gc(/*MaxBytes=*/0,
                                        /*MaxAgeSeconds=*/2.5 * 3600);
   EXPECT_EQ(Stats.Evicted, Groups[0].size());
@@ -787,9 +791,9 @@ TEST(CacheStoreTest, GcAgeBoundEvictsOldEntriesOnly) {
   std::remove(ForeignPath.c_str());
 }
 
-// load() refreshes the mtime of the manifest *and* every prog entry it
-// resolves, so a hit protects the whole suite group from the next GC
-// pass — the property that makes mtime an LRU clock.
+// load() refreshes the mtime of every entry it serves, so a hit protects
+// the whole suite group from the next GC pass — the property that makes
+// mtime an LRU clock.
 TEST(CacheStoreTest, LoadRefreshesLruRecency) {
   CacheStore Store(testCacheDir("exp_test_gc_lru.cache"));
   std::vector<std::vector<std::string>> Groups = populateGcStore(Store);
@@ -798,11 +802,9 @@ TEST(CacheStoreTest, LoadRefreshesLruRecency) {
   auto Set = std::make_shared<const ProgramSet>(smallSuite());
   const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  uint64_t ProgramsHash = Set->hash();
   TechniqueSpec Oldest = loopTechnique();
   Oldest.Transition.MinSize = 40;
-  uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Oldest, 42);
-  ASSERT_TRUE(Store.load(Key, Set, MC, Oldest, 42) != nullptr);
+  ASSERT_TRUE(loadSuite(Store, Set, MC, Oldest).has_value());
 
   // A budget fitting two suites must now evict Groups[1] (MinSize 41,
   // the new LRU), not the freshly used Groups[0].

@@ -87,25 +87,29 @@ struct FaultScope {
   ~FaultScope() { FaultInjection::instance().reset(); }
 };
 
-/// A store with one saved entry for key-corruption experiments.
+/// A store holding one saved suite; experiments corrupt, lock or age
+/// the entry of its first program (Key, at Path).
 struct StoreRig {
   explicit StoreRig(const std::string &DirName, unsigned MinSize = 40)
       : Store(DirName), Set(std::make_shared<const ProgramSet>(tinySuite())),
         Programs(Set->programs()),
         MC(MachineConfig::quadAsymmetric()), Tech(loopTechnique(MinSize)),
-        ProgramsHash(Set->hash()),
         ProgramHashes(Set->programHashes()),
-        Key(CacheStore::suiteKey(ProgramsHash, MC, Tech, 42)) {
+        Key(CacheStore::progKey(ProgramHashes[0], MC, Tech, 42)),
+        Path(Store.progPathFor(Key)) {
     wipeDir(Store.dir());
     Suite = prepareSuite(Programs, MC, Tech, 42);
     EXPECT_TRUE(save());
   }
 
-  bool save() {
-    return Store.save(Key, ProgramsHash, ProgramHashes, MC, Tech, 42, Suite);
-  }
-  std::shared_ptr<const PreparedSuite> load() {
-    return Store.load(Key, Set, MC, Tech, 42);
+  bool save() { return Store.save(ProgramHashes, MC, Tech, 42, Suite); }
+  /// True when every program of the suite was served from disk.
+  bool load() { return loadsAll(Tech); }
+  bool loadsAll(const TechniqueSpec &T) {
+    for (const PreparedProgram &P : Store.load(Set, MC, T, 42))
+      if (!P.Image)
+        return false;
+    return true;
   }
 
   CacheStore Store;
@@ -113,9 +117,9 @@ struct StoreRig {
   const std::vector<Program> &Programs;
   MachineConfig MC;
   TechniqueSpec Tech;
-  uint64_t ProgramsHash;
   std::vector<uint64_t> ProgramHashes;
   uint64_t Key;
+  std::string Path;
   PreparedSuite Suite;
 };
 
@@ -320,10 +324,11 @@ TEST(FaultInjectionTest, ShortWriteLeavesTornTempNeverDestination) {
 TEST(FaultInjectionTest, TornRenameIsQuarantinedThenRebuilt) {
   FaultScope Scope;
   StoreRig Rig(testCacheDir("fi_torn.cache"), 47);
-  ASSERT_TRUE(Rig.load() != nullptr);
+  ASSERT_TRUE(Rig.load());
 
-  // Re-save under a torn rename: the writer believes it succeeded, but
-  // the entry on disk is only a prefix.
+  // Re-save the first entry under a torn rename: the writer believes
+  // it succeeded, but the entry on disk is only a prefix.
+  ASSERT_EQ(std::remove(Rig.Path.c_str()), 0);
   FaultConfig C;
   C.TornRenameP = 1;
   FaultInjection::instance().configure(C);
@@ -331,27 +336,26 @@ TEST(FaultInjectionTest, TornRenameIsQuarantinedThenRebuilt) {
   FaultInjection::instance().reset();
 
   // The next reader rejects the torn entry and quarantines it.
-  EXPECT_TRUE(Rig.load() == nullptr);
+  EXPECT_FALSE(Rig.load());
   EXPECT_EQ(Rig.Store.rejects(), 1u);
   EXPECT_EQ(Rig.Store.quarantines(), 1u);
-  EXPECT_FALSE(fileExists(Rig.Store.pathFor(Rig.Key)));
+  EXPECT_FALSE(fileExists(Rig.Path));
   EXPECT_TRUE(fileExists(
-      Rig.Store.quarantinePathFor(Rig.Key, "truncated")));
+      Rig.Store.progQuarantinePathFor(Rig.Key, "truncated")));
 
   // A load-through cache transparently rebuilds the entry. Only the
-  // manifest was torn; the per-program entries are intact, so the
-  // rebuild reassembles the suite from them without running the static
-  // pipeline at all — incremental healing, counted as a store hit.
+  // first entry was torn; the others are intact, so the rebuild
+  // prepares that one program and serves the rest from disk.
   SuiteCache Cache;
   // (shared_ptr with a no-op deleter: the rig owns the store)
   Cache.setStore(std::shared_ptr<CacheStore>(
       std::shared_ptr<CacheStore>(), &Rig.Store));
   Cache.get(Rig.Set, Rig.MC, Rig.Tech);
-  EXPECT_EQ(Cache.prepared(), 0u);
-  EXPECT_EQ(Cache.storeHits(), 1u);
-  EXPECT_EQ(Cache.programStoreHits(), Rig.Programs.size());
-  // ...and the store is healthy again: the rebuild rewrote the manifest.
-  EXPECT_TRUE(Rig.load() != nullptr);
+  EXPECT_EQ(Cache.prepared(), 1u);
+  EXPECT_EQ(Cache.preparedPrograms(), 1u);
+  EXPECT_EQ(Cache.programStoreHits(), Rig.Programs.size() - 1);
+  // ...and the store is healthy again: the rebuild rewrote the entry.
+  EXPECT_TRUE(Rig.load());
 }
 
 //===----------------------------------------------------------------------===//
@@ -362,19 +366,16 @@ TEST(FaultInjectionTest, TornRenameIsQuarantinedThenRebuilt) {
 TEST(FaultInjectionTest, EveryRejectReasonQuarantinesAndRecovers) {
   FaultScope Scope;
   StoreRig Rig(testCacheDir("fi_quarantine.cache"), 48);
-  std::string Path = Rig.Store.pathFor(Rig.Key);
+  const std::string &Path = Rig.Path;
   std::string Good;
   ASSERT_TRUE(readFile(Path, Good));
   constexpr size_t HeaderBytes = 64;
   ASSERT_GT(Good.size(), HeaderBytes);
 
-  // A healthy neighbor entry under a different key, for the
+  // Healthy neighbor entries under a different technique, for the
   // "unaffected" half of the contract.
   TechniqueSpec NeighborTech = loopTechnique(49);
-  uint64_t NeighborKey =
-      CacheStore::suiteKey(Rig.ProgramsHash, Rig.MC, NeighborTech, 42);
-  ASSERT_TRUE(Rig.Store.save(NeighborKey, Rig.ProgramsHash,
-                             Rig.ProgramHashes, Rig.MC, NeighborTech, 42,
+  ASSERT_TRUE(Rig.Store.save(Rig.ProgramHashes, Rig.MC, NeighborTech, 42,
                              prepareSuite(Rig.Programs, Rig.MC,
                                           NeighborTech, 42)));
 
@@ -422,32 +423,31 @@ TEST(FaultInjectionTest, EveryRejectReasonQuarantinesAndRecovers) {
     uint64_t RejectsBefore = Rig.Store.rejects();
 
     // Rejected, quarantined under the right reason, original gone.
-    EXPECT_TRUE(Rig.load() == nullptr) << Corruption.Reason;
+    EXPECT_FALSE(Rig.load()) << Corruption.Reason;
     EXPECT_EQ(Rig.Store.rejects(), RejectsBefore + 1) << Corruption.Reason;
     EXPECT_EQ(Rig.Store.quarantines(), ++ExpectedQuarantines)
         << Corruption.Reason;
     EXPECT_FALSE(fileExists(Path)) << Corruption.Reason;
     EXPECT_TRUE(fileExists(
-        Rig.Store.quarantinePathFor(Rig.Key, Corruption.Reason)))
+        Rig.Store.progQuarantinePathFor(Rig.Key, Corruption.Reason)))
         << Corruption.Reason;
 
     // The next request is a PLAIN miss — no re-reject of the same bad
-    // bytes — and a fresh save fully recovers the key.
-    EXPECT_TRUE(Rig.load() == nullptr) << Corruption.Reason;
+    // bytes — and a fresh save fully recovers the entry.
+    EXPECT_FALSE(Rig.load()) << Corruption.Reason;
     EXPECT_EQ(Rig.Store.rejects(), RejectsBefore + 1)
         << "quarantined entry must not be re-rejected";
     ASSERT_TRUE(Rig.save()) << Corruption.Reason;
-    EXPECT_TRUE(Rig.load() != nullptr) << Corruption.Reason;
+    EXPECT_TRUE(Rig.load()) << Corruption.Reason;
 
     std::remove(
-        Rig.Store.quarantinePathFor(Rig.Key, Corruption.Reason).c_str());
+        Rig.Store.progQuarantinePathFor(Rig.Key, Corruption.Reason).c_str());
   }
 
-  // The neighbor key served hits throughout, untouched by the chaos.
+  // The neighbor entries served hits throughout, untouched by the chaos.
   uint64_t HitsBefore = Rig.Store.hits();
-  EXPECT_TRUE(Rig.Store.load(NeighborKey, Rig.Set, Rig.MC, NeighborTech,
-                             42) != nullptr);
-  EXPECT_EQ(Rig.Store.hits(), HitsBefore + 1);
+  EXPECT_TRUE(Rig.loadsAll(NeighborTech));
+  EXPECT_EQ(Rig.Store.hits(), HitsBefore + Rig.Programs.size());
 }
 
 //===----------------------------------------------------------------------===//
@@ -457,7 +457,7 @@ TEST(FaultInjectionTest, EveryRejectReasonQuarantinesAndRecovers) {
 TEST(FaultInjectionTest, GcToleratesEntriesVanishingUnderneath) {
   FaultScope Scope;
   StoreRig Rig(testCacheDir("fi_gc_vanish.cache"), 50);
-  std::string Path = Rig.Store.pathFor(Rig.Key);
+  const std::string &Path = Rig.Path;
   setFileAge(Path, 2 * 3600L);
 
   // Every eviction candidate is deleted by the "concurrent evictor"
@@ -469,9 +469,9 @@ TEST(FaultInjectionTest, GcToleratesEntriesVanishingUnderneath) {
   CacheStore::GcStats Stats = Rig.Store.gc(/*MaxBytes=*/0,
                                            /*MaxAgeSeconds=*/3600);
   FaultInjection::instance().reset();
-  // The scan sees the manifest plus one prog entry per program; only
-  // the aged manifest was an eviction candidate.
-  EXPECT_EQ(Stats.Scanned, 1u + Rig.Programs.size());
+  // The scan sees one entry per program; only the aged first entry was
+  // an eviction candidate.
+  EXPECT_EQ(Stats.Scanned, Rig.Programs.size());
   EXPECT_EQ(Stats.Evicted, 0u) << "the race winner gets the credit";
   EXPECT_FALSE(fileExists(Path));
 }
@@ -480,19 +480,18 @@ TEST(FaultInjectionTest, GcSkipsEntriesHeldByLiveProcesses) {
   FaultScope Scope;
   StoreRig Rig(testCacheDir("fi_gc_locked.cache"), 51);
   TechniqueSpec OtherTech = loopTechnique(52);
-  uint64_t OtherKey =
-      CacheStore::suiteKey(Rig.ProgramsHash, Rig.MC, OtherTech, 42);
-  ASSERT_TRUE(Rig.Store.save(OtherKey, Rig.ProgramsHash, Rig.ProgramHashes,
-                             Rig.MC, OtherTech, 42,
+  ASSERT_TRUE(Rig.Store.save(Rig.ProgramHashes, Rig.MC, OtherTech, 42,
                              prepareSuite(Rig.Programs, Rig.MC, OtherTech,
                                           42)));
-  setFileAge(Rig.Store.pathFor(Rig.Key), 2 * 3600L);
-  setFileAge(Rig.Store.pathFor(OtherKey), 2 * 3600L);
+  std::string OtherPath = Rig.Store.progPathFor(
+      CacheStore::progKey(Rig.ProgramHashes[0], Rig.MC, OtherTech, 42));
+  setFileAge(Rig.Path, 2 * 3600L);
+  setFileAge(OtherPath, 2 * 3600L);
 
   // A "live reader" (another descriptor; flock treats it like another
   // process) holds the first entry's lock through the pass.
   FileLock Reader;
-  ASSERT_TRUE(Reader.tryAcquire(Rig.Store.lockPathFor(Rig.Key),
+  ASSERT_TRUE(Reader.tryAcquire(Rig.Store.progLockPathFor(Rig.Key),
                                 FileLock::Mode::Shared));
   CacheStore::GcStats Stats = Rig.Store.gc(/*MaxBytes=*/0,
                                            /*MaxAgeSeconds=*/3600);
@@ -500,9 +499,8 @@ TEST(FaultInjectionTest, GcSkipsEntriesHeldByLiveProcesses) {
 
   EXPECT_EQ(Stats.LockedSkipped, 1u);
   EXPECT_EQ(Stats.Evicted, 1u);
-  EXPECT_TRUE(fileExists(Rig.Store.pathFor(Rig.Key)))
-      << "held entry survives the pass";
-  EXPECT_FALSE(fileExists(Rig.Store.pathFor(OtherKey)));
+  EXPECT_TRUE(fileExists(Rig.Path)) << "held entry survives the pass";
+  EXPECT_FALSE(fileExists(OtherPath));
 }
 
 TEST(FaultInjectionTest, SweepCollectsDeadWritersAndOldQuarantines) {
@@ -544,14 +542,14 @@ TEST(FaultInjectionTest, GcCollectsOrphanedLockFiles) {
   StoreRig Rig(testCacheDir("fi_gc_orphan.cache"), 53);
   // load+save left a lock file beside the entry; it must survive gc
   // while its entry lives...
-  std::string LockPath = Rig.Store.lockPathFor(Rig.Key);
-  ASSERT_TRUE(Rig.load() != nullptr);
+  std::string LockPath = Rig.Store.progLockPathFor(Rig.Key);
+  ASSERT_TRUE(Rig.load());
   ASSERT_TRUE(fileExists(LockPath));
   CacheStore::GcStats Stats = Rig.Store.gc(/*MaxBytes=*/0);
   EXPECT_TRUE(fileExists(LockPath));
 
   // ...and be collected once the entry is gone.
-  setFileAge(Rig.Store.pathFor(Rig.Key), 2 * 3600L);
+  setFileAge(Rig.Path, 2 * 3600L);
   Stats = Rig.Store.gc(/*MaxBytes=*/0, /*MaxAgeSeconds=*/3600);
   EXPECT_EQ(Stats.Evicted, 1u);
   EXPECT_GE(Stats.Swept, 1u);
@@ -568,23 +566,26 @@ TEST(FaultInjectionTest, ContendedLockDegradesToMissAndSkippedWrite) {
   Rig.Store.setLockPolicy(/*MaxAttempts=*/3, /*BaseDelayMicros=*/10);
 
   // An exclusive holder (another descriptor = another process, under
-  // flock semantics) pins the key through every bounded retry.
+  // flock semantics) pins the first entry through every bounded retry.
   FileLock Writer;
-  ASSERT_TRUE(Writer.tryAcquire(Rig.Store.lockPathFor(Rig.Key),
+  ASSERT_TRUE(Writer.tryAcquire(Rig.Store.progLockPathFor(Rig.Key),
                                 FileLock::Mode::Exclusive));
 
   uint64_t MissesBefore = Rig.Store.misses();
-  EXPECT_TRUE(Rig.load() == nullptr) << "reader degrades to a miss";
+  EXPECT_FALSE(Rig.load()) << "reader degrades to a miss";
   EXPECT_EQ(Rig.Store.misses(), MissesBefore + 1);
   EXPECT_EQ(Rig.Store.lockTimeouts(), 1u);
+  // An entry already on disk is never rewritten, so the writer only
+  // meets the lock for a missing one.
+  ASSERT_EQ(std::remove(Rig.Path.c_str()), 0);
   EXPECT_FALSE(Rig.save()) << "writer skips the write-back";
   EXPECT_EQ(Rig.Store.lockTimeouts(), 2u);
   EXPECT_EQ(Rig.Store.rejects(), 0u) << "a timeout is not a rejection";
 
   // The moment the holder releases, everything works again.
   Writer.release();
-  EXPECT_TRUE(Rig.load() != nullptr);
   EXPECT_TRUE(Rig.save());
+  EXPECT_TRUE(Rig.load());
 }
 
 TEST(FaultInjectionTest, LockOpenFailureIsDistinguishedFromContention) {
@@ -628,18 +629,20 @@ TEST(FaultInjectionTest, UnopenableLockFileFallsBackToLocklessRead) {
   // lock is not counted as contention.
   uint64_t MissesBefore = Rig.Store.misses();
   uint64_t TimeoutsBefore = Rig.Store.lockTimeouts();
-  EXPECT_TRUE(Rig.load() != nullptr);
+  EXPECT_TRUE(Rig.load());
   EXPECT_EQ(Rig.Store.misses(), MissesBefore);
   EXPECT_EQ(Rig.Store.lockTimeouts(), TimeoutsBefore);
 
-  // Writers skip the write-back, again without a lock-timeout count.
+  // Writers of a missing entry skip the write-back, again without a
+  // lock-timeout count.
+  ASSERT_EQ(std::remove(Rig.Path.c_str()), 0);
   EXPECT_FALSE(Rig.save());
   EXPECT_EQ(Rig.Store.lockTimeouts(), TimeoutsBefore);
 
   // A healthy store directory restores full behavior.
   FaultInjection::instance().reset();
   EXPECT_TRUE(Rig.save());
-  EXPECT_TRUE(Rig.load() != nullptr);
+  EXPECT_TRUE(Rig.load());
 }
 
 TEST(FaultInjectionDeathTest, MalformedEnvSpecExitsCleanly) {

@@ -1,16 +1,18 @@
 //===- tests/incremental_test.cpp - per-program incremental store ---------===//
 //
-// The incremental half of the persistent cache: `pbt-prog-v2` entries
-// round-trip bit-identically, adding one benchmark to a cached suite
-// re-prepares exactly that benchmark, programs dedupe across suites,
-// corrupt prog entries quarantine and heal, and gc/version cleanup
-// treat prog entries as first-class store citizens.
+// The incremental persistent cache: `pbt-prog-v2` entries round-trip
+// bit-identically, adding one benchmark to a cached suite re-prepares
+// exactly that benchmark, programs dedupe across suites, corrupt
+// entries quarantine and heal, gc and version cleanup cover every
+// entry, and a store still holding legacy `pbt-suite-v4` manifests
+// serves from its entries alone.
 
 #include "TestDirs.h"
 
 #include "exp/CacheStore.h"
 #include "exp/SuiteCache.h"
 #include "support/Binary.h"
+#include "support/Hashing.h"
 #include "support/Rng.h"
 #include "workload/Benchmarks.h"
 #include "workload/Runner.h"
@@ -144,9 +146,10 @@ bool writeFileBytes(const std::string &Path, const std::string &Bytes) {
 // Per-program round trips
 //===----------------------------------------------------------------------===//
 
-// Every program saved as part of a suite must load back individually —
-// through the per-program addressing that knows nothing about the
-// suite — bit-identical to the freshly prepared artifact.
+// Every program saved as part of a suite must load back — through the
+// per-program addressing that knows nothing about the suite —
+// bit-identical to the freshly prepared artifact, one-program sets
+// included.
 TEST(IncrementalStore, ProgEntryRoundTripBitIdentical) {
   CacheStore Store(testCacheDir("incr_roundtrip.cache"));
   auto Set = std::make_shared<const ProgramSet>(randomPrograms(7, 4));
@@ -155,29 +158,24 @@ TEST(IncrementalStore, ProgEntryRoundTripBitIdentical) {
   TechniqueSpec Tech = loopTechnique();
 
   std::vector<PreparedProgram> Fresh = preparePrograms(Programs, MC, Tech, 42);
-  PreparedSuite Suite;
-  for (size_t I = 0; I < Programs.size(); ++I) {
-    Suite.Names.push_back(Programs[I].Name);
-    Suite.Images.push_back(Fresh[I].Image);
-    Suite.Costs.push_back(Fresh[I].Cost);
-    Suite.Flats.push_back(Fresh[I].Flat);
-  }
-  uint64_t SetHash = Set->hash();
-  uint64_t Key = CacheStore::suiteKey(SetHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, SetHash, Set->programHashes(), MC,
-                         Tech, 42, Suite));
-  EXPECT_EQ(Store.progWrites(), Programs.size());
+  ASSERT_TRUE(Store.save(Set->programHashes(), MC, Tech, 42,
+                         assembleSuite(Programs, Fresh, Tech)));
+  EXPECT_EQ(Store.writes(), Programs.size());
 
+  std::vector<PreparedProgram> Loaded = Store.load(Set, MC, Tech, 42);
+  ASSERT_EQ(Loaded.size(), Programs.size());
   for (size_t I = 0; I < Programs.size(); ++I) {
-    PreparedProgram Loaded = Store.loadProgram(Set, I, MC, Tech, 42);
-    expectProgramsBitIdentical(Fresh[I], Loaded);
+    expectProgramsBitIdentical(Fresh[I], Loaded[I]);
+    auto One =
+        std::make_shared<const ProgramSet>(std::vector<Program>{Programs[I]});
+    expectProgramsBitIdentical(Fresh[I], Store.load(One, MC, Tech, 42)[0]);
   }
-  EXPECT_EQ(Store.progHits(), Programs.size());
-  EXPECT_EQ(Store.progMisses(), 0u);
+  EXPECT_EQ(Store.hits(), 2 * Programs.size());
+  EXPECT_EQ(Store.misses(), 0u);
   EXPECT_EQ(Store.rejects(), 0u);
 }
 
-// A program never saved is a plain prog miss; a probe under a different
+// A program never saved is a plain miss; a probe under a different
 // typing seed misses too (the seed is part of the key).
 TEST(IncrementalStore, ProgProbeMissesAreKeyed) {
   CacheStore Store(testCacheDir("incr_probe.cache"));
@@ -186,18 +184,22 @@ TEST(IncrementalStore, ProgProbeMissesAreKeyed) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
 
-  PreparedSuite Suite = prepareSuite({Programs[0]}, MC, Tech, 42);
-  uint64_t SetHash = contentHash(std::vector<Program>{Programs[0]});
-  ASSERT_TRUE(Store.save(CacheStore::suiteKey(SetHash, MC, Tech, 42), SetHash,
-                         {contentHash(Programs[0])}, MC, Tech, 42,
-                         Suite));
+  ASSERT_TRUE(Store.save({contentHash(Programs[0])}, MC, Tech, 42,
+                         prepareSuite({Programs[0]}, MC, Tech, 42)));
 
-  PreparedProgram Absent = Store.loadProgram(Set, 1, MC, Tech, 42);
-  EXPECT_TRUE(Absent.Image == nullptr);
-  PreparedProgram WrongSeed = Store.loadProgram(Set, 0, MC, Tech, 43);
-  EXPECT_TRUE(WrongSeed.Image == nullptr);
-  EXPECT_EQ(Store.progMisses(), 2u);
+  std::vector<PreparedProgram> Probe = Store.load(Set, MC, Tech, 42);
+  EXPECT_TRUE(Probe[0].Image != nullptr);
+  EXPECT_TRUE(Probe[1].Image == nullptr); // Never saved.
+  std::vector<PreparedProgram> WrongSeed = Store.load(Set, MC, Tech, 43);
+  EXPECT_TRUE(WrongSeed[0].Image == nullptr);
+  EXPECT_TRUE(WrongSeed[1].Image == nullptr);
+  EXPECT_EQ(Store.hits(), 1u);
+  EXPECT_EQ(Store.misses(), 3u);
   EXPECT_EQ(Store.rejects(), 0u); // Plain absence, nothing rejected.
+
+  // save() refuses a hash list that does not match the suite.
+  EXPECT_FALSE(Store.save(Set->programHashes(), MC, Tech, 42,
+                          prepareSuite({Programs[0]}, MC, Tech, 42)));
 }
 
 //===----------------------------------------------------------------------===//
@@ -223,7 +225,7 @@ TEST(IncrementalStore, AddOneBenchmarkPreparesExactlyOne) {
   First.get(Smaller, MC, Tech, 42);
   EXPECT_EQ(First.prepared(), 1u);
   EXPECT_EQ(First.preparedPrograms(), Smaller->size());
-  EXPECT_EQ(Store->progWrites(), Smaller->size());
+  EXPECT_EQ(Store->writes(), Smaller->size());
 
   // A fresh in-memory cache (a new process in miniature) over the
   // grown suite: one preparation, N prog-entry hits.
@@ -233,14 +235,14 @@ TEST(IncrementalStore, AddOneBenchmarkPreparesExactlyOne) {
   EXPECT_EQ(Second.prepared(), 1u);
   EXPECT_EQ(Second.preparedPrograms(), 1u);
   EXPECT_EQ(Second.programStoreHits(), Smaller->size());
-  EXPECT_EQ(Store->progWrites(), Programs.size()); // Only the new entry.
+  EXPECT_EQ(Store->writes(), Programs.size()); // Only the new entry.
 
   // And the assembled suite is bit-identical to preparing from scratch.
   PreparedSuite Scratch = prepareSuite(Programs, MC, Tech, 42);
   expectSuitesBitIdentical(Grown, Scratch);
 
-  // The grown suite's manifest was healed on the way out: a third
-  // process gets a whole-suite store hit with nothing prepared.
+  // The new entry was written on the way out: a third process gets a
+  // whole-suite store hit with nothing prepared.
   SuiteCache Third;
   Third.setStore(Store);
   Third.get(Set, MC, Tech, 42);
@@ -249,9 +251,9 @@ TEST(IncrementalStore, AddOneBenchmarkPreparesExactlyOne) {
   EXPECT_EQ(Third.preparedPrograms(), 0u);
 }
 
-// Programs shared between different suites resolve to the same prog
+// Programs shared between different suites resolve to the same
 // entries: a permuted subset of a cached suite — a different program
-// set, so a manifest miss — prepares nothing at all.
+// set — prepares nothing at all.
 TEST(IncrementalStore, CrossSuiteDedupeServesSharedPrograms) {
   auto Store =
       std::make_shared<CacheStore>(testCacheDir("incr_dedupe.cache"));
@@ -275,7 +277,7 @@ TEST(IncrementalStore, CrossSuiteDedupeServesSharedPrograms) {
   EXPECT_EQ(Second.preparedPrograms(), 0u);
   EXPECT_EQ(Second.programStoreHits(), Other->size());
   EXPECT_EQ(Second.prepared(), 0u);
-  // Served entirely from the store even though no manifest existed.
+  // Served entirely from the store, though no save wrote this set.
   EXPECT_EQ(Second.storeHits(), 1u);
   ASSERT_EQ(Assembled.Names.size(), 2u);
   EXPECT_EQ(Assembled.Names[0], Programs[3].Name);
@@ -346,9 +348,9 @@ TEST(IncrementalStore, CorruptProgEntryQuarantinedThenHealed) {
   Bytes[Bytes.size() - 1] ^= 0x5A;
   ASSERT_TRUE(writeFileBytes(Path, Bytes));
 
-  // A fresh process: the manifest load trips over the bad entry
-  // (quarantining it), then the per-program probes serve the three
-  // intact entries and re-prepare exactly the corrupted one.
+  // A fresh process: the load trips over the bad entry (quarantining
+  // it), serves the three intact entries, and the cache re-prepares
+  // exactly the corrupted one.
   auto Cold = std::make_shared<CacheStore>(Dir);
   SuiteCache Healer;
   Healer.setStore(Cold);
@@ -356,7 +358,7 @@ TEST(IncrementalStore, CorruptProgEntryQuarantinedThenHealed) {
   EXPECT_EQ(Healer.prepared(), 1u);
   EXPECT_EQ(Healer.preparedPrograms(), 1u);
   EXPECT_EQ(Healer.programStoreHits(), Programs.size() - 1);
-  EXPECT_GE(Cold->rejects(), 1u);
+  EXPECT_EQ(Cold->rejects(), 1u);
   EXPECT_EQ(Cold->quarantines(), 1u);
   EXPECT_EQ(filesContaining(Dir, ".quarantined-checksum").size(), 1u);
   expectSuitesBitIdentical(Healed, Reference);
@@ -372,8 +374,7 @@ TEST(IncrementalStore, CorruptProgEntryQuarantinedThenHealed) {
   EXPECT_EQ(Verify->rejects(), 0u);
 }
 
-// gc() treats prog entries as first-class: they are scanned alongside
-// manifests and a size bound of zero clears both kinds.
+// gc() scans every entry, and a size bound of one byte clears them all.
 TEST(IncrementalStore, GcScansAndEvictsProgEntries) {
   std::string Dir = testCacheDir("incr_gc.cache");
   CacheStore Store(Dir);
@@ -382,20 +383,17 @@ TEST(IncrementalStore, GcScansAndEvictsProgEntries) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
 
-  PreparedSuite Suite = prepareSuite(Programs, MC, Tech, 42);
-  uint64_t SetHash = Set->hash();
-  uint64_t Key = CacheStore::suiteKey(SetHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, SetHash, Set->programHashes(), MC,
-                         Tech, 42, Suite));
+  ASSERT_TRUE(Store.save(Set->programHashes(), MC, Tech, 42,
+                         prepareSuite(Programs, MC, Tech, 42)));
 
   CacheStore::GcStats Stats = Store.gc(/*MaxBytes=*/1);
-  EXPECT_EQ(Stats.Scanned, 1u + Programs.size());
-  EXPECT_EQ(Stats.Evicted, 1u + Programs.size());
+  EXPECT_EQ(Stats.Scanned, Programs.size());
+  EXPECT_EQ(Stats.Evicted, Programs.size());
   EXPECT_TRUE(filesContaining(Dir, ".pbt").empty());
 }
 
-// cleanMismatchedVersions removes stale-version prog entries and suite
-// manifests while leaving current entries and foreign files alone.
+// cleanMismatchedVersions removes stale-version entries while leaving
+// current entries and foreign files alone.
 TEST(IncrementalStore, CleanMismatchedVersionsCoversProgEntries) {
   std::string Dir = testCacheDir("incr_versions.cache");
   CacheStore Store(Dir);
@@ -404,41 +402,103 @@ TEST(IncrementalStore, CleanMismatchedVersionsCoversProgEntries) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
 
-  PreparedSuite Suite = prepareSuite(Programs, MC, Tech, 42);
-  uint64_t SetHash = Set->hash();
-  uint64_t Key = CacheStore::suiteKey(SetHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, SetHash, Set->programHashes(), MC,
-                         Tech, 42, Suite));
+  ASSERT_TRUE(Store.save(Set->programHashes(), MC, Tech, 42,
+                         prepareSuite(Programs, MC, Tech, 42)));
   size_t LiveFiles = filesContaining(Dir, ".pbt").size();
 
-  // Plant a stale-version prog entry and suite manifest: the real magic
-  // with a bumped format version, padded past the header.
-  auto plantStale = [&](const char *Name, const char *Magic,
-                        uint32_t Version) {
-    BinaryWriter W;
-    W.u32(static_cast<uint32_t>(Magic[0]) |
-          static_cast<uint32_t>(Magic[1]) << 8 |
-          static_cast<uint32_t>(Magic[2]) << 16 |
-          static_cast<uint32_t>(Magic[3]) << 24);
-    W.u32(Version + 1);
-    std::string Bytes = W.buffer();
-    Bytes.append(64, '\0');
-    ASSERT_TRUE(writeFileBytes(Dir + "/" + Name, Bytes));
-  };
-  plantStale("prog-00000000deadbeef.pbt", "PBTP",
-             CacheStore::ProgFormatVersion);
-  plantStale("suite-00000000deadbeef.pbt", "PBTS",
-             CacheStore::FormatVersion);
+  // Plant a stale-version entry: the real magic ("PBTP") with a bumped
+  // format version, padded past the header.
+  BinaryWriter W;
+  W.u32(0x50544250u);
+  W.u32(CacheStore::ProgFormatVersion + 1);
+  std::string Stale = W.buffer();
+  Stale.append(64, '\0');
+  ASSERT_TRUE(writeFileBytes(Dir + "/prog-00000000deadbeef.pbt", Stale));
   // A foreign file that merely looks store-shaped must survive.
   ASSERT_TRUE(writeFileBytes(Dir + "/prog-00000000cafecafe.pbt",
                              std::string("not a store file at all")));
 
-  EXPECT_EQ(Store.cleanMismatchedVersions(), 2u);
+  EXPECT_EQ(Store.cleanMismatchedVersions(), 1u);
   EXPECT_EQ(filesContaining(Dir, ".pbt").size(), LiveFiles + 1);
 
   // Current entries still load after the clean.
-  PreparedProgram Loaded = Store.loadProgram(Set, 0, MC, Tech, 42);
-  EXPECT_TRUE(Loaded.Image != nullptr);
+  for (const PreparedProgram &P : Store.load(Set, MC, Tech, 42))
+    EXPECT_TRUE(P.Image != nullptr);
 
   std::remove((Dir + "/prog-00000000cafecafe.pbt").c_str());
+}
+
+namespace {
+
+/// Writes the `pbt-suite-v4` manifest (and its lock file) that stores
+/// once kept beside their entries: magic "PBTS", version 4, the suite
+/// key over the whole set's hash, and the list of program hashes.
+/// Returns the manifest's path.
+std::string plantLegacyManifest(const std::string &Dir, const ProgramSet &Set,
+                                const MachineConfig &MC,
+                                const TechniqueSpec &Tech,
+                                uint64_t TypingSeed) {
+  uint64_t Key = hashCombine(0x5B17CACE, 4);
+  Key = hashCombine(Key, Set.hash());
+  Key = hashCombine(Key, hashValue(MC));
+  Key = hashCombine(Key, Tech.preparationHash());
+  Key = hashCombine(Key, TypingSeed);
+  BinaryWriter Payload;
+  Payload.u32(static_cast<uint32_t>(Set.size()));
+  for (uint64_t H : Set.programHashes())
+    Payload.u64(H);
+  BinaryWriter File;
+  File.u32(0x53544250u); // "PBTS"
+  File.u32(4);
+  File.u64(Key);
+  File.u64(Set.hash());
+  File.u64(hashValue(MC));
+  File.u64(Tech.preparationHash());
+  File.u64(TypingSeed);
+  File.u64(Payload.buffer().size());
+  File.u64(fnv1a(Payload.buffer().data(), Payload.buffer().size()));
+  char Name[32];
+  std::snprintf(Name, sizeof(Name), "suite-%016llx",
+                static_cast<unsigned long long>(Key));
+  std::string Base = Dir + "/" + Name;
+  EXPECT_TRUE(writeFileBytes(Base + ".pbt", File.buffer() + Payload.buffer()));
+  EXPECT_TRUE(writeFileBytes(Base + ".lck", ""));
+  return Base + ".pbt";
+}
+
+} // namespace
+
+// A store filled when suites also kept a `pbt-suite-v4` manifest still
+// serves those suites from their entries alone, preparing nothing, and
+// cleanMismatchedVersions deletes the now-obsolete manifest with its
+// lock while the entries stay.
+TEST(IncrementalStore, LegacyManifestStoreServesFromEntries) {
+  std::string Dir = testCacheDir("incr_legacy.cache");
+  auto Set = std::make_shared<const ProgramSet>(randomPrograms(41, 3));
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  TechniqueSpec Tech = loopTechnique();
+
+  SuiteCache Filler;
+  Filler.setStore(std::make_shared<CacheStore>(Dir));
+  Filler.get(Set, MC, Tech, 42);
+  ASSERT_EQ(Filler.preparedPrograms(), Set->size());
+  std::string Manifest = plantLegacyManifest(Dir, *Set, MC, Tech, 42);
+  std::string Lock = Manifest.substr(0, Manifest.size() - 4) + ".lck";
+
+  auto Store = std::make_shared<CacheStore>(Dir);
+  SuiteCache Warm;
+  Warm.setStore(Store);
+  Warm.get(Set, MC, Tech, 42);
+  EXPECT_EQ(Warm.preparedPrograms(), 0u);
+  EXPECT_EQ(Warm.storeHits(), 1u);
+  EXPECT_EQ(Warm.programStoreHits(), Set->size());
+  EXPECT_EQ(Store->misses(), 0u);
+  EXPECT_EQ(Store->writes(), 0u);
+
+  EXPECT_EQ(Store->cleanMismatchedVersions(), 1u);
+  std::string Bytes;
+  EXPECT_FALSE(readFileBytes(Manifest, Bytes)) << "manifest removed";
+  EXPECT_FALSE(readFileBytes(Lock, Bytes)) << "its lock removed";
+  EXPECT_TRUE(filesContaining(Dir, "suite-").empty());
+  EXPECT_EQ(filesContaining(Dir, ".pbt").size(), Set->size());
 }

@@ -2,7 +2,7 @@
 //
 // Every prepared image aliases its program in the lab's ProgramSet —
 // whether the suite was freshly prepared, loaded from the store,
-// assembled per program after a manifest miss, or served from memory —
+// assembled from stored and fresh programs, or served from memory —
 // and the set's memoized content hashes equal the standalone ones. A
 // suite keeps the set alive after its lab is gone, and the shared-set
 // preparation path produces the same artifacts as the by-reference one.
@@ -70,11 +70,11 @@ std::unique_ptr<Lab> labWith(std::vector<Program> Programs,
   return L;
 }
 
-/// Field-exact bytes of one prepared program: marks, type count, cost
-/// tables and the flat image.
-std::string programBytes(const PreparedSuite &S, size_t I) {
+/// Field-exact bytes of one prepared program: name, marks, type count,
+/// cost tables and the flat image.
+std::string programBytes(const PreparedProgram &P) {
   BinaryWriter W;
-  const InstrumentedProgram &Img = *S.Images[I];
+  const InstrumentedProgram &Img = *P.Image;
   W.str(Img.program().Name);
   W.u32(static_cast<uint32_t>(Img.marks().size()));
   for (const PhaseMark &M : Img.marks()) {
@@ -85,8 +85,8 @@ std::string programBytes(const PreparedSuite &S, size_t I) {
     W.u32(M.PhaseType);
   }
   W.u32(Img.numTypes());
-  S.Costs[I]->serializeTables(W);
-  S.Flats[I]->serialize(W);
+  P.Cost->serializeTables(W);
+  P.Flat->serialize(W);
   return W.buffer();
 }
 
@@ -116,15 +116,15 @@ TEST(ProgramSharing, StoreLoadedAndIncrementalSuitesAliasTheLabsPrograms) {
   Filler->suite(loopTechnique());
   ASSERT_EQ(Filler->cache().prepared(), 1u);
 
-  // A second lab over the same set: a whole-suite (manifest) hit.
+  // A second lab over the same set: a whole-suite store hit.
   auto Loaded = labWith({Programs[0], Programs[1], Programs[2]}, Store);
   PreparedSuite FromStore = Loaded->suite(loopTechnique());
   EXPECT_EQ(Loaded->cache().storeHits(), 1u);
   EXPECT_EQ(Loaded->cache().preparedPrograms(), 0u);
   expectAliasesLab(FromStore, *Loaded, "store-loaded");
 
-  // A different set (manifest miss): two programs come from their prog
-  // entries, the new one is prepared straight from the set.
+  // A different set: two programs come from their entries, the new one
+  // is prepared straight from the set.
   auto Grown = labWith({Programs[2], Programs[3], Programs[0]}, Store);
   PreparedSuite Incremental = Grown->suite(loopTechnique());
   EXPECT_EQ(Grown->cache().programStoreHits(), 2u);
@@ -193,17 +193,21 @@ TEST(ProgramSharing, SharedAndByReferencePreparationAgree) {
   Static.UseStaticTyping = true;
   TechniqueSpec Err = loopTechnique();
   Err.TypingError = 0.1;
+  std::vector<size_t> All(Set->size());
+  for (size_t I = 0; I < All.size(); ++I)
+    All[I] = I;
   for (const TechniqueSpec &Tech :
        {TechniqueSpec::baseline(), loopTechnique(), Static, Err}) {
-    PreparedSuite Shared = prepareSuite(Set, MC, Tech, 42);
-    PreparedSuite ByRef = prepareSuite(Set->programs(), MC, Tech, 42);
-    ASSERT_EQ(Shared.Images.size(), Set->size());
-    ASSERT_EQ(ByRef.Images.size(), Set->size());
-    EXPECT_EQ(Shared.Names, ByRef.Names);
+    std::vector<PreparedProgram> Shared =
+        preparePrograms(Set, All, MC, Tech, 42);
+    std::vector<PreparedProgram> ByRef =
+        preparePrograms(Set->programs(), MC, Tech, 42);
+    ASSERT_EQ(Shared.size(), Set->size());
+    ASSERT_EQ(ByRef.size(), Set->size());
     for (size_t I = 0; I < Set->size(); ++I) {
-      EXPECT_EQ(&Shared.Images[I]->program(), &(*Set)[I]);
-      EXPECT_NE(&ByRef.Images[I]->program(), &(*Set)[I]);
-      EXPECT_EQ(programBytes(Shared, I), programBytes(ByRef, I))
+      EXPECT_EQ(&Shared[I].Image->program(), &(*Set)[I]);
+      EXPECT_NE(&ByRef[I].Image->program(), &(*Set)[I]);
+      EXPECT_EQ(programBytes(Shared[I]), programBytes(ByRef[I]))
           << Tech.label() << " program " << (*Set)[I].Name;
     }
   }

@@ -7,6 +7,8 @@
 // the n=1 identity), and the merge validator's distinct diagnostics for
 // every way a fabric directory can be incomplete or corrupt.
 
+#include "TestDirs.h"
+
 #include "exp/Harness.h"
 #include "exp/Lab.h"
 #include "exp/Shard.h"
@@ -35,7 +37,7 @@ using namespace pbt::exp;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Filesystem helpers (tests run from the build directory)
+// Filesystem helpers
 //===----------------------------------------------------------------------===//
 
 void removeTree(const std::string &Dir) {
@@ -52,9 +54,10 @@ void removeTree(const std::string &Dir) {
   ::rmdir(Dir.c_str());
 }
 
-/// A fresh (empty) scratch directory under the test cwd.
+/// A fresh (empty) scratch directory under the per-process test root
+/// (tests/TestDirs.h), which is removed when the process exits.
 std::string freshDir(const std::string &Name) {
-  std::string Dir = "shardtest_" + Name;
+  std::string Dir = pbt_test::testTmpRoot() + "/shardtest_" + Name;
   removeTree(Dir);
   ::mkdir(Dir.c_str(), 0755);
   return Dir;

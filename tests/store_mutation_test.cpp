@@ -5,9 +5,8 @@
 // mutated entry must end in a miss, quarantined under the reason the
 // format assigns to that damage, without crashing (the sanitizer jobs
 // run this suite). Mutations re-checksummed past the header reach the
-// payload decoder itself. Alongside: the manifest hash-count guard, and
-// the proof that a store-served suite equals prepareSuite whatever the
-// thread count that decodes it.
+// payload decoder itself. Alongside: the proof that a store-served
+// suite equals prepareSuite whatever the thread count that decodes it.
 
 #include "TestDirs.h"
 
@@ -117,15 +116,14 @@ struct MutationRig {
         Set(std::make_shared<const ProgramSet>(
             namedSuite({"164.gzip", "179.art"}))),
         Programs(Set->programs()),
+        First(std::make_shared<const ProgramSet>(
+            std::vector<Program>{Programs[0]})),
         MC(MachineConfig::quadAsymmetric()), Tech(loopTechnique(45)),
         OtherTech(loopTechnique(15)),
-        SetHash(Set->hash()),
-        Hashes(Set->programHashes()),
-        Key(CacheStore::suiteKey(SetHash, MC, Tech, 42)) {
-    EXPECT_TRUE(Store.save(Key, SetHash, Hashes, MC, Tech, 42,
+        Hashes(Set->programHashes()) {
+    EXPECT_TRUE(Store.save(Hashes, MC, Tech, 42,
                            prepareSuite(Programs, MC, Tech, 42)));
-    EXPECT_TRUE(Store.save(CacheStore::suiteKey(SetHash, MC, OtherTech, 42),
-                           SetHash, Hashes, MC, OtherTech, 42,
+    EXPECT_TRUE(Store.save(Hashes, MC, OtherTech, 42,
                            prepareSuite(Programs, MC, OtherTech, 42)));
   }
 
@@ -138,24 +136,22 @@ struct MutationRig {
     return Out;
   }
 
-  /// Loads program 0 under Tech, through the single-program probe or
-  /// (when \p WholeSuite) the manifest's parallel batch load. True when
-  /// it was served.
+  /// Loads program 0 under Tech, through a one-program set or (when
+  /// \p WholeSuite) as part of the two-program set's parallel batch
+  /// load. True when it was served.
   bool loadFirst(bool WholeSuite) {
-    if (WholeSuite)
-      return Store.load(Key, Set, MC, Tech, 42) != nullptr;
-    return Store.loadProgram(Set, 0, MC, Tech, 42).Image != nullptr;
+    return Store.load(WholeSuite ? Set : First, MC, Tech, 42)[0].Image !=
+           nullptr;
   }
 
   CacheStore Store;
   std::shared_ptr<const ProgramSet> Set;
   const std::vector<Program> &Programs;
+  std::shared_ptr<const ProgramSet> First; ///< Program 0 alone.
   MachineConfig MC;
   TechniqueSpec Tech;
   TechniqueSpec OtherTech;
-  uint64_t SetHash;
   std::vector<uint64_t> Hashes;
-  uint64_t Key;
 };
 
 /// Plants \p Mutant at program 0's entry and requires a miss, exactly
@@ -299,7 +295,7 @@ TEST(StoreMutationTest, RechecksummedFlipsNeverCrashTheDecoder) {
     writeBytes(Path, rechecksum(Mutant));
     uint64_t Rejects = Rig.Store.rejects();
     PreparedProgram Loaded =
-        Rig.Store.loadProgram(Rig.Set, 0, Rig.MC, Rig.Tech, 42);
+        Rig.Store.load(Rig.First, Rig.MC, Rig.Tech, 42)[0];
     if (Loaded.Image) {
       EXPECT_EQ(Loaded.Flat->numBlocks(), Blocks) << "flip at " << At;
       EXPECT_EQ(Rig.Store.rejects(), Rejects) << "flip at " << At;
@@ -316,57 +312,6 @@ TEST(StoreMutationTest, RechecksummedFlipsNeverCrashTheDecoder) {
   EXPECT_GT(Rejected, 0u);
   writeBytes(Path, Good);
   EXPECT_TRUE(Rig.loadFirst(true));
-}
-
-//===----------------------------------------------------------------------===//
-// The manifest's hash count must match the caller's programs
-//===----------------------------------------------------------------------===//
-
-TEST(StoreMutationTest, ManifestCountMismatchIsQuarantined) {
-  auto Store = std::make_shared<CacheStore>(testCacheDir("count.cache"));
-  auto Set =
-      std::make_shared<const ProgramSet>(namedSuite({"164.gzip", "179.art"}));
-  const std::vector<Program> &Programs = Set->programs();
-  MachineConfig MC = MachineConfig::quadAsymmetric();
-  TechniqueSpec Tech = loopTechnique(47);
-  uint64_t SetHash = Set->hash();
-  std::vector<uint64_t> Hashes = Set->programHashes();
-  uint64_t Key = CacheStore::suiteKey(SetHash, MC, Tech, 42);
-
-  // A manifest under the two-program set's key that lists one program:
-  // checksummed and well formed, but its i-th hash cannot name the
-  // caller's i-th program.
-  auto FirstSet =
-      std::make_shared<const ProgramSet>(std::vector<Program>{Programs[0]});
-  const std::vector<Program> &First = FirstSet->programs();
-  ASSERT_TRUE(Store->save(Key, SetHash, {Hashes[0]}, MC, Tech, 42,
-                          prepareSuite(First, MC, Tech, 42)));
-  EXPECT_TRUE(Store->load(Key, Set, MC, Tech, 42) == nullptr);
-  EXPECT_EQ(Store->rejects(), 1u);
-  EXPECT_EQ(Store->quarantines(), 1u);
-  EXPECT_FALSE(fileExists(Store->pathFor(Key)));
-  EXPECT_TRUE(fileExists(Store->quarantinePathFor(Key, "count")));
-
-  // The load-through cache heals it: program 0 comes from its entry,
-  // program 1 is prepared, and the rewritten manifest serves the suite.
-  SuiteCache Cache;
-  Cache.setStore(Store);
-  Cache.get(Set, MC, Tech, 42);
-  EXPECT_EQ(Cache.programStoreHits(), 1u);
-  EXPECT_EQ(Cache.preparedPrograms(), 1u);
-  EXPECT_TRUE(Store->load(Key, Set, MC, Tech, 42) != nullptr);
-
-  // Too many hashes is the same mismatch.
-  uint64_t FirstHash = FirstSet->hash();
-  uint64_t FirstKey = CacheStore::suiteKey(FirstHash, MC, Tech, 42);
-  ASSERT_TRUE(Store->save(FirstKey, FirstHash, Hashes, MC, Tech, 42,
-                          prepareSuite(Programs, MC, Tech, 42)));
-  EXPECT_TRUE(Store->load(FirstKey, FirstSet, MC, Tech, 42) == nullptr);
-  EXPECT_TRUE(fileExists(Store->quarantinePathFor(FirstKey, "count")));
-
-  // save() refuses hash lists that do not match the suite.
-  EXPECT_FALSE(Store->save(Key, SetHash, {Hashes[0]}, MC, Tech, 42,
-                           prepareSuite(Programs, MC, Tech, 42)));
 }
 
 //===----------------------------------------------------------------------===//
