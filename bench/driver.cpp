@@ -88,7 +88,7 @@
 // PBT_EXP_TIMEOUT_SECONDS / PBT_EXP_MAX_ATTEMPTS default the two
 // guard flags, PBT_FAULTS arms fault injection (support/FaultInjection).
 //
-// Writes BENCH_driver.json (schema pbt-driver-v5, docs/BENCH_SCHEMA.md)
+// Writes BENCH_driver.json (schema pbt-driver-v6, docs/BENCH_SCHEMA.md)
 // with per-experiment status/attempts/duration, a failure summary, and
 // suite-cache statistics, plus PROFILE_driver.json (pbt-profile-v1) —
 // the full observability counter registry; exits non-zero when any
@@ -629,7 +629,7 @@ int main(int Argc, char **Argv) {
   // counters and "verify_ir"; v3 added the optional "shard" block and the
   // "other-shard" status; v2 added suite_cache store counters — see
   // docs/BENCH_SCHEMA.md.
-  Root["schema"] = "pbt-driver-v5";
+  Root["schema"] = "pbt-driver-v6";
   Root["verify_ir"] = verifyIREnabled();
   if (ShardMode) {
     Json ShardBlock = Json::object();
@@ -665,7 +665,6 @@ int main(int Argc, char **Argv) {
       StoreStats["rejects"] = Store->rejects();
       StoreStats["writes"] = Store->writes();
       StoreStats["quarantines"] = Store->quarantines();
-      StoreStats["lock_timeouts"] = Store->lockTimeouts();
       CacheStats["store"] = std::move(StoreStats);
     }
     Root["suite_cache"] = std::move(CacheStats);
@@ -709,7 +708,6 @@ int main(int Argc, char **Argv) {
       Reg.set("store.rejects", Store->rejects());
       Reg.set("store.writes", Store->writes());
       Reg.set("store.quarantines", Store->quarantines());
-      Reg.set("store.lock_timeouts", Store->lockTimeouts());
     }
     for (const PassStats &P : cumulativePipelineStats().Passes) {
       Reg.set("pipeline." + P.Name + ".invocations", P.Invocations);

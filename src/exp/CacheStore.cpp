@@ -10,7 +10,6 @@
 #include "support/Binary.h"
 #include "support/Env.h"
 #include "support/FaultInjection.h"
-#include "support/FileLock.h"
 #include "support/Hashing.h"
 #include "support/ThreadPool.h"
 
@@ -25,7 +24,6 @@
 #include <signal.h>
 #include <sys/stat.h>
 #include <tuple>
-#include <unistd.h>
 #include <utime.h>
 
 using namespace pbt;
@@ -238,8 +236,10 @@ bool isProgEntryName(const char *Name) {
          std::strcmp(Name + Len - 4, ".pbt") == 0;
 }
 
-/// True for the store's advisory lock files: "prog-<16 hex>.lck", or a
-/// legacy manifest's "suite-<16 hex>.lck".
+/// True for the per-entry lock files older stores kept beside their
+/// entries: "prog-<16 hex>.lck", or a legacy manifest's
+/// "suite-<16 hex>.lck". Nothing takes them any more; the sweep deletes
+/// them.
 bool isLockName(const char *Name) {
   size_t Len = std::strlen(Name);
   if (std::strncmp(Name, "suite-", 6) == 0)
@@ -283,16 +283,13 @@ bool pidDead(long Pid) {
 }
 
 /// Shared sweep body (callers hold the store mutex): removes stranded
-/// temp files, expired quarantines, and — when \p CollectOrphanLocks —
-/// lock files whose entry is gone and that nobody holds. Staleness
-/// rules are documented on CacheStore::sweepStale.
-size_t sweepDebris(const std::string &Dir, double MaxQuarantineAgeSeconds,
-                   bool CollectOrphanLocks) {
+/// temp files, expired quarantines and old lock files. Staleness rules
+/// are documented on CacheStore::sweepStale.
+size_t sweepDebris(const std::string &Dir, double MaxQuarantineAgeSeconds) {
   DIR *D = ::opendir(Dir.c_str());
   if (!D)
     return 0;
   std::vector<std::string> Stale;
-  std::vector<std::string> Locks;
   time_t Now = std::time(nullptr);
   while (const dirent *Entry = ::readdir(D)) {
     const char *Name = Entry->d_name;
@@ -314,8 +311,8 @@ size_t sweepDebris(const std::string &Dir, double MaxQuarantineAgeSeconds,
           static_cast<double>(Now - fileMtime(Path)) >=
               MaxQuarantineAgeSeconds)
         Stale.push_back(std::move(Path));
-    } else if (CollectOrphanLocks && isLockName(Name)) {
-      Locks.push_back(std::move(Path));
+    } else if (isLockName(Name)) {
+      Stale.push_back(std::move(Path));
     }
   }
   ::closedir(D);
@@ -323,36 +320,16 @@ size_t sweepDebris(const std::string &Dir, double MaxQuarantineAgeSeconds,
   for (const std::string &Path : Stale)
     if (std::remove(Path.c_str()) == 0)
       ++Removed; // ENOENT = a concurrent sweep won the race; fine.
-  for (const std::string &LockPath : Locks) {
-    // A lock file is an orphan when its entry is gone and nobody holds
-    // it right now. (A contender could re-open it the instant after we
-    // unlink; locks are advisory efficiency hints, so that race costs
-    // at worst one redundant preparation, never correctness.)
-    std::string EntryPath =
-        LockPath.substr(0, LockPath.size() - 4) + ".pbt";
-    struct stat St;
-    if (::stat(EntryPath.c_str(), &St) == 0)
-      continue;
-    FileLock Guard;
-    if (!Guard.tryAcquire(LockPath, FileLock::Mode::Exclusive))
-      continue;
-    if (std::remove(LockPath.c_str()) == 0)
-      ++Removed;
-  }
   return Removed;
 }
 
 } // namespace
 
-CacheStore::CacheStore(std::string DirIn)
-    : Dir(std::move(DirIn)),
-      // Backoff jitter: deterministic for a given pid, so a process's
-      // lock schedule is reproducible while contending processes
-      // still desynchronize.
-      LockRng(hashCombine(0xF11E10C4, static_cast<uint64_t>(::getpid()))) {
+CacheStore::CacheStore(std::string DirIn) : Dir(std::move(DirIn)) {
   makeDirs(Dir);
-  // Startup sweep: collect temp files stranded by crashed writers and
-  // stale quarantines, so debris can never accumulate across runs.
+  // Startup sweep: collect temp files stranded by crashed writers,
+  // stale quarantines and old lock files, so debris can never
+  // accumulate across runs.
   sweepStale();
 }
 
@@ -384,31 +361,14 @@ std::string CacheStore::progPathFor(uint64_t Key) const {
   return Dir + "/" + Name;
 }
 
-std::string CacheStore::progLockPathFor(uint64_t Key) const {
-  char Name[32];
-  std::snprintf(Name, sizeof(Name), "prog-%016llx.lck",
-                static_cast<unsigned long long>(Key));
-  return Dir + "/" + Name;
-}
-
 std::string CacheStore::progQuarantinePathFor(uint64_t Key,
                                               const char *Reason) const {
   return progPathFor(Key) + ".quarantined-" + Reason;
 }
 
-void CacheStore::setLockPolicy(unsigned MaxAttempts,
-                               unsigned BaseDelayMicros) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  LockMaxAttempts = std::max(1u, MaxAttempts);
-  LockBaseDelayMicros = std::max(1u, BaseDelayMicros);
-}
-
 size_t CacheStore::sweepStale(double MaxQuarantineAgeSeconds) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  // Lock files are left alone here (load/save hold them constantly in
-  // a busy store); gc() is the one pass that collects orphans.
-  return sweepDebris(Dir, MaxQuarantineAgeSeconds,
-                     /*CollectOrphanLocks=*/false);
+  return sweepDebris(Dir, MaxQuarantineAgeSeconds);
 }
 
 size_t CacheStore::cleanMismatchedVersions() {
@@ -445,21 +405,13 @@ size_t CacheStore::cleanMismatchedVersions() {
       Stale.push_back(std::move(Path));
   }
   ::closedir(D);
-  for (const std::string &Path : Stale) {
-    // Skip entries a live process still holds (it is mid-read of the
-    // old format it understands); a later clean collects them.
-    FileLock Guard;
-    std::string LockPath = Path.substr(0, Path.size() - 4) + ".lck";
-    if (!Guard.tryAcquire(LockPath, FileLock::Mode::Exclusive))
-      continue;
-    // ENOENT here means a concurrent process evicted the same entry
-    // between our scan and now — not an error, just not our removal.
+  // A process mid-read of an old entry keeps its open file (POSIX
+  // unlink semantics). ENOENT means a concurrent process evicted the
+  // same entry between our scan and now — not an error, just not our
+  // removal.
+  for (const std::string &Path : Stale)
     if (std::remove(Path.c_str()) == 0)
       ++Removed;
-    // Either way the entry is gone now; its lock file (possibly just
-    // created by our tryAcquire) is an orphan we hold exclusively.
-    std::remove(LockPath.c_str());
-  }
   return Removed;
 }
 
@@ -529,18 +481,11 @@ CacheStore::GcStats CacheStore::gc(uint64_t MaxBytes, double MaxAgeSeconds) {
     bool OverBudget = MaxBytes > 0 && Total > MaxBytes;
     if (!TooOld && !OverBudget)
       break; // Oldest survivor found; everything newer survives too.
-    // Skip entries a live reader or writer holds right now. Evicting
-    // under a reader would be *safe* (POSIX keeps the open file alive)
-    // but needlessly destroys an entry that just proved itself hot.
-    FileLock Guard;
-    if (!Guard.tryAcquire(E.Path.substr(0, E.Path.size() - 4) + ".lck",
-                          FileLock::Mode::Exclusive)) {
-      ++Stats.LockedSkipped;
-      continue;
-    }
-    // Injected concurrent-evictor race: the entry may vanish between
-    // the scan and the remove; the ENOENT just means the other process
-    // reclaimed the bytes first, so it is tolerated and not counted.
+    // Evicting under a live reader is safe: POSIX keeps its open file
+    // alive, and its next probe is a plain miss. Injected
+    // concurrent-evictor race: the entry may vanish between the scan
+    // and the remove; the ENOENT just means the other process reclaimed
+    // the bytes first, so it is tolerated and not counted.
     FI.maybeVanish("gc.entry", E.Path);
     if (std::remove(E.Path.c_str()) != 0)
       continue;
@@ -550,10 +495,9 @@ CacheStore::GcStats CacheStore::gc(uint64_t MaxBytes, double MaxAgeSeconds) {
   }
 
   // Piggyback the debris sweep: gc is the explicit "reclaim disk"
-  // entry point, so it also clears every quarantine file (age 0) and
-  // orphaned locks, not just dead writers' temp files.
-  Stats.Swept = sweepDebris(Dir, /*MaxQuarantineAgeSeconds=*/0,
-                            /*CollectOrphanLocks=*/true);
+  // entry point, so it also clears every quarantine file (age 0), not
+  // just dead writers' temp files.
+  Stats.Swept = sweepDebris(Dir, /*MaxQuarantineAgeSeconds=*/0);
   return Stats;
 }
 
@@ -570,30 +514,15 @@ CacheStore::load(const std::shared_ptr<const ProgramSet> &Set,
   std::vector<std::string> Bytes(N);
   std::vector<uint8_t> Read(N, 0);
 
-  // Phase 1, serial and in set order: locks and file reads. The fault
-  // seam is consulted here only, so a PBT_FAULTS schedule sees the same
-  // query sequence however the decode below is scheduled. A shared
-  // reader lock with bounded retry waits out an in-flight writer on the
-  // same entry, but contention past the retry budget degrades to a miss
-  // rather than stalling an experiment. When the lock file cannot even
-  // be opened (a read-only store directory, e.g. a team-prebuilt
-  // PBT_CACHE_DIR), the read goes ahead lockless: atomic rename already
-  // makes reads safe, the lock only buys efficiency against in-flight
-  // writers. The lock is only held across the read; decoding works on
-  // the bytes in memory.
+  // Phase 1, serial and in set order: file reads. No lock is needed:
+  // rename is atomic, so a read sees a whole entry or none, and a
+  // reader racing gc keeps its open file.
   for (size_t I = 0; I < N; ++I) {
     Keys[I] = progKey(Hashes[I], Machine, Tech, TypingSeed);
-    FileLock ReadLock;
-    if (!ReadLock.acquire(progLockPathFor(Keys[I]), FileLock::Mode::Shared,
-                          LockMaxAttempts, LockRng, LockBaseDelayMicros) &&
-        !ReadLock.openFailed()) {
-      ++Misses;
-      ++LockTimeouts;
-    } else if (readFile(progPathFor(Keys[I]), Bytes[I])) {
+    if (readFile(progPathFor(Keys[I]), Bytes[I]))
       Read[I] = 1;
-    } else {
+    else
       ++Misses; // Plain absence: the ordinary cold-store miss.
-    }
   }
 
   // Phase 2, parallel: header, checksum and payload decode are pure
@@ -634,16 +563,15 @@ CacheStore::load(const std::shared_ptr<const ProgramSet> &Set,
     }
     // Rejected: a miss (the caller re-prepares), and quarantined so the
     // next request sees a clean miss instead of re-parsing the same bad
-    // bytes — but only under an uncontended writer lock, and only if
-    // the bytes did not change underneath us (a concurrent save may
-    // already have replaced the entry with a healthy one).
+    // bytes — but only if the bytes did not change underneath us (a
+    // concurrent save may already have replaced the entry with a
+    // healthy one). A save landing between the re-read and the rename
+    // is quarantined with the bad bytes; that race costs one
+    // re-prepare.
     ++Misses;
     ++Rejects;
-    FileLock WriteLock;
     std::string Again;
-    if (WriteLock.tryAcquire(progLockPathFor(Keys[I]),
-                             FileLock::Mode::Exclusive) &&
-        readFile(progPathFor(Keys[I]), Again) && Again == Bytes[I] &&
+    if (readFile(progPathFor(Keys[I]), Again) && Again == Bytes[I] &&
         std::rename(progPathFor(Keys[I]).c_str(),
                     progQuarantinePathFor(Keys[I], Why[I]).c_str()) == 0)
       ++Quarantines;
@@ -684,21 +612,9 @@ bool CacheStore::save(const std::vector<uint64_t> &ProgramHashes,
     BinaryWriter File;
     writeHeader(File, H);
 
-    // Exclusive writer lock, bounded: an entry contended past the retry
-    // budget just skips the write-back (the program is still served
-    // from memory, and whoever holds the lock is writing identical
-    // bytes). An unopenable lock file (read-only store directory) is
-    // not contention; the write-back is skipped either way, but only
-    // real contention counts as a lock timeout.
-    FileLock WriteLock;
-    if (!WriteLock.acquire(progLockPathFor(Key), FileLock::Mode::Exclusive,
-                           LockMaxAttempts, LockRng, LockBaseDelayMicros)) {
-      if (!WriteLock.openFailed())
-        ++LockTimeouts;
-      AllOnDisk = false;
-      continue;
-    }
-    FaultInjection::instance().crashPoint("store.locked");
+    // No writer lock: a concurrent writer of the same key writes
+    // identical bytes, so whichever rename lands last changes nothing.
+    FaultInjection::instance().crashPoint("store.before_write");
     if (!writeFileAtomic(progPathFor(Key), File.buffer() + Payload.buffer())) {
       AllOnDisk = false;
       continue;

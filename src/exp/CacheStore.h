@@ -42,41 +42,39 @@
 /// tests/incremental_test.cpp and tests/store_mutation_test.cpp).
 ///
 /// **Parallel decode.** load() runs in three phases: a serial phase
-/// takes each entry's lock and reads its file in set order (so a
-/// `PBT_FAULTS` schedule sees the same query sequence every run);
-/// header, checksum and payload decode then fan out over the global
-/// thread pool; a final serial phase settles counters, LRU touches and
-/// quarantines in set order. Every load() and save() call is timed as
-/// the Plane-2 span `store.load` / `store.save` (obs/Span.h), so
-/// PROFILE_driver.json attributes store time, fsynced writes included.
+/// reads each entry's file in set order; header, checksum and payload
+/// decode then fan out over the global thread pool; a final serial
+/// phase settles counters, LRU touches and quarantines in set order.
+/// Every load() and save() call is timed as the Plane-2 span
+/// `store.load` / `store.save` (obs/Span.h), so PROFILE_driver.json
+/// attributes store time.
 ///
-/// **Crash safety and concurrency.** The store is built to survive
-/// `kill -9`, concurrent writers, and injected filesystem faults
-/// (tests/cache_stress_test.cpp hammers it from forked processes):
+/// **A cache, not a database.** The store is built to survive
+/// `kill -9`, concurrent processes, and injected filesystem faults
+/// (tests/cache_stress_test.cpp hammers it from forked processes), yet
+/// it takes no lock and syncs nothing, because losing an entry only
+/// costs one re-prepare:
 ///
-///  - Writes are atomic and durable: fsync-before-rename plus a
-///    parent-directory fsync (support/Binary's writeFileAtomic), so
-///    readers never observe partial files and a crash leaves at worst
-///    a stale `.tmp.<pid>` file.
-///  - Cooperating processes serialize per entry through an advisory
-///    `flock` on `prog-<key>.lck` — shared for readers, exclusive for
-///    writers — acquired with bounded, seeded-backoff retries
-///    (support/FileLock). Exhausting the retries degrades gracefully:
-///    a reader counts a miss, a writer skips the write-back (counted
-///    in lockTimeouts()). flock dies with its process, so crashed
-///    holders never strand a lock. A store directory where the lock
-///    file cannot even be opened (read-only, e.g. a team-prebuilt
-///    cache) still serves hits: readers fall back to lockless reads
-///    (rename atomicity keeps them safe) and writers skip the
-///    write-back without counting a timeout.
+///  - Writes are atomic but not durable: write-temp-then-rename
+///    (support/Binary's writeFileAtomic), so readers never observe
+///    partial files and a crash leaves at worst a stale `.tmp.<pid>`
+///    file. A power cut may lose or tear recent entries; the checksum
+///    rejects a torn one.
+///  - Writers of the same key write identical bytes (content
+///    addressing), so concurrent saves need no lock: the last rename
+///    changes nothing. A reader needs none either: it sees a whole
+///    entry or none, and POSIX keeps its open file alive if gc()
+///    evicts the entry underneath it.
 ///  - Any mismatch on load — wrong magic, wrong version, wrong key,
 ///    truncation, checksum failure, or out-of-range indices in the
 ///    decoded structures — **quarantines** the file (renamed to
-///    `<entry>.quarantined-<reason>` under the writer lock) and counts
-///    as a plain miss, so the next preparation rebuilds the entry
-///    transparently instead of tripping over it again.
+///    `<entry>.quarantined-<reason>` once a re-read shows the same
+///    bytes) and counts as a plain miss, so the next preparation
+///    rebuilds the entry transparently instead of tripping over it
+///    again.
 ///  - Construction and gc() sweep stale debris: `.tmp.<pid>` files
-///    whose writer is dead and old quarantine files.
+///    whose writer is dead, old quarantine files, and the per-entry
+///    `.lck` lock files older stores kept.
 ///
 /// Every filesystem step routes through support/FaultInjection, so the
 /// whole contract is exercised under injected EIO, short writes, torn
@@ -92,7 +90,6 @@
 #ifndef PBT_EXP_CACHESTORE_H
 #define PBT_EXP_CACHESTORE_H
 
-#include "support/Rng.h"
 #include "workload/Runner.h"
 
 #include <cstdint>
@@ -156,9 +153,8 @@ public:
   /// dedupes shared programs and keeps an incremental save to exactly
   /// the new programs' writes. Returns true when every entry is on disk
   /// afterwards; false when \p ProgramHashes does not match the suite's
-  /// size, or any write failed or was skipped (a contended or
-  /// unopenable lock). Each write is atomic, so a failed save leaves the
-  /// other entries intact.
+  /// size, or any write failed. Each write is atomic, so a failed save
+  /// leaves the other entries intact.
   bool save(const std::vector<uint64_t> &ProgramHashes,
             const MachineConfig &Machine, const TechniqueSpec &Tech,
             uint64_t TypingSeed, const PreparedSuite &Suite);
@@ -166,36 +162,28 @@ public:
   /// The file path the entry for \p Key lives at.
   std::string progPathFor(uint64_t Key) const;
 
-  /// The advisory lock file guarding \p Key's entry.
-  std::string progLockPathFor(uint64_t Key) const;
-
   /// The quarantine destination for \p Key's entry when rejected for
   /// \p Reason ("magic", "version", "key", "truncated", "checksum",
   /// "payload").
   std::string progQuarantinePathFor(uint64_t Key, const char *Reason) const;
 
-  /// Tunes the bounded lock acquisition: \p MaxAttempts non-blocking
-  /// tries, exponential backoff from \p BaseDelayMicros (capped at
-  /// 5 ms) with seeded jitter. Defaults: 64 attempts, 200 us base —
-  /// worst case well under a second. Tests shrink both.
-  void setLockPolicy(unsigned MaxAttempts, unsigned BaseDelayMicros = 200);
-
   /// Removes debris no live process can still want: `.tmp.<pid>` temp
   /// files whose writing process is dead (or that are over an hour
-  /// old), and quarantine files older than \p MaxQuarantineAgeSeconds
-  /// (negative keeps all quarantines; 0 removes them all). Returns the
-  /// number of files removed. Runs at construction (keeping week-old
-  /// quarantines for post-mortems) and inside gc() (which sweeps every
-  /// quarantine).
+  /// old), quarantine files older than \p MaxQuarantineAgeSeconds
+  /// (negative keeps all quarantines; 0 removes them all), and every
+  /// `prog-*.lck` / `suite-*.lck` lock file older stores left. Returns
+  /// the number of files removed. Runs at construction (keeping
+  /// week-old quarantines for post-mortems) and inside gc() (which
+  /// sweeps every quarantine).
   size_t sweepStale(double MaxQuarantineAgeSeconds = 7 * 86400.0);
 
   /// Deletes every `prog-*.pbt` entry whose header carries a format
   /// version other than ProgFormatVersion (such entries can never load
   /// again; a bump only changes the keys, so they would otherwise sit on
   /// disk forever) and every legacy `pbt-suite-v4` manifest
-  /// (`suite-*.pbt`, whatever its version), each with its lock file.
-  /// Returns the number of entries removed. Unreadable or foreign files
-  /// are left alone. Backs `bench/driver --clean-cache`.
+  /// (`suite-*.pbt`, whatever its version). Returns the number of
+  /// entries removed. Unreadable or foreign files are left alone. Backs
+  /// `bench/driver --clean-cache`.
   size_t cleanMismatchedVersions();
 
   /// Outcome of one gc() pass.
@@ -204,10 +192,8 @@ public:
     uint64_t BytesScanned = 0; ///< Their total size.
     size_t Evicted = 0;       ///< Entries deleted.
     uint64_t BytesEvicted = 0; ///< Bytes reclaimed.
-    size_t LockedSkipped = 0; ///< Eviction candidates held by a live
-                              ///< reader or writer, left alone.
-    size_t Swept = 0;         ///< Stale temp/quarantine/orphan-lock
-                              ///< files removed alongside the pass.
+    size_t Swept = 0;         ///< Stale temp/quarantine/lock files
+                              ///< removed alongside the pass.
   };
 
   /// Age/size-based garbage collection over the store's entries,
@@ -228,8 +214,7 @@ public:
 
   /// Entries served from disk.
   uint64_t hits() const { return Hits; }
-  /// Entries load() could not serve: absent, lock-contended or
-  /// rejected.
+  /// Entries load() could not serve: absent or rejected.
   uint64_t misses() const { return Misses; }
   /// Entries present but rejected (corruption, truncation, version or
   /// key mismatch); each is also counted as a miss.
@@ -238,25 +223,17 @@ public:
   /// counts genuinely new preparations reaching disk).
   uint64_t writes() const { return Writes; }
   /// Rejected entries renamed aside for post-mortem (a subset of
-  /// rejects(): quarantining needs the uncontended writer lock).
+  /// rejects(): an entry that changed since it was read is left alone).
   uint64_t quarantines() const { return Quarantines; }
-  /// Operations abandoned because the per-entry lock stayed contended
-  /// through every bounded retry (each degrades to a miss or a
-  /// skipped write-back; nothing aborts).
-  uint64_t lockTimeouts() const { return LockTimeouts; }
 
 private:
   std::string Dir;
   mutable std::mutex Mutex;
-  Rng LockRng; ///< Jitter stream for lock backoff; guarded by Mutex.
-  unsigned LockMaxAttempts = 64;
-  unsigned LockBaseDelayMicros = 200;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   uint64_t Rejects = 0;
   uint64_t Writes = 0;
   uint64_t Quarantines = 0;
-  uint64_t LockTimeouts = 0;
 };
 
 } // namespace exp

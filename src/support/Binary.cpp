@@ -10,28 +10,9 @@
 
 #include <cstdio>
 
-#include <fcntl.h>
 #include <unistd.h>
 
 using namespace pbt;
-
-namespace {
-
-/// fsyncs \p Path's parent directory so a just-renamed entry survives a
-/// power cut (the rename itself lives in directory metadata).
-/// Best-effort: some filesystems refuse directory fsync; the rename is
-/// still crash-atomic, only its durability window widens.
-void fsyncParentDir(const std::string &Path) {
-  size_t Slash = Path.find_last_of('/');
-  std::string Dir = Slash == std::string::npos ? "." : Path.substr(0, Slash);
-  int Fd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (Fd < 0)
-    return;
-  ::fsync(Fd);
-  ::close(Fd);
-}
-
-} // namespace
 
 bool pbt::writeFileAtomic(const std::string &Path, const std::string &Data) {
   FaultInjection &FI = FaultInjection::instance();
@@ -61,17 +42,16 @@ bool pbt::writeFileAtomic(const std::string &Path, const std::string &Data) {
   if (!Truncate && Data.size() > Half)
     Written += std::fwrite(Data.data() + Half, 1, Data.size() - Half, F);
 
-  // A torn write must never be renamed into place: flush and fsync the
-  // payload BEFORE the rename, so the entry is durable the instant it
-  // becomes visible.
-  bool Flushed = std::fflush(F) == 0;
-  bool Synced = !FI.failOp("atomic.fsync") && ::fsync(::fileno(F)) == 0;
-  // fclose unconditionally (no short-circuit): a short write must not
-  // leak the descriptor.
+  // A torn write must never be renamed into place: fclose flushes every
+  // byte to the temp (and reports a failed flush) before the rename.
+  // Nothing is forced to stable storage: every file written here can be
+  // rebuilt, so a power cut costs at worst a recomputation
+  // (docs/ARCHITECTURE.md). fclose runs unconditionally: a short write
+  // must not leak the descriptor.
   bool Closed = std::fclose(F) == 0;
   if (Truncate) // Leave the torn temp for the sweep, as a crash would.
     return false;
-  if (Written != Data.size() || !Flushed || !Synced || !Closed) {
+  if (Written != Data.size() || !Closed) {
     std::remove(Tmp.c_str());
     return false;
   }
@@ -96,7 +76,6 @@ bool pbt::writeFileAtomic(const std::string &Path, const std::string &Data) {
     return false;
   }
   FI.crashPoint("atomic.after_rename"); // Entry visible and complete.
-  fsyncParentDir(Path);
   return true;
 }
 

@@ -172,15 +172,17 @@ inline uint64_t fnv1a(const void *Data, size_t Size,
   return H;
 }
 
-/// Writes \p Data to \p Path atomically and durably: the bytes go to a
-/// sibling temporary file (`<path>.tmp.<pid>`) that is fsynced and then
-/// renamed into place, with a best-effort parent-directory fsync after
-/// the rename — so concurrent readers never observe a half-written
-/// file, and a crash (or power cut) at any instant leaves either the
-/// old entry, the new entry, or a stale temp file, never a torn
-/// destination. Every step routes through `support/FaultInjection`, so
-/// tests can inject EIO, short writes, torn renames, and crash points.
-/// Returns false on I/O failure.
+/// Writes \p Data to \p Path atomically, but not durably: the bytes go
+/// to a sibling temporary file (`<path>.tmp.<pid>`) that is renamed into
+/// place once complete — so concurrent readers never observe a
+/// half-written file, and a process crash at any instant leaves either
+/// the old file, the new file, or a stale temp file, never a torn
+/// destination. Nothing is forced to stable storage: every caller
+/// writes something it can rebuild (a store entry, a checksummed shard
+/// file, a merged artifact), so a power cut costs at worst a
+/// recomputation. Every step routes through `support/FaultInjection`,
+/// so tests can inject EIO, short writes, torn renames, and crash
+/// points. Returns false on I/O failure.
 bool writeFileAtomic(const std::string &Path, const std::string &Data);
 
 /// Reads the whole file at \p Path into \p Out; false when unreadable.

@@ -123,8 +123,6 @@ FaultConfig FaultInjection::parse(const std::string &Spec) {
       C.TornRenameP = parseProbability(Key, Value);
     } else if (Key == "vanish") {
       C.VanishP = parseProbability(Key, Value);
-    } else if (Key == "lock_open") {
-      C.LockOpenP = parseProbability(Key, Value);
     } else if (Key == "crash_at") {
       size_t Colon = Value.find(':');
       C.CrashPoint = Value.substr(0, Colon);
@@ -183,12 +181,6 @@ bool FaultInjection::tornRename(const char *) {
   return roll(config().TornRenameP);
 }
 
-bool FaultInjection::failLockOpen(const char *) {
-  if (!armed())
-    return false;
-  return roll(config().LockOpenP);
-}
-
 bool FaultInjection::maybeVanish(const char *, const std::string &Path) {
   if (!armed())
     return false;
@@ -210,7 +202,7 @@ void FaultInjection::crashPoint(const char *Point) {
   if (Crash) {
     // The kill -9 exit status: die without flushing buffers, running
     // atexit handlers, or unwinding — the closest in-process model of
-    // a hard crash. flock(2) locks are released by the kernel.
+    // a hard crash.
     std::fprintf(stderr, "FaultInjection: crashing at '%s'\n", Point);
     ::_exit(137);
   }

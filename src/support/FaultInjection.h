@@ -12,7 +12,7 @@
 /// exercised, so every store-side filesystem primitive consults this
 /// seam at its decision points:
 ///
-///  - **EIO** (`failOp`): an open/write/fsync fails outright; the
+///  - **EIO** (`failOp`): opening the temp file fails outright; the
 ///    caller must degrade (a failed save is a skipped write-back, never
 ///    an aborted run).
 ///  - **Short write** (`truncateWrite`): only a prefix of the payload
@@ -25,15 +25,11 @@
 ///    the rename; the next reader must quarantine the torn entry.
 ///  - **Crash points** (`crashPoint`): `_exit(137)` (the kill -9 exit
 ///    status) on the N-th hit of a named point, e.g. mid-payload,
-///    after the temp write, or while holding the entry lock — used by
+///    after the temp write, or just before an entry write — used by
 ///    the fork-based crash tests in `tests/cache_stress_test.cpp`.
 ///  - **Vanish** (`maybeVanish`): deletes a file out from under the
 ///    caller just before it acts on it, simulating a concurrent
 ///    process evicting the same entry (the gc ENOENT race).
-///  - **Lock open** (`failLockOpen`): the advisory lock file cannot be
-///    opened or created — modeling a read-only store directory (e.g. a
-///    team-prebuilt cache); readers must fall back to lockless reads,
-///    writers must skip their write-back.
 ///
 /// All randomness flows through one seeded `Rng`, so a fault schedule
 /// is reproducible for a given seed and query sequence. Faults are off
@@ -43,7 +39,7 @@
 /// spec prints the parse error and exits 2 — never std::terminate):
 ///
 ///   PBT_FAULTS="seed=7,eio=0.05,short_write=0.1,torn_rename=0.1,
-///               vanish=0.5,crash_at=store.locked:2"
+///               vanish=0.5,crash_at=store.before_write:2"
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,14 +62,13 @@ struct FaultConfig {
   double ShortWriteP = 0; ///< P(temp write truncated + left behind).
   double TornRenameP = 0; ///< P(rename lands a prefix of the data).
   double VanishP = 0;     ///< P(file deleted under the caller).
-  double LockOpenP = 0;   ///< P(advisory lock file cannot be opened).
   std::string CrashPoint; ///< Named crash point; empty = never crash.
   uint32_t CrashAtHit = 1; ///< _exit(137) on this hit of CrashPoint.
 
   /// True when any fault can fire.
   bool enabled() const {
     return EioP > 0 || ShortWriteP > 0 || TornRenameP > 0 || VanishP > 0 ||
-           LockOpenP > 0 || !CrashPoint.empty();
+           !CrashPoint.empty();
   }
 };
 
@@ -84,7 +79,7 @@ public:
   static FaultInjection &instance();
 
   /// Parses a `key=value,...` spec (keys: seed, eio, short_write,
-  /// torn_rename, vanish, lock_open, crash_at=<point>[:<hit>]). Throws
+  /// torn_rename, vanish, crash_at=<point>[:<hit>]). Throws
   /// std::invalid_argument on unknown keys or malformed values: integers
   /// are decimal digits only, range-checked (seed < 2^64, hit in
   /// [1, 2^32)); probabilities are numbers in [0,1], never NaN, with no
@@ -107,7 +102,6 @@ public:
   bool failOp(const char *Op);        ///< EIO-style failure?
   bool truncateWrite(const char *Op); ///< Leave a short temp write?
   bool tornRename(const char *Op);    ///< Tear the rename?
-  bool failLockOpen(const char *Op);  ///< Lock file unopenable?
 
   /// Deletes \p Path (simulating a concurrent evictor) with
   /// probability VanishP; returns true when it did.

@@ -79,6 +79,15 @@ inline std::string testCacheDir(const std::string &Name) {
   return testTmpRoot() + "/" + Name;
 }
 
+/// testCacheDir(\p Name) with anything already there removed: a
+/// scenario must start from an empty store even under --gtest_repeat,
+/// where a second iteration revisits the same path.
+inline std::string freshCacheDir(const std::string &Name) {
+  std::string Path = testCacheDir(Name);
+  removeTree(Path);
+  return Path;
+}
+
 } // namespace pbt_test
 
 #endif // PBT_TESTS_TESTDIRS_H

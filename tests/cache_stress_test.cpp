@@ -33,7 +33,8 @@
 
 using namespace pbt;
 using namespace pbt::exp;
-using pbt_test::testCacheDir;
+using pbt_test::freshCacheDir;
+using pbt_test::removeTree;
 
 namespace {
 
@@ -61,21 +62,6 @@ bool fileExists(const std::string &Path) {
   return readFile(Path, Bytes);
 }
 
-/// Removes every file inside \p Dir. The scratch root is per-process,
-/// but a scenario must start from a genuinely empty store even under
-/// --gtest_repeat, where a second iteration revisits the same path.
-void wipeDir(const std::string &Dir) {
-  DIR *D = ::opendir(Dir.c_str());
-  if (!D)
-    return;
-  while (const dirent *E = ::readdir(D)) {
-    if (std::strcmp(E->d_name, ".") == 0 || std::strcmp(E->d_name, "..") == 0)
-      continue;
-    std::remove((Dir + "/" + E->d_name).c_str());
-  }
-  ::closedir(D);
-}
-
 /// Counts directory entries whose name contains \p Needle.
 size_t countMatching(const std::string &Dir, const char *Needle) {
   DIR *D = ::opendir(Dir.c_str());
@@ -91,16 +77,17 @@ size_t countMatching(const std::string &Dir, const char *Needle) {
 
 /// Everything a crash-point scenario needs, prepared once in the parent
 /// BEFORE any fork (children must not touch the thread pool). A save
-/// writes one entry per program, in set order.
+/// writes one entry per program, in set order. The store lives in a
+/// fresh scratch directory named \p Name, its reference beside it.
 struct CrashRig {
-  explicit CrashRig(const std::string &DirName)
-      : DirName(DirName), Set(std::make_shared<const ProgramSet>(tinySuite())),
+  explicit CrashRig(const std::string &Name)
+      : DirName(freshCacheDir(Name)),
+        Set(std::make_shared<const ProgramSet>(tinySuite())),
         Programs(Set->programs()),
         MC(MachineConfig::quadAsymmetric()), Tech(loopTechnique(60)),
         ProgramHashes(Set->programHashes()),
         Suite(prepareSuite(Programs, MC, Tech, 42)) {
-    wipeDir(DirName);
-    wipeDir(DirName + ".ref");
+    freshCacheDir(Name + ".ref");
   }
 
   /// Forks a child that arms \p CrashPoint at its \p Hit-th hit and
@@ -184,8 +171,7 @@ struct CrashRig {
 // and torn renames: whatever happens to individual store operations,
 // the load-through cache must always come back with a usable suite.
 TEST(CacheStressTest, SurvivesEnvironmentFaults) {
-  std::string EnvDir = testCacheDir("stress_envfaults.cache");
-  wipeDir(EnvDir);
+  std::string EnvDir = freshCacheDir("stress_envfaults.cache");
   auto Store = std::make_shared<CacheStore>(EnvDir);
   auto Set = std::make_shared<const ProgramSet>(tinySuite());
   const std::vector<Program> &Programs = Set->programs();
@@ -208,7 +194,7 @@ TEST(CacheStressTest, SurvivesEnvironmentFaults) {
 // must never exist, the torn temp is swept at the next construction,
 // and a rebuild produces byte-identical output.
 TEST(CacheStressTest, CrashMidWriteLeavesRecoverableStore) {
-  CrashRig Rig(testCacheDir("stress_crash_midwrite.cache"));
+  CrashRig Rig("stress_crash_midwrite.cache");
   std::vector<std::string> Reference = Rig.referenceBytes();
   Rig.crashChildAt("atomic.mid_write");
 
@@ -224,10 +210,10 @@ TEST(CacheStressTest, CrashMidWriteLeavesRecoverableStore) {
   EXPECT_EQ(Rig.entryBytes(After, Rig.Tech), Reference);
 }
 
-// A child dies between the temp fsync and the rename: same contract —
-// the destination is atomic-or-absent.
+// A child dies between the complete temp write and the rename: same
+// contract — the destination is atomic-or-absent.
 TEST(CacheStressTest, CrashBeforeRenameLeavesNoEntry) {
-  CrashRig Rig(testCacheDir("stress_crash_prerename.cache"));
+  CrashRig Rig("stress_crash_prerename.cache");
   Rig.crashChildAt("atomic.before_rename");
 
   CacheStore After(Rig.DirName);
@@ -238,11 +224,11 @@ TEST(CacheStressTest, CrashBeforeRenameLeavesNoEntry) {
 
 // A child dies right AFTER the first rename of the save, which commits
 // the first program's entry. That entry is complete and byte-identical
-// to a quiet writer's (the point of fsync-before-rename) and serves;
-// the second program is a clean miss, and a rebuild reuses the durable
-// entry and converges to the reference bytes.
+// to a quiet writer's (the point of write-before-rename) and serves;
+// the second program is a clean miss, and a rebuild reuses the
+// committed entry and converges to the reference bytes.
 TEST(CacheStressTest, CrashAfterRenameLeavesCompleteEntry) {
-  CrashRig Rig(testCacheDir("stress_crash_postrename.cache"));
+  CrashRig Rig("stress_crash_postrename.cache");
   std::vector<std::string> Reference = Rig.referenceBytes();
   Rig.crashChildAt("atomic.after_rename");
 
@@ -256,7 +242,7 @@ TEST(CacheStressTest, CrashAfterRenameLeavesCompleteEntry) {
       << "the committed entry serves; the unwritten one is a clean miss";
   EXPECT_EQ(After.rejects(), 0u);
 
-  // Rebuild: the durable entry is reused (exists-skip), the rest is
+  // Rebuild: the committed entry is reused (exists-skip), the rest is
   // written, and every entry matches the quiet single writer's.
   ASSERT_TRUE(After.save(Rig.ProgramHashes, Rig.MC, Rig.Tech, 42, Rig.Suite));
   EXPECT_EQ(After.writes(), Rig.Programs.size() - 1)
@@ -265,25 +251,25 @@ TEST(CacheStressTest, CrashAfterRenameLeavesCompleteEntry) {
   EXPECT_EQ(Rig.served(After), Rig.Programs.size());
 }
 
-// A child dies while HOLDING the exclusive writer flock: the kernel
-// must release the lock with the process, so the store never sees a
-// stale lock — readers and writers proceed immediately.
-TEST(CacheStressTest, CrashWhileHoldingLockStrandsNothing) {
-  CrashRig Rig(testCacheDir("stress_crash_locked.cache"));
-  Rig.crashChildAt("store.locked");
+// A child dies just before its first entry write: it leaves nothing
+// behind — no entry, no temp, no lock file — and the next writer
+// proceeds at once.
+TEST(CacheStressTest, CrashBeforeEntryWriteStrandsNothing) {
+  CrashRig Rig("stress_crash_prewrite.cache");
+  Rig.crashChildAt("store.before_write");
 
   CacheStore After(Rig.DirName);
-  After.setLockPolicy(/*MaxAttempts=*/2, /*BaseDelayMicros=*/10);
-  ASSERT_TRUE(After.save(Rig.ProgramHashes, Rig.MC, Rig.Tech, 42, Rig.Suite))
-      << "dead child's flock must have died with it";
+  EXPECT_EQ(countMatching(After.dir(), "prog-"), 0u)
+      << "a crash before the write leaves no file at all";
+  ASSERT_TRUE(After.save(Rig.ProgramHashes, Rig.MC, Rig.Tech, 42, Rig.Suite));
+  EXPECT_EQ(After.writes(), Rig.Programs.size());
   EXPECT_EQ(Rig.served(After), Rig.Programs.size());
-  EXPECT_EQ(After.lockTimeouts(), 0u);
 }
 
-// A child dies after the last entry of the save: everything is durable;
-// a second process simply hits.
+// A child dies after the last entry of the save: every entry is in
+// place; a second process simply hits.
 TEST(CacheStressTest, CrashAfterSaveIsInvisible) {
-  CrashRig Rig(testCacheDir("stress_crash_saved.cache"));
+  CrashRig Rig("stress_crash_saved.cache");
   std::vector<std::string> Reference = Rig.referenceBytes();
   Rig.crashChildAt("store.saved",
                    static_cast<uint32_t>(Rig.Programs.size()));
@@ -303,8 +289,8 @@ TEST(CacheStressTest, CrashAfterSaveIsInvisible) {
 // recover to entries BYTE-IDENTICAL to a quiet single writer's, with no
 // temp debris left behind.
 TEST(CacheStressTest, MultiProcessHammerConvergesToReferenceBytes) {
-  std::string DirName = testCacheDir("stress_hammer.cache");
-  CrashRig Rig(DirName); // Reuses the rig for key/suite plumbing.
+  CrashRig Rig("stress_hammer.cache"); // For its key/suite plumbing.
+  const std::string &DirName = Rig.DirName;
   TechniqueSpec SecondTech = loopTechnique(61);
   PreparedSuite SecondSuite =
       prepareSuite(Rig.Programs, Rig.MC, SecondTech, 42);
@@ -326,7 +312,6 @@ TEST(CacheStressTest, MultiProcessHammerConvergesToReferenceBytes) {
       C.TornRenameP = 0.05;
       FaultInjection::instance().configure(C);
       CacheStore Store(DirName);
-      Store.setLockPolicy(/*MaxAttempts=*/200, /*BaseDelayMicros=*/50);
       for (int Round = 0; Round < 8; ++Round) {
         // Alternate techniques so writers and readers collide across
         // children. Loads may miss (faults, quarantines, in-flight
@@ -363,8 +348,7 @@ TEST(CacheStressTest, MultiProcessHammerConvergesToReferenceBytes) {
   EXPECT_EQ(Rig.entryBytes(Final, Rig.Tech), Reference);
   EXPECT_EQ(Rig.entryBytes(Final, SecondTech), SecondReference);
 
-  // gc clears every trace of the chaos: quarantines, dead temps,
-  // orphaned locks.
+  // gc clears every trace of the chaos: quarantines and dead temps.
   Final.gc(/*MaxBytes=*/0);
   EXPECT_EQ(countMatching(Final.dir(), ".tmp."), 0u);
   EXPECT_EQ(countMatching(Final.dir(), ".quarantined-"), 0u);
@@ -466,12 +450,9 @@ bool runStressShard(uint32_t K, uint32_t N, const std::string &FabricDir) {
 // against the same — by then scarred — cache directory: concurrency and
 // fault degradation may cost cache misses, never artifact drift.
 TEST(CacheStressTest, ShardedDriversRacingOneCacheMergeByteIdentical) {
-  const std::string CacheDir = testCacheDir("stress_shard.cache");
-  const std::string Fabric = testCacheDir("stress_shard.fabric");
-  const std::string Out = testCacheDir("stress_shard.merged");
-  wipeDir(CacheDir);
-  wipeDir(Fabric);
-  wipeDir(Out);
+  const std::string CacheDir = freshCacheDir("stress_shard.cache");
+  const std::string Fabric = freshCacheDir("stress_shard.fabric");
+  const std::string Out = freshCacheDir("stress_shard.merged");
   ::mkdir(Fabric.c_str(), 0755);
   ::mkdir(Out.c_str(), 0755);
   // Must precede any Lab construction in this process: the process-wide
@@ -484,8 +465,6 @@ TEST(CacheStressTest, ShardedDriversRacingOneCacheMergeByteIdentical) {
     pid_t Pid = ::fork();
     ASSERT_GE(Pid, 0);
     if (Pid == 0) {
-      if (auto Store = CacheStore::fromEnv())
-        Store->setLockPolicy(/*MaxAttempts=*/200, /*BaseDelayMicros=*/50);
       FaultConfig C;
       C.Seed = 2000 + static_cast<uint64_t>(K);
       C.EioP = 0.05;
@@ -536,9 +515,7 @@ TEST(CacheStressTest, ShardedDriversRacingOneCacheMergeByteIdentical) {
         << "BENCH_" << KV.first << ".json differs from single-process run";
   }
 
-  wipeDir(Fabric);
-  ::rmdir(Fabric.c_str());
-  wipeDir(Out);
-  ::rmdir(Out.c_str());
+  removeTree(Fabric);
+  removeTree(Out);
   ::unsetenv("PBT_CACHE_DIR");
 }

@@ -3,8 +3,9 @@
 // The crash-safety contract of the persistent suite store, exercised
 // deterministically through support/FaultInjection: injected EIO, short
 // writes, and torn renames; quarantine of every rejection reason; gc
-// under concurrent-evictor races and held locks; the stale-debris
-// sweeps; and bounded lock acquisition degrading to misses.
+// under concurrent-evictor races; the stale-debris sweeps, old lock
+// files included; and failed saves that leave existing entries
+// serving.
 
 #include "TestDirs.h"
 
@@ -12,7 +13,6 @@
 #include "exp/SuiteCache.h"
 #include "support/Binary.h"
 #include "support/FaultInjection.h"
-#include "support/FileLock.h"
 #include "workload/Benchmarks.h"
 
 #include <gtest/gtest.h>
@@ -21,15 +21,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
-#include <dirent.h>
 #include <stdexcept>
 #include <unistd.h>
 #include <utime.h>
 
 using namespace pbt;
 using namespace pbt::exp;
+using pbt_test::freshCacheDir;
 using pbt_test::testCacheDir;
 
 namespace {
@@ -59,21 +58,6 @@ bool fileExists(const std::string &Path) {
   return readFile(Path, Bytes);
 }
 
-/// Removes every file inside \p Dir. The scratch root is per-process,
-/// but a rig must start from a genuinely empty store even under
-/// --gtest_repeat, where a second iteration revisits the same path.
-void wipeDir(const std::string &Dir) {
-  DIR *D = ::opendir(Dir.c_str());
-  if (!D)
-    return;
-  while (const dirent *E = ::readdir(D)) {
-    if (std::strcmp(E->d_name, ".") == 0 || std::strcmp(E->d_name, "..") == 0)
-      continue;
-    std::remove((Dir + "/" + E->d_name).c_str());
-  }
-  ::closedir(D);
-}
-
 void setFileAge(const std::string &Path, long SecondsAgo) {
   struct utimbuf Times;
   Times.actime = Times.modtime = std::time(nullptr) - SecondsAgo;
@@ -87,17 +71,18 @@ struct FaultScope {
   ~FaultScope() { FaultInjection::instance().reset(); }
 };
 
-/// A store holding one saved suite; experiments corrupt, lock or age
-/// the entry of its first program (Key, at Path).
+/// A store holding one saved suite, in a fresh scratch directory named
+/// \p Name; experiments corrupt or age the entry of its first program
+/// (Key, at Path).
 struct StoreRig {
-  explicit StoreRig(const std::string &DirName, unsigned MinSize = 40)
-      : Store(DirName), Set(std::make_shared<const ProgramSet>(tinySuite())),
+  explicit StoreRig(const std::string &Name, unsigned MinSize = 40)
+      : Store(freshCacheDir(Name)),
+        Set(std::make_shared<const ProgramSet>(tinySuite())),
         Programs(Set->programs()),
         MC(MachineConfig::quadAsymmetric()), Tech(loopTechnique(MinSize)),
         ProgramHashes(Set->programHashes()),
         Key(CacheStore::progKey(ProgramHashes[0], MC, Tech, 42)),
         Path(Store.progPathFor(Key)) {
-    wipeDir(Store.dir());
     Suite = prepareSuite(Programs, MC, Tech, 42);
     EXPECT_TRUE(save());
   }
@@ -199,7 +184,6 @@ TEST(FaultInjectionTest, ParseRejectsWrappedAndUnsignedLookalikes) {
   EXPECT_EQ(FaultInjection::parse("seed=18446744073709551615").Seed,
             UINT64_MAX);
   EXPECT_EQ(FaultInjection::parse("seed=0").Seed, 0u);
-  EXPECT_DOUBLE_EQ(FaultInjection::parse("lock_open=1").LockOpenP, 1.0);
   EXPECT_DOUBLE_EQ(FaultInjection::parse("eio=0").EioP, 0.0);
 }
 
@@ -210,7 +194,7 @@ TEST(FaultInjectionTest, ParseMutantsAreRejectedOrSane) {
   const std::string Valid[] = {
       "seed=7,eio=0.05,short_write=0.1,torn_rename=0.25,vanish=0.5,"
       "crash_at=store.locked:2",
-      "crash_at=atomic.mid_write:4294967295,lock_open=1",
+      "crash_at=atomic.mid_write:4294967295,vanish=1",
       "seed=18446744073709551615,eio=1e-3"};
   const char Alphabet[] = "0123456789-+ .eEnaifx:,=_";
   Rng Gen(0xFA017);
@@ -237,8 +221,8 @@ TEST(FaultInjectionTest, ParseMutantsAreRejectedOrSane) {
     try {
       FaultConfig Cfg = FaultInjection::parse(Spec);
       ++Accepted;
-      for (double P : {Cfg.EioP, Cfg.ShortWriteP, Cfg.TornRenameP,
-                       Cfg.VanishP, Cfg.LockOpenP}) {
+      for (double P :
+           {Cfg.EioP, Cfg.ShortWriteP, Cfg.TornRenameP, Cfg.VanishP}) {
         EXPECT_TRUE(std::isfinite(P)) << Spec;
         EXPECT_GE(P, 0.0) << Spec;
         EXPECT_LE(P, 1.0) << Spec;
@@ -323,7 +307,7 @@ TEST(FaultInjectionTest, ShortWriteLeavesTornTempNeverDestination) {
 
 TEST(FaultInjectionTest, TornRenameIsQuarantinedThenRebuilt) {
   FaultScope Scope;
-  StoreRig Rig(testCacheDir("fi_torn.cache"), 47);
+  StoreRig Rig("fi_torn.cache", 47);
   ASSERT_TRUE(Rig.load());
 
   // Re-save the first entry under a torn rename: the writer believes
@@ -365,7 +349,7 @@ TEST(FaultInjectionTest, TornRenameIsQuarantinedThenRebuilt) {
 
 TEST(FaultInjectionTest, EveryRejectReasonQuarantinesAndRecovers) {
   FaultScope Scope;
-  StoreRig Rig(testCacheDir("fi_quarantine.cache"), 48);
+  StoreRig Rig("fi_quarantine.cache", 48);
   const std::string &Path = Rig.Path;
   std::string Good;
   ASSERT_TRUE(readFile(Path, Good));
@@ -451,12 +435,12 @@ TEST(FaultInjectionTest, EveryRejectReasonQuarantinesAndRecovers) {
 }
 
 //===----------------------------------------------------------------------===//
-// gc under races, held locks, and the debris sweeps
+// gc under races, and the debris sweeps
 //===----------------------------------------------------------------------===//
 
 TEST(FaultInjectionTest, GcToleratesEntriesVanishingUnderneath) {
   FaultScope Scope;
-  StoreRig Rig(testCacheDir("fi_gc_vanish.cache"), 50);
+  StoreRig Rig("fi_gc_vanish.cache", 50);
   const std::string &Path = Rig.Path;
   setFileAge(Path, 2 * 3600L);
 
@@ -476,36 +460,9 @@ TEST(FaultInjectionTest, GcToleratesEntriesVanishingUnderneath) {
   EXPECT_FALSE(fileExists(Path));
 }
 
-TEST(FaultInjectionTest, GcSkipsEntriesHeldByLiveProcesses) {
-  FaultScope Scope;
-  StoreRig Rig(testCacheDir("fi_gc_locked.cache"), 51);
-  TechniqueSpec OtherTech = loopTechnique(52);
-  ASSERT_TRUE(Rig.Store.save(Rig.ProgramHashes, Rig.MC, OtherTech, 42,
-                             prepareSuite(Rig.Programs, Rig.MC, OtherTech,
-                                          42)));
-  std::string OtherPath = Rig.Store.progPathFor(
-      CacheStore::progKey(Rig.ProgramHashes[0], Rig.MC, OtherTech, 42));
-  setFileAge(Rig.Path, 2 * 3600L);
-  setFileAge(OtherPath, 2 * 3600L);
-
-  // A "live reader" (another descriptor; flock treats it like another
-  // process) holds the first entry's lock through the pass.
-  FileLock Reader;
-  ASSERT_TRUE(Reader.tryAcquire(Rig.Store.progLockPathFor(Rig.Key),
-                                FileLock::Mode::Shared));
-  CacheStore::GcStats Stats = Rig.Store.gc(/*MaxBytes=*/0,
-                                           /*MaxAgeSeconds=*/3600);
-  Reader.release();
-
-  EXPECT_EQ(Stats.LockedSkipped, 1u);
-  EXPECT_EQ(Stats.Evicted, 1u);
-  EXPECT_TRUE(fileExists(Rig.Path)) << "held entry survives the pass";
-  EXPECT_FALSE(fileExists(OtherPath));
-}
-
 TEST(FaultInjectionTest, SweepCollectsDeadWritersAndOldQuarantines) {
   FaultScope Scope;
-  CacheStore Store(testCacheDir("fi_sweep.cache"));
+  CacheStore Store(freshCacheDir("fi_sweep.cache"));
 
   // Debris: a temp from a dead writer (impossible pid), a temp from a
   // LIVE writer (our own pid, fresh), an old quarantine, and a fresh
@@ -537,110 +494,68 @@ TEST(FaultInjectionTest, SweepCollectsDeadWritersAndOldQuarantines) {
   std::remove(LiveTmp.c_str());
 }
 
-TEST(FaultInjectionTest, GcCollectsOrphanedLockFiles) {
+// Stores written before the store went lock-free kept one `.lck` file
+// per entry (and per legacy manifest). Opening such a store deletes
+// every one of them, beside live entries or not, while the entries
+// keep serving and foreign look-alikes stay.
+TEST(FaultInjectionTest, ConstructionSweepsOldLockFiles) {
   FaultScope Scope;
-  StoreRig Rig(testCacheDir("fi_gc_orphan.cache"), 53);
-  // load+save left a lock file beside the entry; it must survive gc
-  // while its entry lives...
-  std::string LockPath = Rig.Store.progLockPathFor(Rig.Key);
-  ASSERT_TRUE(Rig.load());
-  ASSERT_TRUE(fileExists(LockPath));
-  CacheStore::GcStats Stats = Rig.Store.gc(/*MaxBytes=*/0);
-  EXPECT_TRUE(fileExists(LockPath));
+  StoreRig Rig("fi_old_locks.cache", 53);
+  const std::string &Dir = Rig.Store.dir();
+  std::vector<std::string> Locks;
+  for (uint64_t H : Rig.ProgramHashes) {
+    std::string Entry =
+        Rig.Store.progPathFor(CacheStore::progKey(H, Rig.MC, Rig.Tech, 42));
+    Locks.push_back(Entry.substr(0, Entry.size() - 4) + ".lck");
+  }
+  Locks.push_back(Dir + "/prog-00000000deadbeef.lck"); // Entry long gone.
+  Locks.push_back(Dir + "/suite-00000000deadbeef.lck"); // Legacy manifest.
+  std::string Foreign = Dir + "/prog-notastorelock.lck";
+  for (const std::string &Path : Locks)
+    ASSERT_TRUE(writeFileAtomic(Path, ""));
+  ASSERT_TRUE(writeFileAtomic(Foreign, ""));
 
-  // ...and be collected once the entry is gone.
-  setFileAge(Rig.Path, 2 * 3600L);
-  Stats = Rig.Store.gc(/*MaxBytes=*/0, /*MaxAgeSeconds=*/3600);
-  EXPECT_EQ(Stats.Evicted, 1u);
-  EXPECT_GE(Stats.Swept, 1u);
-  EXPECT_FALSE(fileExists(LockPath));
+  CacheStore Reopened(Dir);
+  for (const std::string &Path : Locks)
+    EXPECT_FALSE(fileExists(Path)) << Path;
+  EXPECT_TRUE(fileExists(Foreign)) << "only the store's own names go";
+  for (const PreparedProgram &P : Reopened.load(Rig.Set, Rig.MC, Rig.Tech, 42))
+    EXPECT_TRUE(P.Image != nullptr);
+  std::remove(Foreign.c_str());
 }
 
 //===----------------------------------------------------------------------===//
-// Bounded locking degrades to misses, never blocks or aborts
+// A failed save degrades to a skipped write-back, never a broken store
 //===----------------------------------------------------------------------===//
 
-TEST(FaultInjectionTest, ContendedLockDegradesToMissAndSkippedWrite) {
+TEST(FaultInjectionTest, FailedSaveLeavesExistingEntriesServing) {
   FaultScope Scope;
-  StoreRig Rig(testCacheDir("fi_lock_timeout.cache"), 54);
-  Rig.Store.setLockPolicy(/*MaxAttempts=*/3, /*BaseDelayMicros=*/10);
+  StoreRig Rig("fi_failed_save.cache", 55);
 
-  // An exclusive holder (another descriptor = another process, under
-  // flock semantics) pins the first entry through every bounded retry.
-  FileLock Writer;
-  ASSERT_TRUE(Writer.tryAcquire(Rig.Store.progLockPathFor(Rig.Key),
-                                FileLock::Mode::Exclusive));
-
-  uint64_t MissesBefore = Rig.Store.misses();
-  EXPECT_FALSE(Rig.load()) << "reader degrades to a miss";
-  EXPECT_EQ(Rig.Store.misses(), MissesBefore + 1);
-  EXPECT_EQ(Rig.Store.lockTimeouts(), 1u);
-  // An entry already on disk is never rewritten, so the writer only
-  // meets the lock for a missing one.
+  // The first entry is gone and every temp-file open fails from here
+  // on: the save of the missing entry fails and writes nothing.
   ASSERT_EQ(std::remove(Rig.Path.c_str()), 0);
-  EXPECT_FALSE(Rig.save()) << "writer skips the write-back";
-  EXPECT_EQ(Rig.Store.lockTimeouts(), 2u);
-  EXPECT_EQ(Rig.Store.rejects(), 0u) << "a timeout is not a rejection";
-
-  // The moment the holder releases, everything works again.
-  Writer.release();
-  EXPECT_TRUE(Rig.save());
-  EXPECT_TRUE(Rig.load());
-}
-
-TEST(FaultInjectionTest, LockOpenFailureIsDistinguishedFromContention) {
-  FaultScope Scope;
-  // Unopenable lock file (no such directory): openFailed(), no lock.
-  FileLock L;
-  Rng Jitter(1);
-  EXPECT_FALSE(L.acquire("fi_no_such_dir/x.lck", FileLock::Mode::Shared,
-                         /*MaxAttempts=*/2, Jitter, /*BaseDelayMicros=*/1));
-  EXPECT_TRUE(L.openFailed());
-  EXPECT_FALSE(L.held());
-
-  // Plain contention: the file opened fine, only the flock stayed held.
-  FileLock Holder;
-  std::string Contended = testCacheDir("fi_contended.lck");
-  ASSERT_TRUE(Holder.tryAcquire(Contended,
-                                FileLock::Mode::Exclusive));
-  FileLock Contender;
-  EXPECT_FALSE(Contender.acquire(Contended,
-                                 FileLock::Mode::Exclusive,
-                                 /*MaxAttempts=*/2, Jitter,
-                                 /*BaseDelayMicros=*/1));
-  EXPECT_FALSE(Contender.openFailed());
-  Holder.release();
-  std::remove(Contended.c_str());
-}
-
-TEST(FaultInjectionTest, UnopenableLockFileFallsBackToLocklessRead) {
-  FaultScope Scope;
-  StoreRig Rig(testCacheDir("fi_lock_open.cache"), 55);
-
-  // Every lock-file open fails from here on — the in-process model of
-  // a read-only team-prebuilt PBT_CACHE_DIR, where the .lck files can
-  // be neither created nor opened for writing.
+  uint64_t WritesBefore = Rig.Store.writes();
   FaultConfig C;
-  C.LockOpenP = 1;
+  C.EioP = 1;
   FaultInjection::instance().configure(C);
-
-  // Reads still hit: the reader degrades to a lockless read (atomic
-  // rename keeps it safe), NOT to a permanent miss, and an unopenable
-  // lock is not counted as contention.
-  uint64_t MissesBefore = Rig.Store.misses();
-  uint64_t TimeoutsBefore = Rig.Store.lockTimeouts();
-  EXPECT_TRUE(Rig.load());
-  EXPECT_EQ(Rig.Store.misses(), MissesBefore);
-  EXPECT_EQ(Rig.Store.lockTimeouts(), TimeoutsBefore);
-
-  // Writers of a missing entry skip the write-back, again without a
-  // lock-timeout count.
-  ASSERT_EQ(std::remove(Rig.Path.c_str()), 0);
   EXPECT_FALSE(Rig.save());
-  EXPECT_EQ(Rig.Store.lockTimeouts(), TimeoutsBefore);
-
-  // A healthy store directory restores full behavior.
   FaultInjection::instance().reset();
+  EXPECT_EQ(Rig.Store.writes(), WritesBefore);
+  EXPECT_FALSE(fileExists(Rig.Path));
+
+  // The other entries still serve; the missing one is a plain miss,
+  // not a rejection.
+  uint64_t MissesBefore = Rig.Store.misses();
+  std::vector<PreparedProgram> Loaded =
+      Rig.Store.load(Rig.Set, Rig.MC, Rig.Tech, 42);
+  EXPECT_TRUE(Loaded[0].Image == nullptr);
+  for (size_t I = 1; I < Loaded.size(); ++I)
+    EXPECT_TRUE(Loaded[I].Image != nullptr) << I;
+  EXPECT_EQ(Rig.Store.misses(), MissesBefore + 1);
+  EXPECT_EQ(Rig.Store.rejects(), 0u);
+
+  // A healthy filesystem restores full behavior.
   EXPECT_TRUE(Rig.save());
   EXPECT_TRUE(Rig.load());
 }

@@ -27,7 +27,7 @@
 
 using namespace pbt;
 using namespace pbt::exp;
-using pbt_test::testCacheDir;
+using pbt_test::freshCacheDir;
 
 namespace {
 
@@ -151,7 +151,7 @@ bool writeFileBytes(const std::string &Path, const std::string &Bytes) {
 // bit-identical to the freshly prepared artifact, one-program sets
 // included.
 TEST(IncrementalStore, ProgEntryRoundTripBitIdentical) {
-  CacheStore Store(testCacheDir("incr_roundtrip.cache"));
+  CacheStore Store(freshCacheDir("incr_roundtrip.cache"));
   auto Set = std::make_shared<const ProgramSet>(randomPrograms(7, 4));
   const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
@@ -175,10 +175,36 @@ TEST(IncrementalStore, ProgEntryRoundTripBitIdentical) {
   EXPECT_EQ(Store.rejects(), 0u);
 }
 
+// A cold save of N new programs leaves exactly N files in the store
+// directory, one `prog-*.pbt` entry each — no lock files, no temps —
+// and loading them back adds none.
+TEST(IncrementalStore, ColdSaveLeavesOneFilePerEntry) {
+  std::string Dir = freshCacheDir("incr_onefile.cache");
+  CacheStore Store(Dir);
+  auto Set = std::make_shared<const ProgramSet>(randomPrograms(11, 5));
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  TechniqueSpec Tech = loopTechnique();
+
+  ASSERT_TRUE(Store.save(Set->programHashes(), MC, Tech, 42,
+                         prepareSuite(Set->programs(), MC, Tech, 42)));
+  for (const PreparedProgram &P : Store.load(Set, MC, Tech, 42))
+    EXPECT_TRUE(P.Image != nullptr);
+
+  std::vector<std::string> Files = filesContaining(Dir, "");
+  Files.erase(std::remove_if(Files.begin(), Files.end(),
+                             [](const std::string &Name) {
+                               return Name == "." || Name == "..";
+                             }),
+              Files.end());
+  EXPECT_EQ(Files.size(), Set->size());
+  EXPECT_EQ(filesContaining(Dir, ".pbt").size(), Set->size());
+  EXPECT_EQ(Store.writes(), Set->size());
+}
+
 // A program never saved is a plain miss; a probe under a different
 // typing seed misses too (the seed is part of the key).
 TEST(IncrementalStore, ProgProbeMissesAreKeyed) {
-  CacheStore Store(testCacheDir("incr_probe.cache"));
+  CacheStore Store(freshCacheDir("incr_probe.cache"));
   auto Set = std::make_shared<const ProgramSet>(randomPrograms(9, 2));
   const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
@@ -212,7 +238,7 @@ TEST(IncrementalStore, ProgProbeMissesAreKeyed) {
 // from their prog entries.
 TEST(IncrementalStore, AddOneBenchmarkPreparesExactlyOne) {
   auto Store =
-      std::make_shared<CacheStore>(testCacheDir("incr_addone.cache"));
+      std::make_shared<CacheStore>(freshCacheDir("incr_addone.cache"));
   auto Set = std::make_shared<const ProgramSet>(randomPrograms(13, 6));
   const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
@@ -256,7 +282,7 @@ TEST(IncrementalStore, AddOneBenchmarkPreparesExactlyOne) {
 // set — prepares nothing at all.
 TEST(IncrementalStore, CrossSuiteDedupeServesSharedPrograms) {
   auto Store =
-      std::make_shared<CacheStore>(testCacheDir("incr_dedupe.cache"));
+      std::make_shared<CacheStore>(freshCacheDir("incr_dedupe.cache"));
   auto Set = std::make_shared<const ProgramSet>(randomPrograms(19, 5));
   const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
@@ -291,7 +317,7 @@ TEST(IncrementalStore, CrossSuiteDedupeServesSharedPrograms) {
 // a technique differing in preparation (typing error) does not.
 TEST(IncrementalStore, PreparationIdentityGovernsDedupe) {
   auto Store =
-      std::make_shared<CacheStore>(testCacheDir("incr_prepid.cache"));
+      std::make_shared<CacheStore>(freshCacheDir("incr_prepid.cache"));
   auto Set = std::make_shared<const ProgramSet>(randomPrograms(23, 3));
   const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
@@ -327,7 +353,7 @@ TEST(IncrementalStore, PreparationIdentityGovernsDedupe) {
 // heals incrementally: only the program behind the bad entry is
 // re-prepared, and the healed store serves clean hits again.
 TEST(IncrementalStore, CorruptProgEntryQuarantinedThenHealed) {
-  std::string Dir = testCacheDir("incr_corrupt.cache");
+  std::string Dir = freshCacheDir("incr_corrupt.cache");
   auto Store = std::make_shared<CacheStore>(Dir);
   auto Set = std::make_shared<const ProgramSet>(randomPrograms(29, 4));
   const std::vector<Program> &Programs = Set->programs();
@@ -376,7 +402,7 @@ TEST(IncrementalStore, CorruptProgEntryQuarantinedThenHealed) {
 
 // gc() scans every entry, and a size bound of one byte clears them all.
 TEST(IncrementalStore, GcScansAndEvictsProgEntries) {
-  std::string Dir = testCacheDir("incr_gc.cache");
+  std::string Dir = freshCacheDir("incr_gc.cache");
   CacheStore Store(Dir);
   auto Set = std::make_shared<const ProgramSet>(randomPrograms(31, 3));
   const std::vector<Program> &Programs = Set->programs();
@@ -395,7 +421,7 @@ TEST(IncrementalStore, GcScansAndEvictsProgEntries) {
 // cleanMismatchedVersions removes stale-version entries while leaving
 // current entries and foreign files alone.
 TEST(IncrementalStore, CleanMismatchedVersionsCoversProgEntries) {
-  std::string Dir = testCacheDir("incr_versions.cache");
+  std::string Dir = freshCacheDir("incr_versions.cache");
   CacheStore Store(Dir);
   auto Set = std::make_shared<const ProgramSet>(randomPrograms(37, 2));
   const std::vector<Program> &Programs = Set->programs();
@@ -469,11 +495,12 @@ std::string plantLegacyManifest(const std::string &Dir, const ProgramSet &Set,
 } // namespace
 
 // A store filled when suites also kept a `pbt-suite-v4` manifest still
-// serves those suites from their entries alone, preparing nothing, and
-// cleanMismatchedVersions deletes the now-obsolete manifest with its
-// lock while the entries stay.
+// serves those suites from their entries alone, preparing nothing;
+// opening it deletes the manifest's lock file, and
+// cleanMismatchedVersions the now-obsolete manifest, while the entries
+// stay.
 TEST(IncrementalStore, LegacyManifestStoreServesFromEntries) {
-  std::string Dir = testCacheDir("incr_legacy.cache");
+  std::string Dir = freshCacheDir("incr_legacy.cache");
   auto Set = std::make_shared<const ProgramSet>(randomPrograms(41, 3));
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
@@ -486,6 +513,8 @@ TEST(IncrementalStore, LegacyManifestStoreServesFromEntries) {
   std::string Lock = Manifest.substr(0, Manifest.size() - 4) + ".lck";
 
   auto Store = std::make_shared<CacheStore>(Dir);
+  std::string Bytes;
+  EXPECT_FALSE(readFileBytes(Lock, Bytes)) << "opening removes its lock";
   SuiteCache Warm;
   Warm.setStore(Store);
   Warm.get(Set, MC, Tech, 42);
@@ -496,9 +525,7 @@ TEST(IncrementalStore, LegacyManifestStoreServesFromEntries) {
   EXPECT_EQ(Store->writes(), 0u);
 
   EXPECT_EQ(Store->cleanMismatchedVersions(), 1u);
-  std::string Bytes;
   EXPECT_FALSE(readFileBytes(Manifest, Bytes)) << "manifest removed";
-  EXPECT_FALSE(readFileBytes(Lock, Bytes)) << "its lock removed";
   EXPECT_TRUE(filesContaining(Dir, "suite-").empty());
   EXPECT_EQ(filesContaining(Dir, ".pbt").size(), Set->size());
 }

@@ -814,8 +814,9 @@ TEST(ShardMergeDiagnosticsTest, FailedExperimentOnShard) {
 
 namespace {
 
-/// Overwrites \p Path without the fsyncs of writeFileAtomic: mutants
-/// are throwaway, and thousands of durable writes would dominate.
+/// Overwrites \p Path in place, without writeFileAtomic's temp file and
+/// rename: mutants are throwaway, and thousands of inode creations
+/// would dominate.
 void writePlain(const std::string &Path, const std::string &Bytes) {
   std::FILE *F = std::fopen(Path.c_str(), "wb");
   ASSERT_NE(F, nullptr) << Path;

@@ -16,7 +16,7 @@ ALLOW="$ROOT/tools/lint_determinism.allow"
 SRC="$ROOT/src"
 
 # One grep alternation per banned construct. Word-ish boundaries keep
-# identifiers like "brand()" or "LockRng" from matching.
+# identifiers like "brand()" or "operand()" from matching.
 PATTERNS=(
   'std::chrono::steady_clock'
   'std::chrono::system_clock'
