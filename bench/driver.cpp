@@ -18,13 +18,12 @@
 //    plan pass records every selected body's sweeps, one prefetch
 //    batch replays them longest first with repeated jobs and horizon
 //    prefixes merged, and the experiments are then served from that
-//    in-memory memo. --shard, --merge, --trace and a --timeout-seconds
-//    budget bypass it and replay sweep by sweep.
+//    in-memory memo. --shard, --merge and --trace bypass it and replay
+//    sweep by sweep.
 //
 // Usage:
 //   driver [--list] [--only=name1,name2] [--verify-ir] [--clean-cache]
 //          [--gc-cache] [--max-cache-bytes=N] [--max-cache-age-days=D]
-//          [--timeout-seconds=D] [--max-attempts=N]
 //          [--shard=k/n] [--merge=dir] [--trace=dir] [--report]
 //
 // --trace=dir (or PBT_TRACE=dir; the flag wins) turns on the
@@ -72,25 +71,20 @@
 // hit) until the store fits in --max-cache-bytes. With neither bound
 // given, a default 512 MiB size budget applies.
 //
-// Every experiment runs behind exp::runGuarded: --timeout-seconds
-// bounds each attempt's wall clock (0 = no timeout, the default) and
-// --max-attempts retries failed or throwing experiments (default 1).
-// A failing or throwing experiment never stops the batch — the driver
-// records it, runs everything else, and exits nonzero at the end. A
-// TIMEOUT is the one exception: the abandoned runner thread may still
-// be executing its body and mutating the shared labs, so the driver
-// stops launching experiments, reports the remainder as "skipped",
-// and exits nonzero (run the stragglers in a fresh process, e.g. via
-// --only).
+// Every experiment runs once, inline, behind exp::runGuarded: a failing
+// or throwing experiment never stops the batch — the driver records it,
+// runs everything else, and exits nonzero at the end. Bodies are
+// deterministic, so there is no retry, and there is no in-process
+// timeout: bound a run's wall clock from outside, e.g.
+// `timeout 600 driver --only=table2_fairness`.
 //
 // Environment: PBT_BENCH_SCALE scales horizons, PBT_CACHE_DIR enables
 // the persistent suite store, PBT_THREADS sizes the replay pool,
-// PBT_EXP_TIMEOUT_SECONDS / PBT_EXP_MAX_ATTEMPTS default the two
-// guard flags, PBT_FAULTS arms fault injection (support/FaultInjection).
+// PBT_FAULTS arms fault injection (support/FaultInjection).
 //
-// Writes BENCH_driver.json (schema pbt-driver-v6, docs/BENCH_SCHEMA.md)
-// with per-experiment status/attempts/duration, a failure summary, and
-// suite-cache statistics, plus PROFILE_driver.json (pbt-profile-v1) —
+// Writes BENCH_driver.json (schema pbt-driver-v7, docs/BENCH_SCHEMA.md)
+// with per-experiment status/duration, a failure summary, and
+// suite-cache statistics, plus PROFILE_driver.json (pbt-profile-v2) —
 // the full observability counter registry; exits non-zero when any
 // experiment failed.
 // Per-experiment BENCH_*.json files are unaffected by the guard and
@@ -114,6 +108,8 @@
 #include "support/Json.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -192,10 +188,6 @@ int main(int Argc, char **Argv) {
   bool SawMaxAge = false;
   uint64_t MaxCacheBytes = 0;
   double MaxCacheAgeDays = 0;
-  // Guard policy: flags override the environment, environment overrides
-  // the defaults (no timeout, single attempt).
-  double TimeoutSeconds = envDouble("PBT_EXP_TIMEOUT_SECONDS", 0);
-  int64_t MaxAttempts = envInt("PBT_EXP_MAX_ATTEMPTS", 1);
   bool SawShardFlag = false;
   exp::ShardSpec Shard; // 1/1 unless --shard or PBT_SHARD says otherwise.
   std::string MergeDir;
@@ -212,45 +204,39 @@ int main(int Argc, char **Argv) {
     } else if (std::strcmp(Arg, "--gc-cache") == 0) {
       GcCache = true;
     } else if (std::strncmp(Arg, "--max-cache-bytes=", 18) == 0) {
-      char *End = nullptr;
-      MaxCacheBytes = std::strtoull(Arg + 18, &End, 10);
-      if (End == Arg + 18 || *End != '\0') {
-        std::fprintf(stderr, "driver: --max-cache-bytes wants a plain "
-                             "byte count, got '%s'\n",
-                     Arg + 18);
+      // Digits only: strtoull alone would take "-1" as 2^64-1.
+      const char *Digits = Arg + 18;
+      errno = 0;
+      MaxCacheBytes = std::strtoull(Digits, nullptr, 10);
+      if (*Digits == '\0' ||
+          std::strspn(Digits, "0123456789") != std::strlen(Digits) ||
+          errno == ERANGE) {
+        std::fprintf(stderr, "driver: --max-cache-bytes wants a plain byte "
+                             "count (digits only, below 2^64), got '%s'\n",
+                     Digits);
         return 2;
       }
       SawMaxBytes = true;
     } else if (std::strncmp(Arg, "--max-cache-age-days=", 21) == 0) {
       char *End = nullptr;
       MaxCacheAgeDays = std::strtod(Arg + 21, &End);
-      if (End == Arg + 21 || *End != '\0') {
+      // NaN or a negative age would silently disable the age bound.
+      if (End == Arg + 21 || *End != '\0' ||
+          !std::isfinite(MaxCacheAgeDays) || MaxCacheAgeDays < 0) {
         std::fprintf(stderr, "driver: --max-cache-age-days wants a "
-                             "number of days, got '%s'\n",
+                             "finite number of days >= 0, got '%s'\n",
                      Arg + 21);
         return 2;
       }
       SawMaxAge = true;
-    } else if (std::strncmp(Arg, "--timeout-seconds=", 18) == 0) {
-      char *End = nullptr;
-      TimeoutSeconds = std::strtod(Arg + 18, &End);
-      if (End == Arg + 18 || *End != '\0') {
-        std::fprintf(stderr, "driver: --timeout-seconds wants a number "
-                             "of seconds, got '%s'\n",
-                     Arg + 18);
-        return 2;
-      }
-    } else if (std::strncmp(Arg, "--max-attempts=", 15) == 0) {
-      char *End = nullptr;
-      MaxAttempts = std::strtoll(Arg + 15, &End, 10);
-      if (End == Arg + 15 || *End != '\0' || MaxAttempts < 1) {
-        std::fprintf(stderr, "driver: --max-attempts wants a positive "
-                             "integer, got '%s'\n",
-                     Arg + 15);
-        return 2;
-      }
     } else if (std::strncmp(Arg, "--only=", 7) == 0) {
       Only = splitList(Arg + 7);
+      // An empty list would filter nothing out and run every experiment.
+      if (Only.empty()) {
+        std::fprintf(stderr, "driver: --only wants at least one "
+                             "experiment name (see --list)\n");
+        return 2;
+      }
     } else if (std::strncmp(Arg, "--shard=", 8) == 0) {
       std::string Error;
       if (!exp::ShardSpec::parse(Arg + 8, Shard, Error)) {
@@ -274,12 +260,13 @@ int main(int Argc, char **Argv) {
       Report = true;
     } else {
       std::fprintf(stderr,
+                   "driver: unknown flag '%s'\n"
                    "usage: driver [--list] [--only=name1,name2] "
                    "[--verify-ir] [--clean-cache] [--gc-cache] "
                    "[--max-cache-bytes=N] [--max-cache-age-days=D] "
-                   "[--timeout-seconds=D] [--max-attempts=N] "
                    "[--shard=k/n] [--merge=dir] [--trace=dir] "
-                   "[--report]\n");
+                   "[--report]\n",
+                   Arg);
       return 2;
     }
   }
@@ -311,9 +298,6 @@ int main(int Argc, char **Argv) {
                          "--only\n");
     return 2;
   }
-  if (MaxAttempts < 1)
-    MaxAttempts = 1; // A nonsense PBT_EXP_MAX_ATTEMPTS degrades sanely.
-
   // A GC bound without --gc-cache would be silently ignored and the
   // whole experiment matrix would run instead; refuse the ambiguity.
   if ((SawMaxBytes || SawMaxAge) && !GcCache) {
@@ -476,17 +460,12 @@ int main(int Argc, char **Argv) {
   // that must see every replay happen inside its sweep skip it and run
   // exactly as without a memo.
   exp::ReplayMemo Memo;
-  if (exp::replayPrefetchAllowed(ShardMode, obs::traceEnabled(),
-                                 TimeoutSeconds)) {
+  if (exp::replayPrefetchAllowed(ShardMode, obs::traceEnabled())) {
     exp::ReplayMemo::install(&Memo);
     planReplays(Selected, Memo);
     obs::Span Prefetch("driver.prefetch");
     exp::prefetchSweeps(Memo);
   }
-
-  exp::GuardOptions Guard;
-  Guard.TimeoutSeconds = TimeoutSeconds;
-  Guard.MaxAttempts = static_cast<unsigned>(MaxAttempts);
 
   Json Runs = Json::array();
   Json Failures = Json::array();
@@ -496,112 +475,62 @@ int main(int Argc, char **Argv) {
   struct ReportRow {
     std::string Name;
     std::string Status;
-    unsigned Attempts = 0;
     double Seconds = 0;
   };
   std::vector<ReportRow> Rows;
   size_t Failed = 0;
-  bool AbandonedRunner = false;
   for (const Experiment *EP : Selected) {
     const Experiment &E = *EP;
     Json Run = Json::object();
     Run["name"] = E.Name;
-    if (AbandonedRunner) {
-      // A timed-out experiment's runner thread may still be executing
-      // its body and mutating the shared labs (LabPool, Labs, their
-      // SuiteCaches have no cross-experiment synchronization); running
-      // further experiments beside it would race on that state. The
-      // remainder of the batch is skipped and reported as such — rerun
-      // the stragglers in a fresh process.
-      ++Failed;
-      Failures.push(Json(E.Name));
-      std::fprintf(stderr, "driver: %s skipped (a timed-out experiment's "
-                           "abandoned runner may still be mutating shared "
-                           "state)\n",
-                   E.Name);
-      Run["status"] = "skipped";
-      Run["exit_code"] = -1;
-      Run["attempts"] = static_cast<uint64_t>(0);
-      Run["duration_seconds"] = 0.0;
-      Runs.push(std::move(Run));
-      Rows.push_back(ReportRow{E.Name, "skipped", 0, 0.0});
-      continue;
-    }
     if (ShardMode && E.Granularity == exp::ShardGranularity::Whole &&
         WholeOwner[E.Name] != Shard.Index) {
       // Another shard owns this whole experiment; recording it as
-      // "other-shard" (not failed, not skipped) keeps the summary an
-      // honest inventory of the fabric's division of labor.
+      // "other-shard" (not failed) keeps the summary an honest
+      // inventory of the fabric's division of labor.
       Run["status"] = "other-shard";
       Run["exit_code"] = 0;
-      Run["attempts"] = static_cast<uint64_t>(0);
       Run["duration_seconds"] = 0.0;
       Run["owner_shard"] = WholeOwner[E.Name];
       Runs.push(std::move(Run));
-      Rows.push_back(ReportRow{E.Name, "other-shard", 0, 0.0});
+      Rows.push_back(ReportRow{E.Name, "other-shard", 0.0});
       continue;
     }
     std::printf("\n---- %s ----\n", E.Name);
     // The guard is the driver's fault boundary: a throwing or failing
     // experiment becomes a recorded failure, and the batch moves on to
-    // the next experiment. The shard bracket opens inside the guarded
-    // body so EVERY attempt starts from a clean bracket — a retried
-    // attempt must not inherit the failed attempt's sweep seq numbers,
-    // recorded units, or staged sketch contributions (beginExperiment
-    // replaces the manifest entry it already holds for this name).
-    std::function<int()> Body = E.Fn;
-    if (ShardMode) {
-      exp::ShardRuntime *RTp = &RT;
-      Body = [RTp, EP] {
-        RTp->beginExperiment(EP->Name, EP->Granularity);
-        return EP->Fn();
-      };
-    }
-    exp::GuardedResult R = exp::runGuarded(Body, Guard);
-    // After a timeout the abandoned runner may still be inside harness
-    // calls that touch the runtime; leave its bracket alone (the
-    // manifest is skipped below, so the incomplete shard can never be
-    // merged).
-    if (ShardMode && R.St != exp::GuardedResult::Status::Timeout)
-      RT.endExperiment(R.ok() ? 0 : (R.ExitCode != 0 ? R.ExitCode : 1));
-    if (R.St == exp::GuardedResult::Status::Timeout)
-      AbandonedRunner = true;
+    // the next experiment.
+    if (ShardMode)
+      RT.beginExperiment(E.Name, E.Granularity);
+    exp::GuardedResult R = exp::runGuarded(E.Fn);
+    if (ShardMode)
+      RT.endExperiment(R.ExitCode); // Nonzero unless ok (-1 if it threw).
     if (!R.ok()) {
       ++Failed;
       Failures.push(Json(E.Name));
-      std::fprintf(stderr, "driver: %s %s after %u attempt%s (%.1fs)%s%s\n",
-                   E.Name, R.statusName(), R.Attempts,
-                   R.Attempts == 1 ? "" : "s", R.DurationSeconds,
+      std::fprintf(stderr, "driver: %s %s (%.1fs)%s%s\n", E.Name,
+                   R.statusName(), R.DurationSeconds,
                    R.Error.empty() ? "" : ": ", R.Error.c_str());
     }
     Run["status"] = R.statusName();
     Run["exit_code"] = R.ExitCode;
-    Run["attempts"] = static_cast<uint64_t>(R.Attempts);
     Run["duration_seconds"] = R.DurationSeconds;
     if (!R.Error.empty())
       Run["error"] = R.Error;
     Runs.push(std::move(Run));
-    Rows.push_back(
-        ReportRow{E.Name, R.statusName(), R.Attempts, R.DurationSeconds});
+    Rows.push_back(ReportRow{E.Name, R.statusName(), R.DurationSeconds});
   }
-  // With an abandoned runner possibly still live, neither the shared
-  // pool pointer (the runner reads it on every harness lab() call) nor
-  // the lab/store counters (the runner increments them) may be touched;
-  // the pool (and the shard runtime, which the runner consults the same
-  // way) stays installed until the _Exit below.
-  if (!AbandonedRunner) {
-    exp::ExperimentHarness::setSharedLabPool(nullptr);
-    exp::ReplayMemo::install(nullptr);
-    if (ShardMode)
-      exp::ShardRuntime::install(nullptr);
-  }
+  exp::ExperimentHarness::setSharedLabPool(nullptr);
+  exp::ReplayMemo::install(nullptr);
+  if (ShardMode)
+    exp::ShardRuntime::install(nullptr);
 
-  // The manifest is the shard's sign-off: it is only written after a
-  // clean pass over the whole run set, so a crashed or timed-out shard
-  // leaves no manifest and the merge reports it as missing instead of
-  // silently combining incomplete partials.
+  // The manifest is the shard's sign-off, written after the pass over
+  // the whole run set; it marks each failed experiment, and the merge
+  // refuses a fabric with any failed entry instead of silently
+  // combining incomplete partials.
   bool ManifestOk = true;
-  if (ShardMode && !AbandonedRunner)
+  if (ShardMode)
     ManifestOk = RT.writeManifest();
 
   // Aggregate suite-cache statistics over the shared labs. store_hits
@@ -612,24 +541,25 @@ int main(int Argc, char **Argv) {
   uint64_t PreparedCount = 0;
   uint64_t PreparedProgramCount = 0;
   uint64_t ProgramStoreHits = 0;
-  if (!AbandonedRunner)
-    for (exp::Lab *L : Pool.labs()) {
-      MemoryHits += L->cache().hits();
-      StoreHits += L->cache().storeHits();
-      PreparedCount += L->cache().prepared();
-      PreparedProgramCount += L->cache().preparedPrograms();
-      ProgramStoreHits += L->cache().programStoreHits();
-    }
+  for (exp::Lab *L : Pool.labs()) {
+    MemoryHits += L->cache().hits();
+    StoreHits += L->cache().storeHits();
+    PreparedCount += L->cache().prepared();
+    PreparedProgramCount += L->cache().preparedPrograms();
+    ProgramStoreHits += L->cache().programStoreHits();
+  }
 
   Json Root = Json::object();
-  // v5: the store holds only per-program entries, so store.hits /
-  // misses / rejects / writes count entries, store.prog_* is gone, and
-  // program_store_hits counts every program served from disk; v4 added
-  // the "pipeline" per-pass stats block, module-granular suite_cache
-  // counters and "verify_ir"; v3 added the optional "shard" block and the
-  // "other-shard" status; v2 added suite_cache store counters — see
-  // docs/BENCH_SCHEMA.md.
-  Root["schema"] = "pbt-driver-v6";
+  // v7: one attempt per experiment, so timeout_seconds, max_attempts,
+  // the per-experiment "attempts" and the "skipped"/"timeout" statuses
+  // are gone; v6 dropped the store's lock_timeouts; v5: the store holds
+  // only per-program entries, so store.hits / misses / rejects / writes
+  // count entries, store.prog_* is gone, and program_store_hits counts
+  // every program served from disk; v4 added the "pipeline" per-pass
+  // stats block, module-granular suite_cache counters and "verify_ir";
+  // v3 added the optional "shard" block and the "other-shard" status;
+  // v2 added suite_cache store counters — see docs/BENCH_SCHEMA.md.
+  Root["schema"] = "pbt-driver-v7";
   Root["verify_ir"] = verifyIREnabled();
   if (ShardMode) {
     Json ShardBlock = Json::object();
@@ -641,103 +571,80 @@ int main(int Argc, char **Argv) {
   }
   Root["scale"] = envScale();
   Root["cache_dir"] = Store ? Json(Store->dir()) : Json();
-  Root["timeout_seconds"] = TimeoutSeconds;
-  Root["max_attempts"] = static_cast<uint64_t>(MaxAttempts);
   Root["experiments"] = std::move(Runs);
   Root["failed"] = static_cast<uint64_t>(Failed);
   Root["failures"] = std::move(Failures);
-  if (AbandonedRunner) {
-    // The counters would be read beside a thread still incrementing
-    // them; null is honest where numbers would be racy.
-    Root["suite_cache"] = Json();
-    Root["pipeline"] = Json();
-  } else {
-    Json CacheStats = Json::object();
-    CacheStats["memory_hits"] = MemoryHits;
-    CacheStats["store_hits"] = StoreHits;
-    CacheStats["prepared"] = PreparedCount;
-    CacheStats["prepared_programs"] = PreparedProgramCount;
-    CacheStats["program_store_hits"] = ProgramStoreHits;
-    if (Store) {
-      Json StoreStats = Json::object();
-      StoreStats["hits"] = Store->hits();
-      StoreStats["misses"] = Store->misses();
-      StoreStats["rejects"] = Store->rejects();
-      StoreStats["writes"] = Store->writes();
-      StoreStats["quarantines"] = Store->quarantines();
-      CacheStats["store"] = std::move(StoreStats);
-    }
-    Root["suite_cache"] = std::move(CacheStats);
-
-    // Per-pass pipeline stats, cumulative over every preparation this
-    // process ran. Seconds is wall time — BENCH_driver.json is excluded
-    // from all byte-identity checks, so it is the one artifact allowed
-    // to carry it.
-    PipelineStats Pipe = cumulativePipelineStats();
-    Json Passes = Json::array();
-    for (const PassStats &P : Pipe.Passes) {
-      Json Pass = Json::object();
-      Pass["name"] = P.Name;
-      Pass["invocations"] = P.Invocations;
-      Pass["programs_changed"] = P.ProgramsChanged;
-      Pass["seconds"] = P.Seconds;
-      Passes.push(std::move(Pass));
-    }
-    Json Pipeline = Json::object();
-    Pipeline["passes"] = std::move(Passes);
-    Root["pipeline"] = std::move(Pipeline);
+  Json CacheStats = Json::object();
+  CacheStats["memory_hits"] = MemoryHits;
+  CacheStats["store_hits"] = StoreHits;
+  CacheStats["prepared"] = PreparedCount;
+  CacheStats["prepared_programs"] = PreparedProgramCount;
+  CacheStats["program_store_hits"] = ProgramStoreHits;
+  if (Store) {
+    Json StoreStats = Json::object();
+    StoreStats["hits"] = Store->hits();
+    StoreStats["misses"] = Store->misses();
+    StoreStats["rejects"] = Store->rejects();
+    StoreStats["writes"] = Store->writes();
+    StoreStats["quarantines"] = Store->quarantines();
+    CacheStats["store"] = std::move(StoreStats);
   }
+  Root["suite_cache"] = std::move(CacheStats);
+
+  // Per-pass pipeline stats, cumulative over every preparation this
+  // process ran. Seconds is wall time — BENCH_driver.json is excluded
+  // from all byte-identity checks, so it is the one artifact allowed
+  // to carry it.
+  PipelineStats Pipe = cumulativePipelineStats();
+  Json Passes = Json::array();
+  for (const PassStats &P : Pipe.Passes) {
+    Json Pass = Json::object();
+    Pass["name"] = P.Name;
+    Pass["invocations"] = P.Invocations;
+    Pass["programs_changed"] = P.ProgramsChanged;
+    Pass["seconds"] = P.Seconds;
+    Passes.push(std::move(Pass));
+  }
+  Json Pipeline = Json::object();
+  Pipeline["passes"] = std::move(Passes);
+  Root["pipeline"] = std::move(Pipeline);
 
   // Import the dump-time statistics into the observability registry so
   // PROFILE_driver.json is a one-stop snapshot of the run's Plane-2
-  // state (docs/OBSERVABILITY.md). Under an abandoned runner every
-  // source here is racy — the runner thread may still be incrementing
-  // lab and store counters — so the imports are skipped exactly like
-  // the suite_cache/pipeline blocks above and the profile carries only
-  // what was safely accumulated before the timeout.
-  if (!AbandonedRunner) {
-    obs::CounterRegistry &Reg = obs::CounterRegistry::global();
-    Reg.set("suite_cache.memory_hits", MemoryHits);
-    Reg.set("suite_cache.store_hits", StoreHits);
-    Reg.set("suite_cache.prepared", PreparedCount);
-    Reg.set("suite_cache.prepared_programs", PreparedProgramCount);
-    Reg.set("suite_cache.program_store_hits", ProgramStoreHits);
-    if (Store) {
-      Reg.set("store.hits", Store->hits());
-      Reg.set("store.misses", Store->misses());
-      Reg.set("store.rejects", Store->rejects());
-      Reg.set("store.writes", Store->writes());
-      Reg.set("store.quarantines", Store->quarantines());
-    }
-    for (const PassStats &P : cumulativePipelineStats().Passes) {
-      Reg.set("pipeline." + P.Name + ".invocations", P.Invocations);
-      Reg.set("pipeline." + P.Name + ".programs_changed",
-              P.ProgramsChanged);
-      Reg.setMetric("pipeline." + P.Name + ".seconds", P.Seconds);
-    }
-    Reg.set("driver.experiments_failed", Failed);
+  // state (docs/OBSERVABILITY.md).
+  obs::CounterRegistry &Reg = obs::CounterRegistry::global();
+  Reg.set("suite_cache.memory_hits", MemoryHits);
+  Reg.set("suite_cache.store_hits", StoreHits);
+  Reg.set("suite_cache.prepared", PreparedCount);
+  Reg.set("suite_cache.prepared_programs", PreparedProgramCount);
+  Reg.set("suite_cache.program_store_hits", ProgramStoreHits);
+  if (Store) {
+    Reg.set("store.hits", Store->hits());
+    Reg.set("store.misses", Store->misses());
+    Reg.set("store.rejects", Store->rejects());
+    Reg.set("store.writes", Store->writes());
+    Reg.set("store.quarantines", Store->quarantines());
   }
+  for (const PassStats &P : Pipe.Passes) {
+    Reg.set("pipeline." + P.Name + ".invocations", P.Invocations);
+    Reg.set("pipeline." + P.Name + ".programs_changed", P.ProgramsChanged);
+    Reg.setMetric("pipeline." + P.Name + ".seconds", P.Seconds);
+  }
+  Reg.set("driver.experiments_failed", Failed);
 
-  if (AbandonedRunner)
-    std::printf("\n== driver summary: batch aborted after a timeout, "
-                "failed=%zu (suite-cache counters unavailable) ==\n",
-                Failed);
-  else {
-    std::printf("\n== driver summary: memory_hits=%llu store_hits=%llu "
-                "prepared=%llu prepared_programs=%llu "
-                "program_store_hits=%llu failed=%zu ==\n",
-                static_cast<unsigned long long>(MemoryHits),
-                static_cast<unsigned long long>(StoreHits),
-                static_cast<unsigned long long>(PreparedCount),
-                static_cast<unsigned long long>(PreparedProgramCount),
-                static_cast<unsigned long long>(ProgramStoreHits), Failed);
-    for (const PassStats &P : cumulativePipelineStats().Passes)
-      std::printf("   pass %-12s invocations=%llu changed=%llu %.3fs\n",
-                  P.Name.c_str(),
-                  static_cast<unsigned long long>(P.Invocations),
-                  static_cast<unsigned long long>(P.ProgramsChanged),
-                  P.Seconds);
-  }
+  std::printf("\n== driver summary: memory_hits=%llu store_hits=%llu "
+              "prepared=%llu prepared_programs=%llu "
+              "program_store_hits=%llu failed=%zu ==\n",
+              static_cast<unsigned long long>(MemoryHits),
+              static_cast<unsigned long long>(StoreHits),
+              static_cast<unsigned long long>(PreparedCount),
+              static_cast<unsigned long long>(PreparedProgramCount),
+              static_cast<unsigned long long>(ProgramStoreHits), Failed);
+  for (const PassStats &P : Pipe.Passes)
+    std::printf("   pass %-12s invocations=%llu changed=%llu %.3fs\n",
+                P.Name.c_str(), static_cast<unsigned long long>(P.Invocations),
+                static_cast<unsigned long long>(P.ProgramsChanged),
+                P.Seconds);
   int Exit = Failed == 0 && ManifestOk ? 0 : 1;
   // The summary is shard-suffixed in shard mode so n shards can share
   // one output directory without clobbering each other.
@@ -751,16 +658,13 @@ int main(int Argc, char **Argv) {
     std::printf("wrote %s\n", SummaryPath.c_str());
   }
 
-  // Plane-2 self-profile: the full counter registry, always written
-  // (the registry is mutex/atomic-guarded, so the snapshot is safe even
-  // beside an abandoned runner — it just omits the skipped dump-time
-  // imports then). Wall-clock-tainted by design and excluded from every
-  // byte-identity check, like BENCH_driver.json.
+  // Plane-2 self-profile: the full counter registry, always written.
+  // Wall-clock-tainted by design and excluded from every byte-identity
+  // check, like BENCH_driver.json.
   {
     Json Profile = Json::object();
-    Profile["schema"] = "pbt-profile-v1";
-    Profile["abandoned_runner"] = AbandonedRunner;
-    Profile["registry"] = obs::CounterRegistry::global().snapshotJson();
+    Profile["schema"] = "pbt-profile-v2";
+    Profile["registry"] = Reg.snapshotJson();
     std::string ProfilePath =
         ShardMode ? "PROFILE_driver.shard-" + Shard.label() + ".json"
                   : "PROFILE_driver.json";
@@ -774,12 +678,10 @@ int main(int Argc, char **Argv) {
 
   if (Report) {
     std::printf("\n== run report ==\n");
-    std::printf("%-28s %-12s %8s %10s\n", "experiment", "status",
-                "attempts", "seconds");
+    std::printf("%-28s %-12s %10s\n", "experiment", "status", "seconds");
     for (const ReportRow &Row : Rows)
-      std::printf("%-28s %-12s %8u %10.2f\n", Row.Name.c_str(),
-                  Row.Status.c_str(), Row.Attempts, Row.Seconds);
-    obs::CounterRegistry &Reg = obs::CounterRegistry::global();
+      std::printf("%-28s %-12s %10.2f\n", Row.Name.c_str(),
+                  Row.Status.c_str(), Row.Seconds);
     std::vector<std::pair<std::string, uint64_t>> Cs = Reg.counterValues();
     std::vector<std::pair<std::string, double>> Ms = Reg.metricValues();
     if (!Cs.empty()) {
@@ -795,12 +697,5 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  if (AbandonedRunner) {
-    // A timed-out experiment's runner thread may still be executing its
-    // body; normal teardown (static destructors, thread-pool joins)
-    // would race with it. Flush and leave without running destructors.
-    std::fflush(nullptr);
-    std::_Exit(Exit);
-  }
   return Exit;
 }

@@ -471,9 +471,12 @@ CacheStore::GcStats CacheStore::gc(uint64_t MaxBytes, double MaxAgeSeconds) {
     Total += E.Bytes;
   }
 
+  // An age reaching back past the epoch keeps Cutoff at 0 (nothing is
+  // that old) instead of casting an out-of-range double to time_t.
   time_t Cutoff = 0;
-  if (MaxAgeSeconds > 0)
-    Cutoff = std::time(nullptr) - static_cast<time_t>(MaxAgeSeconds);
+  time_t Now = std::time(nullptr);
+  if (MaxAgeSeconds > 0 && MaxAgeSeconds < static_cast<double>(Now))
+    Cutoff = Now - static_cast<time_t>(MaxAgeSeconds);
 
   FaultInjection &FI = FaultInjection::instance();
   for (const Entry &E : Entries) {

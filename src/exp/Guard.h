@@ -1,4 +1,4 @@
-//===- exp/Guard.h - Isolated, retried experiment execution ----*- C++ -*-===//
+//===- exp/Guard.h - One timed, isolated experiment run ---------*- C++ -*-===//
 //
 // Part of the phase-based-tuning reproduction. MIT license.
 //
@@ -6,23 +6,18 @@
 ///
 /// \file
 /// The fault boundary between bench/driver and individual experiments:
-/// `runGuarded` runs one experiment body behind an optional wall-clock
-/// timeout and a bounded retry loop, and reports what happened instead
-/// of letting a single wedged or crashing experiment take down the
-/// whole batch. The driver wraps every registered experiment in it, so
-/// one failure degrades to a line in `BENCH_driver.json`'s failure
-/// summary (and a nonzero driver exit) while every other experiment
-/// still runs and still emits its byte-identical `BENCH_*.json`.
+/// `runGuarded` runs one experiment body once, inline on the calling
+/// thread, times it, and reports what happened instead of letting a
+/// single failing or throwing experiment take down the whole batch.
+/// The driver wraps every registered experiment in it, so one failure
+/// degrades to a line in `BENCH_driver.json`'s failure summary (and a
+/// nonzero driver exit) while every other experiment still runs and
+/// still emits its byte-identical `BENCH_*.json`.
 ///
-/// Semantics:
-///  - A nonzero return or a thrown exception counts as a failed
-///    attempt; attempts repeat up to `MaxAttempts` (transient faults —
-///    e.g. injected EIO on the cache store — often pass on retry).
-///  - A timeout abandons the attempt: the runner thread is detached
-///    (a cooperative cancel does not exist here; the thread may hold
-///    arbitrary experiment state) and **no further retries run**,
-///    since the wedged attempt could still be mutating shared caches.
-///  - `DurationSeconds` is the total wall clock across all attempts.
+/// Every body is a deterministic function of its inputs, so a second
+/// attempt would replay the same failure: there is exactly one attempt
+/// and no in-process timeout. Bound a run's wall clock from outside,
+/// e.g. `timeout 600 driver --only=...`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,40 +30,28 @@
 namespace pbt {
 namespace exp {
 
-/// Policy for one guarded execution.
-struct GuardOptions {
-  /// Wall-clock budget per attempt in seconds; <= 0 disables the
-  /// timeout (the body runs inline on the calling thread).
-  double TimeoutSeconds = 0;
-  /// Total attempts (first run + retries); clamped to at least 1.
-  unsigned MaxAttempts = 1;
-};
-
 /// What one guarded execution did.
 struct GuardedResult {
   enum class Status {
-    Ok,        ///< Returned 0.
-    Failed,    ///< Returned nonzero on every attempt.
-    Exception, ///< Threw on every attempt (Error holds the last what()).
-    Timeout    ///< An attempt outlived TimeoutSeconds and was abandoned.
+    Ok,       ///< Returned 0.
+    Failed,   ///< Returned nonzero.
+    Exception ///< Threw (Error holds the what()).
   };
 
   Status St = Status::Ok;
-  int ExitCode = 0;          ///< The final attempt's return value.
-  unsigned Attempts = 0;     ///< Attempts actually made.
-  double DurationSeconds = 0; ///< Total wall clock across attempts.
-  std::string Error;         ///< Exception text; empty otherwise.
+  int ExitCode = 0;           ///< The body's return value; -1 if it threw.
+  double DurationSeconds = 0; ///< Wall clock of the run.
+  std::string Error;          ///< Exception text; empty otherwise.
 
   bool ok() const { return St == Status::Ok; }
-  /// Stable lowercase name ("ok", "failed", "exception", "timeout")
-  /// for the driver's JSON report.
+  /// Stable lowercase name ("ok", "failed", "exception") for the
+  /// driver's JSON report.
   const char *statusName() const;
 };
 
-/// Runs \p Fn under \p Opts (see file comment for the exact retry and
-/// timeout semantics). Never throws; every outcome is a result.
-GuardedResult runGuarded(const std::function<int()> &Fn,
-                         const GuardOptions &Opts);
+/// Runs \p Fn once and times it. Never throws; every outcome is a
+/// result.
+GuardedResult runGuarded(const std::function<int()> &Fn);
 
 } // namespace exp
 } // namespace pbt

@@ -56,11 +56,9 @@ public:
   /// machines at most.
   ///
   /// Resolution is thread-safe (the pool's map is mutex-guarded, and
-  /// heap-allocated Labs keep their addresses across growth), so a
-  /// detached runner abandoned by a timed-out experiment can never
-  /// corrupt the pool itself. The returned Lab is NOT thread-safe;
-  /// bench/driver stops launching experiments once a runner has been
-  /// abandoned so two bodies never share one Lab concurrently.
+  /// heap-allocated Labs keep their addresses across growth). The
+  /// returned Lab is NOT thread-safe; bench/driver runs one experiment
+  /// body at a time, so two bodies never share one Lab concurrently.
   Lab &lab(const MachineConfig &MachineCfg);
 
   /// Every lab created so far (driver diagnostics).
@@ -84,7 +82,7 @@ public:
   ExperimentHarness(std::string Name, std::string Title,
                     std::string PaperRef);
 
-  /// Horizon scale from PBT_BENCH_SCALE (legacy alias PBT_SCALE).
+  /// Horizon scale from PBT_BENCH_SCALE.
   double scale() const { return Scale; }
 
   /// The lab for \p MachineCfg, created on first use and shared (with

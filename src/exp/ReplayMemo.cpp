@@ -66,7 +66,6 @@ bool pbt::exp::replayPlanning() {
   return Installed && Installed->planning();
 }
 
-bool pbt::exp::replayPrefetchAllowed(bool ShardOrMerge, bool Tracing,
-                                     double TimeoutSeconds) {
-  return !ShardOrMerge && !Tracing && !(TimeoutSeconds > 0);
+bool pbt::exp::replayPrefetchAllowed(bool ShardOrMerge, bool Tracing) {
+  return !ShardOrMerge && !Tracing;
 }

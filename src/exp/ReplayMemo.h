@@ -142,11 +142,9 @@ bool replayPlanning();
 
 /// Whether the one-process driver may plan and prefetch. Only the
 /// plain single-process mode does: shard and merge runs account replay
-/// units per sweep, traced runs write per-unit trace files named by the
-/// sweep's group ordinal, and under a per-experiment timeout a prefetch
-/// running outside any guard could hang where the guard cannot see it.
-bool replayPrefetchAllowed(bool ShardOrMerge, bool Tracing,
-                           double TimeoutSeconds);
+/// units per sweep, and traced runs write per-unit trace files named by
+/// the sweep's group ordinal.
+bool replayPrefetchAllowed(bool ShardOrMerge, bool Tracing);
 
 } // namespace exp
 } // namespace pbt

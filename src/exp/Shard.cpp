@@ -245,20 +245,10 @@ void ShardRuntime::beginExperiment(const std::string &Name,
   CurCells = 0;
   LastEntryIndex = -1;
   if (M == Mode::Shard) {
-    // A bracket re-opened for the name it already holds is a retry of
-    // the same experiment (the driver brackets every attempt): the
-    // failed attempt's manifest entry is replaced, not kept beside a
-    // second one.
-    if (!Entries.empty() && Entries.back().Name == Name) {
-      Entries.back() = ManifestEntry();
-      Entries.back().Name = Name;
-      Entries.back().G = G;
-    } else {
-      ManifestEntry E;
-      E.Name = Name;
-      E.G = G;
-      Entries.push_back(std::move(E));
-    }
+    ManifestEntry E;
+    E.Name = Name;
+    E.G = G;
+    Entries.push_back(std::move(E));
     LastEntryIndex = static_cast<int>(Entries.size()) - 1;
   }
 }
@@ -269,8 +259,7 @@ void ShardRuntime::endExperiment(int ExitCode) {
     E.Ok = ExitCode == 0 && !E.ArtifactFile.empty();
     if (E.Ok) {
       // Only a successful close reaches the manifest's fabric
-      // sketches; a failed attempt's staged cells would otherwise
-      // double-count once its retry succeeds.
+      // sketches; a failed body's staged cells never do.
       DoneLatency.push_back(CurLatency);
       DoneFairness.push_back(CurFairness);
       FabricCells += CurCells;
@@ -371,8 +360,9 @@ bool ShardRuntime::writeManifest() {
   }
   W.u64(FabricCells);
   // Committed per-experiment accumulators, merged in run order (a
-  // deterministic function of the run set — retries never contribute,
-  // since only a successful close commits its staged sketch).
+  // deterministic function of the run set — failed bodies never
+  // contribute, since only a successful close commits its staged
+  // sketch).
   LatencyAccumulator::merged(DoneLatency).serialize(W);
   FairnessAccumulator::merged(DoneFairness).serialize(W);
   // Self-checksum trailer: FNV over everything above, so the merge can

@@ -154,19 +154,15 @@ public:
   /// Records the run set's identity hash (see hashRunSet).
   void setRunSetHash(uint64_t Hash) { RunSetHash = Hash; }
 
-  /// Brackets one experiment body ATTEMPT: resets the per-experiment
-  /// sweep sequence, partial-unit state, and staged sketch
-  /// contributions. Call at the start of every attempt (the driver
-  /// wraps it into the guarded body), not once per guarded call — a
-  /// retried attempt must not inherit the failed attempt's units or
-  /// seq numbers. Re-opening the bracket for the name it already holds
-  /// replaces the manifest entry rather than appending a second one.
+  /// Brackets one experiment body run: resets the per-experiment sweep
+  /// sequence, partial-unit state, and staged sketch contributions, and
+  /// appends the experiment's manifest entry.
   void beginExperiment(const std::string &Name, ShardGranularity G);
 
-  /// Closes the bracket; \p ExitCode is the final attempt's result and
-  /// decides the manifest disposition (a failed body's files are never
-  /// merged). Only a successful close commits the attempt's staged
-  /// sketch contributions into the manifest's fabric sketches.
+  /// Closes the bracket; \p ExitCode is the body's result and decides
+  /// the manifest disposition (a failed body's files are never merged).
+  /// Only a successful close commits the body's staged sketch
+  /// contributions into the manifest's fabric sketches.
   void endExperiment(int ExitCode);
 
   /// True when the current experiment shards at sweep-cell granularity.
@@ -238,8 +234,8 @@ private:
   std::vector<ManifestEntry> Entries;
   int LastEntryIndex = -1; ///< Entry of the current bracket, or -1.
 
-  // The current attempt's sketch contributions, staged so a failed
-  // attempt (retried by the driver's guard) never reaches the manifest.
+  // The current body's sketch contributions, staged so a failed body
+  // never reaches the manifest.
   LatencyAccumulator CurLatency;
   FairnessAccumulator CurFairness;
   uint64_t CurCells = 0;

@@ -385,8 +385,8 @@ void pbt::exp::prefetchSweeps(ReplayMemo &Memo) {
   }
 
   // Build each sweep's representative jobs. A sweep whose preparation
-  // fails is left out: its jobs miss in the serve pass, which reports
-  // the failure under the guard.
+  // fails is left out: its jobs miss in the serve pass, where the
+  // experiment's runGuarded call reports the failure.
   std::vector<std::vector<size_t>> GroupsOfSweep(Sweeps.size());
   for (size_t G = 0; G < Groups.size(); ++G)
     GroupsOfSweep[Groups[G].Sweep].push_back(G);
@@ -429,7 +429,7 @@ void pbt::exp::prefetchSweeps(ReplayMemo &Memo) {
                                        G.Horizons, *J.Isolated, J.Sched,
                                        J.Scenario);
     } catch (...) {
-      // Left unmemoized: the serve pass simulates it under the guard.
+      // Left unmemoized: the serve pass simulates it and reports errors.
       Results[I].clear();
     }
   });

@@ -159,7 +159,8 @@ SweepResult runSweep(Lab &L, const SweepGrid &Grid);
 /// (runWorkloadHorizons), and replays all of them as one longest-first
 /// batch on the global pool into \p Memo. Failures are contained: a job
 /// that cannot be prepared or simulated is simply not memoized, and the
-/// serve pass simulates it (and reports any error) under the guard.
+/// serve pass simulates it inside its experiment's runGuarded call,
+/// which reports any error as that experiment's failure.
 void prefetchSweeps(ReplayMemo &Memo);
 
 //===----------------------------------------------------------------------===//

@@ -11,7 +11,7 @@
 /// way to guarantee that is to make nondeterministic time impossible to
 /// reach from simulation code.
 ///
-/// Plane-2 observability (obs/Counters.h spans, guard watchdog
+/// Plane-2 observability (obs/Counters.h spans, guarded experiment
 /// durations, per-pass Seconds) calls monotonicSeconds() instead of
 /// std::chrono directly, so the allowlist vouches for exactly one
 /// implementation file. Values derived from this clock may only feed

@@ -6,6 +6,7 @@
 
 #include "support/Env.h"
 
+#include <cmath>
 #include <cstdlib>
 
 using namespace pbt;
@@ -13,12 +14,11 @@ using namespace pbt;
 double pbt::envScale(double Default) {
   const char *Raw = std::getenv("PBT_BENCH_SCALE");
   if (!Raw)
-    Raw = std::getenv("PBT_SCALE"); // Legacy alias.
-  if (!Raw)
     return Default;
   char *End = nullptr;
   double Value = std::strtod(Raw, &End);
-  if (End == Raw || Value <= 0)
+  // NaN fails every comparison below, so it is rejected here, with inf.
+  if (End == Raw || !std::isfinite(Value) || Value <= 0)
     return Default;
   if (Value < 0.01)
     return 0.01;

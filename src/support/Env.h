@@ -7,9 +7,9 @@
 /// \file
 /// Helpers that let the benchmark harnesses scale their simulated duration
 /// from the environment. `PBT_BENCH_SCALE` (a positive double, default
-/// 1.0; `PBT_SCALE` is accepted as a legacy alias) multiplies simulated
-/// workload horizons; `PBT_BENCH_SCALE=0.1` gives a quick smoke run,
-/// `PBT_BENCH_SCALE=1` the full paper-shaped experiment.
+/// 1.0) multiplies simulated workload horizons; `PBT_BENCH_SCALE=0.1`
+/// gives a quick smoke run, `PBT_BENCH_SCALE=1` the full paper-shaped
+/// experiment.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,9 +20,8 @@
 
 namespace pbt {
 
-/// Returns the value of `PBT_BENCH_SCALE` (falling back to the legacy
-/// `PBT_SCALE`) clamped to [0.01, 100], or \p Default when unset or
-/// unparsable.
+/// Returns the value of `PBT_BENCH_SCALE` clamped to [0.01, 100], or
+/// \p Default when unset, unparsable, non-finite or not positive.
 double envScale(double Default = 1.0);
 
 /// Returns the value of the integer environment variable \p Name, or
@@ -30,8 +29,8 @@ double envScale(double Default = 1.0);
 int64_t envInt(const char *Name, int64_t Default);
 
 /// Returns the value of the floating-point environment variable
-/// \p Name, or \p Default when unset or unparsable. (Used by the
-/// driver's `PBT_EXP_TIMEOUT_SECONDS` per-experiment timeout.)
+/// \p Name, or \p Default when unset or unparsable. (Used by
+/// micro_interpreter's `PBT_INTERP_MIN_*_SPEEDUP` floors.)
 double envDouble(const char *Name, double Default);
 
 /// Returns the value of the environment variable \p Name, or nullptr

@@ -779,6 +779,10 @@ TEST(CacheStoreTest, GcAgeBoundEvictsOldEntriesOnly) {
   std::string ForeignPath = Store.dir() + "/prog-0000000000000000.txt";
   ASSERT_TRUE(writeFileAtomic(ForeignPath, "not a store file"));
 
+  // An age bound reaching back past the epoch evicts nothing (and is
+  // no out-of-range time_t conversion).
+  EXPECT_EQ(Store.gc(/*MaxBytes=*/0, /*MaxAgeSeconds=*/1e300).Evicted, 0u);
+
   // Cutoff at 2.5 hours: the 3-hour suite's entries go, the 2- and
   // 1-hour suites stay.
   CacheStore::GcStats Stats = Store.gc(/*MaxBytes=*/0,
@@ -904,11 +908,10 @@ TEST(HarnessTest, DriverSharedLabsByteIdenticalArtifacts) {
 }
 
 TEST(LabPoolTest, ConcurrentResolutionIsSafeAndDeduplicated) {
-  // A timed-out experiment's abandoned runner can still call lab()
-  // while another thread touches the pool; resolution must not race on
-  // the pool's map, and concurrent requests for one machine must get
-  // ONE lab. (Labs themselves stay single-threaded: the driver stops
-  // launching experiments once a runner has been abandoned.)
+  // Pool resolution is mutex-guarded: concurrent lab() calls must not
+  // race on the pool's map, and concurrent requests for one machine
+  // must get ONE lab. (Labs themselves stay single-threaded: the driver
+  // runs one experiment body at a time.)
   LabPool Pool;
   MachineConfig A = MachineConfig::quadAsymmetric();
   MachineConfig B = MachineConfig::quadAsymmetric();
@@ -1067,15 +1070,12 @@ TEST(ReplayMemoTest, EntryFreedAfterLastPlannedConsumer) {
 
 // The driver plans and prefetches only in its plain single-process
 // mode; every mode below must run exactly as without a memo.
-TEST(ReplayMemoTest, PrefetchBypassedByShardMergeTraceAndTimeout) {
+TEST(ReplayMemoTest, PrefetchBypassedByShardMergeAndTrace) {
   EXPECT_TRUE(replayPrefetchAllowed(/*ShardOrMerge=*/false,
-                                    /*Tracing=*/false,
-                                    /*TimeoutSeconds=*/0));
+                                    /*Tracing=*/false));
   // --shard / --merge: units are owned and recombined per sweep.
-  EXPECT_FALSE(replayPrefetchAllowed(true, false, 0));
+  EXPECT_FALSE(replayPrefetchAllowed(true, false));
   // --trace / PBT_TRACE: trace files are written per unit, grouped by
   // the sweep's own ordinal.
-  EXPECT_FALSE(replayPrefetchAllowed(false, true, 0));
-  // --timeout-seconds > 0: a prefetch outside any guard could hang.
-  EXPECT_FALSE(replayPrefetchAllowed(false, false, 0.5));
+  EXPECT_FALSE(replayPrefetchAllowed(false, true));
 }

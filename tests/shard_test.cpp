@@ -561,56 +561,6 @@ TEST(ShardFabricTest, MergeReproducesSingleProcessArtifactsByteForByte) {
   }
 }
 
-// A guard retry re-opens the bracket WITHOUT an endExperiment in
-// between (exactly the driver's runGuarded loop with MaxAttempts > 1):
-// the failed attempt's recorded units, sweep seq numbers, staged
-// sketch cells, and manifest entry must all be discarded, leaving
-// every shard-emitted file byte-identical to a quiet (no-retry) run —
-// and the fabric still mergeable to the single-process artifacts.
-TEST(ShardFabricTest, GuardRetryLeavesShardByteIdenticalToQuietRun) {
-  std::string Quiet = freshDir("retry_quiet");
-  runShard(1, 1, Quiet);
-
-  std::string Dir = freshDir("retry");
-  ShardSpec Spec; // 1/1
-  ShardRuntime RT(ShardRuntime::Mode::Shard, Spec, Dir);
-  RT.setRunSetHash(hashRunSet(demoRunSet()));
-  ShardRuntime::install(&RT);
-  // First attempt runs to completion — all units recorded, cells
-  // staged, artifact written — but is deemed failed; the retry opens a
-  // fresh bracket for the same name.
-  RT.beginExperiment("shard_demo", ShardGranularity::SweepCells);
-  EXPECT_EQ(shardSweepBody(), 0);
-  RT.beginExperiment("shard_demo", ShardGranularity::SweepCells);
-  EXPECT_EQ(shardSweepBody(), 0);
-  RT.endExperiment(0);
-  RT.beginExperiment("shard_whole", ShardGranularity::Whole);
-  EXPECT_EQ(shardWholeBody(), 0);
-  RT.endExperiment(0);
-  ShardRuntime::install(nullptr);
-  ASSERT_TRUE(RT.writeManifest());
-
-  // The manifest byte-compare is the sharp edge: double-counted fabric
-  // sketches, duplicate entries, or shifted seq numbers would all
-  // change its bytes.
-  EXPECT_EQ(listDir(Dir), listDir(Quiet));
-  for (const std::string &Name : listDir(Quiet))
-    EXPECT_EQ(slurp(Dir + "/" + Name), slurp(Quiet + "/" + Name)) << Name;
-
-  const std::map<std::string, std::string> &Ref = referenceArtifacts();
-  std::string Out = freshDir("retry_out");
-  MergeReport Report;
-  std::string Err = mergeDemo(Dir, Out, &Report);
-  ASSERT_TRUE(Err.empty()) << Err;
-  EXPECT_EQ(Report.Units, 6u);
-  for (const auto &KV : Ref)
-    EXPECT_EQ(slurp(Out + "/BENCH_" + KV.first + ".json"), KV.second)
-        << "BENCH_" << KV.first << ".json differs from single-process run";
-  removeTree(Quiet);
-  removeTree(Dir);
-  removeTree(Out);
-}
-
 // A shard's partial artifact for a sweep-cell experiment carries the
 // shard block and unit counts but none of the reconstructed output
 // (tables, notes, cells) — those exist only after the merge.

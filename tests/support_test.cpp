@@ -192,22 +192,27 @@ TEST(Env, ScaleDefaultsAndClamps) {
   unsetenv("PBT_SCALE");
   unsetenv("PBT_BENCH_SCALE");
   EXPECT_DOUBLE_EQ(envScale(1.0), 1.0);
-  setenv("PBT_SCALE", "0.5", 1);
+  setenv("PBT_BENCH_SCALE", "0.5", 1);
   EXPECT_DOUBLE_EQ(envScale(), 0.5);
-  setenv("PBT_SCALE", "bogus", 1);
+  setenv("PBT_BENCH_SCALE", "bogus", 1);
   EXPECT_DOUBLE_EQ(envScale(2.0), 2.0);
-  setenv("PBT_SCALE", "0.0001", 1);
+  setenv("PBT_BENCH_SCALE", "0.0001", 1);
   EXPECT_DOUBLE_EQ(envScale(), 0.01);
-  setenv("PBT_SCALE", "1000", 1);
+  setenv("PBT_BENCH_SCALE", "1000", 1);
   EXPECT_DOUBLE_EQ(envScale(), 100);
-  // PBT_BENCH_SCALE is the primary name and wins over the legacy alias.
-  setenv("PBT_BENCH_SCALE", "0.25", 1);
-  EXPECT_DOUBLE_EQ(envScale(), 0.25);
-  unsetenv("PBT_BENCH_SCALE");
-  unsetenv("PBT_SCALE");
+  // Non-finite values fall back to the default instead of slipping
+  // through the clamp (every comparison with NaN is false).
+  setenv("PBT_BENCH_SCALE", "nan", 1);
+  EXPECT_DOUBLE_EQ(envScale(2.0), 2.0);
+  setenv("PBT_BENCH_SCALE", "inf", 1);
+  EXPECT_DOUBLE_EQ(envScale(2.0), 2.0);
   setenv("PBT_BENCH_SCALE", "2", 1);
   EXPECT_DOUBLE_EQ(envScale(), 2.0);
   unsetenv("PBT_BENCH_SCALE");
+  // The old PBT_SCALE alias is gone: alone, it changes nothing.
+  setenv("PBT_SCALE", "0.5", 1);
+  EXPECT_DOUBLE_EQ(envScale(1.0), 1.0);
+  unsetenv("PBT_SCALE");
 }
 
 TEST(Env, IntParsing) {
