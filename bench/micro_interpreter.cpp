@@ -310,8 +310,8 @@ int main() {
     }
   }
   // Same idiom for the exact engine: losing the self-loop kernel (or its
-  // prefix tables) drops plain-image flat throughput to a few times
-  // reference's.
+  // closed form and reach memo) drops plain-image flat throughput to a
+  // few times reference's.
   double FlatFloor = envDouble("PBT_INTERP_MIN_FLAT_SPEEDUP", 0);
   if (FlatFloor > 0 && FlatPlain < FlatFloor) {
     std::fprintf(stderr,

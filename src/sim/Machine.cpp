@@ -7,11 +7,11 @@
 #include "sim/Machine.h"
 
 #include "obs/Trace.h"
+#include "sim/RepeatedAdd.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 using namespace pbt;
@@ -55,8 +55,6 @@ Machine::Machine(MachineConfig ConfigIn, SimConfig SimIn,
   for (const CoreDesc &Core : Config.Cores)
     NumGroups = std::max(NumGroups, Core.L2Group + 1);
   GroupActive.resize(NumGroups, 0);
-  for (uint32_t Core = 0; Core < Config.numCores(); ++Core)
-    MaxBudget = std::max(MaxBudget, Sim.Timeslice * coreFrequency(Core));
 }
 
 uint32_t Machine::spawn(std::shared_ptr<const InstrumentedProgram> IProg,
@@ -165,6 +163,9 @@ void Machine::scheduleAt(double Time, std::function<void(Machine &)> Fn) {
 
 void Machine::run(double Until) {
   while (Now < Until) {
+    // Quiet until something happens (see quietQuanta).
+    bool Quiet = true;
+    bool Advanced = false;
     // Deterministic mid-run injection: fire every event due by now, in
     // (time, insertion) order, before balancing — an arrival landing on
     // a balance instant is visible to the balancer, and batch arrivals
@@ -176,6 +177,7 @@ void Machine::run(double Until) {
       if (Trace)
         Trace->inject(Trace->cycles(Now));
       Fn(*this);
+      Quiet = false;
     }
 
     if (Now >= NextBalance) {
@@ -185,6 +187,7 @@ void Machine::run(double Until) {
         Trace->balance(Trace->cycles(Now));
       Policy->balance(*this);
       NextBalance = Now + Sim.BalancePeriod;
+      Quiet = false;
     }
 
     // Effective cache sharing this quantum: active cores per L2 group.
@@ -216,6 +219,8 @@ void Machine::run(double Until) {
           Process &P = *Procs[Pid];
           AdvanceResult R =
               advanceProcess(P, Core, Budget - Used[Core], Sharers);
+          Advanced = true;
+          Quiet = Quiet && R.Quiet;
           Used[Core] += R.CyclesUsed;
           BusyCycles[Core] += R.CyclesUsed;
           P.Stats.CyclesConsumed += R.CyclesUsed;
@@ -272,6 +277,8 @@ void Machine::run(double Until) {
 
     Policy->onQuantumEnd(*this);
     Now += Sim.Timeslice;
+    ++Quanta;
+    QuietQuanta += Quiet && Advanced;
   }
 }
 
@@ -317,67 +324,34 @@ Machine::AdvanceResult Machine::advanceProcess(Process &P, uint32_t Core,
   return R;
 }
 
-/// Entry cap of one self-loop prefix table (512 KiB). Only bodies
-/// cheaper than MaxBudget / 65536 cycles exceed it; they step.
-static constexpr double MaxSelfLoopTable = 1 << 16;
-
-const std::vector<double> *Machine::selfLoopTable(double C) {
-  if (!(C > 0) || !std::isfinite(C))
-    return nullptr;
-  uint64_t Bits;
-  std::memcpy(&Bits, &C, sizeof Bits);
-  auto [It, Inserted] = SelfLoopTables.try_emplace(Bits);
-  std::vector<double> &Table = It->second;
-  if (Inserted) {
-    // The first sum to reach MaxBudget lies within MaxBudget / C + 2
-    // adds; a sum still short of it there has stalled, so the cost gets
-    // no table (left empty) rather than one that misses budgets.
-    double Cap = MaxBudget / C + 2;
-    if (Cap <= MaxSelfLoopTable) {
-      const size_t Limit = static_cast<size_t>(Cap);
-      Table.reserve(Limit);
-      double U = 0;
-      do {
-        U += C;
-        Table.push_back(U);
-      } while (U < MaxBudget && Table.size() < Limit);
-      if (U < MaxBudget)
-        std::vector<double>().swap(Table);
-    }
-  }
-  return Table.empty() ? nullptr : &Table;
-}
-
 /// The exact self-loop kernel of the flat-image engine loop (both the
 /// Flat and the FastReplay engine).
 /// Applies when record \p Cur is a Loop latch whose back edge (Succ[0])
 /// targets the record itself and carries no mark — the shape of the
 /// suite's hot phase bodies. It runs the activation's back-edge trips
 /// until only the exit trip is left or the budget is spent, then charges
-/// the integer stats and the loop counter in bulk. Each trip adds the
-/// same cost to the same accumulators, in the same order and followed by
-/// the same budget test, as stepping the record through the engine's
-/// dispatch would, so the result is bit-identical to stepping. Returns
-/// false, touching nothing, when the record is not such a loop or only
-/// its exit trip remains; the caller then steps the record itself.
+/// the integer stats and the loop counter in bulk. Returns false,
+/// touching nothing, when the record is not such a loop or only its exit
+/// trip remains; the caller then steps the record itself.
 ///
-/// A call made before its advance call has charged any cycles (Used ==
-/// +0.0, as when a quantum resumes the loop) with monitoring off
-/// replaces the trip loop with one lookup in the body cost's prefix
-/// table (selfLoopTable): from +0.0 the k-th running sum depends only
-/// on the cost, so the table holds exactly the values the loop would
-/// produce. The loop stops at the first trip whose sum reaches the
-/// budget — the table's lower_bound, valid because the table never
-/// decreases — or after the last back edge, whichever comes first.
-/// Every other call runs the trips one floating-point add each (two
-/// while monitoring, whose MonCycles never starts from 0).
+/// Stepping would run `do { U += C; ++N; } while (N < R0 - 1 && U <
+/// Budget);` (adding C to MonCycles too while monitoring). The kernel
+/// computes that loop's N and U in closed form (repadd::run, exact to
+/// the bit) and MonCycles after the same N adds (repadd::addN), so the
+/// result is bit-identical to stepping. A call made before its advance
+/// call has charged any cycles (Used == +0.0, as when a quantum resumes
+/// the loop) starts from a value that depends on nothing but C, so the
+/// process's reach memo (HotProc) keeps, for its last (row, budget),
+/// the trip K at which the sum reaches the budget and the sum U_K: the
+/// next resume with the same row and budget takes N = K, U = U_K when
+/// K <= R0 - 1, without any search.
 inline bool Machine::runSelfLoop(const FlatBlock &B, uint32_t Cur,
                                  const double *Cyc, uint32_t CfgOff,
-                                 uint32_t Pid, uint32_t *LoopRem,
+                                 HotProc &H, uint32_t *LoopRem,
                                  double Budget, double &Used,
                                  uint64_t &Insts, uint64_t &Blocks,
                                  bool MonActive, uint64_t &MonInsts,
-                                 double &MonCycles) {
+                                 double &MonCycles, uint64_t &QuietTrips) {
   if (B.Op != FlatOp::Loop || B.Succ[0] != Cur || B.EdgeMark[0] >= 0)
     return false;
   // Trips left in this activation, counting the exit trip; 0 means the
@@ -388,44 +362,32 @@ inline bool Machine::runSelfLoop(const FlatBlock &B, uint32_t Cur,
   const uint32_t Row = B.CycleRow + CfgOff;
   const double C = Cyc[Row];
   const uint32_t BackEdges = Rem - 1;
-  uint32_t N = 0;
-  // Locals, so the trip loop runs in registers whatever the references
-  // alias.
-  double U = Used;
-  if (MonActive) {
-    double M = MonCycles;
-    do {
-      U += C;
-      M += C;
-      ++N;
-    } while (N < BackEdges && U < Budget);
-    MonCycles = M;
-    MonInsts += static_cast<uint64_t>(N) * B.Insts;
-  } else {
-    const std::vector<double> *Table = nullptr;
-    if (U == 0) {
-      HotProc &H = Hot[Pid];
-      if (H.LoopTableRow != Row) {
-        H.LoopTable = selfLoopTable(C);
-        H.LoopTableRow = Row;
-      }
-      Table = H.LoopTable;
+  bool FromMemo = false;
+  if (Used == 0) {
+    bool Hit = H.MemoRow == Row && H.MemoBudget == Budget;
+    if (!Hit) {
+      repadd::Result Reach =
+          repadd::run(0.0, C, std::numeric_limits<uint64_t>::max(), Budget);
+      H.MemoRow = Row;
+      H.MemoBudget = Budget;
+      H.MemoTrips = Reach.N;
+      H.MemoUsed = Reach.X;
     }
-    if (Table) {
-      // Budget <= MaxBudget <= Table->back(): the search always lands.
-      assert(Budget <= Table->back() && "budget beyond the prefix table");
-      auto Reach = std::lower_bound(Table->begin(), Table->end(), Budget);
-      N = std::min(BackEdges,
-                   static_cast<uint32_t>(Reach - Table->begin()) + 1);
-      U = (*Table)[N - 1];
-    } else {
-      do {
-        U += C;
-        ++N;
-      } while (N < BackEdges && U < Budget);
-    }
+    // With fewer back edges left than K, the loop ends short of the
+    // budget, at a sum the memo does not hold.
+    FromMemo = H.MemoTrips <= BackEdges;
+    if (FromMemo && Hit && !MonActive)
+      QuietTrips = H.MemoTrips;
   }
-  Used = U;
+  const repadd::Result Run = FromMemo
+                                 ? repadd::Result{H.MemoTrips, H.MemoUsed}
+                                 : repadd::run(Used, C, BackEdges, Budget);
+  const uint32_t N = static_cast<uint32_t>(Run.N);
+  Used = Run.X;
+  if (MonActive) {
+    MonCycles = repadd::addN(MonCycles, C, N);
+    MonInsts += static_cast<uint64_t>(N) * B.Insts;
+  }
   Insts += static_cast<uint64_t>(N) * B.Insts;
   Blocks += N;
   LoopRem[Cur] = Rem - N;
@@ -472,7 +434,12 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
   // recomputed only on migration or a sharer-count change. Pure
   // function of (core type, sharers), so caching cannot change results.
   const uint32_t CfgOff = configOffsetCached(P, Core, Sharers);
+  HotProc &H = Hot[P.Pid];
   const uint64_t EntryInsts = P.Stats.InstsRetired;
+  const uint64_t EntryBlocks = P.Stats.BlocksExecuted;
+  // Trips of a quiet resume (see runSelfLoop); quiet only if they were
+  // all this call ran.
+  uint64_t QuietTrips = 0;
 
   uint32_t Cur = P.CurGlobal;
   double Used = 0;
@@ -507,6 +474,8 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
     R.InstsDelta = P.Stats.InstsRetired - EntryInsts;
     R.Finished = Finished;
     R.Migrated = Migrated;
+    R.Quiet = QuietTrips != 0 &&
+              P.Stats.BlocksExecuted - EntryBlocks == QuietTrips;
     return R;
   };
 
@@ -515,8 +484,9 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
   while (Used < BudgetCycles) {
     const FlatBlock *B = &Blk[Cur];
 
-    if (runSelfLoop(*B, Cur, Cyc, CfgOff, P.Pid, LoopRem, BudgetCycles,
-                    Used, Insts, Blocks, MonActive, MonInsts, MonCycles))
+    if (runSelfLoop(*B, Cur, Cyc, CfgOff, H, LoopRem, BudgetCycles, Used,
+                    Insts, Blocks, MonActive, MonInsts, MonCycles,
+                    QuietTrips))
       continue;
 
     if (B->Op == FlatOp::Chain) {

@@ -33,7 +33,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -188,10 +187,14 @@ public:
   void setTraceSink(obs::TraceSink *Sink);
   obs::TraceSink *traceSink() const { return Trace; }
 
-  /// Self-loop prefix tables built so far: one per distinct body cost
-  /// the flat-image engine loop's kernel has charged from zero used cycles
-  /// (diagnostic; see selfLoopTable).
-  size_t selfLoopTableCount() const { return SelfLoopTables.size(); }
+  /// Quanta run() has stepped so far (diagnostic).
+  uint64_t quanta() const { return Quanta; }
+  /// ... of which were quiet: no event fired, no balance ran, and every
+  /// advance call, at least one, was an unmonitored whole-quantum resume
+  /// served by its process's reach memo (see HotProc). Only the
+  /// flat-image engines' self-loop kernel reports such resumes, so under
+  /// Reference this stays 0 (diagnostic).
+  uint64_t quietQuanta() const { return QuietQuanta; }
 
 private:
   struct AdvanceResult {
@@ -201,6 +204,9 @@ private:
     uint64_t InstsDelta = 0;
     bool Finished = false;
     bool Migrated = false;
+    /// The call was one unmonitored memo-hit resume that used the whole
+    /// budget and did nothing else (see quietQuanta).
+    bool Quiet = false;
   };
 
   /// Hot lane of one process: the fields the execution engines touch
@@ -216,18 +222,23 @@ private:
   /// change results — tests/fastreplay_test.cpp locks this in against
   /// the per-block recomputing reference engine.
   ///
-  /// The lane also caches the self-loop prefix table (see
-  /// selfLoopTable) of one cycle-table row, CycleRow + CfgOff: a
-  /// process resumes the same phase loop quantum after quantum, so the
-  /// common kernel call finds its table without a map lookup.
+  /// The lane also holds the self-loop kernel's reach memo: for the
+  /// last (cycle-table row, budget) a kernel call resumed from zero
+  /// used cycles, the trip count K at which `U += C` from +0.0 first
+  /// reaches the budget, and that sum U_K. A process resumes the same
+  /// phase loop quantum after quantum with the same budget, so the
+  /// common call costs no search at all.
   struct HotProc {
     uint32_t LastCore = ~0u;
     uint32_t LastSharers = 0;
     uint32_t CfgOff = 0;
-    /// Cycle-table row whose table LoopTable holds; ~0u = none yet.
-    uint32_t LoopTableRow = ~0u;
-    /// That row's prefix table; nullptr = the row's cost has none.
-    const std::vector<double> *LoopTable = nullptr;
+    /// Cycle-table row (CycleRow + CfgOff) of the memo; ~0u = empty.
+    uint32_t MemoRow = ~0u;
+    double MemoBudget = 0;
+    /// Trips to reach MemoBudget (UINT64_MAX: the sum stalls short).
+    uint64_t MemoTrips = 0;
+    /// The sum after MemoTrips trips.
+    double MemoUsed = 0;
   };
 
   /// CfgOff for \p P on (\p Core, \p Sharers), served from the hot
@@ -266,22 +277,15 @@ private:
                                         uint32_t Sharers);
 
   /// The exact self-loop kernel of the flat-image engine loop (see
-  /// Machine.cpp). \p Pid names the process whose hot lane
-  /// caches the prefix table; the accumulators are the calling engine's.
+  /// Machine.cpp). \p H is the process's hot lane, whose reach memo the
+  /// kernel reads and fills; the accumulators are the calling engine's.
+  /// A memo-hit, unmonitored call that uses the whole budget sets
+  /// \p QuietTrips to its trip count.
   bool runSelfLoop(const FlatBlock &B, uint32_t Cur, const double *Cyc,
-                   uint32_t CfgOff, uint32_t Pid, uint32_t *LoopRem,
+                   uint32_t CfgOff, HotProc &H, uint32_t *LoopRem,
                    double Budget, double &Used, uint64_t &Insts,
                    uint64_t &Blocks, bool MonActive, uint64_t &MonInsts,
-                   double &MonCycles);
-
-  /// The self-loop prefix table of a body costing \p C cycles: entry
-  /// k-1 is the k-th value of `U += C` from U = +0.0, computed by those
-  /// very adds, up to the first entry >= MaxBudget. Built on first use
-  /// and shared by every process and image with the same cost. nullptr
-  /// when \p C is not positive and finite, or when the table would
-  /// exceed MaxSelfLoopTable (Machine.cpp) entries; the kernel then
-  /// steps.
-  const std::vector<double> *selfLoopTable(double C);
+                   double &MonCycles, uint64_t &QuietTrips);
 
   /// Executes one phase mark; returns true when the process must migrate
   /// off its current core. Adds overhead cycles to \p Cycles.
@@ -334,14 +338,10 @@ private:
   std::map<std::pair<const void *, const void *>,
            std::shared_ptr<const FlatImage>>
       FlatCache;
-  /// Largest per-quantum core budget, Sim.Timeslice * coreFrequency,
-  /// evaluated exactly as run() evaluates it; no advance call is ever
-  /// given more, so every prefix table reaches every budget.
-  double MaxBudget = 0;
-  /// Self-loop prefix tables keyed by the bit pattern of the body cost
-  /// (see selfLoopTable). Node-based, so the hot lanes' cached pointers
-  /// survive later insertions. An empty table marks a cost with none.
-  std::unordered_map<uint64_t, std::vector<double>> SelfLoopTables;
+  /// Diagnostic counts behind quanta() and quietQuanta(): plain
+  /// members, read once per replay by the workload runner.
+  uint64_t Quanta = 0;
+  uint64_t QuietQuanta = 0;
   Rng Gen;
   /// Plane-1 trace sink; nullptr = tracing off (the common case).
   obs::TraceSink *Trace = nullptr;

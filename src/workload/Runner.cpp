@@ -8,6 +8,7 @@
 
 #include "analysis/BlockTyping.h"
 #include "analysis/PassManager.h"
+#include "obs/Counters.h"
 #include "obs/Trace.h"
 #include "support/Hashing.h"
 
@@ -189,6 +190,19 @@ std::vector<double> pbt::isolatedRuntimes(const PreparedSuite &BaselineSuite,
   return Times;
 }
 
+namespace {
+
+/// Adds \p M's quantum counts to the obs counters `machine.quanta` and
+/// `machine.quiet_quanta`, once per replay, so no atomic enters the
+/// simulator's quantum loop.
+void recordQuanta(const Machine &M) {
+  obs::CounterRegistry &Counters = obs::CounterRegistry::global();
+  Counters.add("machine.quanta", M.quanta());
+  Counters.add("machine.quiet_quanta", M.quietQuanta());
+}
+
+} // namespace
+
 CompletedJob pbt::runIsolated(const PreparedSuite &Suite, uint32_t Bench,
                               const MachineConfig &MachineCfg,
                               const SimConfig &Sim, uint64_t Seed) {
@@ -196,12 +210,14 @@ CompletedJob pbt::runIsolated(const PreparedSuite &Suite, uint32_t Bench,
   uint32_t Pid =
       M.spawn(Suite.Images[Bench], Suite.Costs[Bench], Suite.Tuner, Seed,
               /*Slot=*/-1, /*InitialAffinity=*/0, Suite.Flats[Bench]);
-  // Advance until the process finishes.
-  double Step = 64;
+  // Advance a quantum at a time until the process finishes, so the run
+  // stops at the quantum where it completes. The chunked clock walk is
+  // bit-identical to longer run() calls (see WorkloadReplay::advance).
   while (M.process(Pid).CompletionTime < 0) {
-    M.run(M.now() + Step);
+    M.run(M.now() + Sim.Timeslice);
     assert(M.now() < 1e7 && "isolated benchmark failed to terminate");
   }
+  recordQuanta(M);
   const Process &P = M.process(Pid);
   CompletedJob Job;
   Job.Bench = Bench;
@@ -434,6 +450,8 @@ RunResult WorkloadReplay::snapshot(double Horizon, bool Final) {
 
   if (Final && Trace)
     Trace->runEnd(Trace->cycles(M.now()), Done, BenchOfPid.size());
+  if (Final)
+    recordQuanta(M);
 
   // Canonical row order: completion time with deterministic tie-breaks,
   // so per-benchmark tables come out identical however the simulation

@@ -208,12 +208,17 @@ struct Lockstep {
   /// ... of which the process was being monitored.
   uint32_t MonitoredParks = 0;
   /// ... of which it was not: its next advance call starts from zero
-  /// used cycles inside the loop, so the kernel charges the resumed trips
-  /// through its prefix table.
+  /// used cycles inside the loop, so the kernel serves the resumed trips
+  /// from the process's reach memo.
   uint32_t UnmonitoredParks = 0;
-  /// Prefix tables the Flat and FastReplay machines built by the end.
-  size_t FlatTables = 0;
-  size_t FastTables = 0;
+  /// Monitored parks whose MonCycles lies in another binade than at the
+  /// process's previous monitored park: a resume added its trips to
+  /// MonCycles across a power of two.
+  uint32_t MonitoredBinadeCrossings = 0;
+  /// Quiet quanta of the Flat and FastReplay machines: every advance a
+  /// memo-hit resume (Machine::quietQuanta).
+  uint64_t FlatQuiet = 0;
+  uint64_t FastQuiet = 0;
   /// Consecutive mid-loop parks of one process between which the active
   /// core count of its L2 group changed.
   uint32_t SharerChanges = 0;
@@ -272,6 +277,7 @@ Lockstep runLockstep(const MachineConfig &MC, const SimConfig &Base,
   Machine &Flat = *Ms[1];
   Machine &Fast = *Ms[2];
   std::vector<int64_t> LastParkSharers(Images.size(), -1);
+  std::vector<double> LastMonCycles(Images.size(), -1);
   auto Pending = [&] {
     for (const auto &P : Ref.processes())
       if (P->CompletionTime < 0)
@@ -315,10 +321,16 @@ Lockstep runLockstep(const MachineConfig &MC, const SimConfig &Base,
       if (!F.Finished && Core >= 0 && isKernelLoop(*F.Flat, Cur) &&
           F.LoopRemaining[Cur] > 1) {
         ++Cov.MidLoopParks;
-        if (F.MonActive)
+        if (F.MonActive) {
           ++Cov.MonitoredParks;
-        else
+          if (LastMonCycles[Pid] > 0 && F.MonCycles > LastMonCycles[Pid] &&
+              std::ilogb(F.MonCycles) != std::ilogb(LastMonCycles[Pid]))
+            ++Cov.MonitoredBinadeCrossings;
+          LastMonCycles[Pid] = F.MonCycles;
+        } else {
           ++Cov.UnmonitoredParks;
+          LastMonCycles[Pid] = -1;
+        }
         int64_t Sharers = groupSharers(Flat, static_cast<uint32_t>(Core));
         if (LastParkSharers[Pid] >= 0 && LastParkSharers[Pid] != Sharers)
           ++Cov.SharerChanges;
@@ -331,8 +343,9 @@ Lockstep runLockstep(const MachineConfig &MC, const SimConfig &Base,
     EXPECT_GE(Fast.process(Pid).CompletionTime, 0);
     Cov.Stats.push_back(Ref.process(Pid).Stats);
   }
-  Cov.FlatTables = Flat.selfLoopTableCount();
-  Cov.FastTables = Fast.selfLoopTableCount();
+  EXPECT_EQ(Ref.quietQuanta(), 0u) << "Reference never reports quiet";
+  Cov.FlatQuiet = Flat.quietQuanta();
+  Cov.FastQuiet = Fast.quietQuanta();
   return Cov;
 }
 
@@ -751,17 +764,19 @@ TEST(SelfLoopKernel, MarkedBackEdgeSteps) {
   EXPECT_EQ(Cov.Stats[0].MarksFired, Outer * (Trips - 1));
 }
 
-// A kernel call that starts from zero used cycles with monitoring off
-// charges its trips through the body cost's prefix table. These cases
-// pin the lookup's boundaries against the stepping engines.
+// A kernel call that starts from zero used cycles takes its trips from
+// the process's reach memo: the trip count K at which the sum from +0.0
+// reaches the budget, and that sum, for the last (row, budget) resumed.
+// These cases pin the memo's boundaries against the stepping engines.
 
 TEST(SelfLoopKernel, ResumeBudgetEqualToATableEntry) {
   // A one-core machine whose quantum budget equals, bit for bit, the sum
-  // of K bodies from zero — prefix-table entry K - 1. The first quantum
-  // runs the entry block and K trips; every later quantum resumes the
-  // loop from zero and must stop on exactly that entry: K trips, not
-  // K + 1. 63 back edges divide by every K, so one resume also runs out
-  // of back edges on the very trip that reaches the budget.
+  // of K bodies from zero. The first quantum runs the entry block and K
+  // trips; every later quantum resumes the loop from zero and must stop
+  // on exactly that sum: K trips, not K + 1. The second quantum fills
+  // the memo, the third is served from it. 63 back edges divide by
+  // every K, so one resume also runs out of back edges on the very trip
+  // that reaches the budget.
   MachineConfig MC = oneCoreMachine();
   const uint32_t Trips = 64;
   HandImage H =
@@ -788,16 +803,23 @@ TEST(SelfLoopKernel, ResumeBudgetEqualToATableEntry) {
       M.run(M.now() + One.Timeslice);
       const Process &P = M.process(Pid);
       ASSERT_EQ(P.LoopRemaining[SelfLoopBlock], Trips - K);
-      uint64_t Blocks = P.Stats.BlocksExecuted;
-      double Cycles = P.Stats.CyclesConsumed;
-      M.run(M.now() + One.Timeslice);
-      EXPECT_EQ(P.Stats.BlocksExecuted - Blocks, K);
-      EXPECT_EQ(P.Stats.CyclesConsumed, Cycles + Budget);
-      EXPECT_EQ(P.LoopRemaining[SelfLoopBlock], Trips - 2 * K);
+      for (uint32_t Resume = 1; Resume <= 2; ++Resume) {
+        SCOPED_TRACE("resume " + std::to_string(Resume));
+        uint64_t Blocks = P.Stats.BlocksExecuted;
+        double Cycles = P.Stats.CyclesConsumed;
+        M.run(M.now() + One.Timeslice);
+        EXPECT_EQ(P.Stats.BlocksExecuted - Blocks, K);
+        EXPECT_EQ(P.Stats.CyclesConsumed, Cycles + Budget);
+        EXPECT_EQ(P.LoopRemaining[SelfLoopBlock], Trips - (Resume + 1) * K);
+      }
+      // Quantum 1 balanced, quantum 2 filled the memo, quantum 3 hit it.
+      EXPECT_EQ(M.quanta(), 3u);
+      EXPECT_EQ(M.quietQuanta(), E == ExecEngine::Reference ? 0u : 1u);
     }
     Lockstep Cov = runLockstep(MC, SC, {H});
     EXPECT_GT(Cov.UnmonitoredParks, 0u);
-    EXPECT_EQ(Cov.FlatTables, 1u);
+    EXPECT_GT(Cov.FlatQuiet, 0u);
+    EXPECT_GT(Cov.FastQuiet, 0u);
   }
 }
 
@@ -805,7 +827,8 @@ TEST(SelfLoopKernel, SecondProcessResumesOnAReducedBudget) {
   // One core, two processes. A (pid 0) needs about a quantum and a half;
   // B (pid 1) parks mid-loop in quantum 2. In quantum 3, A finishes
   // mid-quantum and B resumes from zero used cycles on what is left of
-  // the budget: a table lookup that lands inside the table.
+  // the budget: a memo miss, on a budget B has not seen, between quanta
+  // whose whole-budget resumes hit it.
   MachineConfig MC = oneCoreMachine();
   SimConfig SC;
   HandImage Probe = handImage(
@@ -831,15 +854,16 @@ TEST(SelfLoopKernel, SecondProcessResumesOnAReducedBudget) {
 
   Lockstep Cov = runLockstep(MC, SC, Images);
   EXPECT_GT(Cov.UnmonitoredParks, 0u);
-  EXPECT_EQ(Cov.FlatTables, 2u);
-  EXPECT_EQ(Cov.FastTables, 2u);
+  EXPECT_GT(Cov.FlatQuiet, 0u);
+  EXPECT_GT(Cov.FastQuiet, 0u);
 }
 
 TEST(SelfLoopKernel, BackEdgesRunOutInsideATableCall) {
   // A loop of about a quantum and a half: the first quantum parks it
   // with fewer back edges left than the next quantum's budget covers,
-  // so the resume's lookup is cut short by the back edges (R0 - 1 < K_B),
-  // and the exit trip and the outer loop step in the same call.
+  // so the resume runs out of back edges before the memo's trip count
+  // (R0 - 1 < K), and the exit trip and the outer loop step in the same
+  // call.
   MachineConfig MC = oneCoreMachine();
   SimConfig SC;
   HandImage Probe = handImage(
@@ -863,12 +887,14 @@ TEST(SelfLoopKernel, BackEdgesRunOutInsideATableCall) {
   EXPECT_EQ(Cov.Stats[0].BlocksExecuted, 3u * (Trips + 2) + 1);
 }
 
-TEST(SelfLoopKernel, MonitoredResumeAtQuantumStartSteps) {
+TEST(SelfLoopKernel, MonitoredResumeAtQuantumStart) {
   // One core, so every resume starts the quantum from zero used cycles.
   // The first activation is monitored (a mark on the loop's entry edge
   // starts the session, one on its exit edge ends it): those resumes
-  // must step, adding each trip to MonCycles too. Later activations,
-  // sampled already, resume through the table.
+  // take U from the memo and add the same trips to MonCycles in closed
+  // form. MonCycles grows by a quantum's cycles per resume, so some
+  // resume carries it across a power of two. Later activations, sampled
+  // already, resume unmonitored.
   MachineConfig MC = oneCoreMachine();
   SimConfig SC;
   HandImage H = handImage(
@@ -880,16 +906,41 @@ TEST(SelfLoopKernel, MonitoredResumeAtQuantumStartSteps) {
   ASSERT_GT(4000, tripsPerQuantum(H, MC, SC, SelfLoopBlock));
   Lockstep Cov = runLockstep(MC, SC, {H});
   EXPECT_GT(Cov.MonitoredParks, 0u);
+  EXPECT_GT(Cov.MonitoredBinadeCrossings, 0u);
   EXPECT_GT(Cov.UnmonitoredParks, 0u);
   ASSERT_EQ(Cov.Stats.size(), 1u);
   EXPECT_GT(Cov.Stats[0].MonitorSessions, 0u);
 }
 
+TEST(SelfLoopKernel, MonitoredEntryMidQuantum) {
+  // A monitored activation entered after other work in the same call
+  // (Used != 0): the mark on the loop's entry edge starts the session,
+  // and the whole short activation runs in the kernel call that
+  // follows, from MonCycles = 0 and a nonzero Used. One core, and
+  // activations far shorter than a quantum, so every activation after
+  // the first is entered mid-quantum.
+  MachineConfig MC = oneCoreMachine();
+  SimConfig SC;
+  const uint32_t Trips = 37;
+  const uint32_t Outer = 400;
+  HandImage H = handImage(
+      selfLoopProgram(Trips, Outer, InstMix::compute(48)), MC,
+      {{0, 0, 0, MarkPoint::Edge, 0},
+       {0, SelfLoopBlock, 1, MarkPoint::Edge, 1}},
+      /*NumTypes=*/2);
+  ASSERT_TRUE(isKernelLoop(*H.Flat, SelfLoopBlock));
+  ASSERT_LT(10 * Trips, tripsPerQuantum(H, MC, SC, SelfLoopBlock));
+  Lockstep Cov = runLockstep(MC, SC, {H});
+  ASSERT_EQ(Cov.Stats.size(), 1u);
+  EXPECT_GT(Cov.Stats[0].MonitorSessions, 1u);
+  EXPECT_EQ(Cov.Stats[0].BlocksExecuted, Outer * (Trips + 2) + 1);
+}
+
 TEST(SelfLoopKernel, CoreTypesAndProcessesShareOneTable) {
-  // Two core types of different frequency, slow core first so the
-  // table is built by a slow-core resume and then read by fast-core
-  // resumes with a larger budget; two processes with different images
-  // but equal body costs. All of it runs through one table.
+  // Two core types of different frequency and so different budgets; two
+  // processes with different images but equal body costs. Each process
+  // keeps its own memo, refilled whenever its row or budget changes:
+  // a memo filled on one core type must never serve the other's budget.
   MachineConfig MC;
   MC.CoreTypes = {{"slow", 1.6e6, 4096}, {"fast", 2.4e6, 4096}};
   MC.Cores = {{0, 0}, {1, 1}};
@@ -908,8 +959,8 @@ TEST(SelfLoopKernel, CoreTypesAndProcessesShareOneTable) {
           << "the body must cost the same everywhere";
   Lockstep Cov = runLockstep(MC, SC, Images);
   EXPECT_GT(Cov.UnmonitoredParks, 0u);
-  EXPECT_EQ(Cov.FlatTables, 1u);
-  EXPECT_EQ(Cov.FastTables, 1u);
+  EXPECT_GT(Cov.FlatQuiet, 0u);
+  EXPECT_GT(Cov.FastQuiet, 0u);
 }
 
 TEST(ParallelRunner, BitIdenticalToSerialRuns) {
