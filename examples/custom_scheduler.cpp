@@ -21,7 +21,8 @@ using namespace pbt;
 namespace {
 
 /// A toy phase-aware OS policy: place on the least-loaded core like the
-/// oblivious baseline, then each quantum steer every process toward the
+/// oblivious baseline, then at each balance (every quantum: main() sets
+/// the balance period to one timeslice) steer every process toward the
 /// core type its *last window's* IPC says it belongs on — memory-bound
 /// windows (which waste fast-core cycles on stalls) to slow cores,
 /// compute-bound windows to fast cores. Moves are load-aware (never
@@ -42,7 +43,7 @@ public:
     return Best;
   }
 
-  void onQuantumEnd(Machine &M) override {
+  void balance(Machine &M) override {
     const MachineConfig &Cfg = M.config();
     // Fastest and slowest core types.
     uint32_t Fast = 0;
@@ -105,7 +106,9 @@ int main() {
   // uses for the built-ins.
   auto Policy = std::make_unique<WindowIpcScheduler>();
   WindowIpcScheduler *Raw = Policy.get();
-  Machine M(MC, SimConfig(), std::move(Policy));
+  SimConfig EveryQuantum;
+  EveryQuantum.BalancePeriod = EveryQuantum.Timeslice;
+  Machine M(MC, EveryQuantum, std::move(Policy));
   std::vector<uint32_t> NextJob(W.numSlots(), 0);
   auto SpawnSlot = [&](uint32_t Slot) {
     uint32_t Index = NextJob[Slot]++;
@@ -140,7 +143,7 @@ int main() {
                 static_cast<unsigned long long>(R.InstructionsRetired));
   }
   std::printf("\na policy is ~30 lines: selectCore plus any of the "
-              "balance/onSpawn/onQuantumEnd/onExit hooks, reading "
+              "balance/onSpawn/onExit hooks, reading "
               "Machine::telemetry() instead of simulator internals\n");
   return 0;
 }

@@ -16,6 +16,60 @@
 
 using namespace pbt;
 
+namespace {
+
+/// Trips left in the activation of record \p Cur, counting the exit
+/// trip, when \p B is a Loop latch whose back edge (Succ[0]) targets
+/// the record itself and carries no mark; 0 when it is not. \p Rem is
+/// the record's LoopRemaining entry, 0 before the latch first runs in
+/// the activation.
+inline uint32_t selfLoopTrips(const FlatBlock &B, uint32_t Cur,
+                              uint32_t Rem) {
+  if (B.Op != FlatOp::Loop || B.Succ[0] != Cur || B.EdgeMark[0] >= 0)
+    return 0;
+  return Rem != 0 ? Rem : B.TripCount;
+}
+
+/// The exact self-loop kernel of the flat-image engine loop (both the
+/// Flat and the FastReplay engine).
+/// Applies when record \p Cur is an unmarked self-loop (selfLoopTrips),
+/// the shape of the suite's hot phase bodies. It runs the activation's
+/// back-edge trips until only the exit trip is left or the budget is
+/// spent, then charges the integer stats and the loop counter in bulk.
+/// Returns false, touching nothing, when the record is not such a loop
+/// or only its exit trip remains; the caller then steps the record
+/// itself.
+///
+/// Stepping would run `do { U += C; ++N; } while (N < R0 - 1 && U <
+/// Budget);` (adding C to MonCycles too while monitoring). The kernel
+/// computes that loop's N and U in closed form (repadd::run, exact to
+/// the bit) and MonCycles after the same N adds (repadd::addN), so the
+/// result is bit-identical to stepping. Whole-quantum resumes rarely get
+/// here: Machine::resumeFromMemo serves them before the engine call.
+inline bool runSelfLoop(const FlatBlock &B, uint32_t Cur, const double *Cyc,
+                        uint32_t CfgOff, uint32_t *LoopRem, double Budget,
+                        double &Used, uint64_t &Insts, uint64_t &Blocks,
+                        bool MonActive, uint64_t &MonInsts,
+                        double &MonCycles) {
+  const uint32_t Rem = selfLoopTrips(B, Cur, LoopRem[Cur]);
+  if (Rem <= 1)
+    return false;
+  const double C = Cyc[B.CycleRow + CfgOff];
+  const repadd::Result Run = repadd::run(Used, C, Rem - 1, Budget);
+  const uint32_t N = static_cast<uint32_t>(Run.N);
+  Used = Run.X;
+  if (MonActive) {
+    MonCycles = repadd::addN(MonCycles, C, N);
+    MonInsts += static_cast<uint64_t>(N) * B.Insts;
+  }
+  Insts += static_cast<uint64_t>(N) * B.Insts;
+  Blocks += N;
+  LoopRem[Cur] = Rem - N;
+  return true;
+}
+
+} // namespace
+
 const char *pbt::engineName(ExecEngine Engine) {
   switch (Engine) {
   case ExecEngine::Flat:
@@ -161,6 +215,60 @@ void Machine::scheduleAt(double Time, std::function<void(Machine &)> Fn) {
   Events.emplace(Time, std::move(Fn));
 }
 
+/// The whole-quantum resume of a phase loop, served from the process's
+/// reach memo before any engine call. A process parked inside an
+/// unmarked self-loop resumes it from zero used cycles, where stepping
+/// would run `do { U += C; ++N; } while (N < R0 - 1 && U < Budget);`.
+/// From +0.0 that loop's sum depends on nothing but C and the budget,
+/// so the memo keeps, for the process's last (row, budget), the trip K
+/// at which the sum reaches the budget and the sum U_K (repadd::run,
+/// exact to the bit). When K <= R0 - 1 the resume takes N = K, U = U_K
+/// (adding the same K trips to MonCycles while monitoring) and ends the
+/// advance on the budget, as the engine would. With fewer back edges
+/// left the loop ends short of the budget, at a sum the memo does not
+/// hold: the step declines, and the engine's kernel (runSelfLoop) runs
+/// the trips from the same +0.0. Reference, the oracle, always steps.
+inline bool Machine::resumeFromMemo(Process &P, uint32_t Core,
+                                    double BudgetCycles, uint32_t Sharers,
+                                    AdvanceResult &R) {
+  if (Sim.Engine == ExecEngine::Reference)
+    return false;
+  const FlatImage &FI = *P.Flat;
+  const uint32_t Cur = P.CurGlobal;
+  const FlatBlock &B = FI.block(Cur);
+  uint32_t &LoopRem = P.LoopRemaining[Cur];
+  const uint32_t Rem = selfLoopTrips(B, Cur, LoopRem);
+  if (Rem <= 1)
+    return false;
+  const uint32_t Row = B.CycleRow + configOffsetCached(P, Core, Sharers);
+  const double C = FI.cycleTable()[Row];
+  HotProc &H = Hot[P.Pid];
+  const bool Hit = H.MemoRow == Row && H.MemoBudget == BudgetCycles;
+  if (!Hit) {
+    repadd::Result Reach = repadd::run(
+        0.0, C, std::numeric_limits<uint64_t>::max(), BudgetCycles);
+    H.MemoRow = Row;
+    H.MemoBudget = BudgetCycles;
+    H.MemoTrips = Reach.N;
+    H.MemoUsed = Reach.X;
+  }
+  if (H.MemoTrips > Rem - 1)
+    return false;
+  const uint32_t N = static_cast<uint32_t>(H.MemoTrips);
+  const uint64_t Insts = static_cast<uint64_t>(N) * B.Insts;
+  LoopRem = Rem - N;
+  P.Stats.InstsRetired += Insts;
+  P.Stats.BlocksExecuted += N;
+  if (P.MonActive) {
+    P.MonCycles = repadd::addN(P.MonCycles, C, N);
+    P.MonInsts += Insts;
+  }
+  R.CyclesUsed = H.MemoUsed;
+  R.InstsDelta = Insts;
+  R.Quiet = Hit && !P.MonActive;
+  return true;
+}
+
 void Machine::run(double Until) {
   while (Now < Until) {
     // Quiet until something happens (see quietQuanta).
@@ -217,8 +325,13 @@ void Machine::run(double Until) {
           Progress = true;
           uint32_t Pid = Queues[Core].front();
           Process &P = *Procs[Pid];
-          AdvanceResult R =
-              advanceProcess(P, Core, Budget - Used[Core], Sharers);
+          const double Left = Budget - Used[Core];
+          AdvanceResult R;
+          ++Advances;
+          if (resumeFromMemo(P, Core, Left, Sharers, R))
+            ++MemoResumes;
+          else
+            R = advanceProcess(P, Core, Left, Sharers);
           Advanced = true;
           Quiet = Quiet && R.Quiet;
           Used[Core] += R.CyclesUsed;
@@ -275,7 +388,6 @@ void Machine::run(double Until) {
     if (Trace)
       flushTraceWindows();
 
-    Policy->onQuantumEnd(*this);
     Now += Sim.Timeslice;
     ++Quanta;
     QuietQuanta += Quiet && Advanced;
@@ -324,76 +436,6 @@ Machine::AdvanceResult Machine::advanceProcess(Process &P, uint32_t Core,
   return R;
 }
 
-/// The exact self-loop kernel of the flat-image engine loop (both the
-/// Flat and the FastReplay engine).
-/// Applies when record \p Cur is a Loop latch whose back edge (Succ[0])
-/// targets the record itself and carries no mark — the shape of the
-/// suite's hot phase bodies. It runs the activation's back-edge trips
-/// until only the exit trip is left or the budget is spent, then charges
-/// the integer stats and the loop counter in bulk. Returns false,
-/// touching nothing, when the record is not such a loop or only its exit
-/// trip remains; the caller then steps the record itself.
-///
-/// Stepping would run `do { U += C; ++N; } while (N < R0 - 1 && U <
-/// Budget);` (adding C to MonCycles too while monitoring). The kernel
-/// computes that loop's N and U in closed form (repadd::run, exact to
-/// the bit) and MonCycles after the same N adds (repadd::addN), so the
-/// result is bit-identical to stepping. A call made before its advance
-/// call has charged any cycles (Used == +0.0, as when a quantum resumes
-/// the loop) starts from a value that depends on nothing but C, so the
-/// process's reach memo (HotProc) keeps, for its last (row, budget),
-/// the trip K at which the sum reaches the budget and the sum U_K: the
-/// next resume with the same row and budget takes N = K, U = U_K when
-/// K <= R0 - 1, without any search.
-inline bool Machine::runSelfLoop(const FlatBlock &B, uint32_t Cur,
-                                 const double *Cyc, uint32_t CfgOff,
-                                 HotProc &H, uint32_t *LoopRem,
-                                 double Budget, double &Used,
-                                 uint64_t &Insts, uint64_t &Blocks,
-                                 bool MonActive, uint64_t &MonInsts,
-                                 double &MonCycles, uint64_t &QuietTrips) {
-  if (B.Op != FlatOp::Loop || B.Succ[0] != Cur || B.EdgeMark[0] >= 0)
-    return false;
-  // Trips left in this activation, counting the exit trip; 0 means the
-  // latch has not run yet in this activation.
-  uint32_t Rem = LoopRem[Cur] != 0 ? LoopRem[Cur] : B.TripCount;
-  if (Rem <= 1)
-    return false;
-  const uint32_t Row = B.CycleRow + CfgOff;
-  const double C = Cyc[Row];
-  const uint32_t BackEdges = Rem - 1;
-  bool FromMemo = false;
-  if (Used == 0) {
-    bool Hit = H.MemoRow == Row && H.MemoBudget == Budget;
-    if (!Hit) {
-      repadd::Result Reach =
-          repadd::run(0.0, C, std::numeric_limits<uint64_t>::max(), Budget);
-      H.MemoRow = Row;
-      H.MemoBudget = Budget;
-      H.MemoTrips = Reach.N;
-      H.MemoUsed = Reach.X;
-    }
-    // With fewer back edges left than K, the loop ends short of the
-    // budget, at a sum the memo does not hold.
-    FromMemo = H.MemoTrips <= BackEdges;
-    if (FromMemo && Hit && !MonActive)
-      QuietTrips = H.MemoTrips;
-  }
-  const repadd::Result Run = FromMemo
-                                 ? repadd::Result{H.MemoTrips, H.MemoUsed}
-                                 : repadd::run(Used, C, BackEdges, Budget);
-  const uint32_t N = static_cast<uint32_t>(Run.N);
-  Used = Run.X;
-  if (MonActive) {
-    MonCycles = repadd::addN(MonCycles, C, N);
-    MonInsts += static_cast<uint64_t>(N) * B.Insts;
-  }
-  Insts += static_cast<uint64_t>(N) * B.Insts;
-  Blocks += N;
-  LoopRem[Cur] = Rem - N;
-  return true;
-}
-
 /// The flat-image interpreter behind both the Flat and the FastReplay
 /// engines; \p Fused selects FastReplay. Each step is one indexed load
 /// from the FlatImage instead of pointer chases through Program,
@@ -434,12 +476,7 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
   // recomputed only on migration or a sharer-count change. Pure
   // function of (core type, sharers), so caching cannot change results.
   const uint32_t CfgOff = configOffsetCached(P, Core, Sharers);
-  HotProc &H = Hot[P.Pid];
   const uint64_t EntryInsts = P.Stats.InstsRetired;
-  const uint64_t EntryBlocks = P.Stats.BlocksExecuted;
-  // Trips of a quiet resume (see runSelfLoop); quiet only if they were
-  // all this call ran.
-  uint64_t QuietTrips = 0;
 
   uint32_t Cur = P.CurGlobal;
   double Used = 0;
@@ -474,8 +511,6 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
     R.InstsDelta = P.Stats.InstsRetired - EntryInsts;
     R.Finished = Finished;
     R.Migrated = Migrated;
-    R.Quiet = QuietTrips != 0 &&
-              P.Stats.BlocksExecuted - EntryBlocks == QuietTrips;
     return R;
   };
 
@@ -484,9 +519,8 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
   while (Used < BudgetCycles) {
     const FlatBlock *B = &Blk[Cur];
 
-    if (runSelfLoop(*B, Cur, Cyc, CfgOff, H, LoopRem, BudgetCycles, Used,
-                    Insts, Blocks, MonActive, MonInsts, MonCycles,
-                    QuietTrips))
+    if (runSelfLoop(*B, Cur, Cyc, CfgOff, LoopRem, BudgetCycles, Used,
+                    Insts, Blocks, MonActive, MonInsts, MonCycles))
       continue;
 
     if (B->Op == FlatOp::Chain) {

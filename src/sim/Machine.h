@@ -190,11 +190,16 @@ public:
   /// Quanta run() has stepped so far (diagnostic).
   uint64_t quanta() const { return Quanta; }
   /// ... of which were quiet: no event fired, no balance ran, and every
-  /// advance call, at least one, was an unmonitored whole-quantum resume
-  /// served by its process's reach memo (see HotProc). Only the
-  /// flat-image engines' self-loop kernel reports such resumes, so under
-  /// Reference this stays 0 (diagnostic).
+  /// advance, at least one, was an unmonitored memo resume whose memo
+  /// entry was already there (see resumeFromMemo). Reference never
+  /// resumes from the memo, so under it this stays 0 (diagnostic).
   uint64_t quietQuanta() const { return QuietQuanta; }
+  /// Times run() advanced a process, through the engine or the memo
+  /// (diagnostic).
+  uint64_t advances() const { return Advances; }
+  /// ... of which resumeFromMemo served without an engine call
+  /// (diagnostic; 0 under Reference).
+  uint64_t memoResumes() const { return MemoResumes; }
 
 private:
   struct AdvanceResult {
@@ -204,8 +209,8 @@ private:
     uint64_t InstsDelta = 0;
     bool Finished = false;
     bool Migrated = false;
-    /// The call was one unmonitored memo-hit resume that used the whole
-    /// budget and did nothing else (see quietQuanta).
+    /// The advance was an unmonitored memo resume whose memo entry was
+    /// already there (set only by resumeFromMemo; see quietQuanta).
     bool Quiet = false;
   };
 
@@ -222,12 +227,12 @@ private:
   /// change results — tests/fastreplay_test.cpp locks this in against
   /// the per-block recomputing reference engine.
   ///
-  /// The lane also holds the self-loop kernel's reach memo: for the
-  /// last (cycle-table row, budget) a kernel call resumed from zero
-  /// used cycles, the trip count K at which `U += C` from +0.0 first
+  /// The lane also holds the reach memo that resumeFromMemo reads and
+  /// fills: for the last (cycle-table row, budget) the process resumed
+  /// a self-loop at, the trip count K at which `U += C` from +0.0 first
   /// reaches the budget, and that sum U_K. A process resumes the same
   /// phase loop quantum after quantum with the same budget, so the
-  /// common call costs no search at all.
+  /// common advance costs no search and no engine call at all.
   struct HotProc {
     uint32_t LastCore = ~0u;
     uint32_t LastSharers = 0;
@@ -254,6 +259,16 @@ private:
     return H.CfgOff;
   }
 
+  /// Serves an advance of \p P on \p Core without an engine call when
+  /// the process sits at an unmarked self-loop latch with back edges
+  /// left and the loop reaches \p BudgetCycles before they run out: it
+  /// charges the K trips of the process's reach memo (see HotProc),
+  /// filling the memo first on a miss, and returns true with \p R set.
+  /// Otherwise, and always under Reference, it returns false and
+  /// touches nothing but the memo and the config-offset cache.
+  bool resumeFromMemo(Process &P, uint32_t Core, double BudgetCycles,
+                      uint32_t Sharers, AdvanceResult &R);
+
   /// Runs \p P on \p Core for at most \p BudgetCycles (dispatches on
   /// SimConfig::Engine).
   AdvanceResult advanceProcess(Process &P, uint32_t Core,
@@ -275,17 +290,6 @@ private:
   AdvanceResult advanceProcessReference(Process &P, uint32_t Core,
                                         double BudgetCycles,
                                         uint32_t Sharers);
-
-  /// The exact self-loop kernel of the flat-image engine loop (see
-  /// Machine.cpp). \p H is the process's hot lane, whose reach memo the
-  /// kernel reads and fills; the accumulators are the calling engine's.
-  /// A memo-hit, unmonitored call that uses the whole budget sets
-  /// \p QuietTrips to its trip count.
-  bool runSelfLoop(const FlatBlock &B, uint32_t Cur, const double *Cyc,
-                   uint32_t CfgOff, HotProc &H, uint32_t *LoopRem,
-                   double Budget, double &Used, uint64_t &Insts,
-                   uint64_t &Blocks, bool MonActive, uint64_t &MonInsts,
-                   double &MonCycles, uint64_t &QuietTrips);
 
   /// Executes one phase mark; returns true when the process must migrate
   /// off its current core. Adds overhead cycles to \p Cycles.
@@ -338,10 +342,13 @@ private:
   std::map<std::pair<const void *, const void *>,
            std::shared_ptr<const FlatImage>>
       FlatCache;
-  /// Diagnostic counts behind quanta() and quietQuanta(): plain
-  /// members, read once per replay by the workload runner.
+  /// Diagnostic counts behind quanta(), quietQuanta(), advances() and
+  /// memoResumes(): plain members, read once per replay by the workload
+  /// runner.
   uint64_t Quanta = 0;
   uint64_t QuietQuanta = 0;
+  uint64_t Advances = 0;
+  uint64_t MemoResumes = 0;
   Rng Gen;
   /// Plane-1 trace sink; nullptr = tracing off (the common case).
   obs::TraceSink *Trace = nullptr;

@@ -110,11 +110,6 @@ public:
   /// assignment); selectCore is called immediately after.
   virtual void onSpawn(Machine &, Process &) {}
 
-  /// Fired once per timeslice after every core exhausted its budget,
-  /// before the clock advances. Telemetry for the quantum is final;
-  /// queued processes may be moved.
-  virtual void onQuantumEnd(Machine &) {}
-
   /// Fired when \p P completes, before the workload's exit handler
   /// spawns any replacement.
   virtual void onExit(Machine &, Process &) {}

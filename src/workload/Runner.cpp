@@ -192,13 +192,16 @@ std::vector<double> pbt::isolatedRuntimes(const PreparedSuite &BaselineSuite,
 
 namespace {
 
-/// Adds \p M's quantum counts to the obs counters `machine.quanta` and
-/// `machine.quiet_quanta`, once per replay, so no atomic enters the
+/// Adds \p M's quantum and advance counts to the obs counters
+/// `machine.quanta`, `machine.quiet_quanta`, `machine.advances` and
+/// `machine.memo_resumes`, once per replay, so no atomic enters the
 /// simulator's quantum loop.
-void recordQuanta(const Machine &M) {
+void recordMachineCounts(const Machine &M) {
   obs::CounterRegistry &Counters = obs::CounterRegistry::global();
   Counters.add("machine.quanta", M.quanta());
   Counters.add("machine.quiet_quanta", M.quietQuanta());
+  Counters.add("machine.advances", M.advances());
+  Counters.add("machine.memo_resumes", M.memoResumes());
 }
 
 } // namespace
@@ -217,7 +220,7 @@ CompletedJob pbt::runIsolated(const PreparedSuite &Suite, uint32_t Bench,
     M.run(M.now() + Sim.Timeslice);
     assert(M.now() < 1e7 && "isolated benchmark failed to terminate");
   }
-  recordQuanta(M);
+  recordMachineCounts(M);
   const Process &P = M.process(Pid);
   CompletedJob Job;
   Job.Bench = Bench;
@@ -451,7 +454,7 @@ RunResult WorkloadReplay::snapshot(double Horizon, bool Final) {
   if (Final && Trace)
     Trace->runEnd(Trace->cycles(M.now()), Done, BenchOfPid.size());
   if (Final)
-    recordQuanta(M);
+    recordMachineCounts(M);
 
   // Canonical row order: completion time with deterministic tie-breaks,
   // so per-benchmark tables come out identical however the simulation

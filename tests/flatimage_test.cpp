@@ -219,6 +219,10 @@ struct Lockstep {
   /// memo-hit resume (Machine::quietQuanta).
   uint64_t FlatQuiet = 0;
   uint64_t FastQuiet = 0;
+  /// Advances the Flat and FastReplay machines served from the reach
+  /// memo without an engine call (Machine::memoResumes).
+  uint64_t FlatResumes = 0;
+  uint64_t FastResumes = 0;
   /// Consecutive mid-loop parks of one process between which the active
   /// core count of its L2 group changed.
   uint32_t SharerChanges = 0;
@@ -344,8 +348,13 @@ Lockstep runLockstep(const MachineConfig &MC, const SimConfig &Base,
     Cov.Stats.push_back(Ref.process(Pid).Stats);
   }
   EXPECT_EQ(Ref.quietQuanta(), 0u) << "Reference never reports quiet";
+  EXPECT_EQ(Ref.memoResumes(), 0u) << "Reference never resumes from memo";
+  for (const auto &M : Ms)
+    EXPECT_LE(M->memoResumes(), M->advances());
   Cov.FlatQuiet = Flat.quietQuanta();
   Cov.FastQuiet = Fast.quietQuanta();
+  Cov.FlatResumes = Flat.memoResumes();
+  Cov.FastResumes = Fast.memoResumes();
   return Cov;
 }
 
@@ -885,6 +894,161 @@ TEST(SelfLoopKernel, BackEdgesRunOutInsideATableCall) {
   EXPECT_GT(Cov.UnmonitoredParks, 0u);
   ASSERT_EQ(Cov.Stats.size(), 1u);
   EXPECT_EQ(Cov.Stats[0].BlocksExecuted, 3u * (Trips + 2) + 1);
+}
+
+TEST(SelfLoopKernel, ResumeDeclinedWhenTheLoopExitsInsideTheQuantum) {
+  // Quantum 1 enters a loop of about a quantum and a half and parks it
+  // at its latch with fewer back edges left than a whole budget's trip
+  // count K. Quantum 2's resume step fills the memo, finds K > R0 - 1
+  // and declines, so the engine runs the rest of the activation, its
+  // exit trip and the outer loop in one call, exactly as Reference.
+  MachineConfig MC = oneCoreMachine();
+  SimConfig SC;
+  HandImage Probe = handImage(
+      selfLoopProgram(2, /*Outer=*/1, InstMix::compute(40)), MC);
+  double PerQuantum = tripsPerQuantum(Probe, MC, SC, SelfLoopBlock);
+  auto Trips = static_cast<uint32_t>(1.5 * PerQuantum);
+  HandImage H =
+      handImage(selfLoopProgram(Trips, /*Outer=*/3, InstMix::compute(40)),
+                MC);
+
+  std::vector<ProcessStats> Stats;
+  for (ExecEngine E : {ExecEngine::Reference, ExecEngine::Flat,
+                       ExecEngine::FastReplay}) {
+    SCOPED_TRACE(engineName(E));
+    SimConfig One = SC;
+    One.Engine = E;
+    Machine M(MC, One, std::make_unique<ObliviousScheduler>());
+    uint32_t Pid = M.spawn(H.IP, H.Cost, TunerConfig(), 5, -1, 0, H.Flat);
+    const Process &P = M.process(Pid);
+    M.run(M.now() + One.Timeslice);
+    uint32_t Left = P.LoopRemaining[SelfLoopBlock];
+    ASSERT_GT(Left, 1u);
+    ASSERT_LT(Left - 1, PerQuantum);
+    if (E != ExecEngine::Reference) {
+      ASSERT_EQ(P.CurGlobal, SelfLoopBlock) << "parked at the latch";
+    }
+    M.run(M.now() + One.Timeslice);
+    EXPECT_EQ(M.advances(), 2u);
+    EXPECT_EQ(M.memoResumes(), 0u)
+        << "quantum 1 starts at the entry block, quantum 2 declines";
+    EXPECT_GT(P.Stats.BlocksExecuted, Trips + 2u) << "ran past the exit";
+    Stats.push_back(P.Stats);
+  }
+  expectStatsIdentical(Stats[0], Stats[1]);
+  EXPECT_EQ(Stats[0].BlocksExecuted, Stats[2].BlocksExecuted);
+  EXPECT_EQ(Stats[0].InstsRetired, Stats[2].InstsRetired);
+
+  Lockstep Cov = runLockstep(MC, SC, {H});
+  EXPECT_GT(Cov.UnmonitoredParks, 0u);
+}
+
+TEST(SelfLoopKernel, MonitoredResumesCarriedOverSeveralQuanta) {
+  // One core and a monitored activation about ten quanta long: a mark
+  // on the loop's entry edge starts the session, one on its exit edge
+  // ends it and hands the tuner its sample. Every quantum inside the
+  // session is one monitored memo resume in Flat and FastReplay, which
+  // add the memo's K trips to MonCycles in closed form, quantum after
+  // quantum. MonCycles and the tuner's samples must stay bit-identical
+  // to Reference's stepping after every quantum.
+  MachineConfig MC = oneCoreMachine();
+  SimConfig SC;
+  const uint32_t Trips = 4000;
+  HandImage H = handImage(
+      selfLoopProgram(Trips, /*Outer=*/2, InstMix::compute(48)), MC,
+      {{0, 0, 0, MarkPoint::Edge, 0},
+       {0, SelfLoopBlock, 1, MarkPoint::Edge, 1}},
+      /*NumTypes=*/2);
+  ASSERT_TRUE(isKernelLoop(*H.Flat, SelfLoopBlock));
+  ASSERT_GT(Trips, 5 * tripsPerQuantum(H, MC, SC, SelfLoopBlock));
+
+  std::vector<std::unique_ptr<Machine>> Ms;
+  for (ExecEngine E :
+       {ExecEngine::Reference, ExecEngine::Flat, ExecEngine::FastReplay}) {
+    SimConfig One = SC;
+    One.Engine = E;
+    Ms.push_back(std::make_unique<Machine>(
+        MC, One, std::make_unique<ObliviousScheduler>()));
+    Ms.back()->spawn(H.IP, H.Cost, TunerConfig(), 5, -1, 0, H.Flat);
+  }
+  const Process &R = Ms[0]->process(0);
+  // Consecutive quanta each served by one monitored memo resume, per
+  // flat-image engine; and the longest such run.
+  uint32_t Run[2] = {0, 0};
+  uint32_t Longest[2] = {0, 0};
+  bool Sampled = false;
+  for (uint32_t Quantum = 1; R.CompletionTime < 0; ++Quantum) {
+    SCOPED_TRACE("quantum " + std::to_string(Quantum));
+    bool WasMonitored[2];
+    uint64_t Resumes[2];
+    for (int I = 0; I < 2; ++I) {
+      WasMonitored[I] = Ms[I + 1]->process(0).MonActive;
+      Resumes[I] = Ms[I + 1]->memoResumes();
+    }
+    for (auto &M : Ms)
+      M->run(M->now() + SC.Timeslice);
+    for (int I = 0; I < 2; ++I) {
+      const Process &F = Ms[I + 1]->process(0);
+      EXPECT_EQ(R.MonActive, F.MonActive);
+      EXPECT_EQ(R.MonInsts, F.MonInsts);
+      EXPECT_EQ(R.MonCycles, F.MonCycles);
+      EXPECT_EQ(R.Stats.InstsRetired, F.Stats.InstsRetired);
+      EXPECT_EQ(R.LoopRemaining, F.LoopRemaining);
+      expectTunersIdentical(R.Tuner, F.Tuner);
+      bool MonitoredResume = WasMonitored[I] && F.MonActive &&
+                             Ms[I + 1]->memoResumes() == Resumes[I] + 1;
+      Run[I] = MonitoredResume ? Run[I] + 1 : 0;
+      Longest[I] = std::max(Longest[I], Run[I]);
+    }
+    expectStatsIdentical(R.Stats, Ms[1]->process(0).Stats);
+    if (::testing::Test::HasFailure())
+      return;
+    Sampled = Sampled || R.Tuner.measuredIpc(0, 0) > 0;
+  }
+  EXPECT_GE(Longest[0], 3u);
+  EXPECT_GE(Longest[1], 3u);
+  EXPECT_TRUE(Sampled) << "the session's sample reached the tuner";
+  EXPECT_EQ(Ms[0]->memoResumes(), 0u);
+}
+
+TEST(SelfLoopKernel, OnlyTheFlatEnginesResumeFromTheMemo) {
+  // Reference is the oracle and always steps; Flat and FastReplay serve
+  // whole-quantum resumes of a long phase loop from the memo. The three
+  // take the same advances, with the same results.
+  MachineConfig MC = oneCoreMachine();
+  SimConfig SC;
+  HandImage H = handImage(
+      selfLoopProgram(5000, /*Outer=*/3, InstMix::compute(64)), MC);
+  ASSERT_GT(5000, 3 * tripsPerQuantum(H, MC, SC, SelfLoopBlock));
+  uint64_t Advances[3];
+  uint64_t Resumes[3];
+  std::vector<ProcessStats> Stats;
+  int I = 0;
+  for (ExecEngine E : {ExecEngine::Reference, ExecEngine::Flat,
+                       ExecEngine::FastReplay}) {
+    SimConfig One = SC;
+    One.Engine = E;
+    Machine M(MC, One, std::make_unique<ObliviousScheduler>());
+    uint32_t Pid = M.spawn(H.IP, H.Cost, TunerConfig(), 5, -1, 0, H.Flat);
+    while (M.process(Pid).CompletionTime < 0)
+      M.run(M.now() + One.Timeslice);
+    Advances[I] = M.advances();
+    Resumes[I] = M.memoResumes();
+    Stats.push_back(M.process(Pid).Stats);
+    ++I;
+  }
+  EXPECT_EQ(Resumes[0], 0u);
+  EXPECT_GT(Resumes[1], 0u);
+  EXPECT_GT(Resumes[2], 0u);
+  EXPECT_EQ(Resumes[1], Resumes[2]);
+  EXPECT_LT(Resumes[1], Advances[1]);
+  EXPECT_EQ(Advances[0], Advances[1]);
+  EXPECT_EQ(Advances[0], Advances[2]);
+  expectStatsIdentical(Stats[0], Stats[1]);
+
+  Lockstep Cov = runLockstep(MC, SC, {H});
+  EXPECT_GT(Cov.FlatResumes, 0u);
+  EXPECT_GT(Cov.FastResumes, 0u);
 }
 
 TEST(SelfLoopKernel, MonitoredResumeAtQuantumStart) {
