@@ -24,7 +24,7 @@ PBT_EXPERIMENT(ablation_instrumentation) {
   // measures the inserted analysis code, not affinity-API calls.
   SimConfig Sim;
   Sim.AffinityApiCycles = 0;
-  Lab &L = H.customLab(buildSuite(), MachineConfig::quadAsymmetric(), Sim);
+  Lab &L = H.customLab(MachineConfig::quadAsymmetric(), Sim);
 
   // Naive marking (every differently-typed edge, no size filter)
   // maximizes mark executions, as in the paper's ATOM comparison.

@@ -479,46 +479,50 @@ int main(int Argc, char **Argv) {
   };
   std::vector<ReportRow> Rows;
   size_t Failed = 0;
-  for (const Experiment *EP : Selected) {
-    const Experiment &E = *EP;
-    Json Run = Json::object();
-    Run["name"] = E.Name;
-    if (ShardMode && E.Granularity == exp::ShardGranularity::Whole &&
-        WholeOwner[E.Name] != Shard.Index) {
-      // Another shard owns this whole experiment; recording it as
-      // "other-shard" (not failed) keeps the summary an honest
-      // inventory of the fabric's division of labor.
-      Run["status"] = "other-shard";
-      Run["exit_code"] = 0;
-      Run["duration_seconds"] = 0.0;
-      Run["owner_shard"] = WholeOwner[E.Name];
+  {
+    // The serve pass: every selected body once, behind the guard.
+    obs::Span Serve("driver.serve");
+    for (const Experiment *EP : Selected) {
+      const Experiment &E = *EP;
+      Json Run = Json::object();
+      Run["name"] = E.Name;
+      if (ShardMode && E.Granularity == exp::ShardGranularity::Whole &&
+          WholeOwner[E.Name] != Shard.Index) {
+        // Another shard owns this whole experiment; recording it as
+        // "other-shard" (not failed) keeps the summary an honest
+        // inventory of the fabric's division of labor.
+        Run["status"] = "other-shard";
+        Run["exit_code"] = 0;
+        Run["duration_seconds"] = 0.0;
+        Run["owner_shard"] = WholeOwner[E.Name];
+        Runs.push(std::move(Run));
+        Rows.push_back(ReportRow{E.Name, "other-shard", 0.0});
+        continue;
+      }
+      std::printf("\n---- %s ----\n", E.Name);
+      // The guard is the driver's fault boundary: a throwing or failing
+      // experiment becomes a recorded failure, and the batch moves on to
+      // the next experiment.
+      if (ShardMode)
+        RT.beginExperiment(E.Name, E.Granularity);
+      exp::GuardedResult R = exp::runGuarded(E.Fn);
+      if (ShardMode)
+        RT.endExperiment(R.ExitCode); // Nonzero unless ok (-1 if it threw).
+      if (!R.ok()) {
+        ++Failed;
+        Failures.push(Json(E.Name));
+        std::fprintf(stderr, "driver: %s %s (%.1fs)%s%s\n", E.Name,
+                     R.statusName(), R.DurationSeconds,
+                     R.Error.empty() ? "" : ": ", R.Error.c_str());
+      }
+      Run["status"] = R.statusName();
+      Run["exit_code"] = R.ExitCode;
+      Run["duration_seconds"] = R.DurationSeconds;
+      if (!R.Error.empty())
+        Run["error"] = R.Error;
       Runs.push(std::move(Run));
-      Rows.push_back(ReportRow{E.Name, "other-shard", 0.0});
-      continue;
+      Rows.push_back(ReportRow{E.Name, R.statusName(), R.DurationSeconds});
     }
-    std::printf("\n---- %s ----\n", E.Name);
-    // The guard is the driver's fault boundary: a throwing or failing
-    // experiment becomes a recorded failure, and the batch moves on to
-    // the next experiment.
-    if (ShardMode)
-      RT.beginExperiment(E.Name, E.Granularity);
-    exp::GuardedResult R = exp::runGuarded(E.Fn);
-    if (ShardMode)
-      RT.endExperiment(R.ExitCode); // Nonzero unless ok (-1 if it threw).
-    if (!R.ok()) {
-      ++Failed;
-      Failures.push(Json(E.Name));
-      std::fprintf(stderr, "driver: %s %s (%.1fs)%s%s\n", E.Name,
-                   R.statusName(), R.DurationSeconds,
-                   R.Error.empty() ? "" : ": ", R.Error.c_str());
-    }
-    Run["status"] = R.statusName();
-    Run["exit_code"] = R.ExitCode;
-    Run["duration_seconds"] = R.DurationSeconds;
-    if (!R.Error.empty())
-      Run["error"] = R.Error;
-    Runs.push(std::move(Run));
-    Rows.push_back(ReportRow{E.Name, R.statusName(), R.DurationSeconds});
   }
   exp::ExperimentHarness::setSharedLabPool(nullptr);
   exp::ReplayMemo::install(nullptr);

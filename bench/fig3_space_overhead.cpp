@@ -19,15 +19,20 @@ PBT_EXPERIMENT(fig3_space_overhead) {
                       "Fig. 3: space overhead box plots", "CGO'11 Fig. 3");
 
   Lab &L = H.lab();
+  // Each program's original size, walked once for all its images.
+  std::vector<uint64_t> OriginalBytes;
+  for (const Program &Prog : L.programs())
+    OriginalBytes.push_back(Prog.byteSize());
   Table T({"variant", "min%", "q1%", "median%", "q3%", "max%", "mean%",
            "marks/bench"});
   for (const TechniqueSpec &Tech : paperTechniques()) {
     PreparedSuite Suite = L.suite(Tech);
     std::vector<double> Overheads;
     double TotalMarks = 0;
-    for (const auto &Image : Suite.Images) {
-      TotalMarks += static_cast<double>(Image->marks().size());
-      Overheads.push_back(Image->spaceOverheadPercent());
+    for (size_t I = 0; I < Suite.Images.size(); ++I) {
+      TotalMarks += static_cast<double>(Suite.Images[I]->marks().size());
+      Overheads.push_back(
+          Suite.Images[I]->spaceOverheadPercent(OriginalBytes[I]));
     }
     BoxSummary Box = summarize(Overheads);
     T.addRow({Tech.Transition.label(), Table::fmt(Box.Min),

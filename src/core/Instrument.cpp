@@ -66,16 +66,23 @@ const PhaseMark *InstrumentedProgram::callMark(uint32_t Proc,
   return Index < 0 ? nullptr : &Marks[static_cast<size_t>(Index)];
 }
 
-uint64_t InstrumentedProgram::instrumentedByteSize() const {
-  return Prog->byteSize() +
-         static_cast<uint64_t>(Marks.size()) * Cost.MarkBytes +
+uint64_t InstrumentedProgram::addedByteSize() const {
+  return static_cast<uint64_t>(Marks.size()) * Cost.MarkBytes +
          Cost.RuntimeStubBytes;
 }
 
-double InstrumentedProgram::spaceOverheadPercent() const {
-  double Original = static_cast<double>(Prog->byteSize());
+uint64_t InstrumentedProgram::instrumentedByteSize() const {
+  return Prog->byteSize() + addedByteSize();
+}
+
+double
+InstrumentedProgram::spaceOverheadPercent(uint64_t OriginalBytes) const {
+  double Original = static_cast<double>(OriginalBytes);
   if (Original <= 0)
     return 0;
-  double Added = static_cast<double>(instrumentedByteSize()) - Original;
-  return 100.0 * Added / Original;
+  return 100.0 * static_cast<double>(addedByteSize()) / Original;
+}
+
+double InstrumentedProgram::spaceOverheadPercent() const {
+  return spaceOverheadPercent(Prog->byteSize());
 }

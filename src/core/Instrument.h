@@ -102,8 +102,16 @@ public:
   /// Mark on the call terminating (\p Proc, \p Block), or nullptr.
   const PhaseMark *callMark(uint32_t Proc, uint32_t Block) const;
 
+  /// Bytes the instrumentation adds: every mark plus the runtime stub.
+  uint64_t addedByteSize() const;
+
   /// Size of the instrumented binary in bytes.
   uint64_t instrumentedByteSize() const;
+
+  /// Space overhead over an original binary of \p OriginalBytes (the
+  /// program's byteSize(), which callers sizing many images of one
+  /// program compute once), in percent (Fig. 3).
+  double spaceOverheadPercent(uint64_t OriginalBytes) const;
 
   /// Space overhead over the original binary, in percent (Fig. 3).
   double spaceOverheadPercent() const;

@@ -91,7 +91,8 @@ const char *checkHeader(const std::string &Bytes, const Header &Expect) {
     return "key";
   if (H.PayloadSize != Bytes.size() - HeaderBytes)
     return "truncated"; // Truncated or padded file.
-  if (H.Checksum != fnv1a(Bytes.data() + HeaderBytes, H.PayloadSize))
+  if (H.Checksum !=
+      CacheStore::checksum(Bytes.data() + HeaderBytes, H.PayloadSize))
     return "checksum"; // Bit rot within the payload.
   return nullptr;
 }
@@ -146,7 +147,7 @@ std::vector<PhaseMark> readMarks(BinaryReader &R, const Program &Prog) {
 // Per-program payload
 //===----------------------------------------------------------------------===//
 
-/// One prepared program: the `pbt-prog-v2` payload (marks, type count,
+/// One prepared program: the `pbt-prog-v3` payload (marks, type count,
 /// mark cost, cost tables). The IR and the flat image are not stored:
 /// the loader attaches the caller's program and rebuilds the image.
 void writePrepared(BinaryWriter &W, const InstrumentedProgram &Image,
@@ -162,7 +163,7 @@ void writePrepared(BinaryWriter &W, const InstrumentedProgram &Image,
   Tables.serializeTables(W);
 }
 
-/// Decodes one prepared program from a whole `pbt-prog-v2` payload,
+/// Decodes one prepared program from a whole `pbt-prog-v3` payload,
 /// validated against \p Prog, and rebuilds its flat image. The image
 /// shares \p Prog (the caller's program, usually an aliasing handle into
 /// its set). Returns a PreparedProgram with null pointers on any
@@ -340,6 +341,10 @@ std::shared_ptr<CacheStore> CacheStore::fromEnv() {
                        : std::shared_ptr<CacheStore>();
   }();
   return Store;
+}
+
+uint64_t CacheStore::checksum(const void *Data, size_t Size) {
+  return hashBytes(Data, Size);
 }
 
 uint64_t CacheStore::progKey(uint64_t ProgramHash,
@@ -611,7 +616,7 @@ bool CacheStore::save(const std::vector<uint64_t> &ProgramHashes,
     H.PrepHash = Tech.preparationHash();
     H.TypingSeed = TypingSeed;
     H.PayloadSize = Payload.buffer().size();
-    H.Checksum = fnv1a(Payload.buffer().data(), Payload.buffer().size());
+    H.Checksum = checksum(Payload.buffer().data(), Payload.buffer().size());
     BinaryWriter File;
     writeHeader(File, H);
 

@@ -13,7 +13,7 @@
 /// skips every preparation it has seen before.
 ///
 /// **Addressing.** The store holds one kind of entry: one prepared
-/// program (`pbt-prog-v2`, `prog-<16 hex>.pbt`), keyed by a 64-bit hash
+/// program (`pbt-prog-v3`, `prog-<16 hex>.pbt`), keyed by a 64-bit hash
 /// of everything its preparation depends on — the program's own content
 /// hash (every instruction of every block), the machine (structural
 /// fields, name excluded), the technique's preparation identity
@@ -29,15 +29,15 @@
 ///
 /// **Format** (documented field by field in docs/BENCH_SCHEMA.md): a
 /// fixed header — magic `PBTP`, format version, key, the key
-/// components, payload length, FNV-1a payload checksum — followed by
-/// only what preparation *computed*: phase marks, type count, mark cost
-/// words, and cost tables. Doubles are stored by bit pattern. The
-/// program IR is not stored: the caller already holds it in a shared
-/// ProgramSet (its content hash is the entry's key), so the loader
-/// gives each image an aliasing handle to the caller's program — no
-/// copy — validates the marks and tables against it, and rebuilds the
-/// flat execution image with its constructor, exactly as the flatten
-/// pass does. A loaded program is therefore bit-identical to the
+/// components, payload length, payload checksum (checksum()) —
+/// followed by only what preparation *computed*: phase marks, type
+/// count, mark cost words, and cost tables. Doubles are stored by bit
+/// pattern. The program IR is not stored: the caller already holds it
+/// in a shared ProgramSet (its content hash is the entry's key), so the
+/// loader gives each image an aliasing handle to the caller's program —
+/// no copy — validates the marks and tables against it, and rebuilds
+/// the flat execution image with its constructor, exactly as the
+/// flatten pass does. A loaded program is therefore bit-identical to the
 /// freshly prepared one (proven in tests/exp_test.cpp,
 /// tests/incremental_test.cpp and tests/store_mutation_test.cpp).
 ///
@@ -104,17 +104,25 @@ namespace exp {
 /// Content-addressed on-disk store of prepared programs.
 class CacheStore {
 public:
-  /// On-disk entry format version (`pbt-prog-v2`). Part of the file
+  /// On-disk entry format version (`pbt-prog-v3`). Part of the file
   /// header AND the key hash, so a version bump invalidates old entries
-  /// without ever misreading them. v2 dropped the program IR (the
+  /// without ever misreading them. v3 checksums the payload with
+  /// checksum() (was FNV-1a) and keys entries by the hashBytes program
+  /// hashes; the payload is unchanged. v2 dropped the program IR (the
   /// caller supplies it) and the serialized flat image (rebuilt on
   /// load).
-  static constexpr uint32_t ProgFormatVersion = 2;
+  static constexpr uint32_t ProgFormatVersion = 3;
 
   /// Version of the static preparation pipeline whose output entries
   /// hold (analysis/PassManager.h); part of every key, so a pipeline
   /// change that alters prepared artifacts invalidates every entry.
   static constexpr uint32_t PipelineVersion = 1;
+
+  /// The payload checksum every entry header records: hashBytes
+  /// (support/Hashing.h) over the \p Size payload bytes at \p Data. The
+  /// store's one checksum entry point; tests that re-seal a mutated
+  /// entry call it rather than restating the algorithm.
+  static uint64_t checksum(const void *Data, size_t Size);
 
   /// Opens (creating if needed) the store directory \p Dir and sweeps
   /// stale debris left by crashed processes (see sweepStale()).

@@ -96,6 +96,11 @@ Lab &ExperimentHarness::customLab(std::vector<Program> Programs,
   return *CustomLabs.back();
 }
 
+Lab &ExperimentHarness::customLab(MachineConfig MachineCfg, SimConfig Sim) {
+  CustomLabs.push_back(std::make_shared<Lab>(std::move(MachineCfg), Sim));
+  return *CustomLabs.back();
+}
+
 std::shared_ptr<Lab> ExperimentHarness::owner(const Lab &L) {
   for (const std::shared_ptr<Lab> &Custom : CustomLabs)
     if (Custom.get() == &L)

@@ -106,6 +106,11 @@ public:
   Lab &customLab(std::vector<Program> Programs, MachineConfig MachineCfg,
                  SimConfig Sim = SimConfig());
 
+  /// Registers a custom lab over the paper suite that differs from the
+  /// default lab only in \p Sim: it shares the process's one paper
+  /// ProgramSet (see Lab), so nothing is rebuilt or rehashed.
+  Lab &customLab(MachineConfig MachineCfg, SimConfig Sim);
+
   /// Runs \p Grid on \p L and records every cell (with technique /
   /// machine / workload / seed labels and canonical metrics) into the
   /// artifact's "sweeps" array. While the driver plans its replays

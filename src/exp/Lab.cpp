@@ -15,10 +15,11 @@ using namespace pbt;
 using namespace pbt::exp;
 
 namespace {
-/// The paper suite behind every default lab. Programs are immutable and
-/// do not depend on the machine, so all default labs in a process share
-/// one set — one copy of the IR, hashed at most once — instead of each
-/// building (and holding) its own.
+/// The paper suite behind every paper-suite lab. Programs are immutable
+/// and depend on neither the machine nor the SimConfig, so all such labs
+/// in a process share one set — one copy of the IR, built once and
+/// hashed at most once — instead of each building (and holding) its
+/// own.
 const std::shared_ptr<const ProgramSet> &paperSuite() {
   static const std::shared_ptr<const ProgramSet> Suite =
       std::make_shared<const ProgramSet>(buildSuite());
@@ -26,8 +27,9 @@ const std::shared_ptr<const ProgramSet> &paperSuite() {
 }
 } // namespace
 
-Lab::Lab(MachineConfig MachineCfgIn)
-    : MachineCfg(std::move(MachineCfgIn)), Programs(paperSuite()) {
+Lab::Lab(MachineConfig MachineCfgIn, SimConfig SimIn)
+    : MachineCfg(std::move(MachineCfgIn)), Sim(SimIn),
+      Programs(paperSuite()) {
   Cache.setStore(CacheStore::fromEnv());
 }
 

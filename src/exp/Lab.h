@@ -63,8 +63,12 @@ struct Comparison {
 /// lazily measured isolated runtimes.
 class Lab {
 public:
-  /// The default lab: the 15-benchmark paper suite on \p MachineCfg.
-  explicit Lab(MachineConfig MachineCfg = MachineConfig::quadAsymmetric());
+  /// A lab over the 15-benchmark paper suite on \p MachineCfg and
+  /// \p Sim. Every such lab in a process shares one ProgramSet, so the
+  /// suite is built and hashed once per process; with the default Sim
+  /// it is the default lab.
+  explicit Lab(MachineConfig MachineCfg = MachineConfig::quadAsymmetric(),
+               SimConfig Sim = SimConfig());
 
   /// A custom lab (subsetted program lists, ablation sim configs, ...).
   Lab(std::vector<Program> Programs, MachineConfig MachineCfg,

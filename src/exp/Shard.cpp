@@ -7,6 +7,7 @@
 #include "exp/Shard.h"
 
 #include "support/Env.h"
+#include "support/Hashing.h"
 
 #include <algorithm>
 #include <cctype>
@@ -96,7 +97,7 @@ uint64_t pbt::exp::hashRunSet(std::vector<RunSetEntry> Set) {
     W.str(E.first);
     W.u8(static_cast<uint8_t>(E.second));
   }
-  return fnv1a(W.buffer().data(), W.buffer().size());
+  return hashBytes(W.buffer().data(), W.buffer().size());
 }
 
 //===----------------------------------------------------------------------===//
@@ -202,11 +203,13 @@ std::string joinDir(const std::string &Dir, const std::string &File) {
 
 const char PayloadMagic[4] = {'P', 'B', 'C', 'P'};
 const char ManifestMagic[4] = {'P', 'B', 'S', 'M'};
-// v2: RunResult gained per-core-type telemetry (InstsByType,
+// Payload v3 and manifest v2: every checksum (partials, manifest
+// trailer, run-set hash) is hashBytes, was FNV-1a. Payload v2:
+// RunResult gained per-core-type telemetry (InstsByType,
 // CyclesByType). Shard fabrics are ephemeral within one driver
 // invocation, so a strict version check beats compatibility shims.
-constexpr uint32_t PayloadVersion = 2;
-constexpr uint32_t ManifestVersion = 1;
+constexpr uint32_t PayloadVersion = 3;
+constexpr uint32_t ManifestVersion = 2;
 
 void writeMagic(BinaryWriter &W, const char (&Magic)[4]) {
   for (char C : Magic)
@@ -310,7 +313,7 @@ int ShardRuntime::finishArtifact(const std::string &Name, Json &Root) {
       return 1;
     }
     E.PayloadFile = PayloadFile;
-    E.PayloadFnv = fnv1a(Bytes.data(), Bytes.size());
+    E.PayloadSum = hashBytes(Bytes.data(), Bytes.size());
     E.PayloadBytes = Bytes.size();
 
     // Partial artifacts carry a shard block (they are replaced, not
@@ -333,7 +336,7 @@ int ShardRuntime::finishArtifact(const std::string &Name, Json &Root) {
     return 1;
   }
   E.ArtifactFile = ArtifactFile;
-  E.ArtifactFnv = fnv1a(JsonBytes.data(), JsonBytes.size());
+  E.ArtifactSum = hashBytes(JsonBytes.data(), JsonBytes.size());
   E.ArtifactBytes = JsonBytes.size();
   return 0;
 }
@@ -352,10 +355,10 @@ bool ShardRuntime::writeManifest() {
     W.u8(static_cast<uint8_t>(E.G));
     W.u8(E.Ok ? 1 : 0);
     W.str(E.ArtifactFile);
-    W.u64(E.ArtifactFnv);
+    W.u64(E.ArtifactSum);
     W.u64(E.ArtifactBytes);
     W.str(E.PayloadFile);
-    W.u64(E.PayloadFnv);
+    W.u64(E.PayloadSum);
     W.u64(E.PayloadBytes);
   }
   W.u64(FabricCells);
@@ -365,10 +368,10 @@ bool ShardRuntime::writeManifest() {
   // sketch).
   LatencyAccumulator::merged(DoneLatency).serialize(W);
   FairnessAccumulator::merged(DoneFairness).serialize(W);
-  // Self-checksum trailer: FNV over everything above, so the merge can
-  // distinguish a truncated/corrupt manifest from a malformed one.
-  uint64_t Fnv = fnv1a(W.buffer().data(), W.buffer().size());
-  W.u64(Fnv);
+  // Self-checksum trailer: hashBytes over everything above, so the
+  // merge can distinguish a truncated/corrupt manifest from a malformed
+  // one.
+  W.u64(hashBytes(W.buffer().data(), W.buffer().size()));
   std::string File = "shard-" + Spec.label() + ".manifest.pbs";
   if (!writeFileAtomic(joinDir(OutDir, File), W.buffer())) {
     std::fprintf(stderr, "shard: failed to write %s\n", File.c_str());
@@ -403,10 +406,10 @@ struct MEntry {
   ShardGranularity G = ShardGranularity::Whole;
   bool Ok = false;
   std::string ArtifactFile;
-  uint64_t ArtifactFnv = 0;
+  uint64_t ArtifactSum = 0;
   uint64_t ArtifactBytes = 0;
   std::string PayloadFile;
-  uint64_t PayloadFnv = 0;
+  uint64_t PayloadSum = 0;
   uint64_t PayloadBytes = 0;
 };
 
@@ -431,7 +434,7 @@ std::string parseManifest(const std::string &Bytes, const std::string &File,
     BinaryReader Trailer(Bytes.data() + Bytes.size() - 8, 8);
     Stored = Trailer.u64();
   }
-  if (fnv1a(Bytes.data(), Bytes.size() - 8) != Stored)
+  if (hashBytes(Bytes.data(), Bytes.size() - 8) != Stored)
     return "manifest " + File + ": checksum mismatch (truncated or corrupt)";
   BinaryReader R(Bytes.data(), Bytes.size() - 8);
   if (!readMagic(R, ManifestMagic))
@@ -455,10 +458,10 @@ std::string parseManifest(const std::string &Bytes, const std::string &File,
     E.G = static_cast<ShardGranularity>(G);
     E.Ok = R.u8() != 0;
     E.ArtifactFile = R.str();
-    E.ArtifactFnv = R.u64();
+    E.ArtifactSum = R.u64();
     E.ArtifactBytes = R.u64();
     E.PayloadFile = R.str();
-    E.PayloadFnv = R.u64();
+    E.PayloadSum = R.u64();
     E.PayloadBytes = R.u64();
   }
   Out.FabricCells = R.u64();
@@ -476,14 +479,14 @@ std::string parseManifest(const std::string &Bytes, const std::string &File,
 /// name both files: either may be the damaged one.
 std::string checkPartial(const std::string &Dir, const std::string &Manifest,
                          const std::string &File, uint64_t Bytes,
-                         uint64_t Fnv, std::string &Out) {
+                         uint64_t Sum, std::string &Out) {
   if (!readFile(joinDir(Dir, File), Out))
     return "missing partial " + File + " (listed in " + Manifest + ")";
   if (Out.size() != Bytes)
     return "truncated partial " + File + ": " + Manifest + " records " +
            std::to_string(Bytes) + " bytes, file has " +
            std::to_string(Out.size());
-  if (fnv1a(Out.data(), Out.size()) != Fnv)
+  if (hashBytes(Out.data(), Out.size()) != Sum)
     return "corrupt partial " + File + ": checksum mismatch against " +
            Manifest;
   return std::string();
@@ -689,7 +692,7 @@ std::string pbt::exp::mergeShards(const std::string &ShardDir,
       std::string Bytes;
       std::string Err =
           checkPartial(ShardDir, OwnerPM->File, Entry->ArtifactFile,
-                       Entry->ArtifactBytes, Entry->ArtifactFnv, Bytes);
+                       Entry->ArtifactBytes, Entry->ArtifactSum, Bytes);
       if (!Err.empty())
         return Err;
       if (!writeFileAtomic(joinDir(OutDir, "BENCH_" + Name + ".json"), Bytes))
@@ -713,7 +716,7 @@ std::string pbt::exp::mergeShards(const std::string &ShardDir,
       std::string Bytes;
       std::string Err =
           checkPartial(ShardDir, PM.File, Entry->PayloadFile,
-                       Entry->PayloadBytes, Entry->PayloadFnv, Bytes);
+                       Entry->PayloadBytes, Entry->PayloadSum, Bytes);
       if (!Err.empty())
         return Err;
       std::vector<std::pair<std::string, RunResult>> Parsed;

@@ -32,8 +32,8 @@
 ///  - BENCH_<name>.shard-k-of-n.cells.pbs per sweep-cell experiment:
 ///    the shard's replayed units, bit-exact (support/Binary);
 ///  - shard-k-of-n.manifest.pbs: the shard's inventory — every emitted
-///    file with size + FNV checksum, the run-set hash, the scale, and
-///    the shard's mergeable metric sketches (metrics/Latency,
+///    file with size + checksum (hashBytes), the run-set hash, the
+///    scale, and the shard's mergeable metric sketches (metrics/Latency,
 ///    metrics/Fairness accumulators over its replayed cells).
 ///
 /// `driver --merge <dir>` (exp::mergeShards) validates the manifests
@@ -212,10 +212,10 @@ private:
     ShardGranularity G = ShardGranularity::Whole;
     bool Ok = false;
     std::string ArtifactFile;
-    uint64_t ArtifactFnv = 0;
+    uint64_t ArtifactSum = 0;
     uint64_t ArtifactBytes = 0;
     std::string PayloadFile; ///< Empty for whole experiments.
-    uint64_t PayloadFnv = 0;
+    uint64_t PayloadSum = 0;
     uint64_t PayloadBytes = 0;
   };
 

@@ -6,7 +6,9 @@
 
 #include "ir/ProgramSet.h"
 
-#include "support/Binary.h"
+#include "obs/Counters.h"
+#include "support/Hashing.h"
+#include "support/ThreadPool.h"
 
 using namespace pbt;
 
@@ -42,38 +44,36 @@ void writeProgram(BinaryWriter &W, const Program &Prog) {
   }
 }
 
-/// The set hash of \p Programs (FNV-1a over the concatenated
-/// serializations), filling \p Each with the per-program hashes when
-/// non-null: both come from one serialization of each program.
-uint64_t hashSet(const std::vector<Program> &Programs,
-                 std::vector<uint64_t> *Each) {
-  uint64_t H = Fnv1aBasis;
-  for (const Program &Prog : Programs) {
-    BinaryWriter W;
-    writeProgram(W, Prog);
-    const std::string &Bytes = W.buffer();
-    if (Each)
-      Each->push_back(fnv1a(Bytes.data(), Bytes.size()));
-    H = fnv1a(Bytes.data(), Bytes.size(), H);
-  }
-  return H;
-}
-
 } // namespace
 
 uint64_t pbt::contentHash(const Program &Prog) {
   BinaryWriter W;
   writeProgram(W, Prog);
-  return fnv1a(W.buffer().data(), W.buffer().size());
+  return hashBytes(W.buffer().data(), W.buffer().size());
+}
+
+uint64_t pbt::contentHash(const std::vector<uint64_t> &ProgramHashes) {
+  uint64_t H = hashCombine(0x5E7C0DE, ProgramHashes.size());
+  for (uint64_t Each : ProgramHashes)
+    H = hashCombine(H, Each);
+  return H;
 }
 
 uint64_t pbt::contentHash(const std::vector<Program> &Programs) {
-  return hashSet(Programs, nullptr);
+  std::vector<uint64_t> Each;
+  Each.reserve(Programs.size());
+  for (const Program &Prog : Programs)
+    Each.push_back(contentHash(Prog));
+  return contentHash(Each);
 }
 
 void ProgramSet::computeHashes() const {
   std::call_once(Hashed, [this] {
-    ProgramHashes.reserve(Programs.size());
-    SetHash = hashSet(Programs, &ProgramHashes);
+    obs::CounterRegistry::global().add("program_set.hashes", 1);
+    ProgramHashes.assign(Programs.size(), 0);
+    ThreadPool::global().parallelFor(Programs.size(), [this](size_t I) {
+      ProgramHashes[I] = contentHash(Programs[I]);
+    });
+    SetHash = contentHash(ProgramHashes);
   });
 }

@@ -13,10 +13,13 @@
 /// typing seeds or machines it prepares, and an image keeps the whole
 /// set alive for as long as it lives.
 ///
-/// The set also carries its content hashes — the whole-set hash and one
-/// hash per program, the addressing scheme of the persistent store
-/// (exp/CacheStore.h). They are computed together on first use, once
-/// per set, whichever thread asks first.
+/// The set also carries its content hashes — one hash per program, the
+/// addressing scheme of the persistent store (exp/CacheStore.h), and the
+/// whole-set hash derived from them. They are computed together on
+/// first use, once per set, whichever thread asks first: one program
+/// per task of the global thread pool (by-index writes, so the values
+/// do not depend on the pool size), counted by the obs counter
+/// `program_set.hashes`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,16 +35,20 @@
 
 namespace pbt {
 
-/// Content hash of one program: FNV-1a over a canonical serialization
-/// of every instruction of every block (names, terminators, successors,
-/// trip counts, branch probabilities and working sets included).
+/// Content hash of one program: hashBytes (support/Hashing.h) over a
+/// canonical serialization of every instruction of every block (names,
+/// terminators, successors, trip counts, branch probabilities and
+/// working sets included).
 uint64_t contentHash(const Program &Prog);
 
-/// Content hash of a whole program set: the same FNV-1a over the
-/// concatenated serializations of \p Programs, in order — NOT a
-/// combination of the per-program hashes, so the two are independent
-/// addressing schemes. The definition ProgramSet::hash() memoizes (and
-/// is tested against).
+/// Content hash of a whole program set from its programs' content
+/// hashes, in order (and their count): the set hash never re-reads the
+/// programs' bytes.
+uint64_t contentHash(const std::vector<uint64_t> &ProgramHashes);
+
+/// Content hash of a whole program set: contentHash of the per-program
+/// hashes of \p Programs, computed one after another. The definition
+/// ProgramSet::hash() memoizes (and is tested against).
 uint64_t contentHash(const std::vector<Program> &Programs);
 
 /// An immutable program set shared by reference (see the file comment).
@@ -69,8 +76,9 @@ public:
   }
 
 private:
-  /// Serializes each program once and derives both hashes from the same
-  /// bytes; thread-safe, runs at most once.
+  /// Serializes and hashes each program once, in parallel, then folds
+  /// the set hash from the per-program hashes; thread-safe, runs at
+  /// most once.
   void computeHashes() const;
 
   std::vector<Program> Programs;

@@ -24,6 +24,12 @@
 #include <cstring>
 #include <string>
 
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+#define PBT_LITTLE_ENDIAN 0
+#else
+#define PBT_LITTLE_ENDIAN 1
+#endif
+
 namespace pbt {
 
 /// Append-only little-endian encoder over a growable byte buffer.
@@ -31,15 +37,9 @@ class BinaryWriter {
 public:
   void u8(uint8_t Value) { Buf.push_back(static_cast<char>(Value)); }
 
-  void u32(uint32_t Value) {
-    for (int Shift = 0; Shift < 32; Shift += 8)
-      Buf.push_back(static_cast<char>((Value >> Shift) & 0xFF));
-  }
+  void u32(uint32_t Value) { fixed(Value); }
 
-  void u64(uint64_t Value) {
-    for (int Shift = 0; Shift < 64; Shift += 8)
-      Buf.push_back(static_cast<char>((Value >> Shift) & 0xFF));
-  }
+  void u64(uint64_t Value) { fixed(Value); }
 
   void i32(int32_t Value) { u32(static_cast<uint32_t>(Value)); }
 
@@ -60,6 +60,18 @@ public:
   const std::string &buffer() const { return Buf; }
 
 private:
+  /// Appends \p Value's little-endian bytes in one append.
+  template <typename T> void fixed(T Value) {
+    char Bytes[sizeof(T)];
+#if PBT_LITTLE_ENDIAN
+    std::memcpy(Bytes, &Value, sizeof(T));
+#else
+    for (size_t I = 0; I < sizeof(T); ++I)
+      Bytes[I] = static_cast<char>((Value >> (8 * I)) & 0xFF);
+#endif
+    Buf.append(Bytes, sizeof(T));
+  }
+
   std::string Buf;
 };
 
@@ -78,23 +90,9 @@ public:
     return Ptr[Pos++];
   }
 
-  uint32_t u32() {
-    if (!take(4))
-      return 0;
-    uint32_t Value = 0;
-    for (int Shift = 0; Shift < 32; Shift += 8)
-      Value |= static_cast<uint32_t>(Ptr[Pos++]) << Shift;
-    return Value;
-  }
+  uint32_t u32() { return fixed<uint32_t>(); }
 
-  uint64_t u64() {
-    if (!take(8))
-      return 0;
-    uint64_t Value = 0;
-    for (int Shift = 0; Shift < 64; Shift += 8)
-      Value |= static_cast<uint64_t>(Ptr[Pos++]) << Shift;
-    return Value;
-  }
+  uint64_t u64() { return fixed<uint64_t>(); }
 
   int32_t i32() { return static_cast<int32_t>(u32()); }
 
@@ -140,6 +138,21 @@ public:
   void markFailed() { Fail = true; }
 
 private:
+  /// Reads one little-endian \p T: one load on little-endian hosts.
+  template <typename T> T fixed() {
+    if (!take(sizeof(T)))
+      return 0;
+    T Value = 0;
+#if PBT_LITTLE_ENDIAN
+    std::memcpy(&Value, Ptr + Pos, sizeof(T));
+#else
+    for (size_t I = 0; I < sizeof(T); ++I)
+      Value |= static_cast<T>(Ptr[Pos + I]) << (8 * I);
+#endif
+    Pos += sizeof(T);
+    return Value;
+  }
+
   bool take(size_t Count) {
     if (Fail || Len - Pos < Count) {
       Fail = true;
@@ -153,24 +166,6 @@ private:
   size_t Pos = 0;
   bool Fail = false;
 };
-
-/// FNV-1a offset basis: the state of a hash over zero bytes.
-constexpr uint64_t Fnv1aBasis = 0xCBF29CE484222325ULL;
-
-/// FNV-1a over \p Size bytes (payload checksums; stable across runs).
-/// The one byte-level FNV primitive in support/ — Hashing.h's
-/// hashString delegates here, and persisted-file checksums depend on
-/// these constants staying fixed. \p H continues a running hash, so
-/// hashing two buffers in turn equals hashing their concatenation.
-inline uint64_t fnv1a(const void *Data, size_t Size,
-                      uint64_t H = Fnv1aBasis) {
-  const uint8_t *Bytes = static_cast<const uint8_t *>(Data);
-  for (size_t I = 0; I < Size; ++I) {
-    H ^= Bytes[I];
-    H *= 0x100000001B3ULL;
-  }
-  return H;
-}
 
 /// Writes \p Data to \p Path atomically, but not durably: the bytes go
 /// to a sibling temporary file (`<path>.tmp.<pid>`) that is renamed into

@@ -19,6 +19,7 @@
 
 #include "support/Binary.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -46,10 +47,52 @@ inline uint64_t hashDouble(double V) {
   return Bits;
 }
 
-/// FNV-1a over the bytes of \p S (delegates to the byte-level primitive
-/// in support/Binary.h).
+/// The one byte-level content hash in support/: 64 bits over \p Size
+/// bytes, read as little-endian 8-byte lanes (so the value depends
+/// neither on the buffer's alignment nor on the host's byte order),
+/// each lane multiplied and rotated into a single accumulator, the
+/// last 1-7 bytes folded in as one zero-padded lane, and the result
+/// avalanched. Every step is a bijection of the accumulator for fixed
+/// input, so two equal-length buffers that differ in one lane always
+/// hash differently. Persisted checksums and store addresses depend on
+/// these constants staying fixed (tests/support_test.cpp pins golden
+/// values). Not cryptographic.
+inline uint64_t hashBytes(const void *Data, size_t Size, uint64_t Seed = 0) {
+  constexpr uint64_t P1 = 0x9E3779B185EBCA87ULL;
+  constexpr uint64_t P2 = 0xC2B2AE3D27D4EB4FULL;
+  constexpr uint64_t P3 = 0x165667B19E3779F9ULL;
+  auto Rotl = [](uint64_t X, int R) { return (X << R) | (X >> (64 - R)); };
+  auto Round = [&](uint64_t H, uint64_t Lane) {
+    H ^= Rotl(Lane * P2, 31) * P1;
+    return Rotl(H, 27) * P1 + P3;
+  };
+  const unsigned char *Bytes = static_cast<const unsigned char *>(Data);
+  uint64_t H = Seed + P3 + static_cast<uint64_t>(Size) * P1;
+  size_t I = 0;
+  for (; I + 8 <= Size; I += 8) {
+    uint64_t Lane;
+    std::memcpy(&Lane, Bytes + I, 8);
+#if !PBT_LITTLE_ENDIAN
+    Lane = __builtin_bswap64(Lane);
+#endif
+    H = Round(H, Lane);
+  }
+  if (I < Size) {
+    uint64_t Tail = 0;
+    for (size_t Shift = 0; I < Size; ++I, Shift += 8)
+      Tail |= static_cast<uint64_t>(Bytes[I]) << Shift;
+    H = Round(H, Tail);
+  }
+  H ^= H >> 33;
+  H *= P2;
+  H ^= H >> 29;
+  H *= P3;
+  return H ^ (H >> 32);
+}
+
+/// hashBytes over the bytes of \p S.
 inline uint64_t hashString(const std::string &S) {
-  return fnv1a(S.data(), S.size());
+  return hashBytes(S.data(), S.size());
 }
 
 } // namespace pbt

@@ -7,6 +7,7 @@
 #include "workload/Benchmarks.h"
 
 #include "ir/IRBuilder.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -282,9 +283,12 @@ std::vector<BenchSpec> pbt::specSuite() {
   return Suite;
 }
 
-std::vector<Program> pbt::buildSuite(double FastFrequency) {
-  std::vector<Program> Programs;
-  for (const BenchSpec &Spec : specSuite())
-    Programs.push_back(buildBenchmark(Spec, FastFrequency));
+std::vector<Program> pbt::buildSuite(double FastFrequency, ThreadPool *Pool) {
+  std::vector<BenchSpec> Specs = specSuite();
+  std::vector<Program> Programs(Specs.size());
+  (Pool ? *Pool : ThreadPool::global())
+      .parallelFor(Specs.size(), [&](size_t I) {
+        Programs[I] = buildBenchmark(Specs[I], FastFrequency);
+      });
   return Programs;
 }

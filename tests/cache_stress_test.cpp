@@ -41,7 +41,7 @@ namespace {
 std::vector<Program> tinySuite() {
   auto Specs = specSuite();
   std::vector<Program> Programs;
-  for (const std::string &Name : {"164.gzip", "179.art"})
+  for (const char *Name : {"164.gzip", "179.art"})
     for (const BenchSpec &S : Specs)
       if (S.Name == Name)
         Programs.push_back(buildBenchmark(S));
@@ -336,12 +336,14 @@ TEST(CacheStressTest, MultiProcessHammerConvergesToReferenceBytes) {
   // Recovery pass: one quiet load-through each. An entry the chaos left
   // torn gets quarantined and rebuilt here; a healthy one just hits.
   CacheStore Final(DirName);
-  if (Rig.served(Final) != Rig.Programs.size())
+  if (Rig.served(Final) != Rig.Programs.size()) {
     ASSERT_TRUE(
         Final.save(Rig.ProgramHashes, Rig.MC, Rig.Tech, 42, Rig.Suite));
-  if (Rig.served(Final, SecondTech) != Rig.Programs.size())
+  }
+  if (Rig.served(Final, SecondTech) != Rig.Programs.size()) {
     ASSERT_TRUE(
         Final.save(Rig.ProgramHashes, Rig.MC, SecondTech, 42, SecondSuite));
+  }
 
   // Byte-identity with the quiet single-writer reference: concurrency
   // and faults may cost misses, never artifact drift.

@@ -3,7 +3,7 @@
 // Seeded mutation loops over three decoders of bytes on disk: the replay
 // unit codec behind `.cells.pbs` shard payloads (deserializeRunResult),
 // the t-digest sketches inside shard manifests (TDigest::deserialize),
-// and the cost tables inside `pbt-prog-v2` store entries
+// and the cost tables inside `pbt-prog-v3` store entries
 // (CostModel::deserializeTables). Inputs are valid encodings with bytes flipped, cut at
 // every length, or spliced from two encodings. Every input must either
 // be rejected or decode to a value whose re-encoding reproduces exactly

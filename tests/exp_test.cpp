@@ -36,7 +36,7 @@ namespace {
 std::vector<Program> smallSuite() {
   auto Specs = specSuite();
   std::vector<Program> Programs;
-  for (const std::string &Name : {"164.gzip", "179.art", "473.astar"})
+  for (const char *Name : {"164.gzip", "179.art", "473.astar"})
     for (const BenchSpec &S : Specs)
       if (S.Name == Name)
         Programs.push_back(buildBenchmark(S));
@@ -172,7 +172,6 @@ TEST(PrepareSuiteParallel, DownstreamRunResultsBitIdentical) {
 
 TEST(SuiteCacheTest, TunerOnlyVariationHitsCache) {
   auto Set = std::make_shared<const ProgramSet>(smallSuite());
-  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   SuiteCache Cache;
 
@@ -204,7 +203,6 @@ TEST(SuiteCacheTest, TunerOnlyVariationHitsCache) {
 
 TEST(SuiteCacheTest, KeyCoversMachineSeedAndPreparationFields) {
   auto Set = std::make_shared<const ProgramSet>(smallSuite());
-  const std::vector<Program> &Programs = Set->programs();
   SuiteCache Cache;
   Cache.get(Set, MachineConfig::quadAsymmetric(), loopTechnique());
   Cache.get(Set, MachineConfig::threeCore(), loopTechnique());
@@ -222,7 +220,6 @@ TEST(SuiteCacheTest, KeyCoversMachineSeedAndPreparationFields) {
 
 TEST(SuiteCacheTest, RenamedMachineStillHits) {
   auto Set = std::make_shared<const ProgramSet>(smallSuite());
-  const std::vector<Program> &Programs = Set->programs();
   SuiteCache Cache;
   MachineConfig MC = MachineConfig::quadAsymmetric();
   Cache.get(Set, MC, loopTechnique());
@@ -804,7 +801,6 @@ TEST(CacheStoreTest, LoadRefreshesLruRecency) {
 
   // Touch the oldest suite through a real load.
   auto Set = std::make_shared<const ProgramSet>(smallSuite());
-  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Oldest = loopTechnique();
   Oldest.Transition.MinSize = 40;
@@ -829,7 +825,6 @@ TEST(CacheStoreTest, SuiteCacheLoadThrough) {
   TechniqueSpec Tech = loopTechnique(0.2);
   Tech.Transition.MinSize = 44;
   auto Set = std::make_shared<const ProgramSet>(smallSuite());
-  const std::vector<Program> &Programs = Set->programs();
   MachineConfig MC = MachineConfig::quadAsymmetric();
 
   SuiteCache First;

@@ -37,7 +37,7 @@ namespace {
 std::vector<Program> tinySuite() {
   auto Specs = specSuite();
   std::vector<Program> Programs;
-  for (const std::string &Name : {"164.gzip", "179.art"})
+  for (const char *Name : {"164.gzip", "179.art"})
     for (const BenchSpec &S : Specs)
       if (S.Name == Name)
         Programs.push_back(buildBenchmark(S));
@@ -395,7 +395,8 @@ TEST(FaultInjectionTest, EveryRejectReasonQuarantinesAndRecovers) {
     std::string B = Good;
     for (size_t I = HeaderBytes; I < B.size(); ++I)
       B[I] = static_cast<char>(I * 131);
-    uint64_t Sum = fnv1a(B.data() + HeaderBytes, B.size() - HeaderBytes);
+    uint64_t Sum =
+        CacheStore::checksum(B.data() + HeaderBytes, B.size() - HeaderBytes);
     for (int Byte = 0; Byte < 8; ++Byte) // Patch the checksum field (LE).
       B[56 + Byte] = static_cast<char>((Sum >> (8 * Byte)) & 0xFF);
     Cases.push_back({"payload", B});

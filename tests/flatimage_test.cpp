@@ -499,8 +499,9 @@ TEST(FlatEngine, BitIdenticalToReferenceIsolated) {
                      Tech.label());
         expectStatsIdentical(PRef.Stats, PFlat.Stats);
         EXPECT_EQ(PRef.CompletionTime, PFlat.CompletionTime);
-        if (Suite.Images[0]->marks().empty())
+        if (Suite.Images[0]->marks().empty()) {
           EXPECT_EQ(PRef.Stats.MarksFired, 0u);
+        }
         TotalMarks += PRef.Stats.MarksFired;
         TotalSwitches += PRef.Stats.CoreSwitches;
         TotalMonitors += PRef.Stats.MonitorSessions;
@@ -1132,7 +1133,7 @@ TEST(ParallelRunner, BitIdenticalToSerialRuns) {
   // serial loop exactly, in input order.
   auto Specs = specSuite();
   std::vector<Program> Programs;
-  for (const std::string &Name : {"164.gzip", "179.art", "473.astar"})
+  for (const char *Name : {"164.gzip", "179.art", "473.astar"})
     for (const BenchSpec &S : Specs)
       if (S.Name == Name)
         Programs.push_back(buildBenchmark(S));
@@ -1149,7 +1150,13 @@ TEST(ParallelRunner, BitIdenticalToSerialRuns) {
   std::vector<WorkloadJob> Jobs;
   for (size_t I = 0; I < Workloads.size(); ++I) {
     const PreparedSuite &Suite = I % 2 ? Tuned : Base;
-    Jobs.push_back({&Suite, &Workloads[I], &MC, SC, 20.0, nullptr});
+    WorkloadJob Job;
+    Job.Suite = &Suite;
+    Job.W = &Workloads[I];
+    Job.Machine = &MC;
+    Job.Sim = SC;
+    Job.Horizon = 20.0;
+    Jobs.push_back(Job);
   }
 
   std::vector<RunResult> Parallel = runWorkloads(Jobs);
@@ -1173,7 +1180,7 @@ TEST(ParallelRunner, BitIdenticalToSerialRuns) {
 TEST(ParallelRunner, IsolatedRuntimesMatchManualLoop) {
   auto Specs = specSuite();
   std::vector<Program> Programs;
-  for (const std::string &Name : {"164.gzip", "179.art"})
+  for (const char *Name : {"164.gzip", "179.art"})
     for (const BenchSpec &S : Specs)
       if (S.Name == Name)
         Programs.push_back(buildBenchmark(S));

@@ -1,6 +1,6 @@
 //===- tests/incremental_test.cpp - per-program incremental store ---------===//
 //
-// The incremental persistent cache: `pbt-prog-v2` entries round-trip
+// The incremental persistent cache: `pbt-prog-v3` entries round-trip
 // bit-identically, adding one benchmark to a cached suite re-prepares
 // exactly that benchmark, programs dedupe across suites, corrupt
 // entries quarantine and heal, gc and version cleanup cover every
@@ -482,7 +482,8 @@ std::string plantLegacyManifest(const std::string &Dir, const ProgramSet &Set,
   File.u64(Tech.preparationHash());
   File.u64(TypingSeed);
   File.u64(Payload.buffer().size());
-  File.u64(fnv1a(Payload.buffer().data(), Payload.buffer().size()));
+  File.u64(CacheStore::checksum(Payload.buffer().data(),
+                                Payload.buffer().size()));
   char Name[32];
   std::snprintf(Name, sizeof(Name), "suite-%016llx",
                 static_cast<unsigned long long>(Key));

@@ -187,9 +187,11 @@ TEST(Builder, HotRefsRepeatWithinBlock) {
   const BasicBlock &BB = Prog.Procs[0].Blocks[0];
   EXPECT_EQ(BB.StreamWorkingSet, 0u);
   // All refs fall in the 4-line hot set.
-  for (const Instruction &I : BB.Insts)
-    if (isMemoryKind(I.Kind))
+  for (const Instruction &I : BB.Insts) {
+    if (isMemoryKind(I.Kind)) {
       EXPECT_LT(I.MemRef, 4);
+    }
+  }
 }
 
 TEST(Builder, ColdRefsDeclareStream) {

@@ -237,7 +237,11 @@ TEST(Trace, PooledRunnerEmitsSameBytesAsSerialRun) {
   uint64_t Group = obs::beginTraceGroup();
   std::vector<WorkloadJob> Jobs;
   for (size_t I = 0; I < Ws.size(); ++I) {
-    WorkloadJob J{&Suite, &Ws[I], &MC, SimConfig(), 25};
+    WorkloadJob J;
+    J.Suite = &Suite;
+    J.W = &Ws[I];
+    J.Machine = &MC;
+    J.Horizon = 25;
     J.TraceUnit = "unit" + std::to_string(I);
     J.TraceGroup = Group;
     Jobs.push_back(std::move(J));

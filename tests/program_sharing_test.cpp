@@ -13,11 +13,14 @@
 #include "TestDirs.h"
 
 #include "exp/CacheStore.h"
+#include "exp/Harness.h"
 #include "exp/Lab.h"
 #include "ir/ProgramSet.h"
+#include "obs/Counters.h"
 #include "sim/CostModel.h"
 #include "sim/FlatImage.h"
 #include "support/Binary.h"
+#include "support/ThreadPool.h"
 #include "workload/Benchmarks.h"
 
 #include <gtest/gtest.h>
@@ -138,6 +141,54 @@ TEST(ProgramSharing, DefaultLabsShareOneProgramSet) {
   EXPECT_EQ(A.programSet().get(), B.programSet().get());
   EXPECT_EQ(&A.programs(), &B.programs());
   EXPECT_EQ(A.programs().size(), specSuite().size());
+}
+
+// A lab that differs from the default ones only in its SimConfig (the
+// instrumentation ablation's) shares the process's paper suite: the
+// suite is neither rebuilt nor hashed again.
+TEST(ProgramSharing, SimConfigOnlyCustomLabSharesThePaperSuite) {
+  obs::CounterRegistry &Reg = obs::CounterRegistry::global();
+  uint64_t Before = Reg.value("program_set.hashes");
+  Lab Default;
+  SimConfig Sim;
+  Sim.AffinityApiCycles = 0;
+  ExperimentHarness H("program_sharing", "SimConfig-only custom lab",
+                      "none");
+  Lab &Custom = H.customLab(MachineConfig::quadAsymmetric(), Sim);
+  EXPECT_EQ(Custom.programSet().get(), Default.programSet().get());
+  EXPECT_EQ(&Custom.programs(), &Default.programs());
+  EXPECT_EQ(Custom.sim().AffinityApiCycles, 0u);
+
+  // Both labs key replays on the one set's hash; only the SimConfig
+  // tells them apart.
+  EXPECT_NE(Custom.replayHash(), Default.replayHash());
+  uint64_t AfterFirstUse = Reg.value("program_set.hashes");
+  EXPECT_LE(AfterFirstUse - Before, 1u) << "the shared set hashed once";
+  EXPECT_EQ(Custom.programSet()->hash(), Default.programSet()->hash());
+  Lab Another(MachineConfig::threeCore(), Sim);
+  Another.replayHash();
+  EXPECT_EQ(Another.programSet().get(), Default.programSet().get());
+  EXPECT_EQ(Reg.value("program_set.hashes"), AfterFirstUse);
+}
+
+// buildSuite() and a ProgramSet's hashes are the same whether their
+// per-program tasks run serially or over the global pool.
+TEST(ProgramSharing, SuiteAndHashesDoNotDependOnThePoolSize) {
+  ThreadPool Serial(1);
+  std::vector<Program> OnSerial = buildSuite(2.4e6, &Serial);
+  std::vector<Program> OnGlobal = buildSuite();
+  ASSERT_EQ(OnSerial.size(), specSuite().size());
+  ASSERT_EQ(OnGlobal.size(), OnSerial.size());
+  std::vector<uint64_t> SerialHashes;
+  for (size_t I = 0; I < OnSerial.size(); ++I) {
+    EXPECT_EQ(OnGlobal[I].Name, OnSerial[I].Name);
+    SerialHashes.push_back(contentHash(OnSerial[I]));
+    EXPECT_EQ(contentHash(OnGlobal[I]), SerialHashes.back());
+  }
+  ProgramSet Set(std::move(OnGlobal));
+  EXPECT_EQ(Set.programHashes(), SerialHashes);
+  EXPECT_EQ(Set.hash(), contentHash(OnSerial));
+  EXPECT_EQ(Set.hash(), contentHash(SerialHashes));
 }
 
 TEST(ProgramSharing, SetHashesMatchStandaloneContentHashes) {

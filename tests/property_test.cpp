@@ -96,8 +96,9 @@ TEST_P(MarkingVariant, EdgeMarksMatchRegionTypes) {
       // mark must agree with the analysis' own region map for the
       // target, except BB lookahead filtering which may suppress but
       // never relabel.
-      if (config().Strat != Strategy::BasicBlock)
+      if (config().Strat != Strategy::BasicBlock) {
         EXPECT_EQ(M.PhaseType, R.RegionType[M.Proc][Target]);
+      }
     }
   }
 }

@@ -35,7 +35,7 @@ namespace {
 std::vector<Program> smallSuite() {
   auto Specs = specSuite();
   std::vector<Program> Programs;
-  for (const std::string &Name : {"164.gzip", "179.art", "473.astar"})
+  for (const char *Name : {"164.gzip", "179.art", "473.astar"})
     for (const BenchSpec &S : Specs)
       if (S.Name == Name)
         Programs.push_back(buildBenchmark(S));
@@ -226,8 +226,9 @@ TEST(ScenarioArrivals, PoissonSeededDeterministicAndMonotone) {
     EXPECT_EQ(A[I].Seed, B[I].Seed);
     EXPECT_LT(A[I].Time, 20.0);
     EXPECT_LT(A[I].Bench, 4u);
-    if (I > 0)
+    if (I > 0) {
       EXPECT_GE(A[I].Time, A[I - 1].Time);
+    }
   }
   // A different seed draws a different stream.
   std::vector<ScenarioArrival> C =
@@ -297,7 +298,8 @@ TEST(ScenarioDeterminism, OpenRunsIdenticalAcrossRerunsAndParallelBatch) {
   // execution) is bit-identical to the serial calls.
   std::vector<WorkloadJob> Jobs(3);
   for (WorkloadJob &Job : Jobs)
-    Job = {&Suite, &W, &MC, SimConfig(), 20, nullptr, SchedulerSpec(), S};
+    Job = {&Suite, &W, &MC, SimConfig(), 20, nullptr, SchedulerSpec(), S,
+           std::string(), 0};
   std::vector<RunResult> Batch = runWorkloads(Jobs);
   for (const RunResult &R : Batch)
     expectRunsIdentical(A, R);

@@ -14,6 +14,7 @@
 #include "exp/Shard.h"
 #include "exp/Sweep.h"
 #include "support/Binary.h"
+#include "support/Hashing.h"
 #include "support/Json.h"
 #include "support/Rng.h"
 #include "support/Table.h"
@@ -469,8 +470,9 @@ TEST(ShardPartitionTest, SweepUnitsAreUniqueStableAndExactlyOnce) {
     std::set<size_t> Covered;
     for (uint32_t K = 1; K <= N; ++K)
       for (size_t Ordinal = 0; Ordinal < Units.Ids.size(); ++Ordinal)
-        if (shardOf(Ordinal, N) == K)
+        if (shardOf(Ordinal, N) == K) {
           EXPECT_TRUE(Covered.insert(Ordinal).second);
+        }
     EXPECT_EQ(Covered.size(), Units.Ids.size());
   }
 }
@@ -648,10 +650,10 @@ TEST(ShardMergeDiagnosticsTest, UnsupportedManifestVersion) {
   std::string Bytes = slurp(Path);
   ASSERT_GT(Bytes.size(), 16u);
   Bytes[4] = 99;
-  uint64_t Fnv = fnv1a(Bytes.data(), Bytes.size() - 8);
+  uint64_t Sum = hashBytes(Bytes.data(), Bytes.size() - 8);
   for (int I = 0; I < 8; ++I)
     Bytes[Bytes.size() - 8 + static_cast<size_t>(I)] =
-        static_cast<char>((Fnv >> (8 * I)) & 0xFF);
+        static_cast<char>((Sum >> (8 * I)) & 0xFF);
   ASSERT_TRUE(writeFileAtomic(Path, Bytes));
   expectMergeDiagnostic(Dir, "unsupported version 99");
 }
@@ -777,9 +779,9 @@ void writePlain(const std::string &Path, const std::string &Bytes) {
 /// Replaces the 8-byte self-checksum trailer so the mutant reaches the
 /// decoder instead of the checksum latch. \p Body excludes any trailer.
 std::string withTrailer(std::string Body) {
-  uint64_t Fnv = fnv1a(Body.data(), Body.size());
+  uint64_t Sum = hashBytes(Body.data(), Body.size());
   for (int I = 0; I < 8; ++I)
-    Body.push_back(static_cast<char>((Fnv >> (8 * I)) & 0xFF));
+    Body.push_back(static_cast<char>((Sum >> (8 * I)) & 0xFF));
   return Body;
 }
 

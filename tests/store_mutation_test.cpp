@@ -1,6 +1,6 @@
-//===- tests/store_mutation_test.cpp - pbt-prog-v2 decoder robustness -----===//
+//===- tests/store_mutation_test.cpp - pbt-prog-v3 decoder robustness -----===//
 //
-// A seeded mutation loop over `pbt-prog-v2` store entries: byte flips,
+// A seeded mutation loop over `pbt-prog-v3` store entries: byte flips,
 // truncations, and splices of another entry's header or payload. Every
 // mutated entry must end in a miss, quarantined under the reason the
 // format assigns to that damage, without crashing (the sanitizer jobs
@@ -80,7 +80,8 @@ void putU64(std::string &Bytes, size_t At, uint64_t Value) {
 std::string rechecksum(std::string Bytes) {
   putU64(Bytes, PayloadSizeAt, Bytes.size() - HeaderBytes);
   putU64(Bytes, ChecksumAt,
-         fnv1a(Bytes.data() + HeaderBytes, Bytes.size() - HeaderBytes));
+         CacheStore::checksum(Bytes.data() + HeaderBytes,
+                              Bytes.size() - HeaderBytes));
   return Bytes;
 }
 
@@ -254,6 +255,31 @@ TEST(StoreMutationTest, SplicedEntriesQuarantineUnderTheirReason) {
       Good.substr(0, HeaderBytes) + Donors[0].substr(HeaderBytes);
   expectQuarantined(Rig, rechecksum(Foreign), "payload", true,
                     "foreign payload re-checksummed");
+}
+
+// A `pbt-prog-v2` entry, checksummed with FNV-1a as that format was,
+// planted where the current key points is rejected as "version" before
+// its checksum is looked at: an older store is never misread, and
+// cleanMismatchedVersions deletes such entries wherever they sit.
+TEST(StoreMutationTest, PreviousFormatEntryRejectedAsVersion) {
+  MutationRig Rig("mutation_v2.cache");
+  std::string Old = Rig.bytes(0, Rig.Tech);
+  ASSERT_GT(Old.size(), HeaderBytes);
+  for (int Byte = 0; Byte < 4; ++Byte) // Format version 2 (LE).
+    Old[4 + Byte] = static_cast<char>(Byte == 0 ? 2 : 0);
+  uint64_t Fnv = 0xCBF29CE484222325ULL;
+  for (size_t I = HeaderBytes; I < Old.size(); ++I) {
+    Fnv ^= static_cast<unsigned char>(Old[I]);
+    Fnv *= 0x100000001B3ULL;
+  }
+  putU64(Old, ChecksumAt, Fnv);
+  expectQuarantined(Rig, Old, "version", false, "pbt-prog-v2 entry");
+  expectQuarantined(Rig, Old, "version", true, "pbt-prog-v2 entry, batch");
+
+  writeBytes(Rig.Store.dir() + "/prog-00000000000000f2.pbt", Old);
+  EXPECT_EQ(Rig.Store.cleanMismatchedVersions(), 1u);
+  EXPECT_FALSE(fileExists(Rig.Store.dir() + "/prog-00000000000000f2.pbt"));
+  EXPECT_TRUE(Rig.loadFirst(true));
 }
 
 //===----------------------------------------------------------------------===//

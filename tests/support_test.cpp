@@ -1,14 +1,21 @@
 //===- tests/support_test.cpp - support library tests ---------------------===//
 
+#include "support/Binary.h"
 #include "support/Env.h"
+#include "support/Hashing.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
 #include "support/Table.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 using namespace pbt;
 
@@ -220,4 +227,143 @@ TEST(Env, IntParsing) {
   EXPECT_EQ(envInt("PBT_TEST_INT", 0), 42);
   EXPECT_EQ(envInt("PBT_TEST_MISSING", 9), 9);
   unsetenv("PBT_TEST_INT");
+}
+
+namespace {
+
+/// 80 bytes of a fixed, non-repeating pattern.
+std::string hashPattern() {
+  std::string P;
+  for (int I = 0; I < 80; ++I)
+    P.push_back(static_cast<char>(I * 37 + 11));
+  return P;
+}
+
+} // namespace
+
+// Store addresses and persisted checksums depend on these values: a
+// change to hashBytes must fail here before it orphans every store.
+TEST(HashBytes, GoldenValues) {
+  EXPECT_EQ(hashString(""), 0xD8A310150DF90781ULL);
+  EXPECT_EQ(hashString("a"), 0x01B634C56326A5B8ULL);
+  EXPECT_EQ(hashString("abc"), 0x338E7553D44E90B1ULL);
+  EXPECT_EQ(hashString("12345678"), 0x8BAD1567BEBF87DEULL); // One lane.
+  EXPECT_EQ(hashString("123456789"), 0xDF50C5B94BAD6EEBULL); // Lane + tail.
+  EXPECT_EQ(hashString("phase-based tuning"), 0xE5C1A5D820533C0DULL);
+  std::string P = hashPattern();
+  EXPECT_EQ(hashBytes(P.data(), P.size()), 0x96A9F3388F6A6E60ULL);
+  EXPECT_EQ(hashBytes(P.data(), P.size(), 7), 0x0CF38E73C765AA78ULL);
+  EXPECT_EQ(hashBytes(P.data(), 0, 7), 0x6FD2EDA0F07FA010ULL);
+  EXPECT_EQ(hashBytes(P.data(), P.size()),
+            hashString(std::string(P.data(), P.size())));
+}
+
+TEST(HashBytes, EverySingleBitFlipChangesTheHash) {
+  std::string P = hashPattern();
+  for (size_t Len = 0; Len <= P.size(); ++Len) {
+    std::string Buf = P.substr(0, Len);
+    uint64_t Clean = hashBytes(Buf.data(), Len);
+    for (size_t At = 0; At < Len; ++At)
+      for (int Bit = 0; Bit < 8; ++Bit) {
+        Buf[At] = static_cast<char>(Buf[At] ^ (1 << Bit));
+        EXPECT_NE(hashBytes(Buf.data(), Len), Clean)
+            << "len " << Len << " byte " << At << " bit " << Bit;
+        Buf[At] = static_cast<char>(Buf[At] ^ (1 << Bit));
+      }
+  }
+}
+
+TEST(HashBytes, ValueDoesNotDependOnAlignment) {
+  std::string P = hashPattern();
+  alignas(16) char Backing[16 + 80];
+  for (size_t Len = 0; Len <= P.size(); ++Len) {
+    uint64_t Expected = hashBytes(P.data(), Len);
+    for (size_t Offset = 0; Offset < 16; ++Offset) {
+      std::memcpy(Backing + Offset, P.data(), Len);
+      EXPECT_EQ(hashBytes(Backing + Offset, Len), Expected)
+          << "len " << Len << " offset " << Offset;
+    }
+  }
+}
+
+TEST(BinaryWriter, GoldenLittleEndianBytes) {
+  BinaryWriter W;
+  W.u8(0xAB);
+  W.u32(0x01020304u);
+  W.u64(0x0102030405060708ULL);
+  W.i32(-2);
+  W.f64(1.0);
+  W.str("hi");
+  const unsigned char Expected[] = {
+      0xAB,                                           // u8
+      0x04, 0x03, 0x02, 0x01,                         // u32
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // u64
+      0xFE, 0xFF, 0xFF, 0xFF,                         // i32 -2
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F, // f64 1.0
+      0x02, 0x00, 0x00, 0x00, 'h',  'i'};             // str
+  ASSERT_EQ(W.buffer().size(), sizeof(Expected));
+  EXPECT_EQ(std::memcmp(W.buffer().data(), Expected, sizeof(Expected)), 0);
+}
+
+TEST(BinaryReader, RoundTripAndTruncationLatch) {
+  const double NegZero = -0.0;
+  const double Nan = std::numeric_limits<double>::quiet_NaN();
+  BinaryWriter W;
+  W.u8(7);
+  W.u32(0xDEADBEEFu);
+  W.u64(0xFEEDFACECAFEBEEFULL);
+  W.i32(-123456);
+  W.f64(NegZero);
+  W.f64(Nan);
+  W.str("phase");
+  W.u32(3); // A count within the remaining bytes.
+  W.u64(1);
+  W.u64(2);
+  W.u64(3);
+
+  BinaryReader R(W.buffer());
+  EXPECT_EQ(R.u8(), 7u);
+  EXPECT_EQ(R.u32(), 0xDEADBEEFu);
+  EXPECT_EQ(R.u64(), 0xFEEDFACECAFEBEEFULL);
+  EXPECT_EQ(R.i32(), -123456);
+  double Z = R.f64();
+  EXPECT_EQ(std::memcmp(&Z, &NegZero, sizeof(Z)), 0);
+  double N = R.f64();
+  EXPECT_EQ(std::memcmp(&N, &Nan, sizeof(N)), 0);
+  EXPECT_EQ(R.str(), "phase");
+  EXPECT_EQ(R.count(3, 8), 3u);
+  EXPECT_EQ(R.u64(), 1u);
+  EXPECT_EQ(R.u64(), 2u);
+  EXPECT_EQ(R.u64(), 3u);
+  EXPECT_EQ(R.remaining(), 0u);
+  EXPECT_FALSE(R.failed());
+
+  // Every truncation latches at the first short read; every later read
+  // returns zero values.
+  for (size_t Len = 0; Len < W.buffer().size(); ++Len) {
+    BinaryReader T(W.buffer().data(), Len);
+    T.u8();
+    T.u32();
+    T.u64();
+    T.i32();
+    T.f64();
+    T.f64();
+    T.str();
+    uint32_t Count = T.count(3, 8);
+    for (uint32_t I = 0; I < Count; ++I)
+      T.u64();
+    if (Count == 0)
+      T.u64();
+    EXPECT_TRUE(T.failed()) << "len " << Len;
+    EXPECT_EQ(T.remaining(), 0u);
+    EXPECT_EQ(T.u32(), 0u);
+    EXPECT_EQ(T.u64(), 0u);
+    EXPECT_EQ(T.str(), "");
+  }
+
+  // A u32 that straddles the end reads nothing, then latches.
+  BinaryReader Short(W.buffer().data(), 3);
+  EXPECT_EQ(Short.u32(), 0u);
+  EXPECT_TRUE(Short.failed());
+  EXPECT_EQ(Short.u8(), 0u);
 }
