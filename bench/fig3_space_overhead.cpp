@@ -20,9 +20,9 @@ PBT_EXPERIMENT(fig3_space_overhead) {
 
   Lab &L = H.lab();
   // Each program's original size, walked once for all its images.
-  std::vector<uint64_t> OriginalBytes;
+  std::vector<double> OriginalBytes;
   for (const Program &Prog : L.programs())
-    OriginalBytes.push_back(Prog.byteSize());
+    OriginalBytes.push_back(static_cast<double>(Prog.byteSize()));
   Table T({"variant", "min%", "q1%", "median%", "q3%", "max%", "mean%",
            "marks/bench"});
   for (const TechniqueSpec &Tech : paperTechniques()) {
@@ -30,9 +30,12 @@ PBT_EXPERIMENT(fig3_space_overhead) {
     std::vector<double> Overheads;
     double TotalMarks = 0;
     for (size_t I = 0; I < Suite.Images.size(); ++I) {
-      TotalMarks += static_cast<double>(Suite.Images[I]->marks().size());
-      Overheads.push_back(
-          Suite.Images[I]->spaceOverheadPercent(OriginalBytes[I]));
+      const InstrumentedProgram &Image = *Suite.Images[I];
+      TotalMarks += static_cast<double>(Image.marks().size());
+      // Same division as InstrumentedProgram::spaceOverheadPercent().
+      Overheads.push_back(100.0 *
+                          static_cast<double>(Image.addedByteSize()) /
+                          OriginalBytes[I]);
     }
     BoxSummary Box = summarize(Overheads);
     T.addRow({Tech.Transition.label(), Table::fmt(Box.Min),

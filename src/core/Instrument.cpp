@@ -75,14 +75,9 @@ uint64_t InstrumentedProgram::instrumentedByteSize() const {
   return Prog->byteSize() + addedByteSize();
 }
 
-double
-InstrumentedProgram::spaceOverheadPercent(uint64_t OriginalBytes) const {
-  double Original = static_cast<double>(OriginalBytes);
+double InstrumentedProgram::spaceOverheadPercent() const {
+  double Original = static_cast<double>(Prog->byteSize());
   if (Original <= 0)
     return 0;
   return 100.0 * static_cast<double>(addedByteSize()) / Original;
-}
-
-double InstrumentedProgram::spaceOverheadPercent() const {
-  return spaceOverheadPercent(Prog->byteSize());
 }

@@ -108,11 +108,6 @@ public:
   /// Size of the instrumented binary in bytes.
   uint64_t instrumentedByteSize() const;
 
-  /// Space overhead over an original binary of \p OriginalBytes (the
-  /// program's byteSize(), which callers sizing many images of one
-  /// program compute once), in percent (Fig. 3).
-  double spaceOverheadPercent(uint64_t OriginalBytes) const;
-
   /// Space overhead over the original binary, in percent (Fig. 3).
   double spaceOverheadPercent() const;
 

@@ -24,11 +24,10 @@
 #include <cstring>
 #include <string>
 
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-#define PBT_LITTLE_ENDIAN 0
-#else
-#define PBT_LITTLE_ENDIAN 1
-#endif
+// BinaryReader and hashBytes (support/Hashing.h) load little-endian
+// fields and lanes with a plain memcpy.
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "the binary codec and hashBytes assume a little-endian host");
 
 namespace pbt {
 
@@ -37,9 +36,15 @@ class BinaryWriter {
 public:
   void u8(uint8_t Value) { Buf.push_back(static_cast<char>(Value)); }
 
-  void u32(uint32_t Value) { fixed(Value); }
+  void u32(uint32_t Value) {
+    for (int Shift = 0; Shift < 32; Shift += 8)
+      Buf.push_back(static_cast<char>((Value >> Shift) & 0xFF));
+  }
 
-  void u64(uint64_t Value) { fixed(Value); }
+  void u64(uint64_t Value) {
+    for (int Shift = 0; Shift < 64; Shift += 8)
+      Buf.push_back(static_cast<char>((Value >> Shift) & 0xFF));
+  }
 
   void i32(int32_t Value) { u32(static_cast<uint32_t>(Value)); }
 
@@ -60,18 +65,6 @@ public:
   const std::string &buffer() const { return Buf; }
 
 private:
-  /// Appends \p Value's little-endian bytes in one append.
-  template <typename T> void fixed(T Value) {
-    char Bytes[sizeof(T)];
-#if PBT_LITTLE_ENDIAN
-    std::memcpy(Bytes, &Value, sizeof(T));
-#else
-    for (size_t I = 0; I < sizeof(T); ++I)
-      Bytes[I] = static_cast<char>((Value >> (8 * I)) & 0xFF);
-#endif
-    Buf.append(Bytes, sizeof(T));
-  }
-
   std::string Buf;
 };
 
@@ -138,17 +131,12 @@ public:
   void markFailed() { Fail = true; }
 
 private:
-  /// Reads one little-endian \p T: one load on little-endian hosts.
+  /// Reads one little-endian \p T with one load.
   template <typename T> T fixed() {
     if (!take(sizeof(T)))
       return 0;
-    T Value = 0;
-#if PBT_LITTLE_ENDIAN
+    T Value;
     std::memcpy(&Value, Ptr + Pos, sizeof(T));
-#else
-    for (size_t I = 0; I < sizeof(T); ++I)
-      Value |= static_cast<T>(Ptr[Pos + I]) << (8 * I);
-#endif
     Pos += sizeof(T);
     return Value;
   }

@@ -48,9 +48,9 @@ inline uint64_t hashDouble(double V) {
 }
 
 /// The one byte-level content hash in support/: 64 bits over \p Size
-/// bytes, read as little-endian 8-byte lanes (so the value depends
-/// neither on the buffer's alignment nor on the host's byte order),
-/// each lane multiplied and rotated into a single accumulator, the
+/// bytes, read as little-endian 8-byte lanes with one memcpy each (so
+/// the value does not depend on the buffer's alignment; Binary.h
+/// asserts a little-endian host), each lane multiplied and rotated into a single accumulator, the
 /// last 1-7 bytes folded in as one zero-padded lane, and the result
 /// avalanched. Every step is a bijection of the accumulator for fixed
 /// input, so two equal-length buffers that differ in one lane always
@@ -72,9 +72,6 @@ inline uint64_t hashBytes(const void *Data, size_t Size, uint64_t Seed = 0) {
   for (; I + 8 <= Size; I += 8) {
     uint64_t Lane;
     std::memcpy(&Lane, Bytes + I, 8);
-#if !PBT_LITTLE_ENDIAN
-    Lane = __builtin_bswap64(Lane);
-#endif
     H = Round(H, Lane);
   }
   if (I < Size) {

@@ -283,12 +283,11 @@ std::vector<BenchSpec> pbt::specSuite() {
   return Suite;
 }
 
-std::vector<Program> pbt::buildSuite(double FastFrequency, ThreadPool *Pool) {
+std::vector<Program> pbt::buildSuite(double FastFrequency) {
   std::vector<BenchSpec> Specs = specSuite();
   std::vector<Program> Programs(Specs.size());
-  (Pool ? *Pool : ThreadPool::global())
-      .parallelFor(Specs.size(), [&](size_t I) {
-        Programs[I] = buildBenchmark(Specs[I], FastFrequency);
-      });
+  ThreadPool::global().parallelFor(Specs.size(), [&](size_t I) {
+    Programs[I] = buildBenchmark(Specs[I], FastFrequency);
+  });
   return Programs;
 }

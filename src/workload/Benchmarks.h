@@ -31,8 +31,6 @@
 
 namespace pbt {
 
-class ThreadPool;
-
 /// One phase of a benchmark: an inner loop with a fixed behaviour.
 struct PhaseSpec {
   /// Memory-bound (streaming) vs compute-bound body.
@@ -74,12 +72,10 @@ Program buildBenchmark(const BenchSpec &Spec, double FastFrequency = 2.4e6);
 /// The default 15-benchmark suite mirroring the paper's Table 1 set.
 std::vector<BenchSpec> specSuite();
 
-/// Builds every program of specSuite(), one program per task of \p Pool
-/// (the global pool when null). Each program comes from its own spec
-/// and seed and is written by index, so the result is the same for any
-/// pool size.
-std::vector<Program> buildSuite(double FastFrequency = 2.4e6,
-                                ThreadPool *Pool = nullptr);
+/// Builds every program of specSuite(), one program per task of the
+/// global pool. Each program comes from its own spec and seed and is
+/// written by index, so the result is the same for any pool size.
+std::vector<Program> buildSuite(double FastFrequency = 2.4e6);
 
 } // namespace pbt
 

@@ -20,7 +20,6 @@
 #include "sim/CostModel.h"
 #include "sim/FlatImage.h"
 #include "support/Binary.h"
-#include "support/ThreadPool.h"
 #include "workload/Benchmarks.h"
 
 #include <gtest/gtest.h>
@@ -171,11 +170,12 @@ TEST(ProgramSharing, SimConfigOnlyCustomLabSharesThePaperSuite) {
   EXPECT_EQ(Reg.value("program_set.hashes"), AfterFirstUse);
 }
 
-// buildSuite() and a ProgramSet's hashes are the same whether their
-// per-program tasks run serially or over the global pool.
+// buildSuite() and a ProgramSet's hashes, built over the global pool,
+// equal a serial build and serial per-program hashes.
 TEST(ProgramSharing, SuiteAndHashesDoNotDependOnThePoolSize) {
-  ThreadPool Serial(1);
-  std::vector<Program> OnSerial = buildSuite(2.4e6, &Serial);
+  std::vector<Program> OnSerial;
+  for (const BenchSpec &Spec : specSuite())
+    OnSerial.push_back(buildBenchmark(Spec));
   std::vector<Program> OnGlobal = buildSuite();
   ASSERT_EQ(OnSerial.size(), specSuite().size());
   ASSERT_EQ(OnGlobal.size(), OnSerial.size());
