@@ -21,8 +21,7 @@ const std::vector<Experiment> &pbt::bench::experiments() {
   return registry();
 }
 
-bool pbt::bench::registerExperiment(const char *Name, ExperimentFn Fn,
-                                    pbt::exp::ShardGranularity Granularity) {
-  registry().push_back({Name, Fn, Granularity});
+bool pbt::bench::registerExperiment(const char *Name, ExperimentFn Fn) {
+  registry().push_back({Name, Fn});
   return true;
 }

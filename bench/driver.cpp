@@ -18,13 +18,12 @@
 //    plan pass records every selected body's sweeps, one prefetch
 //    batch replays them longest first with repeated jobs and horizon
 //    prefixes merged, and the experiments are then served from that
-//    in-memory memo. --shard, --merge and --trace bypass it and replay
-//    sweep by sweep.
+//    in-memory memo. --trace bypasses it and replays sweep by sweep.
 //
 // Usage:
 //   driver [--list] [--only=name1,name2] [--verify-ir] [--clean-cache]
 //          [--gc-cache] [--max-cache-bytes=N] [--max-cache-age-days=D]
-//          [--shard=k/n] [--merge=dir] [--trace=dir] [--report]
+//          [--trace=dir] [--report]
 //
 // --trace=dir (or PBT_TRACE=dir; the flag wins) turns on the
 // deterministic simulated-time trace plane: every replay unit writes a
@@ -43,23 +42,6 @@
 // same invariants before it reaches a simulation. A violation fails
 // that experiment (the guard records it); the artifacts themselves are
 // unchanged — verification only reads.
-//
-// --shard=k/n (or PBT_SHARD=k/n; the flag wins) runs this process as
-// shard k of an n-shard fabric: whole experiments are round-robined
-// over the sorted registry (non-owned ones report status
-// "other-shard"), sweep experiments replay only their owned cells, and
-// the run emits BENCH_*.shard-k-of-n.json partials, cells payloads,
-// and a shard-k-of-n.manifest.pbs inventory instead of the final
-// artifacts (exp/Shard.h).
-//
-// --merge=dir recombines the shard partials found in dir into the
-// working directory: after validating every manifest and checksum it
-// byte-copies whole artifacts and re-runs sweep bodies over the
-// recombined bit-exact units, producing BENCH_*.json files
-// byte-identical to a single-process run, plus BENCH_merge.json with
-// the shards' merged metric sketches. Any inconsistency (missing or
-// duplicate shard, mixed n, corrupt partial, ...) is a distinct
-// diagnostic and a nonzero exit.
 //
 // --clean-cache deletes PBT_CACHE_DIR entries written by other format
 // versions and legacy suite manifests (they can never load again) and
@@ -99,7 +81,6 @@
 #include "exp/Guard.h"
 #include "exp/Harness.h"
 #include "exp/ReplayMemo.h"
-#include "exp/Shard.h"
 #include "obs/Counters.h"
 #include "obs/Span.h"
 #include "obs/Trace.h"
@@ -114,7 +95,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
-#include <map>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -188,9 +168,6 @@ int main(int Argc, char **Argv) {
   bool SawMaxAge = false;
   uint64_t MaxCacheBytes = 0;
   double MaxCacheAgeDays = 0;
-  bool SawShardFlag = false;
-  exp::ShardSpec Shard; // 1/1 unless --shard or PBT_SHARD says otherwise.
-  std::string MergeDir;
   bool Report = false;
   std::vector<std::string> Only;
   for (int I = 1; I < Argc; ++I) {
@@ -237,19 +214,6 @@ int main(int Argc, char **Argv) {
                              "experiment name (see --list)\n");
         return 2;
       }
-    } else if (std::strncmp(Arg, "--shard=", 8) == 0) {
-      std::string Error;
-      if (!exp::ShardSpec::parse(Arg + 8, Shard, Error)) {
-        std::fprintf(stderr, "driver: %s\n", Error.c_str());
-        return 2;
-      }
-      SawShardFlag = true;
-    } else if (std::strncmp(Arg, "--merge=", 8) == 0) {
-      MergeDir = Arg + 8;
-      if (MergeDir.empty()) {
-        std::fprintf(stderr, "driver: --merge wants a shard directory\n");
-        return 2;
-      }
     } else if (std::strncmp(Arg, "--trace=", 8) == 0) {
       if (Arg[8] == '\0') {
         std::fprintf(stderr, "driver: --trace wants a directory\n");
@@ -264,40 +228,15 @@ int main(int Argc, char **Argv) {
                    "usage: driver [--list] [--only=name1,name2] "
                    "[--verify-ir] [--clean-cache] [--gc-cache] "
                    "[--max-cache-bytes=N] [--max-cache-age-days=D] "
-                   "[--shard=k/n] [--merge=dir] [--trace=dir] "
-                   "[--report]\n",
+                   "[--trace=dir] [--report]\n",
                    Arg);
       return 2;
     }
   }
   // PBT_TRACE needs no handling here: obs seeds the trace directory
   // from the environment for every binary, and the --trace flag above
-  // overwrites it — the flag wins, mirroring --shard/PBT_SHARD.
-  // The flag wins over the environment; the environment only applies
-  // when no flag was given (so wrapper scripts can export PBT_SHARD and
-  // still be overridden per invocation).
-  if (!SawShardFlag) {
-    if (const char *Env = envString("PBT_SHARD")) {
-      std::string Error;
-      if (!exp::ShardSpec::parse(Env, Shard, Error)) {
-        std::fprintf(stderr, "driver: PBT_SHARD: %s\n", Error.c_str());
-        return 2;
-      }
-      SawShardFlag = true;
-    }
-  }
-  bool ShardMode = SawShardFlag;
-  if (ShardMode && !MergeDir.empty()) {
-    std::fprintf(stderr,
-                 "driver: --shard and --merge are mutually exclusive\n");
-    return 2;
-  }
-  if (!MergeDir.empty() && !Only.empty()) {
-    std::fprintf(stderr, "driver: --merge recombines whatever the shard "
-                         "manifests list; it cannot be combined with "
-                         "--only\n");
-    return 2;
-  }
+  // overwrites it, so the flag wins.
+
   // A GC bound without --gc-cache would be silently ignored and the
   // whole experiment matrix would run instead; refuse the ambiguity.
   if ((SawMaxBytes || SawMaxAge) && !GcCache) {
@@ -371,45 +310,6 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  if (!MergeDir.empty()) {
-    // Merge mode: recombine shard partials into final artifacts. Sweep
-    // replays resolve through a shared lab pool like a normal run (the
-    // labs only serve machine configs and isolated-runtime oracles —
-    // no simulation happens; every replay is fed from the recombined
-    // units).
-    std::map<std::string, exp::MergeExperimentInfo> Infos;
-    for (const Experiment &E : Sorted) {
-      exp::MergeExperimentInfo Info;
-      Info.G = E.Granularity;
-      Info.Run = E.Fn;
-      Infos[E.Name] = std::move(Info);
-    }
-    exp::LabPool Pool;
-    exp::ExperimentHarness::setSharedLabPool(&Pool);
-    std::printf("== experiment driver: merging shards from %s ==\n",
-                MergeDir.c_str());
-    exp::MergeReport Report;
-    std::string Err = exp::mergeShards(
-        MergeDir, ".",
-        [&](const std::string &Name) -> const exp::MergeExperimentInfo * {
-          auto It = Infos.find(Name);
-          return It == Infos.end() ? nullptr : &It->second;
-        },
-        &Report);
-    exp::ExperimentHarness::setSharedLabPool(nullptr);
-    if (!Err.empty()) {
-      std::fprintf(stderr, "driver: merge failed: %s\n", Err.c_str());
-      return 1;
-    }
-    std::printf("\n== merge summary: %u shards, %zu artifacts copied, "
-                "%zu sweep experiments replayed from %llu units ==\n"
-                "wrote BENCH_merge.json\n",
-                Report.ShardCount, Report.Copied.size(),
-                Report.Replayed.size(),
-                static_cast<unsigned long long>(Report.Units));
-    return 0;
-  }
-
   // The run set, in registry order.
   std::vector<const Experiment *> Selected;
   for (const Experiment &E : Sorted)
@@ -425,28 +325,8 @@ int main(int Argc, char **Argv) {
   exp::ExperimentHarness::setSharedLabPool(&Pool);
   std::shared_ptr<exp::CacheStore> Store = exp::CacheStore::fromEnv();
 
-  // Shard mode: install the process-global runtime the harness routes
-  // through, hash the run set (the merge refuses to combine shards
-  // launched over different sets), and assign whole experiments.
-  exp::ShardRuntime RT(exp::ShardRuntime::Mode::Shard, Shard, ".");
-  std::map<std::string, uint32_t> WholeOwner;
-  if (ShardMode) {
-    std::vector<exp::RunSetEntry> RunSet;
-    std::vector<std::string> WholeNames;
-    for (const Experiment *E : Selected) {
-      RunSet.emplace_back(E->Name, E->Granularity);
-      if (E->Granularity == exp::ShardGranularity::Whole)
-        WholeNames.push_back(E->Name);
-    }
-    RT.setRunSetHash(exp::hashRunSet(RunSet));
-    WholeOwner = exp::assignWholeShards(WholeNames, Shard.Count);
-    exp::ShardRuntime::install(&RT);
-  }
-
-  std::printf("== experiment driver: %zu experiments, one process%s%s ==\n",
-              Selected.size(),
-              ShardMode ? ", shard " : "",
-              ShardMode ? Shard.label().c_str() : "");
+  std::printf("== experiment driver: %zu experiments, one process ==\n",
+              Selected.size());
   if (Store)
     std::printf("persistent suite cache: %s\n", Store->dir().c_str());
   if (verifyIREnabled())
@@ -456,11 +336,11 @@ int main(int Argc, char **Argv) {
   // Plan the whole run, then replay it as one batch (exp/ReplayMemo.h):
   // the plan pass records every selected body's sweeps, the prefetch
   // replays them longest-first with duplicates and horizon prefixes
-  // merged, and the guarded pass below is served from the memo. Modes
-  // that must see every replay happen inside its sweep skip it and run
-  // exactly as without a memo.
+  // merged, and the guarded pass below is served from the memo. A
+  // traced run skips it: trace files are written by each replay inside
+  // its sweep, which a memo-served job never reaches.
   exp::ReplayMemo Memo;
-  if (exp::replayPrefetchAllowed(ShardMode, obs::traceEnabled())) {
+  if (!obs::traceEnabled()) {
     exp::ReplayMemo::install(&Memo);
     planReplays(Selected, Memo);
     obs::Span Prefetch("driver.prefetch");
@@ -486,28 +366,11 @@ int main(int Argc, char **Argv) {
       const Experiment &E = *EP;
       Json Run = Json::object();
       Run["name"] = E.Name;
-      if (ShardMode && E.Granularity == exp::ShardGranularity::Whole &&
-          WholeOwner[E.Name] != Shard.Index) {
-        // Another shard owns this whole experiment; recording it as
-        // "other-shard" (not failed) keeps the summary an honest
-        // inventory of the fabric's division of labor.
-        Run["status"] = "other-shard";
-        Run["exit_code"] = 0;
-        Run["duration_seconds"] = 0.0;
-        Run["owner_shard"] = WholeOwner[E.Name];
-        Runs.push(std::move(Run));
-        Rows.push_back(ReportRow{E.Name, "other-shard", 0.0});
-        continue;
-      }
       std::printf("\n---- %s ----\n", E.Name);
       // The guard is the driver's fault boundary: a throwing or failing
       // experiment becomes a recorded failure, and the batch moves on to
       // the next experiment.
-      if (ShardMode)
-        RT.beginExperiment(E.Name, E.Granularity);
       exp::GuardedResult R = exp::runGuarded(E.Fn);
-      if (ShardMode)
-        RT.endExperiment(R.ExitCode); // Nonzero unless ok (-1 if it threw).
       if (!R.ok()) {
         ++Failed;
         Failures.push(Json(E.Name));
@@ -526,16 +389,6 @@ int main(int Argc, char **Argv) {
   }
   exp::ExperimentHarness::setSharedLabPool(nullptr);
   exp::ReplayMemo::install(nullptr);
-  if (ShardMode)
-    exp::ShardRuntime::install(nullptr);
-
-  // The manifest is the shard's sign-off, written after the pass over
-  // the whole run set; it marks each failed experiment, and the merge
-  // refuses a fabric with any failed entry instead of silently
-  // combining incomplete partials.
-  bool ManifestOk = true;
-  if (ShardMode)
-    ManifestOk = RT.writeManifest();
 
   // Aggregate suite-cache statistics over the shared labs. store_hits
   // counts preparations served from PBT_CACHE_DIR: a warm second run
@@ -561,18 +414,11 @@ int main(int Argc, char **Argv) {
   // count entries, store.prog_* is gone, and program_store_hits counts
   // every program served from disk; v4 added the "pipeline" per-pass
   // stats block, module-granular suite_cache counters and "verify_ir";
-  // v3 added the optional "shard" block and the "other-shard" status;
-  // v2 added suite_cache store counters — see docs/BENCH_SCHEMA.md.
+  // v3 added the optional "shard" block and the "other-shard" status,
+  // both retired with the sharded fabric; v2 added suite_cache store
+  // counters — see docs/BENCH_SCHEMA.md.
   Root["schema"] = "pbt-driver-v7";
   Root["verify_ir"] = verifyIREnabled();
-  if (ShardMode) {
-    Json ShardBlock = Json::object();
-    ShardBlock["index"] = Shard.Index;
-    ShardBlock["count"] = Shard.Count;
-    ShardBlock["label"] = Shard.label();
-    ShardBlock["manifest"] = "shard-" + Shard.label() + ".manifest.pbs";
-    Root["shard"] = std::move(ShardBlock);
-  }
   Root["scale"] = envScale();
   Root["cache_dir"] = Store ? Json(Store->dir()) : Json();
   Root["experiments"] = std::move(Runs);
@@ -649,12 +495,8 @@ int main(int Argc, char **Argv) {
                 P.Name.c_str(), static_cast<unsigned long long>(P.Invocations),
                 static_cast<unsigned long long>(P.ProgramsChanged),
                 P.Seconds);
-  int Exit = Failed == 0 && ManifestOk ? 0 : 1;
-  // The summary is shard-suffixed in shard mode so n shards can share
-  // one output directory without clobbering each other.
-  std::string SummaryPath =
-      ShardMode ? "BENCH_driver.shard-" + Shard.label() + ".json"
-                : "BENCH_driver.json";
+  int Exit = Failed == 0 ? 0 : 1;
+  const std::string SummaryPath = "BENCH_driver.json";
   if (!writeJsonFile(SummaryPath, Root)) {
     std::perror(SummaryPath.c_str());
     Exit = 1;
@@ -669,9 +511,7 @@ int main(int Argc, char **Argv) {
     Json Profile = Json::object();
     Profile["schema"] = "pbt-profile-v2";
     Profile["registry"] = Reg.snapshotJson();
-    std::string ProfilePath =
-        ShardMode ? "PROFILE_driver.shard-" + Shard.label() + ".json"
-                  : "PROFILE_driver.json";
+    const std::string ProfilePath = "PROFILE_driver.json";
     if (!writeJsonFile(ProfilePath, Profile)) {
       std::perror(ProfilePath.c_str());
       Exit = 1;

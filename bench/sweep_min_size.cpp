@@ -13,7 +13,7 @@
 using namespace pbt;
 using namespace pbt::bench;
 
-PBT_SWEEP_EXPERIMENT(sweep_min_size) {
+PBT_EXPERIMENT(sweep_min_size) {
   ExperimentHarness H("sweep_min_size",
                       "Sec. IV-C4: minimum section size sweep",
                       "CGO'11 Sec. IV-C4");

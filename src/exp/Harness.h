@@ -115,7 +115,7 @@ public:
   /// machine / workload / seed labels and canonical metrics) into the
   /// artifact's "sweeps" array. While the driver plans its replays
   /// (exp/ReplayMemo.h) it records the grid instead and returns a
-  /// placeholder result, as a sharding body's sweep does.
+  /// placeholder result.
   SweepResult sweep(Lab &L, const SweepGrid &Grid);
 
   /// Runs \p Grid once per machine of its machine axis (default:
@@ -137,10 +137,6 @@ public:
   int finish();
 
 private:
-  /// True when tables and notes are computed from placeholder sweeps —
-  /// while sharding cells or planning replays — and must not be shown.
-  bool placeholderOutput() const;
-
   /// The owning handle of \p L (custom or pool lab), else null.
   std::shared_ptr<Lab> owner(const Lab &L);
 

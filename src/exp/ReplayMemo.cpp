@@ -65,7 +65,3 @@ bool ReplayMemo::take(const ReplayKey &Key, double Horizon, RunResult &Out) {
 bool pbt::exp::replayPlanning() {
   return Installed && Installed->planning();
 }
-
-bool pbt::exp::replayPrefetchAllowed(bool ShardOrMerge, bool Tracing) {
-  return !ShardOrMerge && !Tracing;
-}

@@ -81,7 +81,8 @@ public:
 class ReplayMemo {
 public:
   /// The installed memo; null when the process runs without one (the
-  /// standalone binaries, and every driver mode that bypasses it).
+  /// standalone binaries, and traced driver runs: a memo-served job
+  /// never reaches the per-unit trace sink inside runSweep).
   static ReplayMemo *current();
 
   /// Installs \p Memo process-globally (null uninstalls). Not
@@ -139,12 +140,6 @@ private:
 
 /// True while the installed memo records a plan.
 bool replayPlanning();
-
-/// Whether the one-process driver may plan and prefetch. Only the
-/// plain single-process mode does: shard and merge runs account replay
-/// units per sweep, and traced runs write per-unit trace files named by
-/// the sweep's group ordinal.
-bool replayPrefetchAllowed(bool ShardOrMerge, bool Tracing);
 
 } // namespace exp
 } // namespace pbt

@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <stdexcept>
 
 using namespace pbt;
 using namespace pbt::exp;
@@ -51,20 +50,19 @@ const std::vector<ScenarioSpec> &SweepGrid::effectiveScenarios() const {
 
 namespace {
 
-/// The one walker behind runSweep, runSweepSharded, runSweepFromUnits,
-/// and enumerateSweepUnits: the batch layout (baseline replays first,
-/// then all cells in technique-major nest order, with baseline-
-/// coincident cells reusing the baseline job) and the per-job unit ids
-/// come from here and nowhere else, so shard ownership, sharded
-/// execution, and merge-side reconstruction can never disagree about
-/// which job is which.
+/// The one walker behind runSweep, prefetchSweeps and placeholderSweep:
+/// the batch layout (baseline replays first, then all cells in
+/// technique-major nest order, with baseline-coincident cells reusing
+/// the baseline job) and the per-job ids come from here and nowhere
+/// else. The ids name each job's TRACE_*.json file, so they are a pure
+/// function of the grid.
 struct SweepJobPlan {
   struct Coord {
     bool IsBaseline = false;
     size_t T = 0, W = 0, S = 0, C = 0, N = 0;
   };
   std::vector<Coord> Jobs;      ///< Per job, in batch order.
-  std::vector<std::string> Ids; ///< Per job, its unit id.
+  std::vector<std::string> Ids; ///< Per job, its trace unit id.
   std::vector<size_t> CellJob;  ///< Per cell (nest order): job index.
   size_t BaselineJobs = 0;
 };
@@ -115,8 +113,7 @@ SweepJobPlan planSweepJobs(const SweepGrid &Grid) {
 }
 
 /// Assembles a SweepResult from per-job results in batch order:
-/// identical for simulated and unit-fed runs, so merged artifacts are
-/// byte-identical by construction.
+/// identical for simulated, memo-served and placeholder runs.
 SweepResult assembleSweep(const SweepGrid &Grid, const SweepJobPlan &Plan,
                           const MachineConfig &Machine,
                           std::vector<RunResult> Runs) {
@@ -167,9 +164,8 @@ Workload materializeWorkload(const WorkloadSpec &Spec, size_t ProgramCount) {
 /// Runnable replay jobs for a subset of one grid's plan, plus the suites
 /// and workloads they point into. Suites are prepared (and isolated
 /// runtimes measured) only for what the subset touches, so a subset
-/// served entirely elsewhere — another shard, the replay memo — does no
-/// preparation at all. Jobs point into the maps, so the set never moves
-/// once built.
+/// the replay memo serves entirely does no preparation at all. Jobs
+/// point into the maps, so the set never moves once built.
 struct SweepJobSet {
   std::map<size_t, PreparedSuite> Suites; ///< Keyed T * seeds + S.
   std::map<size_t, Workload> Workloads;   ///< Keyed by workload index.
@@ -236,9 +232,9 @@ void buildSweepJobs(Lab &L, const SweepGrid &Grid, const SweepJobPlan &Plan,
 /// Replays the plan jobs listed in \p Subset as one parallel batch and
 /// returns their results in subset order. Every job is an independent
 /// simulation, so each result is bit-identical to the same job inside
-/// any other batch. Trace identity comes from the whole-grid plan: unit
+/// any other batch. Trace identity comes from the whole-grid plan: job
 /// ids are a pure function of the grid, so trace files come out
-/// identical whatever thread (or shard) runs which job.
+/// identical whatever thread runs which job.
 std::vector<RunResult> replaySubset(Lab &L, const SweepGrid &Grid,
                                     const SweepJobPlan &Plan,
                                     const std::vector<size_t> &Subset,
@@ -283,14 +279,6 @@ ReplayKey replayKey(Lab &L, const SweepGrid &Grid,
 
 } // namespace
 
-SweepUnitList pbt::exp::enumerateSweepUnits(const SweepGrid &Grid) {
-  SweepJobPlan Plan = planSweepJobs(Grid);
-  SweepUnitList Units;
-  Units.Ids = std::move(Plan.Ids);
-  Units.BaselineJobs = Plan.BaselineJobs;
-  return Units;
-}
-
 SweepResult pbt::exp::runSweep(Lab &L, const SweepGrid &Grid) {
   SweepJobPlan Plan = planSweepJobs(Grid);
   // The group counter advances even when tracing is off, keeping trace
@@ -309,43 +297,11 @@ SweepResult pbt::exp::runSweep(Lab &L, const SweepGrid &Grid) {
                              Runs[Job]))
       Misses.push_back(Job);
   obs::CounterRegistry::global().add("sweep.units_total", Plan.Jobs.size());
-  obs::CounterRegistry::global().add("sweep.units_owned", Plan.Jobs.size());
   std::vector<RunResult> Simulated =
       replaySubset(L, Grid, Plan, Misses, TraceGroup);
   for (size_t I = 0; I < Misses.size(); ++I)
     Runs[Misses[I]] = std::move(Simulated[I]);
   return assembleSweep(Grid, Plan, L.machine(), std::move(Runs));
-}
-
-SweepShardStats pbt::exp::runSweepSharded(Lab &L, const SweepGrid &Grid,
-                                          const ShardSpec &Spec,
-                                          const SweepUnitRecorder &Record) {
-  SweepJobPlan Plan = planSweepJobs(Grid);
-  // Allocated before the owns-nothing early return so the group
-  // ordinal stays in lockstep with a single-process run's (every sweep
-  // call bumps it exactly once on every shard).
-  uint64_t TraceGroup = obs::beginTraceGroup();
-
-  SweepShardStats Stats;
-  Stats.UnitsTotal = Plan.Jobs.size();
-  std::vector<size_t> Owned;
-  for (size_t Job = 0; Job < Plan.Jobs.size(); ++Job)
-    if (shardOf(Job, Spec.Count) == Spec.Index)
-      Owned.push_back(Job);
-  Stats.UnitsOwned = Owned.size();
-  if (Owned.empty())
-    return Stats;
-
-  // Only the owned units are prepared and replayed: a shard that owns
-  // no cell of a given (technique, typing seed) never runs its
-  // pipeline, and a shard owning no baseline skips the baseline suite.
-  obs::CounterRegistry::global().add("sweep.units_total", Plan.Jobs.size());
-  obs::CounterRegistry::global().add("sweep.units_owned", Owned.size());
-  std::vector<RunResult> Runs =
-      replaySubset(L, Grid, Plan, Owned, TraceGroup);
-  for (size_t I = 0; I < Owned.size(); ++I)
-    Record(Plan.Ids[Owned[I]], Runs[I]);
-  return Stats;
 }
 
 void pbt::exp::prefetchSweeps(ReplayMemo &Memo) {
@@ -456,20 +412,4 @@ SweepResult pbt::exp::placeholderSweep(const SweepGrid &Grid,
   SweepJobPlan Plan = planSweepJobs(Grid);
   return assembleSweep(Grid, Plan, Machine,
                        std::vector<RunResult>(Plan.Jobs.size()));
-}
-
-SweepResult pbt::exp::runSweepFromUnits(const SweepGrid &Grid,
-                                        const MachineConfig &Machine,
-                                        const SweepUnitSource &Units) {
-  SweepJobPlan Plan = planSweepJobs(Grid);
-  std::vector<RunResult> Runs;
-  Runs.reserve(Plan.Jobs.size());
-  for (const std::string &Id : Plan.Ids) {
-    const RunResult *Run = Units(Id);
-    if (!Run)
-      throw std::runtime_error("sweep unit " + Id +
-                               " missing from merged shards");
-    Runs.push_back(*Run);
-  }
-  return assembleSweep(Grid, Plan, Machine, std::move(Runs));
 }

@@ -6,7 +6,6 @@
 
 #include "metrics/Fairness.h"
 
-#include "support/Binary.h"
 #include "support/Statistics.h"
 
 #include <algorithm>
@@ -35,40 +34,6 @@ FairnessMetrics FairnessAccumulator::finish() const {
   Metrics.AvgProcessTime = FlowSum / static_cast<double>(Jobs);
   Metrics.P95Flow = Flow.percentile(95);
   return Metrics;
-}
-
-void FairnessAccumulator::serialize(BinaryWriter &W) const {
-  W.u64(Jobs);
-  W.f64(FlowSum);
-  W.f64(MaxFlow);
-  W.f64(MaxStretch);
-  Flow.serialize(W);
-}
-
-bool FairnessAccumulator::deserialize(BinaryReader &R) {
-  Jobs = R.u64();
-  FlowSum = R.f64();
-  MaxFlow = R.f64();
-  MaxStretch = R.f64();
-  return Flow.deserialize(R) && !R.failed();
-}
-
-FairnessAccumulator
-FairnessAccumulator::merged(const std::vector<FairnessAccumulator> &Parts) {
-  FairnessAccumulator Out;
-  if (Parts.size() == 1)
-    return Parts.front();
-  std::vector<const TDigest *> Flows;
-  for (const FairnessAccumulator &Part : Parts) {
-    Out.Jobs += Part.Jobs;
-    Out.FlowSum += Part.FlowSum;
-    Out.MaxFlow = std::max(Out.MaxFlow, Part.MaxFlow);
-    Out.MaxStretch = std::max(Out.MaxStretch, Part.MaxStretch);
-    Flows.push_back(&Part.Flow);
-  }
-  if (!Parts.empty())
-    Out.Flow = TDigest::merged(Flows);
-  return Out;
 }
 
 FairnessMetrics pbt::computeFairness(const std::vector<CompletedJob> &Jobs,

@@ -45,25 +45,12 @@ FairnessMetrics computeFairness(const std::vector<CompletedJob> &Jobs,
                                 PercentileMode Mode = PercentileMode::Exact);
 
 /// Streaming fairness accumulator: running maxima and mean, t-digest-
-/// sketched P95Flow — O(1) memory in job count, and mergeable for the
-/// sharded experiment fabric (see LatencyAccumulator for the merge
-/// contract: canonical shard-index order, single-part identity).
+/// sketched P95Flow — O(1) memory in job count.
 class FairnessAccumulator {
 public:
   void add(const CompletedJob &Job);
   size_t jobs() const { return Jobs; }
   FairnessMetrics finish() const;
-
-  /// Appends the accumulator to \p W (bit-exact round-trip).
-  void serialize(BinaryWriter &W) const;
-
-  /// Reads an accumulator serialized by serialize(); false on
-  /// malformed input.
-  bool deserialize(BinaryReader &R);
-
-  /// Merges \p Parts (canonical order; see LatencyAccumulator::merged).
-  static FairnessAccumulator
-  merged(const std::vector<FairnessAccumulator> &Parts);
 
 private:
   size_t Jobs = 0;

@@ -6,7 +6,6 @@
 
 #include "metrics/Latency.h"
 
-#include "support/Binary.h"
 #include "support/Statistics.h"
 
 #include <algorithm>
@@ -61,48 +60,6 @@ LatencyMetrics LatencyAccumulator::finish(double Horizon,
     M.MaxSlowdown = MaxSlow;
   }
   return M;
-}
-
-void LatencyAccumulator::serialize(BinaryWriter &W) const {
-  W.u64(Jobs);
-  W.f64(TurnSum);
-  W.u64(SlowJobs);
-  W.f64(SlowSum);
-  W.f64(MaxSlow);
-  Turn.serialize(W);
-  Slow.serialize(W);
-}
-
-bool LatencyAccumulator::deserialize(BinaryReader &R) {
-  Jobs = R.u64();
-  TurnSum = R.f64();
-  SlowJobs = R.u64();
-  SlowSum = R.f64();
-  MaxSlow = R.f64();
-  return Turn.deserialize(R) && Slow.deserialize(R) && !R.failed();
-}
-
-LatencyAccumulator
-LatencyAccumulator::merged(const std::vector<LatencyAccumulator> &Parts) {
-  LatencyAccumulator Out;
-  if (Parts.size() == 1)
-    return Parts.front();
-  std::vector<const TDigest *> Turns;
-  std::vector<const TDigest *> Slows;
-  for (const LatencyAccumulator &Part : Parts) {
-    Out.Jobs += Part.Jobs;
-    Out.TurnSum += Part.TurnSum;
-    Out.SlowJobs += Part.SlowJobs;
-    Out.SlowSum += Part.SlowSum;
-    Out.MaxSlow = std::max(Out.MaxSlow, Part.MaxSlow);
-    Turns.push_back(&Part.Turn);
-    Slows.push_back(&Part.Slow);
-  }
-  if (!Parts.empty()) {
-    Out.Turn = TDigest::merged(Turns);
-    Out.Slow = TDigest::merged(Slows);
-  }
-  return Out;
 }
 
 LatencyMetrics pbt::computeLatency(const RunResult &Run,

@@ -67,17 +67,11 @@ LatencyMetrics computeLatency(const RunResult &Run,
 /// finishes (e.g. through runWorkload's OnCompleted sink) and read the
 /// metrics at the end. O(1) memory in job count — the turnaround and
 /// slowdown distributions are never materialized; percentiles come
-/// from deterministic mergeable t-digest sketches (support/Statistics
+/// from deterministic t-digest sketches (support/Statistics
 /// TDigest — exact below 2 x 256 observations, near-exact tails
 /// beyond), means and maxima from running sums, so a long-horizon
 /// scenario run's metrics memory no longer grows with its completion
 /// count.
-///
-/// Accumulators are MERGEABLE for the sharded experiment fabric: each
-/// shard serializes its accumulator into its manifest, and the merge
-/// tool recombines them with merged(), canonically ordered by shard
-/// index — single-shard merge is the identity, and the merged digest is
-/// independent of input permutation (see TDigest).
 class LatencyAccumulator {
 public:
   /// Feeds one completed job (same conventions as computeLatency:
@@ -92,20 +86,6 @@ public:
   /// \p Machine capacity (the same JobsPerMegacycle definition as
   /// computeLatency).
   LatencyMetrics finish(double Horizon, const MachineConfig &Machine) const;
-
-  /// Appends the accumulator to \p W (bit-exact round-trip).
-  void serialize(BinaryWriter &W) const;
-
-  /// Reads an accumulator serialized by serialize(); false on
-  /// malformed input.
-  bool deserialize(BinaryReader &R);
-
-  /// Merges \p Parts into one accumulator. Callers pass parts in
-  /// canonical order (the fabric sorts by shard index) so the running
-  /// sums — floating-point, hence order-sensitive — are reproducible;
-  /// the digests themselves merge order-independently. A single part
-  /// merges to an identical copy.
-  static LatencyAccumulator merged(const std::vector<LatencyAccumulator> &Parts);
 
 private:
   size_t Jobs = 0;

@@ -10,12 +10,18 @@
 /// to 1.6 GHz; cores at the same frequency share one of two L2 caches.
 ///
 /// Frequencies here are in *simulated cycles per simulated second* at a
-/// megahertz-like scale (2.4e6 vs the real 2.4e9). Every reported paper
-/// metric is a ratio (overhead %, % decrease vs Linux), so the uniform
-/// time scaling cancels; it merely keeps whole-workload simulations
-/// tractable. The frequency ratio (2.4 : 1.6) and the per-miss stall
-/// cycles (~240 on the fast core) match the real machine's first-order
-/// behaviour.
+/// megahertz-like scale (2.4e6 vs the real 2.4e9), which keeps
+/// whole-workload simulations tractable. The frequency ratio (2.4 : 1.6)
+/// matches the real machine; the per-miss stall is about 20 cycles on the
+/// fast core (MachineConfig::MemLatency).
+///
+/// The compression does NOT cancel out of every ratio. The per-event
+/// costs are real-machine cycle counts charged against this clock, 1000x
+/// slower than the real one: MarkCostModel::SwitchCycles (1000) and
+/// MonitorSetupCycles (220) in core/Instrument.h, and
+/// SimConfig::AffinityApiCycles (150) and CounterWaitCycles (500) in
+/// sim/Machine.h. Relative to the program work around it, each such
+/// event therefore costs about 1000x more than on the paper's machine.
 ///
 //===----------------------------------------------------------------------===//
 

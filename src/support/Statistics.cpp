@@ -6,8 +6,6 @@
 
 #include "support/Statistics.h"
 
-#include "support/Binary.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -100,10 +98,10 @@ void TDigest::add(double X) {
 std::vector<TDigest::Centroid>
 TDigest::compact(std::vector<Centroid> All, double Total,
                  double Compression) {
-  // The one ordering every path (add-side flush, multi-digest merge)
-  // compacts under: mean, then weight. Ties in both fields merge to an
-  // identical centroid whichever comes first, so the compacted digest
-  // is a pure function of the multiset of input centroids.
+  // The one ordering the compaction runs under: mean, then weight.
+  // Ties in both fields merge to an identical centroid whichever comes
+  // first, so the compacted digest is a pure function of the multiset
+  // of input centroids.
   std::sort(All.begin(), All.end(),
             [](const Centroid &A, const Centroid &B) {
               return A.Mean != B.Mean ? A.Mean < B.Mean
@@ -167,69 +165,6 @@ double TDigest::quantile(double Q) const {
     PrevCenter = Center;
   }
   return Centroids.back().Mean;
-}
-
-void TDigest::serialize(BinaryWriter &W) const {
-  flush();
-  W.f64(Compression);
-  W.f64(Total);
-  W.u32(static_cast<uint32_t>(Centroids.size()));
-  for (const Centroid &C : Centroids) {
-    W.f64(C.Mean);
-    W.f64(C.Weight);
-  }
-}
-
-bool TDigest::deserialize(BinaryReader &R) {
-  Compression = R.f64();
-  Total = R.f64();
-  uint32_t N = R.count(1u << 22, 16);
-  Centroids.clear();
-  Buffer.clear();
-  Centroids.reserve(N);
-  double WeightSum = 0;
-  bool WeightsOk = true;
-  for (uint32_t I = 0; I < N; ++I) {
-    Centroid C;
-    C.Mean = R.f64();
-    C.Weight = R.f64();
-    WeightsOk = WeightsOk && C.Weight > 0 && std::isfinite(C.Mean);
-    WeightSum += C.Weight;
-    Centroids.push_back(C);
-  }
-  // Beyond wire-format checks, enforce the digest invariants a crafted
-  // or corrupt-but-checksummed stream could violate: Compression in a
-  // sane range (an oversized value would overflow add()'s buffer
-  // sizing), strictly positive finite centroids, and Total equal to
-  // the centroid weight mass (serialize() flushes the buffer, so after
-  // a round trip the centroids carry every observation; weights are
-  // integer counts, hence the sum is exact) and no larger than 2^53,
-  // the largest count a double holds exactly (count() converts it).
-  // NaNs fail every comparison, so non-finite headers are rejected too.
-  return !R.failed() && Compression >= 8 && Compression <= 1e6 &&
-         Total >= 0 && Total <= 0x1p53 && WeightsOk && WeightSum == Total;
-}
-
-TDigest TDigest::merged(const std::vector<const TDigest *> &Parts) {
-  assert(!Parts.empty() && "merging zero digests");
-  // Single-shard merge is the identity: copy, never re-compact (a
-  // second compaction pass could legally merge further).
-  if (Parts.size() == 1) {
-    Parts.front()->flush();
-    return *Parts.front();
-  }
-  TDigest Out(Parts.front()->Compression);
-  std::vector<Centroid> All;
-  for (const TDigest *Part : Parts) {
-    assert(Part->Compression == Out.Compression &&
-           "merging digests of different compression");
-    Part->flush();
-    All.insert(All.end(), Part->Centroids.begin(), Part->Centroids.end());
-    Out.Total += Part->Total;
-  }
-  if (Out.Total > 0)
-    Out.Centroids = compact(std::move(All), Out.Total, Out.Compression);
-  return Out;
 }
 
 double pbt::geomean(const std::vector<double> &Values) {

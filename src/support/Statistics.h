@@ -18,11 +18,6 @@
 #include <vector>
 
 namespace pbt {
-class BinaryReader;
-class BinaryWriter;
-} // namespace pbt
-
-namespace pbt {
 
 /// How percentile statistics are computed from a sample stream.
 /// Recorded explicitly in every artifact metrics block so downstream
@@ -82,9 +77,9 @@ double percentileSorted(const std::vector<double> &Sorted, double Pct);
 /// Geometric mean; asserts all values are positive. 0 for empty input.
 double geomean(const std::vector<double> &Values);
 
-/// Deterministic mergeable streaming quantile sketch: the buffered
-/// merging t-digest (Dunning's MergingDigest, simplified to weight-1
-/// inputs). Observations buffer until the buffer fills, then buffer and
+/// Deterministic streaming quantile sketch: the buffered merging
+/// t-digest (Dunning's MergingDigest, simplified to weight-1 inputs).
+/// Observations buffer until the buffer fills, then buffer and
 /// centroids are sorted together by (mean, weight) and compacted in one
 /// left-to-right greedy pass under the k-size bound
 ///
@@ -96,8 +91,8 @@ double geomean(const std::vector<double> &Values);
 /// median it allows ~N/Compression-weight centroids, capping memory at
 /// O(Compression) however long the stream runs.
 ///
-/// Properties the sharded experiment fabric depends on (all asserted in
-/// tests/fastreplay_test.cpp):
+/// Properties the streaming metric accumulators (metrics/Latency.h,
+/// metrics/Fairness.h) depend on, asserted in tests/fastreplay_test.cpp:
 ///
 ///  - Deterministic: the digest is a pure function of the observation
 ///    sequence (sort + greedy pass; no randomization, no clocks).
@@ -105,21 +100,11 @@ double geomean(const std::vector<double> &Values);
 ///    everywhere, no pair ever merges, every observation is its own
 ///    centroid, and quantile() reduces exactly to the type-7
 ///    interpolation of percentile().
-///  - Mergeable, order-independently: merged() gathers every input's
-///    centroids, sorts them by (mean, weight), and compacts once, so
-///    the result is identical under any permutation of the inputs.
-///    Callers still canonicalize merge order (the fabric sorts by shard
-///    index) so that future weighted variants cannot drift.
-///  - Single-input merge is the identity: merged({D}) returns a copy of
-///    D, never a re-compaction.
-///
-/// serialize()/deserialize() round-trip the compacted centroid list
-/// bit-exactly (support/Binary f64 bit patterns).
 class TDigest {
 public:
   /// \p Compression bounds the compacted centroid count (~2x this) and
   /// sets the exactness threshold (exact below 2 x Compression
-  /// observations). 256 keeps partial-artifact sketches a few KiB.
+  /// observations). 256 keeps a sketch a few KiB.
   explicit TDigest(double Compression = 256);
 
   /// Feeds one weight-1 observation.
@@ -135,19 +120,6 @@ public:
 
   /// quantile(Pct / 100).
   double percentile(double Pct) const { return quantile(Pct / 100.0); }
-
-  /// Appends the compacted digest to \p W (bit-exact round-trip).
-  void serialize(BinaryWriter &W) const;
-
-  /// Reads a digest serialized by serialize(); false (and an
-  /// unspecified digest) on malformed input.
-  bool deserialize(BinaryReader &R);
-
-  /// Merges \p Parts into one digest. All parts must share one
-  /// Compression. A single part is returned as an identical copy; more
-  /// parts are gathered, sorted by (mean, weight), and compacted once,
-  /// so the result is independent of the order of \p Parts.
-  static TDigest merged(const std::vector<const TDigest *> &Parts);
 
 private:
   struct Centroid {

@@ -1,11 +1,10 @@
 //===- tests/codec_mutation_test.cpp - byte decoder robustness ------------===//
 //
-// Seeded mutation loops over three decoders of bytes on disk: the replay
-// unit codec behind `.cells.pbs` shard payloads (deserializeRunResult),
-// the t-digest sketches inside shard manifests (TDigest::deserialize),
-// and the cost tables inside `pbt-prog-v3` store entries
-// (CostModel::deserializeTables). Inputs are valid encodings with bytes flipped, cut at
-// every length, or spliced from two encodings. Every input must either
+// Seeded mutation loops over two byte decoders: the canonical RunResult
+// codec (exp/Shard.h, deserializeRunResult) and the cost tables inside
+// `pbt-prog-v3` store entries (CostModel::deserializeTables). Inputs are
+// valid encodings with bytes flipped, cut at every length, or spliced
+// from two encodings. Every input must either
 // be rejected or decode to a value whose re-encoding reproduces exactly
 // the bytes the decoder consumed; the sanitizer jobs run this suite, so
 // neither outcome may touch memory out of bounds or hit undefined
@@ -18,12 +17,10 @@
 #include "sim/CostModel.h"
 #include "support/Binary.h"
 #include "support/Rng.h"
-#include "support/Statistics.h"
 
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -100,7 +97,7 @@ Outcome spliceLoop(const Codec &Decode, const std::vector<std::string> &Valid,
 }
 
 //===----------------------------------------------------------------------===//
-// RunResult (shard replay units)
+// RunResult (the canonical byte form)
 //===----------------------------------------------------------------------===//
 
 RunResult randomRun(uint64_t Seed, uint32_t Jobs, uint32_t Cores,
@@ -143,11 +140,46 @@ RunResult randomRun(uint64_t Seed, uint32_t Jobs, uint32_t Cores,
   return Run;
 }
 
+/// Values a decimal or lossy codec would break: signed zeros, the
+/// smallest denormal, a negative slot, sums with no short decimal form.
+RunResult edgeRun() {
+  RunResult Run;
+  Run.Horizon = 400.125;
+  Run.InstructionsRetired = 123456789012345ull;
+  Run.CompletedCount = 3;
+  for (int I = 0; I < 3; ++I) {
+    CompletedJob Job;
+    Job.Bench = static_cast<uint32_t>(I);
+    Job.Slot = I - 1;
+    Job.Arrival = I * 0.1;
+    Job.Admitted = I * 0.1 + 1e-9;
+    Job.Completion = 1.0 / 3.0 * (I + 1);
+    Job.Isolated = I == 0 ? 0.0 : 5e-324;
+    Job.Stats.InstsRetired = 7u + static_cast<uint64_t>(I);
+    Job.Stats.BlocksExecuted = 11;
+    Job.Stats.CyclesConsumed = 1e18;
+    Job.Stats.CpuSeconds = -0.0;
+    Job.Stats.CoreSwitches = 2;
+    Job.Stats.MarksFired = 3;
+    Job.Stats.MonitorSessions = 4;
+    Job.Stats.CounterWaits = 5;
+    Job.Stats.OverheadCycles = 0.1 + 0.2;
+    Run.Completed.push_back(Job);
+  }
+  Run.TotalSwitches = 17;
+  Run.TotalMarks = 19;
+  Run.CounterWaits = 23;
+  Run.TotalOverheadCycles = 1.0 / 7.0;
+  Run.TotalCycles = 3.0e9;
+  Run.CoreBusy = {0.5, 0.25, 1.0 / 3.0, -0.0};
+  return Run;
+}
+
 std::vector<std::string> runEncodings() {
   std::vector<std::string> Out;
   for (const RunResult &Run :
        {RunResult(), randomRun(1, 1, 1, 1), randomRun(2, 4, 4, 2),
-        randomRun(3, 9, 2, 3)}) {
+        randomRun(3, 9, 2, 3), edgeRun()}) {
     BinaryWriter W;
     exp::serializeRunResult(W, Run);
     Out.push_back(W.buffer());
@@ -160,37 +192,6 @@ bool decodeRun(BinaryReader &R, BinaryWriter &W) {
   if (!exp::deserializeRunResult(R, Run))
     return false;
   exp::serializeRunResult(W, Run);
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
-// TDigest (shard manifest sketches)
-//===----------------------------------------------------------------------===//
-
-std::vector<std::string> digestEncodings() {
-  std::vector<std::string> Out;
-  Rng Gen(11);
-  // Empty, exact (every observation its own centroid), and compacted
-  // past the 2 x Compression exactness threshold.
-  for (uint32_t N : {0u, 5u, 60u, 400u}) {
-    TDigest D(/*Compression=*/32);
-    for (uint32_t I = 0; I < N; ++I)
-      D.add(1000 * Gen.nextDouble());
-    BinaryWriter W;
-    D.serialize(W);
-    Out.push_back(W.buffer());
-  }
-  return Out;
-}
-
-bool decodeDigest(BinaryReader &R, BinaryWriter &W) {
-  TDigest D;
-  if (!D.deserialize(R))
-    return false;
-  D.serialize(W);
-  // An accepted digest must also be safe to read.
-  (void)D.count();
-  (void)D.quantile(0.5);
   return true;
 }
 
@@ -306,49 +307,6 @@ TEST(RunResultCodecMutation, TruncationsAreRejected) {
 TEST(RunResultCodecMutation, SplicedEncodings) {
   Outcome Out = spliceLoop(decodeRun, runEncodings(), /*Seed=*/43, 3000);
   EXPECT_GT(Out.Rejected, 0u);
-}
-
-TEST(TDigestCodecMutation, ValidEncodingsRoundTrip) {
-  for (const std::string &Bytes : digestEncodings()) {
-    BinaryReader R(Bytes);
-    BinaryWriter W;
-    ASSERT_TRUE(decodeDigest(R, W));
-    EXPECT_EQ(R.remaining(), 0u);
-    EXPECT_EQ(W.buffer(), Bytes);
-  }
-}
-
-TEST(TDigestCodecMutation, FlippedBytes) {
-  Outcome Out = flipLoop(decodeDigest, digestEncodings(), /*Seed=*/51, 3000);
-  EXPECT_GT(Out.Accepted, 0u);
-  EXPECT_GT(Out.Rejected, 0u);
-}
-
-TEST(TDigestCodecMutation, TruncationsAreRejected) {
-  Outcome Out = truncationLoop(decodeDigest, digestEncodings());
-  EXPECT_EQ(Out.Accepted, 0u);
-  EXPECT_GT(Out.Rejected, 0u);
-}
-
-TEST(TDigestCodecMutation, SplicedEncodings) {
-  Outcome Out = spliceLoop(decodeDigest, digestEncodings(), /*Seed=*/53, 3000);
-  EXPECT_GT(Out.Rejected, 0u);
-}
-
-TEST(TDigestCodecMutation, OversizedTotalIsRejected) {
-  // Consistent but impossible: one centroid whose weight, and so the
-  // total, is no count of observations (count() could not represent it).
-  for (double Weight : {1e300, std::numeric_limits<double>::infinity()}) {
-    BinaryWriter W;
-    W.f64(32);     // Compression
-    W.f64(Weight); // Total
-    W.u32(1);
-    W.f64(5.0); // Mean
-    W.f64(Weight);
-    BinaryReader R(W.buffer());
-    TDigest D;
-    EXPECT_FALSE(D.deserialize(R)) << Weight;
-  }
 }
 
 TEST(CostTableCodecMutation, ValidEncodingsRoundTrip) {

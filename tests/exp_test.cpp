@@ -10,6 +10,7 @@
 #include "exp/SuiteCache.h"
 #include "exp/Sweep.h"
 #include "obs/Counters.h"
+#include "obs/Trace.h"
 #include "support/Binary.h"
 #include "support/Json.h"
 #include "support/Rng.h"
@@ -21,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <dirent.h>
 #include <iterator>
 #include <optional>
 #include <thread>
@@ -1063,14 +1065,84 @@ TEST(ReplayMemoTest, EntryFreedAfterLastPlannedConsumer) {
   EXPECT_FALSE(Memo.take(Key, 6, Out));
 }
 
-// The driver plans and prefetches only in its plain single-process
-// mode; every mode below must run exactly as without a memo.
-TEST(ReplayMemoTest, PrefetchBypassedByShardMergeAndTrace) {
-  EXPECT_TRUE(replayPrefetchAllowed(/*ShardOrMerge=*/false,
-                                    /*Tracing=*/false));
-  // --shard / --merge: units are owned and recombined per sweep.
-  EXPECT_FALSE(replayPrefetchAllowed(true, false));
-  // --trace / PBT_TRACE: trace files are written per unit, grouped by
-  // the sweep's own ordinal.
-  EXPECT_FALSE(replayPrefetchAllowed(false, true));
+//===----------------------------------------------------------------------===//
+// Trace unit ids
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Two workloads, baseline plus one tuned technique: two baseline jobs
+/// and two tuned cells (the baseline-technique cells reuse the
+/// baseline jobs).
+SweepGrid traceGrid() {
+  SweepGrid G;
+  G.Techniques = {TechniqueSpec::baseline(), loopTechnique(0.2)};
+  G.Workloads = {{/*Slots=*/4, /*Horizon=*/5, /*Seed=*/5, /*JobsPerSlot=*/16},
+                 {4, 5, 6, 16}};
+  return G;
+}
+
+/// Runs \p G on \p L with tracing into \p Dir and returns the sorted
+/// TRACE_*.json file names the sweep wrote there.
+std::vector<std::string> tracedSweepFiles(Lab &L, const SweepGrid &G,
+                                          const std::string &Dir) {
+  obs::setTraceDir(Dir);
+  obs::setTraceExperiment("trace_ids");
+  runSweep(L, G);
+  obs::setTraceDir("");
+  std::vector<std::string> Names;
+  if (DIR *D = ::opendir(Dir.c_str())) {
+    while (const dirent *E = ::readdir(D))
+      if (std::strncmp(E->d_name, "TRACE_", 6) == 0)
+        Names.push_back(E->d_name);
+    ::closedir(D);
+  }
+  std::sort(Names.begin(), Names.end());
+  return Names;
+}
+
+} // namespace
+
+// Each replay job's plan id names its TRACE_*.json file, so the ids are
+// unique within a grid and a pure function of it: every run of one grid
+// writes the same names, one file per job.
+TEST(SweepTest, TraceUnitIdsAreUniqueAndStable) {
+  Lab L(smallSuite(), MachineConfig::quadAsymmetric());
+  std::vector<std::string> First =
+      tracedSweepFiles(L, traceGrid(), testCacheDir("trace_ids.a"));
+  std::vector<std::string> Expected = {
+      "TRACE_trace_ids.g0.base-w0.json",
+      "TRACE_trace_ids.g0.base-w1.json",
+      "TRACE_trace_ids.g0.cell-t1-w0-s0-c0-n0.json",
+      "TRACE_trace_ids.g0.cell-t1-w1-s0-c0-n0.json",
+  };
+  EXPECT_EQ(First, Expected);
+  EXPECT_EQ(tracedSweepFiles(L, traceGrid(), testCacheDir("trace_ids.b")),
+            First);
+}
+
+// The driver plans and prefetches only while tracing is off
+// (!obs::traceEnabled()): trace files are written by the replays inside
+// runSweep, and a memo-served job never reaches them.
+TEST(ReplayMemoTest, PrefetchBypassedWhileTracing) {
+  auto L = std::make_shared<Lab>(smallSuite(),
+                                 MachineConfig::quadAsymmetric());
+  ReplayMemo Memo;
+  Memo.record(L, traceGrid());
+  prefetchSweeps(Memo);
+  ReplayMemo::install(&Memo);
+  std::vector<std::string> Served =
+      tracedSweepFiles(*L, traceGrid(), testCacheDir("trace_memo.served"));
+  ReplayMemo::install(nullptr);
+  EXPECT_EQ(Memo.size(), 0u) << "every job was served from the memo";
+  EXPECT_TRUE(Served.empty()) << "a memo-served job writes no trace";
+
+  EXPECT_EQ(tracedSweepFiles(*L, traceGrid(),
+                             testCacheDir("trace_memo.simulated"))
+                .size(),
+            4u);
+  EXPECT_FALSE(obs::traceEnabled());
+  obs::setTraceDir(testCacheDir("trace_memo.on"));
+  EXPECT_TRUE(obs::traceEnabled());
+  obs::setTraceDir("");
 }

@@ -17,7 +17,6 @@
 #include "metrics/Fairness.h"
 #include "metrics/Latency.h"
 #include "sim/Machine.h"
-#include "support/Binary.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
 #include "workload/Drift.h"
@@ -440,42 +439,12 @@ TEST(CompletionSink, FeedsStreamingAccumulatorsEndToEnd) {
 }
 
 //===----------------------------------------------------------------------===//
-// Mergeable t-digest sketch (the sharded fabric's percentile carrier)
+// T-digest sketch (the streaming accumulators' percentile carrier)
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-std::string digestBytes(const TDigest &D) {
-  BinaryWriter W;
-  D.serialize(W);
-  return W.buffer();
-}
-
-/// Synthetic completed jobs for the accumulator merge tests: no
-/// simulation, just a deterministic stream with a slowdown oracle.
-std::vector<CompletedJob> syntheticJobs(size_t N, uint64_t Seed) {
-  Rng Gen(Seed);
-  std::vector<CompletedJob> Jobs;
-  for (size_t I = 0; I < N; ++I) {
-    CompletedJob J;
-    J.Bench = static_cast<uint32_t>(Gen.next() % 5);
-    J.Slot = static_cast<int32_t>(I % 8);
-    J.Arrival = 0.01 * static_cast<double>(Gen.next() % 1000);
-    J.Admitted = J.Arrival;
-    J.Completion =
-        J.Arrival + 0.1 + 0.01 * static_cast<double>(Gen.next() % 3000);
-    J.Isolated = 0.05 + 0.001 * static_cast<double>(Gen.next() % 500);
-    J.Stats.CpuSeconds = 0.05 + 0.001 * static_cast<double>(Gen.next() % 200);
-    Jobs.push_back(J);
-  }
-  return Jobs;
-}
-
-} // namespace
 
 // Below 2 x Compression observations no centroids ever merge, so the
 // digest IS the sample and quantile() reduces to the exact type-7
-// percentile — the regime every per-shard sweep sketch lives in.
+// percentile — the regime most sweep cells' sketches live in.
 TEST(TDigestTest, ExactBelowCompactionThreshold) {
   Rng Gen(31);
   TDigest D;
@@ -491,51 +460,22 @@ TEST(TDigestTest, ExactBelowCompactionThreshold) {
 }
 
 // The digest is a pure function of the observation sequence: replaying
-// the stream reproduces the serialized centroid list byte for byte.
+// the stream reproduces every quantile bit for bit.
 TEST(TDigestTest, DeterministicAcrossReplays) {
-  std::string First;
+  std::vector<double> First;
   for (int Round = 0; Round < 2; ++Round) {
     Rng Gen(77);
     TDigest D;
     for (int I = 0; I < 10000; ++I)
       D.add(1000 * Gen.nextDouble());
+    std::vector<double> Quantiles;
+    for (int Q = 0; Q <= 100; ++Q)
+      Quantiles.push_back(D.quantile(Q / 100.0));
     if (Round == 0)
-      First = digestBytes(D);
+      First = Quantiles;
     else
-      EXPECT_EQ(digestBytes(D), First);
+      EXPECT_EQ(Quantiles, First);
   }
-}
-
-// merged() gathers, sorts, and compacts once, so any permutation of the
-// same parts produces a bit-identical digest — the property that lets
-// the fabric merge shard sketches without prescribing launch order.
-TEST(TDigestTest, MergeIsPermutationIndependent) {
-  Rng Gen(41);
-  std::vector<TDigest> Parts(4);
-  for (int I = 0; I < 8000; ++I)
-    Parts[static_cast<size_t>(I) % 4].add(500 * Gen.nextDouble());
-  std::vector<const TDigest *> Order = {&Parts[0], &Parts[1], &Parts[2],
-                                        &Parts[3]};
-  TDigest Canonical = TDigest::merged(Order);
-  std::string CanonicalBytes = digestBytes(Canonical);
-  std::vector<const TDigest *> Shuffled = {&Parts[2], &Parts[0], &Parts[3],
-                                           &Parts[1]};
-  EXPECT_EQ(digestBytes(TDigest::merged(Shuffled)), CanonicalBytes);
-  std::vector<const TDigest *> Reversed = {&Parts[3], &Parts[2], &Parts[1],
-                                           &Parts[0]};
-  EXPECT_EQ(digestBytes(TDigest::merged(Reversed)), CanonicalBytes);
-}
-
-// A single-part merge is an identical copy, never a re-compaction —
-// merging a 1-shard fabric cannot perturb its sketch.
-TEST(TDigestTest, SingleInputMergeIsIdentity) {
-  Rng Gen(43);
-  TDigest D;
-  for (int I = 0; I < 3000; ++I)
-    D.add(Gen.nextDouble());
-  TDigest Copy = TDigest::merged({&D});
-  EXPECT_EQ(digestBytes(Copy), digestBytes(D));
-  EXPECT_EQ(Copy.quantile(0.5), D.quantile(0.5));
 }
 
 // Documented tolerance on large streams: within 1% of the sample range
@@ -557,142 +497,4 @@ TEST(TDigestTest, LargeStreamWithinDocumentedTolerance) {
   std::sort(Sample.begin(), Sample.end());
   EXPECT_EQ(D.quantile(0.0), Sample.front());
   EXPECT_EQ(D.quantile(1.0), Sample.back());
-}
-
-TEST(TDigestTest, SerializeRoundTripsBitExactly) {
-  Rng Gen(53);
-  TDigest D;
-  for (int I = 0; I < 5000; ++I)
-    D.add(Gen.nextDouble() * 1e6);
-  std::string Bytes = digestBytes(D);
-  BinaryReader R(Bytes);
-  TDigest Restored;
-  ASSERT_TRUE(Restored.deserialize(R));
-  EXPECT_EQ(R.remaining(), 0u);
-  EXPECT_EQ(digestBytes(Restored), Bytes);
-  for (double Q : {0.05, 0.5, 0.95, 0.99})
-    EXPECT_EQ(Restored.quantile(Q), D.quantile(Q));
-}
-
-// deserialize enforces the digest invariants, not just the wire
-// format: a crafted or corrupt-but-checksummed stream with an
-// oversized compression (add() sizes its buffer as 2 x Compression),
-// a Total inconsistent with the centroid weight mass, or non-positive
-// weights must be rejected, never loaded as a silently skewed digest.
-TEST(TDigestTest, DeserializeRejectsInvariantViolations) {
-  auto Rejects = [](double Compression, double Total,
-                    std::vector<std::pair<double, double>> Centroids) {
-    BinaryWriter W;
-    W.f64(Compression);
-    W.f64(Total);
-    W.u32(static_cast<uint32_t>(Centroids.size()));
-    for (const auto &C : Centroids) {
-      W.f64(C.first);  // mean
-      W.f64(C.second); // weight
-    }
-    BinaryReader R(W.buffer());
-    TDigest D;
-    return !D.deserialize(R);
-  };
-  EXPECT_FALSE(Rejects(256, 3, {{1, 1}, {2, 1}, {3, 1}})); // sane: loads
-  EXPECT_TRUE(Rejects(1e9, 3, {{1, 1}, {2, 1}, {3, 1}}));  // huge compression
-  EXPECT_TRUE(Rejects(4, 3, {{1, 1}, {2, 1}, {3, 1}}));    // undersized
-  EXPECT_TRUE(Rejects(256, 5, {{1, 1}, {2, 1}, {3, 1}}));  // Total > mass
-  EXPECT_TRUE(Rejects(256, 2, {{1, 1}, {2, 1}, {3, 1}}));  // Total < mass
-  EXPECT_TRUE(Rejects(256, 1, {{1, 0}, {2, 1}}));          // zero weight
-  EXPECT_TRUE(Rejects(256, 0, {{1, -1}, {2, 1}}));         // negative weight
-  EXPECT_TRUE(Rejects(256, 3, {}));                        // Total, no mass
-}
-
-//===----------------------------------------------------------------------===//
-// Mergeable metric accumulators (shard manifests -> BENCH_merge.json)
-//===----------------------------------------------------------------------===//
-
-// Four shard-sized parts merged in canonical order reproduce the
-// single-stream accumulator: counts and maxima bit-equal, sums equal up
-// to FP reassociation, percentiles bit-equal in the exact regime.
-TEST(MergeableAccumulatorTest, LatencyPartsMergeToSingleStream) {
-  std::vector<CompletedJob> Jobs = syntheticJobs(400, 99);
-  MachineConfig MC = MachineConfig::quadAsymmetric();
-  LatencyAccumulator Single;
-  std::vector<LatencyAccumulator> Parts(4);
-  for (size_t I = 0; I < Jobs.size(); ++I) {
-    Single.add(Jobs[I]);
-    Parts[I * 4 / Jobs.size()].add(Jobs[I]); // contiguous quarters
-  }
-  LatencyAccumulator Merged = LatencyAccumulator::merged(Parts);
-  LatencyMetrics A = Single.finish(100, MC);
-  LatencyMetrics B = Merged.finish(100, MC);
-  EXPECT_EQ(A.Jobs, B.Jobs);
-  EXPECT_EQ(A.MaxSlowdown, B.MaxSlowdown);
-  EXPECT_EQ(A.JobsPerMegacycle, B.JobsPerMegacycle);
-  EXPECT_NEAR(A.MeanTurnaround, B.MeanTurnaround, 1e-9);
-  EXPECT_NEAR(A.MeanSlowdown, B.MeanSlowdown, 1e-9);
-  // 400 observations: every digest is still exact, so the merged
-  // percentiles equal the single-stream ones bit for bit.
-  EXPECT_EQ(A.P50Turnaround, B.P50Turnaround);
-  EXPECT_EQ(A.P95Turnaround, B.P95Turnaround);
-  EXPECT_EQ(A.P99Turnaround, B.P99Turnaround);
-  EXPECT_EQ(A.P95Slowdown, B.P95Slowdown);
-  // Determinism: merging the same parts again is bit-identical.
-  LatencyMetrics C = LatencyAccumulator::merged(Parts).finish(100, MC);
-  EXPECT_EQ(B.MeanTurnaround, C.MeanTurnaround);
-  EXPECT_EQ(B.P95Turnaround, C.P95Turnaround);
-  // Single-part merge is the identity.
-  LatencyMetrics D =
-      LatencyAccumulator::merged({Single}).finish(100, MC);
-  EXPECT_EQ(A.MeanTurnaround, D.MeanTurnaround);
-  EXPECT_EQ(A.P99Turnaround, D.P99Turnaround);
-}
-
-TEST(MergeableAccumulatorTest, FairnessPartsMergeToSingleStream) {
-  std::vector<CompletedJob> Jobs = syntheticJobs(400, 101);
-  FairnessAccumulator Single;
-  std::vector<FairnessAccumulator> Parts(4);
-  for (size_t I = 0; I < Jobs.size(); ++I) {
-    Single.add(Jobs[I]);
-    Parts[I * 4 / Jobs.size()].add(Jobs[I]);
-  }
-  FairnessMetrics A = Single.finish();
-  FairnessMetrics B = FairnessAccumulator::merged(Parts).finish();
-  EXPECT_EQ(A.Jobs, B.Jobs);
-  EXPECT_EQ(A.MaxFlow, B.MaxFlow);
-  EXPECT_EQ(A.MaxStretch, B.MaxStretch);
-  EXPECT_NEAR(A.AvgProcessTime, B.AvgProcessTime, 1e-9);
-  EXPECT_EQ(A.P95Flow, B.P95Flow); // exact regime
-  FairnessMetrics C = FairnessAccumulator::merged({Single}).finish();
-  EXPECT_EQ(A.MaxFlow, C.MaxFlow);
-  EXPECT_EQ(A.P95Flow, C.P95Flow);
-}
-
-// Accumulators round-trip through their manifest serialization
-// bit-exactly: the restored accumulator re-serializes to the same
-// bytes and finishes to the same metrics.
-TEST(MergeableAccumulatorTest, SerializeRoundTripsBitExactly) {
-  std::vector<CompletedJob> Jobs = syntheticJobs(1000, 103);
-  MachineConfig MC = MachineConfig::quadAsymmetric();
-  LatencyAccumulator Lat;
-  FairnessAccumulator Fair;
-  for (const CompletedJob &J : Jobs) {
-    Lat.add(J);
-    Fair.add(J);
-  }
-  BinaryWriter W;
-  Lat.serialize(W);
-  Fair.serialize(W);
-  BinaryReader R(W.buffer());
-  LatencyAccumulator Lat2;
-  FairnessAccumulator Fair2;
-  ASSERT_TRUE(Lat2.deserialize(R));
-  ASSERT_TRUE(Fair2.deserialize(R));
-  EXPECT_EQ(R.remaining(), 0u);
-  BinaryWriter W2;
-  Lat2.serialize(W2);
-  Fair2.serialize(W2);
-  EXPECT_EQ(W2.buffer(), W.buffer());
-  LatencyMetrics A = Lat.finish(50, MC);
-  LatencyMetrics B = Lat2.finish(50, MC);
-  EXPECT_EQ(A.MeanTurnaround, B.MeanTurnaround);
-  EXPECT_EQ(A.P95Turnaround, B.P95Turnaround);
-  EXPECT_EQ(Fair.finish().P95Flow, Fair2.finish().P95Flow);
 }

@@ -33,7 +33,7 @@ TechniqueSpec loopTechnique() {
   return TechniqueSpec::tuned(TC, TU);
 }
 
-/// Every field of \p Run, doubles by bit pattern (the shard codec).
+/// Every field of \p Run, doubles by bit pattern (exp/Shard.h).
 std::string runBytes(const RunResult &Run) {
   BinaryWriter W;
   exp::serializeRunResult(W, Run);
