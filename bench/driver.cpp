@@ -44,8 +44,7 @@
 // unchanged — verification only reads.
 //
 // --clean-cache deletes PBT_CACHE_DIR entries written by other format
-// versions and legacy suite manifests (they can never load again) and
-// exits.
+// versions (they can never load again) and exits.
 //
 // --gc-cache garbage-collects PBT_CACHE_DIR by recency and exits:
 // entries older than --max-cache-age-days are evicted, then the

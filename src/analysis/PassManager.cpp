@@ -210,14 +210,12 @@ namespace {
 
 /// A context for \p N programs, with everything but the programs set.
 PipelineContext emptyContext(size_t N, const MachineConfig &Machine,
-                             const TechniqueSpec &Tech, uint64_t TypingSeed,
-                             ThreadPool *Pool) {
+                             const TechniqueSpec &Tech, uint64_t TypingSeed) {
   PipelineContext Ctx;
   Ctx.Machine = &Machine;
   Ctx.Tech = &Tech;
   Ctx.TypingSeed = TypingSeed;
   Ctx.VerifyIR = verifyIREnabled();
-  Ctx.Pool = Pool;
   Ctx.Programs.resize(N);
   return Ctx;
 }
@@ -227,10 +225,9 @@ PipelineContext emptyContext(size_t N, const MachineConfig &Machine,
 PipelineContext pbt::makePipelineContext(const std::vector<Program> &Programs,
                                          const MachineConfig &Machine,
                                          const TechniqueSpec &Tech,
-                                         uint64_t TypingSeed,
-                                         ThreadPool *Pool) {
+                                         uint64_t TypingSeed) {
   PipelineContext Ctx =
-      emptyContext(Programs.size(), Machine, Tech, TypingSeed, Pool);
+      emptyContext(Programs.size(), Machine, Tech, TypingSeed);
   for (size_t I = 0; I < Programs.size(); ++I)
     Ctx.Programs[I].Prog = &Programs[I];
   return Ctx;
@@ -240,10 +237,9 @@ PipelineContext
 pbt::makePipelineContext(const std::shared_ptr<const ProgramSet> &Set,
                          const std::vector<size_t> &Indices,
                          const MachineConfig &Machine,
-                         const TechniqueSpec &Tech, uint64_t TypingSeed,
-                         ThreadPool *Pool) {
+                         const TechniqueSpec &Tech, uint64_t TypingSeed) {
   PipelineContext Ctx =
-      emptyContext(Indices.size(), Machine, Tech, TypingSeed, Pool);
+      emptyContext(Indices.size(), Machine, Tech, TypingSeed);
   for (size_t I = 0; I < Indices.size(); ++I) {
     Ctx.Programs[I].Shared = shareProgram(Set, Indices[I]);
     Ctx.Programs[I].Prog = Ctx.Programs[I].Shared.get();
@@ -259,7 +255,7 @@ PipelineStats pbt::runPreparationPipeline(PipelineContext &Ctx) {
   if (Ctx.VerifyIR)
     Stats.Passes.back().Name = "verify";
 
-  ThreadPool &Pool = Ctx.Pool ? *Ctx.Pool : ThreadPool::global();
+  ThreadPool &Pool = ThreadPool::global();
   const size_t N = Ctx.Programs.size();
   std::vector<uint8_t> Changed(N);
 

@@ -16,10 +16,11 @@
 /// that was not there yet), so rerunning on a prepared context changes
 /// nothing.
 ///
-/// Per-program steps are independent and fan out over a ThreadPool with
-/// by-index writes, so pipeline output is bit-identical to the serial
-/// loop — and to the pre-pass-manager monolithic prepareSuite, which is
-/// the promotion contract tests/passmanager_test.cpp enforces;
+/// Per-program steps are independent and fan out over the global
+/// ThreadPool with by-index writes, so pipeline output is bit-identical
+/// to the serial loop — and to the pre-pass-manager monolithic
+/// prepareSuite, which is the promotion contract
+/// tests/passmanager_test.cpp enforces;
 /// prepareSuiteMonolithic stays as that independent reference.
 ///
 /// The pipeline finishes with self-verification: VerifyPass is a static
@@ -51,7 +52,6 @@ class CostModel;
 class FlatImage;
 class InstrumentedProgram;
 class ProgramSet;
-class ThreadPool;
 struct MachineConfig;
 struct PreparedSuite;
 struct TechniqueSpec;
@@ -95,8 +95,6 @@ struct PipelineContext {
   /// Run the verification sweep after every pass (see VerifyPass).
   bool VerifyIR = false;
   std::vector<ProgramPrep> Programs;
-  /// Pool for the per-program fan-out; the global pool when null.
-  ThreadPool *Pool = nullptr;
 };
 
 /// Per-pass counters of one pipeline run (or the process-wide
@@ -134,8 +132,7 @@ PipelineStats runPreparationPipeline(PipelineContext &Ctx);
 PipelineContext makePipelineContext(const std::vector<Program> &Programs,
                                     const MachineConfig &Machine,
                                     const TechniqueSpec &Tech,
-                                    uint64_t TypingSeed,
-                                    ThreadPool *Pool = nullptr);
+                                    uint64_t TypingSeed);
 
 /// Builds a PipelineContext for preparing the programs of \p Set listed
 /// in \p Indices (context program I is Set[Indices[I]]). Every image
@@ -144,7 +141,7 @@ PipelineContext
 makePipelineContext(const std::shared_ptr<const ProgramSet> &Set,
                     const std::vector<size_t> &Indices,
                     const MachineConfig &Machine, const TechniqueSpec &Tech,
-                    uint64_t TypingSeed, ThreadPool *Pool = nullptr);
+                    uint64_t TypingSeed);
 
 /// VerifyPass's per-program check, usable standalone: validates every
 /// artifact present in \p PC against the invariants in the file

@@ -34,10 +34,6 @@ namespace {
 /// "PBTP" as a little-endian u32: store entries.
 constexpr uint32_t ProgMagic = 0x50544250u;
 
-/// "PBTS" as a little-endian u32: legacy `pbt-suite-v4` manifests, only
-/// ever deleted (cleanMismatchedVersions).
-constexpr uint32_t LegacyManifestMagic = 0x53544250u;
-
 /// Fixed-size file header preceding the payload.
 struct Header {
   uint64_t Key = 0;
@@ -223,39 +219,11 @@ void makeDirs(const std::string &Dir) {
   }
 }
 
-/// True for legacy suite manifest names: "suite-<16 hex>.pbt".
-bool isLegacyManifestName(const char *Name) {
-  size_t Len = std::strlen(Name);
-  return Len == 26 && std::strncmp(Name, "suite-", 6) == 0 &&
-         std::strcmp(Name + Len - 4, ".pbt") == 0;
-}
-
 /// True for store entries: "prog-<16 hex>.pbt".
 bool isProgEntryName(const char *Name) {
   size_t Len = std::strlen(Name);
   return Len == 25 && std::strncmp(Name, "prog-", 5) == 0 &&
          std::strcmp(Name + Len - 4, ".pbt") == 0;
-}
-
-/// True for the per-entry lock files older stores kept beside their
-/// entries: "prog-<16 hex>.lck", or a legacy manifest's
-/// "suite-<16 hex>.lck". Nothing takes them any more; the sweep deletes
-/// them.
-bool isLockName(const char *Name) {
-  size_t Len = std::strlen(Name);
-  if (std::strncmp(Name, "suite-", 6) == 0)
-    return Len == 26 && std::strcmp(Name + Len - 4, ".lck") == 0;
-  if (std::strncmp(Name, "prog-", 5) == 0)
-    return Len == 25 && std::strcmp(Name + Len - 4, ".lck") == 0;
-  return false;
-}
-
-/// True when \p Name starts with the entry prefix or the legacy
-/// manifest prefix (the debris sweep's coarse filter; exact shapes are
-/// checked above).
-bool hasStorePrefix(const char *Name) {
-  return std::strncmp(Name, "suite-", 6) == 0 ||
-         std::strncmp(Name, "prog-", 5) == 0;
 }
 
 /// \p Path's mtime, or 0 when unreadable.
@@ -284,8 +252,8 @@ bool pidDead(long Pid) {
 }
 
 /// Shared sweep body (callers hold the store mutex): removes stranded
-/// temp files, expired quarantines and old lock files. Staleness rules
-/// are documented on CacheStore::sweepStale.
+/// temp files and expired quarantines. Staleness rules are documented
+/// on CacheStore::sweepStale.
 size_t sweepDebris(const std::string &Dir, double MaxQuarantineAgeSeconds) {
   DIR *D = ::opendir(Dir.c_str());
   if (!D)
@@ -295,7 +263,7 @@ size_t sweepDebris(const std::string &Dir, double MaxQuarantineAgeSeconds) {
   while (const dirent *Entry = ::readdir(D)) {
     const char *Name = Entry->d_name;
     // Only debris derived from our own entry names is considered.
-    if (!hasStorePrefix(Name))
+    if (std::strncmp(Name, "prog-", 5) != 0)
       continue;
     std::string Path = Dir + "/" + Name;
     if (std::strstr(Name, ".pbt.tmp.")) {
@@ -312,8 +280,6 @@ size_t sweepDebris(const std::string &Dir, double MaxQuarantineAgeSeconds) {
           static_cast<double>(Now - fileMtime(Path)) >=
               MaxQuarantineAgeSeconds)
         Stale.push_back(std::move(Path));
-    } else if (isLockName(Name)) {
-      Stale.push_back(std::move(Path));
     }
   }
   ::closedir(D);
@@ -328,9 +294,8 @@ size_t sweepDebris(const std::string &Dir, double MaxQuarantineAgeSeconds) {
 
 CacheStore::CacheStore(std::string DirIn) : Dir(std::move(DirIn)) {
   makeDirs(Dir);
-  // Startup sweep: collect temp files stranded by crashed writers,
-  // stale quarantines and old lock files, so debris can never
-  // accumulate across runs.
+  // Startup sweep: collect temp files stranded by crashed writers and
+  // stale quarantines, so debris can never accumulate across runs.
   sweepStale();
 }
 
@@ -386,10 +351,8 @@ size_t CacheStore::cleanMismatchedVersions() {
   while (const dirent *Entry = ::readdir(D)) {
     const char *Name = Entry->d_name;
     // Only files this store wrote: "prog-<16 hex>.pbt" entries, stale
-    // off the current version, and legacy "suite-<16 hex>.pbt"
-    // manifests, stale whatever their version.
-    bool IsLegacy = isLegacyManifestName(Name);
-    if (!IsLegacy && !isProgEntryName(Name))
+    // off the current version.
+    if (!isProgEntryName(Name))
       continue;
     std::string Path = Dir + "/" + Name;
     // Only the first 8 header bytes matter (magic + version); entries
@@ -404,9 +367,9 @@ size_t CacheStore::cleanMismatchedVersions() {
     if (Got != sizeof(Hdr))
       continue; // Too short to carry a header; leave it.
     BinaryReader R(Hdr, sizeof(Hdr));
-    if (R.u32() != (IsLegacy ? LegacyManifestMagic : ProgMagic))
+    if (R.u32() != ProgMagic)
       continue; // Not one of ours after all.
-    if (IsLegacy || R.u32() != ProgFormatVersion)
+    if (R.u32() != ProgFormatVersion)
       Stale.push_back(std::move(Path));
   }
   ::closedir(D);

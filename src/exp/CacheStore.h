@@ -73,17 +73,11 @@
 ///    rebuilds the entry transparently instead of tripping over it
 ///    again.
 ///  - Construction and gc() sweep stale debris: `.tmp.<pid>` files
-///    whose writer is dead, old quarantine files, and the per-entry
-///    `.lck` lock files older stores kept.
+///    whose writer is dead, and old quarantine files.
 ///
 /// Every filesystem step routes through support/FaultInjection, so the
 /// whole contract is exercised under injected EIO, short writes, torn
 /// renames, and crash points.
-///
-/// Stores written before the format held one kind of entry also carry
-/// `pbt-suite-v4` manifests (`suite-<16 hex>.pbt`, magic `PBTS`): a
-/// list of the program hashes the caller now supplies itself. Nothing
-/// reads them; cleanMismatchedVersions() deletes them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -178,9 +172,8 @@ public:
   /// Removes debris no live process can still want: `.tmp.<pid>` temp
   /// files whose writing process is dead (or that are over an hour
   /// old), quarantine files older than \p MaxQuarantineAgeSeconds
-  /// (negative keeps all quarantines; 0 removes them all), and every
-  /// `prog-*.lck` / `suite-*.lck` lock file older stores left. Returns
-  /// the number of files removed. Runs at construction (keeping
+  /// (negative keeps all quarantines; 0 removes them all). Returns the
+  /// number of files removed. Runs at construction (keeping
   /// week-old quarantines for post-mortems) and inside gc() (which
   /// sweeps every quarantine).
   size_t sweepStale(double MaxQuarantineAgeSeconds = 7 * 86400.0);
@@ -188,10 +181,8 @@ public:
   /// Deletes every `prog-*.pbt` entry whose header carries a format
   /// version other than ProgFormatVersion (such entries can never load
   /// again; a bump only changes the keys, so they would otherwise sit on
-  /// disk forever) and every legacy `pbt-suite-v4` manifest
-  /// (`suite-*.pbt`, whatever its version). Returns the number of
-  /// entries removed. Unreadable or foreign files are left alone. Backs
-  /// `bench/driver --clean-cache`.
+  /// disk forever). Returns the number of entries removed. Unreadable
+  /// or foreign files are left alone. Backs `bench/driver --clean-cache`.
   size_t cleanMismatchedVersions();
 
   /// Outcome of one gc() pass.
@@ -200,8 +191,8 @@ public:
     uint64_t BytesScanned = 0; ///< Their total size.
     size_t Evicted = 0;       ///< Entries deleted.
     uint64_t BytesEvicted = 0; ///< Bytes reclaimed.
-    size_t Swept = 0;         ///< Stale temp/quarantine/lock files
-                              ///< removed alongside the pass.
+    size_t Swept = 0;         ///< Stale temp/quarantine files removed
+                              ///< alongside the pass.
   };
 
   /// Age/size-based garbage collection over the store's entries,

@@ -123,10 +123,9 @@ Json runMetrics(const RunResult &Run, const FairnessMetrics &Fair,
   M["max_stretch"] = Fair.MaxStretch;
   M["avg_process_time"] = Fair.AvgProcessTime;
   M["p95_flow"] = Fair.P95Flow;
-  // Sweep-cell metrics are always exact-percentile (artifacts are
-  // compared byte for byte); the tag makes the mode explicit so
-  // streamed-metrics artifacts can never be mistaken for exact ones.
-  M["percentile_mode"] = percentileModeName(PercentileMode::Exact);
+  // Sweep-cell percentiles are always exact (buffered and sorted), so
+  // artifacts compare byte for byte; the schema keeps the tag.
+  M["percentile_mode"] = "exact";
   Json L = Json::object();
   L["jobs"] = Latency.Jobs;
   L["mean_turnaround"] = Latency.MeanTurnaround;

@@ -45,10 +45,10 @@ namespace pbt {
 namespace exp {
 
 /// Content key of one replay job: everything its RunResult depends on.
-/// The horizon is part of the key only for jobs whose scenario does not
-/// share horizon prefixes (pbt::sharesHorizonPrefix); for classic batch
-/// jobs it is 0, so replays of one workload at different horizons share
-/// a key — and a simulation.
+/// The horizon is part of the key only for open-stream jobs, whose
+/// arrival schedule depends on it; for classic batch jobs, which share
+/// horizon prefixes (see runWorkloadHorizons), it is 0, so replays of
+/// one workload at different horizons share a key — and a simulation.
 struct ReplayKey {
   uint64_t Lab = 0;        ///< Program set, machine shape, SimConfig.
   uint64_t Technique = 0;  ///< hashValue(TechniqueSpec), tuner included.

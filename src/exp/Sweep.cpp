@@ -273,7 +273,7 @@ ReplayKey replayKey(Lab &L, const SweepGrid &Grid,
   Key.Scheduler = hashValue(Sched);
   Key.Scenario = hashValue(Scenario);
   Key.Engine = static_cast<uint32_t>(Grid.Engine);
-  Key.Horizon = sharesHorizonPrefix(Scenario) ? 0 : Spec.Horizon;
+  Key.Horizon = Scenario.isBatch() ? 0 : Spec.Horizon;
   return Key;
 }
 

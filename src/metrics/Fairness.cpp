@@ -36,14 +36,7 @@ FairnessMetrics FairnessAccumulator::finish() const {
   return Metrics;
 }
 
-FairnessMetrics pbt::computeFairness(const std::vector<CompletedJob> &Jobs,
-                                     PercentileMode Mode) {
-  if (Mode == PercentileMode::Streaming) {
-    FairnessAccumulator Acc;
-    for (const CompletedJob &Job : Jobs)
-      Acc.add(Job);
-    return Acc.finish();
-  }
+FairnessMetrics pbt::computeFairness(const std::vector<CompletedJob> &Jobs) {
   FairnessMetrics Metrics;
   if (Jobs.empty())
     return Metrics;

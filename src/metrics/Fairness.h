@@ -37,12 +37,10 @@ struct FairnessMetrics {
 };
 
 /// Computes the metrics over \p Jobs. Jobs without an isolated-time
-/// oracle (Isolated <= 0) are skipped for max-stretch only. Exact mode
-/// (the default) buffers flows for the P95 percentile; Streaming
-/// replays through a FairnessAccumulator (t-digest-sketched P95Flow,
-/// identical maxima and mean).
-FairnessMetrics computeFairness(const std::vector<CompletedJob> &Jobs,
-                                PercentileMode Mode = PercentileMode::Exact);
+/// oracle (Isolated <= 0) are skipped for max-stretch only. Flows are
+/// buffered for an exact P95 percentile; FairnessAccumulator is the
+/// streaming counterpart.
+FairnessMetrics computeFairness(const std::vector<CompletedJob> &Jobs);
 
 /// Streaming fairness accumulator: running maxima and mean, t-digest-
 /// sketched P95Flow — O(1) memory in job count.

@@ -63,18 +63,7 @@ LatencyMetrics LatencyAccumulator::finish(double Horizon,
 }
 
 LatencyMetrics pbt::computeLatency(const RunResult &Run,
-                                   const MachineConfig &Machine,
-                                   PercentileMode Mode) {
-  if (Mode == PercentileMode::Streaming) {
-    // Replay the buffered completions through the streaming
-    // accumulator, in their canonical order — what a sink-fed run
-    // would have produced had the jobs arrived in this order.
-    LatencyAccumulator Acc;
-    for (const CompletedJob &Job : Run.Completed)
-      Acc.add(Job);
-    return Acc.finish(Run.Horizon, Machine);
-  }
-
+                                   const MachineConfig &Machine) {
   LatencyMetrics M;
   M.Jobs = Run.Completed.size();
   M.JobsPerMegacycle = jobsPerMegacycle(M.Jobs, Run.Horizon, Machine);

@@ -54,14 +54,11 @@ struct LatencyMetrics {
 };
 
 /// Computes the metrics over \p Run's completions on \p Machine (whose
-/// core frequencies define the capacity normalization). The default
-/// Exact mode buffers and sorts (bit-reproducible, O(n) memory);
-/// Streaming replays the completions through a LatencyAccumulator —
-/// identical means/max, t-digest-sketched percentiles — and exists so
-/// buffered runs can be compared against streamed ones.
+/// core frequencies define the capacity normalization). Buffers and
+/// sorts: bit-reproducible, O(n) memory; LatencyAccumulator is the
+/// streaming counterpart.
 LatencyMetrics computeLatency(const RunResult &Run,
-                              const MachineConfig &Machine,
-                              PercentileMode Mode = PercentileMode::Exact);
+                              const MachineConfig &Machine);
 
 /// Streaming latency accumulator: feed every completed job as it
 /// finishes (e.g. through runWorkload's OnCompleted sink) and read the

@@ -8,6 +8,7 @@
 
 #include "obs/Counters.h"
 #include "support/Env.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cstdarg>
@@ -50,38 +51,6 @@ void makeDirs(const std::string &Dir) {
       ::mkdir(Dir.substr(0, I).c_str(), 0777);
   if (!Dir.empty())
     ::mkdir(Dir.c_str(), 0777);
-}
-
-/// Minimal JSON string escaping (labels are benchmark/core names, but
-/// stay safe on anything).
-std::string escape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Hex[8];
-        std::snprintf(Hex, sizeof Hex, "\\u%04x", C);
-        Out += Hex;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
 }
 
 // Track layout (Chrome trace pid/tid are just track group/row ids).
@@ -215,9 +184,11 @@ void TraceSink::flush() {
 
 void TraceSink::coreTrack(uint32_t Core, const std::string &Label) {
   beginEvent();
+  std::string Name;
+  appendJsonString(Name, Label);
   appendf("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%u,"
-          "\"args\":{\"name\":\"%s\"}}",
-          CoresPid, Core, escape(Label).c_str());
+          "\"args\":{\"name\":%s}}",
+          CoresPid, Core, Name.c_str());
   endEvent();
 }
 
@@ -232,9 +203,11 @@ void TraceSink::machineTrack(uint32_t Tid) {
 
 void TraceSink::processTrack(uint32_t Pid, const std::string &Label) {
   beginEvent();
+  std::string Name;
+  appendJsonString(Name, Label);
   appendf("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%u,"
-          "\"args\":{\"name\":\"%s\"}}",
-          ProcsPid, Pid, escape(Label).c_str());
+          "\"args\":{\"name\":%s}}",
+          ProcsPid, Pid, Name.c_str());
   endEvent();
 }
 

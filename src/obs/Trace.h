@@ -128,7 +128,7 @@ public:
   void admit(double Ts, uint32_t Pid, uint32_t Bench);
   /// Job completed (scenario-level; pairs with RunResult::Completed).
   void complete(double Ts, uint32_t Pid, uint32_t Bench);
-  /// End of the replay: horizon reached or stop rule hit.
+  /// End of the replay: horizon reached or open stream completed.
   void runEnd(double Ts, uint64_t Completed, uint64_t Spawned);
   /// @}
 

@@ -22,10 +22,6 @@ std::string ScenarioSpec::label() const {
   case ArrivalProcess::Batch:
     Out = "batch";
     break;
-  case ArrivalProcess::Periodic:
-    std::snprintf(Buf, sizeof(Buf), "periodic[%g", Interval);
-    Out = Buf;
-    break;
   case ArrivalProcess::Poisson:
     std::snprintf(Buf, sizeof(Buf), "poisson[%g", Rate);
     Out = Buf;
@@ -39,10 +35,6 @@ std::string ScenarioSpec::label() const {
     }
     Out += "]";
   }
-  if (MaxJobs > 0) {
-    std::snprintf(Buf, sizeof(Buf), "+n%u", MaxJobs);
-    Out += Buf;
-  }
   if (!isBatch() && MaxInFlight > 0) {
     std::snprintf(Buf, sizeof(Buf), "+mpl%u", MaxInFlight);
     Out += Buf;
@@ -51,26 +43,21 @@ std::string ScenarioSpec::label() const {
 }
 
 bool ScenarioSpec::operator==(const ScenarioSpec &Other) const {
-  if (Arrival != Other.Arrival || MaxJobs != Other.MaxJobs)
+  if (Arrival != Other.Arrival)
     return false;
   if (isBatch())
     return true; // Open-system knobs don't affect a batch replay.
-  if (ArrivalSeed != Other.ArrivalSeed || MaxInFlight != Other.MaxInFlight)
-    return false;
-  return Arrival == ArrivalProcess::Periodic ? Interval == Other.Interval
-                                             : Rate == Other.Rate;
+  return ArrivalSeed == Other.ArrivalSeed &&
+         MaxInFlight == Other.MaxInFlight && Rate == Other.Rate;
 }
 
 uint64_t pbt::hashValue(const ScenarioSpec &Spec) {
   uint64_t H = hashCombine(0x5CE7A210, static_cast<uint64_t>(Spec.Arrival));
-  H = hashCombine(H, Spec.MaxJobs);
   if (Spec.isBatch())
     return H;
   H = hashCombine(H, Spec.ArrivalSeed);
   H = hashCombine(H, Spec.MaxInFlight);
-  return hashCombine(H, hashDouble(Spec.Arrival == ArrivalProcess::Periodic
-                                       ? Spec.Interval
-                                       : Spec.Rate));
+  return hashCombine(H, hashDouble(Spec.Rate));
 }
 
 namespace {
@@ -92,15 +79,12 @@ pbt::scenarioArrivals(const ScenarioSpec &Spec, uint32_t NumBenchmarks,
   if (NumBenchmarks == 0)
     throw std::invalid_argument(
         "scenarioArrivals needs at least one benchmark in the mix");
-  if (Spec.Arrival == ArrivalProcess::Periodic && !(Spec.Interval > 0))
-    throw std::invalid_argument(
-        "ScenarioSpec::Interval must be positive (simulated seconds)");
-  if (Spec.Arrival == ArrivalProcess::Poisson && !(Spec.Rate > 0))
+  if (!(Spec.Rate > 0))
     throw std::invalid_argument(
         "ScenarioSpec::Rate must be positive (arrivals per second)");
 
-  // Independent streams for gaps and mix, so periodic and Poisson
-  // scenarios with equal seeds draw the identical benchmark sequence.
+  // Independent streams for gaps and mix, so Poisson scenarios with
+  // equal seeds draw the identical benchmark sequence at any rate.
   Rng Root(Spec.ArrivalSeed);
   Rng Gaps = Root.split(0x6A95);
   Rng Mix = Root.split(0xB13D);
@@ -108,20 +92,13 @@ pbt::scenarioArrivals(const ScenarioSpec &Spec, uint32_t NumBenchmarks,
   std::vector<ScenarioArrival> Out;
   double Time = 0;
   for (uint64_t Index = 0;; ++Index) {
-    if (Spec.Arrival == ArrivalProcess::Periodic) {
-      // Exact multiples: no floating accumulation drift over long runs.
-      Time = Spec.Interval * static_cast<double>(Index);
-    } else {
-      // Exponential gap with mean 1/Rate; nextDouble() is in [0, 1) so
-      // 1-u is in (0, 1] and the log is finite.
-      Time += -std::log(1.0 - Gaps.nextDouble()) / Spec.Rate;
-    }
+    // Exponential gap with mean 1/Rate; nextDouble() is in [0, 1) so
+    // 1-u is in (0, 1] and the log is finite.
+    Time += -std::log(1.0 - Gaps.nextDouble()) / Spec.Rate;
     // Half-open window [0, Horizon): an arrival at the horizon itself
     // could never spawn (the run ends once the clock reaches it), so
-    // counting it would leave a phantom job no stop rule can satisfy.
+    // counting it would leave a phantom job the run never completes.
     if (Time >= Horizon)
-      break;
-    if (Spec.MaxJobs > 0 && Out.size() >= Spec.MaxJobs)
       break;
     ScenarioArrival A;
     A.Time = Time;

@@ -11,11 +11,12 @@
 /// number running until the horizon (a closed system). A ScenarioSpec
 /// generalizes that into an open-system server model: jobs arrive over
 /// simulated time according to a named arrival process, drawn from a
-/// seeded job mix over the suite's benchmarks, until a stop rule is
-/// met. The batch-at-zero scenario is the exact classic behaviour
-/// (proven bit-identical in tests/scenario_test.cpp), so the scenario
-/// is a pure replay-time axis like SchedulerSpec: it never affects
-/// suite preparation and is excluded from every cache key.
+/// seeded job mix over the suite's benchmarks, until the horizon or
+/// until the whole stream has completed. The batch-at-zero scenario is
+/// the exact classic behaviour (proven bit-identical in
+/// tests/scenario_test.cpp), so the scenario is a pure replay-time axis
+/// like SchedulerSpec: it never affects suite preparation and is
+/// excluded from every cache key.
 ///
 /// **Determinism rules.** All randomness (interarrival gaps, benchmark
 /// mix, per-job branch seeds) flows through seeded support/Rng streams
@@ -41,8 +42,6 @@ enum class ArrivalProcess : uint8_t {
   /// The paper's closed slot/queue system: every slot starts one job at
   /// time zero and refills on completion (constant multiprogramming).
   Batch,
-  /// Open system, fixed interarrival gap: arrivals at 0, I, 2I, ...
-  Periodic,
   /// Open system, seeded pseudo-Poisson stream: exponential
   /// interarrival gaps with mean 1/Rate, drawn from support/Rng.
   Poisson,
@@ -72,17 +71,11 @@ struct ScenarioSpec {
   static constexpr uint64_t DefaultArrivalSeed = 4242;
 
   ArrivalProcess Arrival = ArrivalProcess::Batch;
-  /// Periodic: seconds between arrivals (must be positive).
-  double Interval = 0;
   /// Poisson: mean arrivals per simulated second (must be positive).
   double Rate = 0;
   /// Seeds the interarrival and job-mix streams of open scenarios
   /// (ignored by batch — the Workload's own queues and seeds apply).
   uint64_t ArrivalSeed = DefaultArrivalSeed;
-  /// Stop rule: end the run once this many jobs completed (0 = run to
-  /// the horizon). Applies to every arrival process; open schedules
-  /// also generate at most this many arrivals.
-  uint32_t MaxJobs = 0;
   /// Closed-loop multiprogramming cap for open scenarios: arrivals
   /// beyond this many in-flight jobs queue at the door and are
   /// admitted as completions free capacity (0 = admit immediately).
@@ -95,15 +88,6 @@ struct ScenarioSpec {
   /// the pre-scenario runWorkload path.
   static ScenarioSpec batch() { return ScenarioSpec(); }
 
-  static ScenarioSpec periodic(double Interval,
-                               uint64_t Seed = DefaultArrivalSeed) {
-    ScenarioSpec S;
-    S.Arrival = ArrivalProcess::Periodic;
-    S.Interval = Interval;
-    S.ArrivalSeed = Seed;
-    return S;
-  }
-
   static ScenarioSpec poisson(double Rate,
                               uint64_t Seed = DefaultArrivalSeed) {
     ScenarioSpec S;
@@ -113,28 +97,21 @@ struct ScenarioSpec {
     return S;
   }
 
-  /// Fluent stop-rule / admission-cap setters, so grids read
+  /// Fluent admission-cap setter, so grids read
   /// `ScenarioSpec::poisson(4).withMaxInFlight(8)`.
-  ScenarioSpec withMaxJobs(uint32_t N) const {
-    ScenarioSpec S = *this;
-    S.MaxJobs = N;
-    return S;
-  }
   ScenarioSpec withMaxInFlight(uint32_t N) const {
     ScenarioSpec S = *this;
     S.MaxInFlight = N;
     return S;
   }
 
-  /// Display label: "batch", "periodic[0.25]", "poisson[4]", with a
-  /// non-default seed marked ",s<seed>" inside the brackets and the
-  /// optional "+n<jobs>" / "+mpl<cap>" suffixes — so sweep cells
-  /// labeled by scenario are self-describing.
+  /// Display label: "batch" or "poisson[4]", with a non-default seed
+  /// marked ",s<seed>" inside the brackets and the optional "+mpl<cap>"
+  /// suffix — so sweep cells labeled by scenario are self-describing.
   std::string label() const;
 
   /// Equality over the fields that affect a replay: batch ignores every
-  /// open-system knob except MaxJobs; periodic/poisson compare their
-  /// own parameter plus seed and admission cap.
+  /// open-system knob; poisson compares rate, seed and admission cap.
   bool operator==(const ScenarioSpec &Other) const;
   bool operator!=(const ScenarioSpec &Other) const {
     return !(*this == Other);
@@ -145,12 +122,11 @@ struct ScenarioSpec {
 uint64_t hashValue(const ScenarioSpec &Spec);
 
 /// Materializes the arrival schedule of an open scenario: every arrival
-/// with Time < \p Horizon (a half-open window — at most MaxJobs of
-/// them), times non-decreasing, benchmarks drawn uniformly from
-/// [0, \p NumBenchmarks), seeds per arrival index. Returns an empty
-/// schedule for batch (the Workload's slot queues arrive instead).
-/// Throws std::invalid_argument on a non-positive Interval/Rate or a
-/// zero NumBenchmarks.
+/// with Time < \p Horizon (a half-open window), times non-decreasing,
+/// benchmarks drawn uniformly from [0, \p NumBenchmarks), seeds per
+/// arrival index. Returns an empty schedule for batch (the Workload's
+/// slot queues arrive instead). Throws std::invalid_argument on a
+/// non-positive Rate or a zero NumBenchmarks.
 std::vector<ScenarioArrival> scenarioArrivals(const ScenarioSpec &Spec,
                                               uint32_t NumBenchmarks,
                                               double Horizon);

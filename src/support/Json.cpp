@@ -50,7 +50,16 @@ size_t Json::size() const {
 
 namespace {
 
-void escapeTo(std::string &Out, const std::string &S) {
+void newlineIndent(std::string &Out, int Indent, int Depth) {
+  if (Indent <= 0)
+    return;
+  Out.push_back('\n');
+  Out.append(static_cast<size_t>(Indent) * Depth, ' ');
+}
+
+} // namespace
+
+void pbt::appendJsonString(std::string &Out, const std::string &S) {
   Out.push_back('"');
   for (unsigned char C : S) {
     switch (C) {
@@ -82,15 +91,6 @@ void escapeTo(std::string &Out, const std::string &S) {
   Out.push_back('"');
 }
 
-void newlineIndent(std::string &Out, int Indent, int Depth) {
-  if (Indent <= 0)
-    return;
-  Out.push_back('\n');
-  Out.append(static_cast<size_t>(Indent) * Depth, ' ');
-}
-
-} // namespace
-
 void Json::dumpTo(std::string &Out, int Indent, int Depth) const {
   char Buf[64];
   switch (K) {
@@ -117,7 +117,7 @@ void Json::dumpTo(std::string &Out, int Indent, int Depth) const {
     }
     break;
   case Kind::String:
-    escapeTo(Out, S);
+    appendJsonString(Out, S);
     break;
   case Kind::Array:
     Out.push_back('[');
@@ -137,7 +137,7 @@ void Json::dumpTo(std::string &Out, int Indent, int Depth) const {
       if (Index)
         Out.push_back(',');
       newlineIndent(Out, Indent, Depth + 1);
-      escapeTo(Out, Obj[Index].first);
+      appendJsonString(Out, Obj[Index].first);
       Out += Indent > 0 ? ": " : ":";
       Obj[Index].second.dumpTo(Out, Indent, Depth + 1);
     }

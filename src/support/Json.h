@@ -99,6 +99,11 @@ private:
   std::vector<std::pair<std::string, Json>> Obj;
 };
 
+/// Appends \p S to \p Out as a quoted JSON string literal: quotes and
+/// backslashes escaped, control characters as `\n`, `\r`, `\t` or
+/// `\u00XX`, every other byte verbatim.
+void appendJsonString(std::string &Out, const std::string &S);
+
 /// Writes `Root.dump() + "\n"` to \p Path; returns false on I/O failure.
 bool writeJsonFile(const std::string &Path, const Json &Root);
 

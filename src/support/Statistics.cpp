@@ -12,10 +12,6 @@
 
 using namespace pbt;
 
-const char *pbt::percentileModeName(PercentileMode Mode) {
-  return Mode == PercentileMode::Exact ? "exact" : "streaming";
-}
-
 static double interpolatedQuantile(const std::vector<double> &Sorted,
                                    double Q) {
   assert(!Sorted.empty() && "quantile of empty sample");

@@ -19,23 +19,6 @@
 
 namespace pbt {
 
-/// How percentile statistics are computed from a sample stream.
-/// Recorded explicitly in every artifact metrics block so downstream
-/// comparisons never mix the two silently.
-enum class PercentileMode : uint8_t {
-  /// Buffer every observation and read percentiles off one sort —
-  /// O(n) memory, bit-reproducible, the default for every artifact
-  /// that is compared byte for byte.
-  Exact,
-  /// Stream observations through TDigest sketches — O(1) memory in
-  /// job count (long-horizon scenario runs), deterministic, exact below
-  /// 2 x Compression observations and approximate beyond (see TDigest).
-  Streaming,
-};
-
-/// Stable artifact name of \p Mode ("exact" / "streaming").
-const char *percentileModeName(PercentileMode Mode);
-
 /// Five-number summary of a sample, as drawn in a box plot: the box spans
 /// [Q1, Q3] with a line at the median; whiskers extend to min and max.
 struct BoxSummary {

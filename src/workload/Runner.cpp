@@ -11,6 +11,7 @@
 #include "obs/Counters.h"
 #include "obs/Trace.h"
 #include "support/Hashing.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -118,9 +119,9 @@ PreparedSuite pbt::assembleSuite(const std::vector<Program> &Programs,
 std::vector<PreparedProgram>
 pbt::preparePrograms(const std::vector<Program> &Programs,
                      const MachineConfig &Machine, const TechniqueSpec &Tech,
-                     uint64_t TypingSeed, ThreadPool *Pool) {
+                     uint64_t TypingSeed) {
   PipelineContext Ctx =
-      makePipelineContext(Programs, Machine, Tech, TypingSeed, Pool);
+      makePipelineContext(Programs, Machine, Tech, TypingSeed);
   return runPipeline(Ctx);
 }
 
@@ -128,32 +129,29 @@ std::vector<PreparedProgram>
 pbt::preparePrograms(const std::shared_ptr<const ProgramSet> &Set,
                      const std::vector<size_t> &Indices,
                      const MachineConfig &Machine, const TechniqueSpec &Tech,
-                     uint64_t TypingSeed, ThreadPool *Pool) {
+                     uint64_t TypingSeed) {
   PipelineContext Ctx =
-      makePipelineContext(Set, Indices, Machine, Tech, TypingSeed, Pool);
+      makePipelineContext(Set, Indices, Machine, Tech, TypingSeed);
   return runPipeline(Ctx);
 }
 
 PreparedSuite pbt::prepareSuite(const std::vector<Program> &Programs,
                                 const MachineConfig &Machine,
                                 const TechniqueSpec &Tech,
-                                uint64_t TypingSeed, ThreadPool *Pool) {
+                                uint64_t TypingSeed) {
   return assembleSuite(
-      Programs, preparePrograms(Programs, Machine, Tech, TypingSeed, Pool),
-      Tech);
+      Programs, preparePrograms(Programs, Machine, Tech, TypingSeed), Tech);
 }
 
 PreparedSuite pbt::prepareSuiteMonolithic(const std::vector<Program> &Programs,
                                           const MachineConfig &Machine,
                                           const TechniqueSpec &Tech,
-                                          uint64_t TypingSeed,
-                                          ThreadPool *Pool) {
+                                          uint64_t TypingSeed) {
   // The legacy path: one monolithic prepareOne per program, fanned out
   // over the pool with by-index writes. Kept verbatim so tests can
   // assert the pass-manager pipeline reproduces it bit for bit.
   std::vector<PreparedProgram> Prepared(Programs.size());
-  ThreadPool &P = Pool ? *Pool : ThreadPool::global();
-  P.parallelFor(Programs.size(), [&](size_t Index) {
+  ThreadPool::global().parallelFor(Programs.size(), [&](size_t Index) {
     Prepared[Index] =
         prepareOne(Programs[Index], Machine, Tech, TypingSeed);
   });
@@ -250,7 +248,8 @@ public:
   WorkloadReplay(const WorkloadReplay &) = delete;
   WorkloadReplay &operator=(const WorkloadReplay &) = delete;
 
-  /// Advances the simulation to \p Horizon (or to the stop rule).
+  /// Advances the simulation to \p Horizon (or until an open stream
+  /// has completed).
   void advance(double Horizon);
 
   /// The run's result at the current clock, reported for the requested
@@ -409,29 +408,22 @@ void WorkloadReplay::admit(const ScenarioArrival &A) {
 }
 
 void WorkloadReplay::advance(double Horizon) {
-  if (sharesHorizonPrefix(Scenario)) {
+  if (Scenario.isBatch()) {
     // The classic run: one call, unchanged floating-point clock walk.
     M.run(Horizon);
     return;
   }
-  // Stop-rule runs advance quantum by quantum so the run ends at the
-  // end of the quantum that satisfied the rule. The chunked clock walk
+  // Open runs advance quantum by quantum so the run ends at the end of
+  // the quantum that completed the whole stream. The chunked clock walk
   // is bit-identical to one run(Horizon) call: Until is always the
   // exact value the internal Now accumulation reaches next.
-  uint32_t Stream = static_cast<uint32_t>(Arrivals.size());
-  auto Stopped = [&] {
-    if (Scenario.MaxJobs > 0 && Done >= Scenario.MaxJobs)
-      return true;
-    // An open run whose whole stream completed has nothing left.
-    return !Scenario.isBatch() && Done >= Stream;
-  };
-  while (M.now() < Horizon && !Stopped())
+  while (M.now() < Horizon && Done < Arrivals.size())
     M.run(M.now() + Sim.Timeslice);
 }
 
 RunResult WorkloadReplay::snapshot(double Horizon, bool Final) {
   RunResult Result;
-  Result.Horizon = sharesHorizonPrefix(Scenario) ? Horizon : M.now();
+  Result.Horizon = Scenario.isBatch() ? Horizon : M.now();
   Result.CompletedCount = Done;
   Result.InstructionsRetired = M.totalInstructions();
   for (uint32_t Core = 0; Core < MachineCfg.numCores(); ++Core)
@@ -478,10 +470,6 @@ RunResult WorkloadReplay::snapshot(double Horizon, bool Final) {
 
 } // namespace
 
-bool pbt::sharesHorizonPrefix(const ScenarioSpec &Scenario) {
-  return Scenario.isBatch() && Scenario.MaxJobs == 0;
-}
-
 RunResult pbt::runWorkload(const PreparedSuite &Suite, const Workload &W,
                            const MachineConfig &MachineCfg,
                            const SimConfig &Sim, double Horizon,
@@ -504,9 +492,9 @@ std::vector<RunResult> pbt::runWorkloadHorizons(
   std::vector<RunResult> Results(Horizons.size());
   if (Horizons.empty())
     return Results;
-  if (!sharesHorizonPrefix(Scenario)) {
-    // Open streams and stop rules depend on the horizon itself (the
-    // arrival schedule is drawn up to it), so every horizon is its own
+  if (!Scenario.isBatch()) {
+    // An open stream depends on the horizon itself (the arrival
+    // schedule is drawn up to it), so every horizon is its own
     // simulation.
     for (size_t I = 0; I < Horizons.size(); ++I)
       Results[I] = runWorkload(Suite, W, MachineCfg, Sim, Horizons[I],

@@ -22,7 +22,6 @@
 #include "ir/ProgramSet.h"
 #include "scenario/Scenario.h"
 #include "sim/Machine.h"
-#include "support/ThreadPool.h"
 #include "workload/Workload.h"
 
 #include <functional>
@@ -123,14 +122,13 @@ struct PreparedProgram {
 /// \p Programs for \p Tech on \p Machine and returns one
 /// PreparedProgram per input, in input order. \p TypingSeed drives
 /// k-means and error injection. The per-program steps are independent,
-/// so they fan out over \p Pool (the global thread pool when null) with
-/// by-index writes: output is bit-identical to the serial loop
-/// regardless of pool size. Every image carries its own copy of its
-/// program, made on the pool.
+/// so they fan out over the global thread pool with by-index writes:
+/// output is bit-identical to the serial loop regardless of pool size.
+/// Every image carries its own copy of its program, made on the pool.
 std::vector<PreparedProgram>
 preparePrograms(const std::vector<Program> &Programs,
                 const MachineConfig &Machine, const TechniqueSpec &Tech,
-                uint64_t TypingSeed = 42, ThreadPool *Pool = nullptr);
+                uint64_t TypingSeed = 42);
 
 /// preparePrograms over the programs of \p Set listed in \p Indices
 /// (result I is Set[Indices[I]]'s). The images alias their programs in
@@ -140,7 +138,7 @@ std::vector<PreparedProgram>
 preparePrograms(const std::shared_ptr<const ProgramSet> &Set,
                 const std::vector<size_t> &Indices,
                 const MachineConfig &Machine, const TechniqueSpec &Tech,
-                uint64_t TypingSeed = 42, ThreadPool *Pool = nullptr);
+                uint64_t TypingSeed = 42);
 
 /// The suite of \p Programs from their prepared artifacts \p Prepared
 /// (one per program, in order), tuned by \p Tech's tuner.
@@ -154,8 +152,7 @@ PreparedSuite assembleSuite(const std::vector<Program> &Programs,
 PreparedSuite prepareSuite(const std::vector<Program> &Programs,
                            const MachineConfig &Machine,
                            const TechniqueSpec &Tech,
-                           uint64_t TypingSeed = 42,
-                           ThreadPool *Pool = nullptr);
+                           uint64_t TypingSeed = 42);
 
 /// The pre-pass-manager monolithic pipeline, kept verbatim as the
 /// reference implementation for the promotion contract: tests assert
@@ -164,8 +161,7 @@ PreparedSuite prepareSuite(const std::vector<Program> &Programs,
 PreparedSuite prepareSuiteMonolithic(const std::vector<Program> &Programs,
                                      const MachineConfig &Machine,
                                      const TechniqueSpec &Tech,
-                                     uint64_t TypingSeed = 42,
-                                     ThreadPool *Pool = nullptr);
+                                     uint64_t TypingSeed = 42);
 
 /// Isolated runtime t_i of each program: uninstrumented, alone on the
 /// machine, canonical branch seed. The per-program simulations are
@@ -204,9 +200,8 @@ struct CompletedJob {
 /// Outcome of a workload run.
 struct RunResult {
   /// Simulated end of the run: the requested horizon for classic batch
-  /// runs without a stop rule; the actual clock (quantized to whole
-  /// timeslices) for open-scenario runs and for any run with a
-  /// job-count stop rule, which may end early.
+  /// runs; the actual clock (quantized to whole timeslices) for
+  /// open-scenario runs, which end early once their stream completed.
   double Horizon = 0;
   /// Instructions retired machine-wide within the horizon (throughput).
   uint64_t InstructionsRetired = 0;
@@ -270,18 +265,14 @@ RunResult runWorkload(const PreparedSuite &Suite, const Workload &W,
                       const CompletionSink &OnCompleted = nullptr,
                       obs::TraceSink *Trace = nullptr);
 
-/// True when replays under \p Scenario share horizon prefixes: the
-/// classic batch run (batch arrivals, no job-count stop rule) walks the
-/// same simulation whatever its horizon, so a replay to H1 is a prefix
-/// of the same replay to H2 > H1. Open streams and stop rules are not:
-/// their arrival schedule or stopping point depends on the horizon.
-bool sharesHorizonPrefix(const ScenarioSpec &Scenario);
-
 /// runWorkload at several horizons from as few simulations as possible:
-/// result I is bit-identical to runWorkload at \p Horizons[I]. Under a
-/// horizon-prefix scenario (sharesHorizonPrefix) one simulation runs to
-/// the longest horizon and a RunResult is snapshotted as it passes each
-/// shorter one; any other scenario simulates each horizon separately.
+/// result I is bit-identical to runWorkload at \p Horizons[I]. The
+/// classic batch run walks the same simulation whatever its horizon,
+/// so a replay to H1 is a prefix of the replay to H2 > H1: one
+/// simulation runs to the longest horizon and a RunResult is
+/// snapshotted as it passes each shorter one. An open stream's arrival
+/// schedule depends on the horizon, so it simulates each horizon
+/// separately.
 /// Horizons may repeat and come in any order.
 std::vector<RunResult> runWorkloadHorizons(
     const PreparedSuite &Suite, const Workload &W,

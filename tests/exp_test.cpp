@@ -112,6 +112,23 @@ void expectSuitesIdentical(const PreparedSuite &A, const PreparedSuite &B) {
   }
 }
 
+/// The serial reference for the pooled pipeline: each program prepared
+/// by its own prepareSuite call, assembled in order.
+PreparedSuite serialSuite(const std::vector<Program> &Programs,
+                          const MachineConfig &MC, const TechniqueSpec &Tech,
+                          uint64_t TypingSeed) {
+  PreparedSuite Suite;
+  Suite.Tuner = Tech.Tuner;
+  for (const Program &Prog : Programs) {
+    PreparedSuite One = prepareSuite({Prog}, MC, Tech, TypingSeed);
+    Suite.Images.push_back(One.Images[0]);
+    Suite.Costs.push_back(One.Costs[0]);
+    Suite.Flats.push_back(One.Flats[0]);
+    Suite.Names.push_back(One.Names[0]);
+  }
+  return Suite;
+}
+
 // expectRunsIdentical (the bit-identity comparator) is shared with the
 // scheduler suite; see tests/RunIdentity.h.
 
@@ -121,13 +138,10 @@ void expectSuitesIdentical(const PreparedSuite &A, const PreparedSuite &B) {
 // Parallel prepareSuite determinism
 //===----------------------------------------------------------------------===//
 
-// prepareSuite fans out per program; a single-thread pool (what
-// PBT_THREADS=1 pins the global pool to) must produce the same suite,
-// bit for bit, as a many-thread pool.
+// prepareSuite fans out per program over the global pool; the suite
+// must equal, bit for bit, the serial per-program reference.
 TEST(PrepareSuiteParallel, BitIdenticalToSerialOnRandomPrograms) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  ThreadPool Serial(1);
-  ThreadPool Many(8);
   for (uint64_t Seed : {1ull, 77ull, 991ull}) {
     std::vector<Program> Programs = randomPrograms(Seed, 6);
     TechniqueSpec BB = loopTechnique();
@@ -135,8 +149,8 @@ TEST(PrepareSuiteParallel, BitIdenticalToSerialOnRandomPrograms) {
     BB.Transition.MinSize = 15;
     for (const TechniqueSpec &Tech :
          {TechniqueSpec::baseline(), loopTechnique(), BB}) {
-      PreparedSuite A = prepareSuite(Programs, MC, Tech, 42, &Serial);
-      PreparedSuite B = prepareSuite(Programs, MC, Tech, 42, &Many);
+      PreparedSuite A = serialSuite(Programs, MC, Tech, 42);
+      PreparedSuite B = prepareSuite(Programs, MC, Tech, 42);
       expectSuitesIdentical(A, B);
     }
   }
@@ -144,24 +158,20 @@ TEST(PrepareSuiteParallel, BitIdenticalToSerialOnRandomPrograms) {
 
 TEST(PrepareSuiteParallel, StaticTypingAndErrorInjectionDeterministic) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  ThreadPool Serial(1);
-  ThreadPool Many(8);
   std::vector<Program> Programs = randomPrograms(5, 8);
   TechniqueSpec Tech = loopTechnique();
   Tech.UseStaticTyping = true;
   Tech.TypingError = 0.2;
-  PreparedSuite A = prepareSuite(Programs, MC, Tech, 7, &Serial);
-  PreparedSuite B = prepareSuite(Programs, MC, Tech, 7, &Many);
+  PreparedSuite A = serialSuite(Programs, MC, Tech, 7);
+  PreparedSuite B = prepareSuite(Programs, MC, Tech, 7);
   expectSuitesIdentical(A, B);
 }
 
 TEST(PrepareSuiteParallel, DownstreamRunResultsBitIdentical) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  ThreadPool Serial(1);
-  ThreadPool Many(8);
   std::vector<Program> Programs = randomPrograms(13, 5);
-  PreparedSuite A = prepareSuite(Programs, MC, loopTechnique(), 42, &Serial);
-  PreparedSuite B = prepareSuite(Programs, MC, loopTechnique(), 42, &Many);
+  PreparedSuite A = serialSuite(Programs, MC, loopTechnique(), 42);
+  PreparedSuite B = prepareSuite(Programs, MC, loopTechnique(), 42);
   Workload W = Workload::random(4, 64, Programs.size(), 3);
   RunResult RA = runWorkload(A, W, MC, SimConfig(), 20);
   RunResult RB = runWorkload(B, W, MC, SimConfig(), 20);

@@ -301,12 +301,16 @@ TEST(StreamingMetrics, LatencyMatchesExactWithinSketchTolerance) {
   RunResult Run = metricsRun(MC, Iso);
   ASSERT_GT(Run.Completed.size(), 20u);
 
+  // The accumulator fed the buffered completions in canonical order:
+  // what a sink-fed run would produce had the jobs arrived that way.
   LatencyMetrics Exact = computeLatency(Run, MC);
-  LatencyMetrics Stream =
-      computeLatency(Run, MC, PercentileMode::Streaming);
+  LatencyAccumulator Acc;
+  for (const CompletedJob &Job : Run.Completed)
+    Acc.add(Job);
+  LatencyMetrics Stream = Acc.finish(Run.Horizon, MC);
 
   // Counts, running sums, maxima, and throughput are computed the same
-  // way in both modes: identical.
+  // way on both paths: identical.
   EXPECT_EQ(Exact.Jobs, Stream.Jobs);
   EXPECT_EQ(Exact.MeanTurnaround, Stream.MeanTurnaround);
   EXPECT_EQ(Exact.MeanSlowdown, Stream.MeanSlowdown);
@@ -329,8 +333,10 @@ TEST(StreamingMetrics, FairnessMatchesExactWithinSketchTolerance) {
   ASSERT_GT(Run.Completed.size(), 20u);
 
   FairnessMetrics Exact = computeFairness(Run.Completed);
-  FairnessMetrics Stream =
-      computeFairness(Run.Completed, PercentileMode::Streaming);
+  FairnessAccumulator Acc;
+  for (const CompletedJob &Job : Run.Completed)
+    Acc.add(Job);
+  FairnessMetrics Stream = Acc.finish();
   EXPECT_EQ(Exact.Jobs, Stream.Jobs);
   EXPECT_EQ(Exact.MaxFlow, Stream.MaxFlow);
   EXPECT_EQ(Exact.MaxStretch, Stream.MaxStretch);

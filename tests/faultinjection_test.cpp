@@ -469,13 +469,13 @@ TEST(FaultInjectionTest, SweepCollectsDeadWritersAndOldQuarantines) {
   // LIVE writer (our own pid, fresh), an old quarantine, and a fresh
   // quarantine.
   std::string DeadTmp =
-      Store.dir() + "/suite-0000000000000001.pbt.tmp.999999999";
-  std::string LiveTmp = Store.dir() + "/suite-0000000000000002.pbt.tmp." +
+      Store.dir() + "/prog-0000000000000001.pbt.tmp.999999999";
+  std::string LiveTmp = Store.dir() + "/prog-0000000000000002.pbt.tmp." +
                         std::to_string(::getpid());
   std::string OldQuarantine =
-      Store.dir() + "/suite-0000000000000003.pbt.quarantined-checksum";
+      Store.dir() + "/prog-0000000000000003.pbt.quarantined-checksum";
   std::string FreshQuarantine =
-      Store.dir() + "/suite-0000000000000004.pbt.quarantined-truncated";
+      Store.dir() + "/prog-0000000000000004.pbt.quarantined-truncated";
   for (const std::string &Path :
        {DeadTmp, LiveTmp, OldQuarantine, FreshQuarantine})
     ASSERT_TRUE(writeFileAtomic(Path, "debris"));
@@ -493,36 +493,6 @@ TEST(FaultInjectionTest, SweepCollectsDeadWritersAndOldQuarantines) {
   EXPECT_EQ(Store.sweepStale(0), 1u);
   EXPECT_FALSE(fileExists(FreshQuarantine));
   std::remove(LiveTmp.c_str());
-}
-
-// Stores written before the store went lock-free kept one `.lck` file
-// per entry (and per legacy manifest). Opening such a store deletes
-// every one of them, beside live entries or not, while the entries
-// keep serving and foreign look-alikes stay.
-TEST(FaultInjectionTest, ConstructionSweepsOldLockFiles) {
-  FaultScope Scope;
-  StoreRig Rig("fi_old_locks.cache", 53);
-  const std::string &Dir = Rig.Store.dir();
-  std::vector<std::string> Locks;
-  for (uint64_t H : Rig.ProgramHashes) {
-    std::string Entry =
-        Rig.Store.progPathFor(CacheStore::progKey(H, Rig.MC, Rig.Tech, 42));
-    Locks.push_back(Entry.substr(0, Entry.size() - 4) + ".lck");
-  }
-  Locks.push_back(Dir + "/prog-00000000deadbeef.lck"); // Entry long gone.
-  Locks.push_back(Dir + "/suite-00000000deadbeef.lck"); // Legacy manifest.
-  std::string Foreign = Dir + "/prog-notastorelock.lck";
-  for (const std::string &Path : Locks)
-    ASSERT_TRUE(writeFileAtomic(Path, ""));
-  ASSERT_TRUE(writeFileAtomic(Foreign, ""));
-
-  CacheStore Reopened(Dir);
-  for (const std::string &Path : Locks)
-    EXPECT_FALSE(fileExists(Path)) << Path;
-  EXPECT_TRUE(fileExists(Foreign)) << "only the store's own names go";
-  for (const PreparedProgram &P : Reopened.load(Rig.Set, Rig.MC, Rig.Tech, 42))
-    EXPECT_TRUE(P.Image != nullptr);
-  std::remove(Foreign.c_str());
 }
 
 //===----------------------------------------------------------------------===//

@@ -3,9 +3,8 @@
 // The incremental persistent cache: `pbt-prog-v3` entries round-trip
 // bit-identically, adding one benchmark to a cached suite re-prepares
 // exactly that benchmark, programs dedupe across suites, corrupt
-// entries quarantine and heal, gc and version cleanup cover every
-// entry, and a store still holding legacy `pbt-suite-v4` manifests
-// serves from its entries alone.
+// entries quarantine and heal, and gc and version cleanup cover every
+// entry.
 
 #include "TestDirs.h"
 
@@ -454,79 +453,3 @@ TEST(IncrementalStore, CleanMismatchedVersionsCoversProgEntries) {
   std::remove((Dir + "/prog-00000000cafecafe.pbt").c_str());
 }
 
-namespace {
-
-/// Writes the `pbt-suite-v4` manifest (and its lock file) that stores
-/// once kept beside their entries: magic "PBTS", version 4, the suite
-/// key over the whole set's hash, and the list of program hashes.
-/// Returns the manifest's path.
-std::string plantLegacyManifest(const std::string &Dir, const ProgramSet &Set,
-                                const MachineConfig &MC,
-                                const TechniqueSpec &Tech,
-                                uint64_t TypingSeed) {
-  uint64_t Key = hashCombine(0x5B17CACE, 4);
-  Key = hashCombine(Key, Set.hash());
-  Key = hashCombine(Key, hashValue(MC));
-  Key = hashCombine(Key, Tech.preparationHash());
-  Key = hashCombine(Key, TypingSeed);
-  BinaryWriter Payload;
-  Payload.u32(static_cast<uint32_t>(Set.size()));
-  for (uint64_t H : Set.programHashes())
-    Payload.u64(H);
-  BinaryWriter File;
-  File.u32(0x53544250u); // "PBTS"
-  File.u32(4);
-  File.u64(Key);
-  File.u64(Set.hash());
-  File.u64(hashValue(MC));
-  File.u64(Tech.preparationHash());
-  File.u64(TypingSeed);
-  File.u64(Payload.buffer().size());
-  File.u64(CacheStore::checksum(Payload.buffer().data(),
-                                Payload.buffer().size()));
-  char Name[32];
-  std::snprintf(Name, sizeof(Name), "suite-%016llx",
-                static_cast<unsigned long long>(Key));
-  std::string Base = Dir + "/" + Name;
-  EXPECT_TRUE(writeFileBytes(Base + ".pbt", File.buffer() + Payload.buffer()));
-  EXPECT_TRUE(writeFileBytes(Base + ".lck", ""));
-  return Base + ".pbt";
-}
-
-} // namespace
-
-// A store filled when suites also kept a `pbt-suite-v4` manifest still
-// serves those suites from their entries alone, preparing nothing;
-// opening it deletes the manifest's lock file, and
-// cleanMismatchedVersions the now-obsolete manifest, while the entries
-// stay.
-TEST(IncrementalStore, LegacyManifestStoreServesFromEntries) {
-  std::string Dir = freshCacheDir("incr_legacy.cache");
-  auto Set = std::make_shared<const ProgramSet>(randomPrograms(41, 3));
-  MachineConfig MC = MachineConfig::quadAsymmetric();
-  TechniqueSpec Tech = loopTechnique();
-
-  SuiteCache Filler;
-  Filler.setStore(std::make_shared<CacheStore>(Dir));
-  Filler.get(Set, MC, Tech, 42);
-  ASSERT_EQ(Filler.preparedPrograms(), Set->size());
-  std::string Manifest = plantLegacyManifest(Dir, *Set, MC, Tech, 42);
-  std::string Lock = Manifest.substr(0, Manifest.size() - 4) + ".lck";
-
-  auto Store = std::make_shared<CacheStore>(Dir);
-  std::string Bytes;
-  EXPECT_FALSE(readFileBytes(Lock, Bytes)) << "opening removes its lock";
-  SuiteCache Warm;
-  Warm.setStore(Store);
-  Warm.get(Set, MC, Tech, 42);
-  EXPECT_EQ(Warm.preparedPrograms(), 0u);
-  EXPECT_EQ(Warm.storeHits(), 1u);
-  EXPECT_EQ(Warm.programStoreHits(), Set->size());
-  EXPECT_EQ(Store->misses(), 0u);
-  EXPECT_EQ(Store->writes(), 0u);
-
-  EXPECT_EQ(Store->cleanMismatchedVersions(), 1u);
-  EXPECT_FALSE(readFileBytes(Manifest, Bytes)) << "manifest removed";
-  EXPECT_TRUE(filesContaining(Dir, "suite-").empty());
-  EXPECT_EQ(filesContaining(Dir, ".pbt").size(), Set->size());
-}

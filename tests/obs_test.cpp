@@ -167,8 +167,8 @@ TEST(Trace, SchedulerAndScenarioEventsAreEngineInvariant) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   PreparedSuite Suite = prepareSuite(Programs, MC, TechniqueSpec::baseline());
   Workload W = Workload::random(4, 32, Programs.size(), 11);
-  ScenarioSpec Scenario =
-      ScenarioSpec::poisson(2.0).withMaxJobs(40).withMaxInFlight(6);
+  // The 25-second traced horizon bounds the stream (about 50 jobs).
+  ScenarioSpec Scenario = ScenarioSpec::poisson(2.0).withMaxInFlight(6);
   SchedulerSpec Sched = SchedulerSpec::ipcSampling();
 
   std::string PathA = pbt_test::testCacheDir("obs_sched_flat.trace.json");

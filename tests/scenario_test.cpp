@@ -1,10 +1,9 @@
 //===- tests/scenario_test.cpp - traffic-scenario subsystem tests ---------===//
 //
 // The traffic-scenario axis: ScenarioSpec identity/labels, arrival
-// schedule determinism, the open-system stop rules (job count,
-// multiprogramming cap), the latency metrics, the scenario sweep axis
-// (cells multiply, preparations don't), and the acceptance bit-identity
-// proof — the batch-at-zero ScenarioSpec must replay exactly like the
+// schedule determinism, the open-system multiprogramming cap, the
+// latency metrics, the scenario sweep axis (cells multiply,
+// preparations don't), and the acceptance bit-identity proof — the batch-at-zero ScenarioSpec must replay exactly like the
 // pre-scenario runWorkload (direct spawns before run), via the shared
 // comparator in tests/RunIdentity.h.
 //
@@ -154,20 +153,16 @@ uint32_t maxConcurrency(const std::vector<CompletedJob> &Jobs) {
 TEST(ScenarioSpecTest, LabelsAreSelfDescribing) {
   EXPECT_EQ(ScenarioSpec::batch().label(), "batch");
   EXPECT_EQ(ScenarioSpec().label(), "batch");
-  EXPECT_EQ(ScenarioSpec::periodic(0.25).label(), "periodic[0.25]");
   EXPECT_EQ(ScenarioSpec::poisson(4).label(), "poisson[4]");
   EXPECT_EQ(ScenarioSpec::poisson(4, 7).label(), "poisson[4,s7]");
-  EXPECT_EQ(ScenarioSpec::poisson(2).withMaxJobs(200).label(),
-            "poisson[2]+n200");
   EXPECT_EQ(ScenarioSpec::poisson(2).withMaxInFlight(8).label(),
             "poisson[2]+mpl8");
-  EXPECT_EQ(ScenarioSpec::batch().withMaxJobs(50).label(), "batch+n50");
+  EXPECT_EQ(ScenarioSpec::batch().withMaxInFlight(8).label(), "batch");
 }
 
 TEST(ScenarioSpecTest, EqualityAndHashingTrackReplayIdentity) {
   EXPECT_TRUE(ScenarioSpec::batch() == ScenarioSpec());
   EXPECT_FALSE(ScenarioSpec::batch() == ScenarioSpec::poisson(2));
-  EXPECT_FALSE(ScenarioSpec::periodic(0.5) == ScenarioSpec::poisson(0.5));
 
   // Open-system knobs are irrelevant to a batch replay.
   ScenarioSpec A = ScenarioSpec::batch();
@@ -177,8 +172,6 @@ TEST(ScenarioSpecTest, EqualityAndHashingTrackReplayIdentity) {
   B.MaxInFlight = 3;
   EXPECT_TRUE(A == B);
   EXPECT_EQ(hashValue(A), hashValue(B));
-  // ...but the job-count stop rule applies everywhere.
-  EXPECT_FALSE(A == A.withMaxJobs(10));
 
   // Open scenarios compare their parameter, seed, and admission cap.
   EXPECT_TRUE(ScenarioSpec::poisson(2) == ScenarioSpec::poisson(2));
@@ -190,29 +183,11 @@ TEST(ScenarioSpecTest, EqualityAndHashingTrackReplayIdentity) {
   EXPECT_FALSE(ScenarioSpec::poisson(2) == ScenarioSpec::poisson(2, 7));
   EXPECT_FALSE(ScenarioSpec::poisson(2) ==
                ScenarioSpec::poisson(2).withMaxInFlight(4));
-  EXPECT_FALSE(ScenarioSpec::periodic(0.5) == ScenarioSpec::periodic(0.25));
 }
 
 //===----------------------------------------------------------------------===//
 // Arrival schedules
 //===----------------------------------------------------------------------===//
-
-TEST(ScenarioArrivals, PeriodicExactGridWithinHorizon) {
-  // Half-open window: the t == 2.0 grid point is OUT — an arrival at
-  // the horizon could never spawn, so it must not be counted.
-  std::vector<ScenarioArrival> A =
-      scenarioArrivals(ScenarioSpec::periodic(0.5), 3, 2.0);
-  ASSERT_EQ(A.size(), 4u); // 0, 0.5, 1.0, 1.5.
-  for (size_t I = 0; I < A.size(); ++I) {
-    EXPECT_DOUBLE_EQ(A[I].Time, 0.5 * static_cast<double>(I));
-    EXPECT_LT(A[I].Bench, 3u);
-  }
-  // The job-count cap truncates the schedule.
-  EXPECT_EQ(scenarioArrivals(ScenarioSpec::periodic(0.5).withMaxJobs(2), 3,
-                             2.0)
-                .size(),
-            2u);
-}
 
 TEST(ScenarioArrivals, PoissonSeededDeterministicAndMonotone) {
   ScenarioSpec S = ScenarioSpec::poisson(5);
@@ -240,7 +215,7 @@ TEST(ScenarioArrivals, PoissonSeededDeterministicAndMonotone) {
 }
 
 TEST(ScenarioArrivals, RejectsInvalidSpecs) {
-  EXPECT_THROW(scenarioArrivals(ScenarioSpec::periodic(0), 3, 10),
+  EXPECT_THROW(scenarioArrivals(ScenarioSpec::poisson(0), 3, 10),
                std::invalid_argument);
   EXPECT_THROW(scenarioArrivals(ScenarioSpec::poisson(-1), 3, 10),
                std::invalid_argument);
@@ -272,7 +247,7 @@ TEST(ScenarioBitIdentity, BatchSpecMatchesPreScenarioRunWorkload) {
 }
 
 //===----------------------------------------------------------------------===//
-// Open-scenario determinism and stop rules
+// Open-scenario determinism and admission cap
 //===----------------------------------------------------------------------===//
 
 TEST(ScenarioDeterminism, OpenRunsIdenticalAcrossRerunsAndParallelBatch) {
@@ -303,29 +278,6 @@ TEST(ScenarioDeterminism, OpenRunsIdenticalAcrossRerunsAndParallelBatch) {
   std::vector<RunResult> Batch = runWorkloads(Jobs);
   for (const RunResult &R : Batch)
     expectRunsIdentical(A, R);
-}
-
-TEST(ScenarioStopRules, MaxJobsEndsTheRunEarly) {
-  auto Programs = smallSuite();
-  MachineConfig MC = MachineConfig::quadAsymmetric();
-  PreparedSuite Suite = prepareSuite(Programs, MC,
-                                     TechniqueSpec::baseline());
-  Workload W = Workload::random(4, 64, Programs.size(), 5);
-  double Horizon = 200;
-  ScenarioSpec S = ScenarioSpec::poisson(4).withMaxJobs(6);
-  RunResult R = runWorkload(Suite, W, MC, SimConfig(), Horizon, {},
-                            SchedulerSpec(), S);
-  // At least the requested count completed (same-quantum exits may push
-  // it past the threshold), and the clock stopped well short of the
-  // horizon.
-  EXPECT_GE(R.Completed.size(), 6u);
-  EXPECT_LT(R.Horizon, Horizon);
-  // The count rule applies to the batch scenario too.
-  RunResult BatchR =
-      runWorkload(Suite, W, MC, SimConfig(), Horizon, {}, SchedulerSpec(),
-                  ScenarioSpec::batch().withMaxJobs(6));
-  EXPECT_GE(BatchR.Completed.size(), 6u);
-  EXPECT_LT(BatchR.Horizon, Horizon);
 }
 
 TEST(ScenarioStopRules, MaxInFlightCapsConcurrency) {
@@ -450,7 +402,7 @@ TEST(ScenarioSweep, ScenarioOnlySweepServedFromStore) {
   SweepGrid G;
   G.Techniques = {TechniqueSpec::baseline()};
   G.Scenarios = {ScenarioSpec::batch(), ScenarioSpec::poisson(2),
-                 ScenarioSpec::periodic(0.5)};
+                 ScenarioSpec::poisson(0.5)};
   G.Workloads = {{4, 10, 5, 64}};
   G.WithBaseline = false;
 
